@@ -23,7 +23,6 @@ __all__ = [
     "TangentVector",
     "group_mul",
     "inverse",
-    "left_translate",
     "identity",
     "frame_vector",
     "frame_lift",
@@ -122,10 +121,6 @@ def inverse(p: Point) -> Point:
     return Point(-p.coords)
 
 
-def left_translate(p: Point, q: Point) -> Point:
-    return group_mul(p, q)
-
-
 def frame_vector(a, p: Point):
     """Coordinate components of the a-th frame field at ``p`` (a is 1-based).
 
@@ -166,8 +161,9 @@ def apply_J(v: HorizontalVector) -> HorizontalVector:
 
 
 def _J(c):
-    n = c.shape[-1] // 2 if hasattr(c, "shape") else len(c) // 2
-    return np.concatenate([-np.asarray(c)[n:], np.asarray(c)[:n]])
+    """The rotation on raw frame coefficients ``(a, b) -> (-b, a)``."""
+    n = c.size // 2
+    return np.concatenate([-c[n:], c[:n]])
 
 
 def theta(p: Point, w):

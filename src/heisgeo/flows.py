@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rk45
 from .catalog import _psi  # squared-height profile of the reference sphere
-from .core import HorizontalVector, Point, frame_lift
+from .core import HorizontalVector, Point, _J, frame_lift
 from .rk45 import StepControl
 from .surface import (
     DomainError,
@@ -85,7 +85,7 @@ def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
         x = y[:n]
         yy = y[n : 2 * n]
         v = y[2 * n + 1 :]
-        dv = np.concatenate([-v[n:], v[:n]]) * (2.0 * lam)
+        dv = _J(v) * (2.0 * lam)
         dt = float(yy @ v[:n] - x @ v[n:])
         return np.concatenate([v[:n], v[n:], [dt], dv])
 
@@ -175,8 +175,7 @@ def _en_field(s: SurfaceDef, n):
         _, grad, _ = s.evaluate(c)
         b = horizontal_gradient(n, c, grad)
         b /= np.linalg.norm(b)
-        en = np.concatenate([b[n:], -b[:n]])  # minus the rotation of the normal
-        return frame_lift(HorizontalVector(en), Point(c))
+        return frame_lift(HorizontalVector(-_J(b)), Point(c))
 
     return dirfn
 
@@ -195,9 +194,10 @@ def _e2nhat_field(s: SurfaceDef, n):
 
 
 def _xi_field(s: SurfaceDef, pivots, index, n):
+    coeffs = _xi_coeff_field(s, pivots, index, n)
+
     def dirfn(c):
-        fr = build_frame(s, Point(c), pivots=pivots)
-        return frame_lift(fr.xi_prime[index], Point(c))
+        return frame_lift(HorizontalVector(coeffs(c)), Point(c))
 
     return dirfn
 
@@ -257,43 +257,34 @@ def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
         rep = report(s, Point(c), pivots=pivots)
         return rep.k, rep.l, rep.alpha
 
-    def offsets(dirfn):
-        return (
-            surface_offset(s, coords, dirfn, +h_fd),
-            surface_offset(s, coords, dirfn, -h_fd),
-        )
+    def rates(dirfn):
+        """Offsets along ``dirfn`` and central differences of k, l, alpha."""
+        cp = surface_offset(s, coords, dirfn, +h_fd)
+        cm = surface_offset(s, coords, dirfn, -h_fd)
+        return cp, cm, [(gp - gm) / (2.0 * h_fd)
+                        for gp, gm in zip(scalars(cp), scalars(cm))]
 
     # characteristic direction
-    cp, cm = offsets(_en_field(s, n))
-    kp, lp, ap = scalars(cp)
-    km, lm, am = scalars(cm)
-    r_en_k = abs((kp - km) / (2.0 * h_fd) - (l0 - 2.0 * k0) * a0)
-    r_en_a = abs((ap - am) / (2.0 * h_fd) - (k0 * k0 - a0 * a0 - k0 * l0))
+    cp, cm, (dk, dl, da) = rates(_en_field(s, n))
+    r_en_k = abs(dk - (l0 - 2.0 * k0) * a0)
+    r_en_a = abs(da - (k0 * k0 - a0 * a0 - k0 * l0))
     # first difference of the exact tilt rate = the iterated derivative
     en_en_alpha = (_en_alpha(s, cp, n) - _en_alpha(s, cm, n)) / (2.0 * h_fd)
 
     # rescaled vertical tangent
-    cp, cm = offsets(_e2nhat_field(s, n))
-    kp, lp, ap = scalars(cp)
-    km, lm, am = scalars(cm)
-    r_e2n_k = abs(
-        (kp - km) / (2.0 * h_fd) - a0 * (k0 * k0 + phi0 + a0 * a0) / root
-    )
-    r_e2n_a = abs((ap - am) / (2.0 * h_fd) + k0 * phi0 / root)
+    _, _, (dk, dl, da) = rates(_e2nhat_field(s, n))
+    r_e2n_k = abs(dk - a0 * (k0 * k0 + phi0 + a0 * a0) / root)
+    r_e2n_a = abs(da + k0 * phi0 / root)
     r_e2n_l = abs(
-        (lp - lm) / (2.0 * h_fd)
-        - (en_en_alpha + 6.0 * a0 * phi0 + 4.0 * a0**3 + a0 * l0 * l0) / root
+        dl - (en_en_alpha + 6.0 * a0 * phi0 + 4.0 * a0**3 + a0 * l0 * l0) / root
     )
 
     # invariant complement: every scalar must be constant
     r_xi = 0.0
     for i in range(2 * n - 2):
-        cp, cm = offsets(_xi_field(s, pivots, i, n))
-        kp, lp, ap = scalars(cp)
-        km, lm, am = scalars(cm)
-        phip, phim = _en_alpha(s, cp, n), _en_alpha(s, cm, n)
-        for gp, gm in ((kp, km), (lp, lm), (ap, am), (phip, phim)):
-            r_xi = max(r_xi, abs((gp - gm) / (2.0 * h_fd)))
+        cp, cm, diffs = rates(_xi_field(s, pivots, i, n))
+        diffs.append((_en_alpha(s, cp, n) - _en_alpha(s, cm, n)) / (2.0 * h_fd))
+        r_xi = max(r_xi, *map(abs, diffs))
 
     return IdentityResiduals(
         en_k=float(r_en_k),

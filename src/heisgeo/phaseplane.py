@@ -191,15 +191,16 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
 
 
 def periodic_orbit(pp: PhaseParams, q0: PhasePoint, control=None,
-                   orbit_tol=None, s_cap=None, certify=True) -> OrbitTrace:
+                   orbit_tol=None, s_cap=None) -> OrbitTrace:
     """Closed orbit through ``q0``, certified by full-period re-integration.
 
     The reflection symmetry across the vertical axis makes the half arc
     between consecutive axis crossings determine the period; a start on the
     axis already sees the full period between its two bracketing crossings.
-    With ``certify=False`` the closure re-integration is skipped: the trace
-    covers only the arc between the bracketing crossings and carries no
-    closure error (cheap path when only the period matters).
+    Closure is then certified by integrating one full period from ``q0``,
+    with one tightened retry when the error lacks margin below
+    ``orbit_tol``; the trace samples that full period and carries its
+    closure error.
     """
     scale = 1.0 + math.hypot(q0.alpha, q0.beta)
     if orbit_tol is None:
@@ -232,14 +233,6 @@ def periodic_orbit(pp: PhaseParams, q0: PhasePoint, control=None,
     on_axis = abs(q0.alpha) <= AXIS_EPS
     period = (s_plus - s_minus) if on_axis else 2.0 * (s_plus - s_minus)
     events = [(s_minus, float(y_minus[1])), (s_plus, float(y_plus[1]))]
-
-    if not certify:
-        samples = [(s, PhasePoint(y[0], y[1]))
-                   for s, y in zip(back.ss[::-1], back.ys[::-1])]
-        samples += [(s, PhasePoint(y[0], y[1]))
-                    for s, y in zip(fwd.ss[1:], fwd.ys[1:])]
-        return OrbitTrace(params=pp, samples=samples, events=events,
-                          period=float(period), closure_error=None)
 
     def closure(ctrl):
         sol = rk45.solve(f, 0.0, y0, period, ctrl)
@@ -284,9 +277,10 @@ def portrait(pp: PhaseParams, alpha_range=None, beta_range=None, grid=21,
              seeds=None, control=None) -> Portrait:
     """Data set sufficient to re-plot the phase picture.
 
-    Emits the vector field on a rectangular grid (two rows per arrow: base at
-    s=0, tip at s=1), the zero-tilt-rate polyline, a family of periodic
-    orbits and the stationary points.
+    Emits the vector field on a rectangular grid (two rows per grid point:
+    base at s=0, tip at s=1; the tip equals the base where the field
+    vanishes), the zero-tilt-rate polyline, a family of periodic orbits and
+    the stationary points.
     """
     c = pp.c
     if alpha_range is None:
@@ -302,10 +296,9 @@ def portrait(pp: PhaseParams, alpha_range=None, beta_range=None, grid=21,
         for b in np.linspace(*beta_range, grid):
             da, db = vector_field(pp, PhasePoint(a, b))
             norm = math.hypot(da, db)
+            scale = 0.35 * cell / norm if norm > 0.0 else 0.0
             rows.append(("field", 0.0, a, b))
-            if norm > 0.0:
-                scale = 0.35 * cell / norm
-                rows.append(("field", 1.0, a + scale * da, b + scale * db))
+            rows.append(("field", 1.0, a + scale * da, b + scale * db))
     poly = upsilon_polyline(pp, beta_range[0], beta_range[1])
     for i, (a, b) in enumerate(poly):
         rows.append(("upsilon", float(i), a, b))

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import duals
-from .core import HorizontalVector, Point, frame_lift
+from .core import HorizontalVector, Point, _J, frame_lift
 
 __all__ = [
     "GeometryError",
@@ -198,14 +198,6 @@ def _on_surface_tol(coords, grad):
     )
 
 
-def _Jmat(c):
-    n = c.size // 2
-    out = np.empty_like(c)
-    out[:n] = -c[n:]
-    out[n:] = c[:n]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # adapted frame
 
@@ -264,35 +256,9 @@ def build_frame(s: SurfaceDef, p: Point, pivots=None) -> FrameBundle:
     if abs(u) > _on_surface_tol(coords, grad):
         raise OffSurface(f"|u|={abs(u):g} exceeds the on-surface tolerance")
     e2n = b / gnorm
-    en = -_Jmat(e2n)
+    en = -_J(e2n)
     alpha = -grad[2 * n] / gnorm
-
-    used = [en, e2n]
-    first_half = []
-    chosen = []
-    for beta in range(n - 1):
-        basis_mat = np.array(used)
-        if pivots is not None:
-            a = pivots[beta]
-            r = _residual(a, basis_mat, n)
-            rn = float(np.linalg.norm(r))
-            if rn < 1e-6:
-                raise PivotDegenerate(f"forced pivot {a} degenerated ({rn:g})")
-        else:
-            norms = 1.0 - np.sum(basis_mat * basis_mat, axis=0)
-            a = int(np.argmax(norms))  # ties resolve to the lowest index
-            r = _residual(a, basis_mat, n)
-            rn = float(np.linalg.norm(r))
-        v = r / rn
-        v = v - np.array(used).T @ (np.array(used) @ v)  # re-orthogonalize
-        v /= np.linalg.norm(v)
-        used.append(v)
-        used.append(_Jmat(v))
-        first_half.append(v)
-        chosen.append(a)
-    xi = tuple(
-        HorizontalVector(v) for v in first_half + [_Jmat(v) for v in first_half]
-    )
+    xi, chosen = _complement(en, e2n, n, pivots)
     return FrameBundle(
         p=p,
         e2n=HorizontalVector(e2n),
@@ -300,16 +266,44 @@ def build_frame(s: SurfaceDef, p: Point, pivots=None) -> FrameBundle:
         xi_prime=xi,
         alpha=float(alpha),
         grad_norm=gnorm,
-        pivots=tuple(chosen),
+        pivots=chosen,
         _grad=grad,
         _hess=hess,
     )
 
 
-def _residual(a, basis_mat, n):
-    r = np.zeros(2 * n)
-    r[a] = 1.0
-    return r - basis_mat.T @ basis_mat[:, a]
+def _complement(en, e2n, n, pivots=None):
+    """Invariant complement of ``en, e2n`` by pivoted Gram-Schmidt.
+
+    Each pivot is the standard frame vector with the largest residual, and
+    each accepted vector is paired with its rotation.  Forced ``pivots``
+    replace the search; one whose residual collapses raises
+    :class:`PivotDegenerate`.  Returns ``(xi_prime, pivots)``.
+    """
+    used = [en, e2n]
+    first_half = []
+    chosen = []
+    for beta in range(n - 1):
+        basis_mat = np.array(used)
+        if pivots is None:
+            norms = 1.0 - np.sum(basis_mat * basis_mat, axis=0)
+            a = int(np.argmax(norms))  # ties resolve to the lowest index
+        else:
+            a = pivots[beta]
+        r = np.zeros(2 * n)
+        r[a] = 1.0
+        r -= basis_mat.T @ basis_mat[:, a]
+        rn = float(np.linalg.norm(r))
+        if pivots is not None and rn < 1e-6:
+            raise PivotDegenerate(f"forced pivot {a} degenerated ({rn:g})")
+        v = r / rn
+        v = v - basis_mat.T @ (basis_mat @ v)  # re-orthogonalize
+        v /= np.linalg.norm(v)
+        used += [v, _J(v)]
+        first_half.append(v)
+        chosen.append(a)
+    xi = tuple(HorizontalVector(v) for v in first_half + [_J(v) for v in first_half])
+    return xi, tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +374,14 @@ def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
     xn = derivs[nidx] + l * f.en.coeffs
     xn_residual = float(np.linalg.norm(xn))
 
-    # rotation correction: J' pairs v_beta <-> Jv_beta, kills e_n
-    S = h.copy()
-    alpha = f.alpha
-    for beta in range(n - 1):
-        S[n + beta, beta] += alpha      # <J' v_beta, Jv_beta> = 1
-        S[beta, n + beta] -= alpha      # <J' Jv_beta, v_beta> = -1
+    S = _shape_operator(h, f.alpha)
     asym = float(np.max(np.abs(S - S.T)))
     if asym > 1e-8 * (1.0 + float(np.max(np.abs(S)))):
         raise NonSymmetric(f"shape operator asymmetry {asym:g}")
 
     keep = [i for i in range(m) if i != nidx]
     S_xi = 0.5 * (S + S.T)[np.ix_(keep, keep)]
-    eigs = jacobi_eigenvalues(S_xi)
+    eigs = np.linalg.eigvalsh(S_xi)
     k = float(np.mean(eigs))
     spread = float(eigs[-1] - eigs[0])
     tol = s.umbilic_tol
@@ -407,6 +396,28 @@ def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
         spread=spread,
         umbilic=bool(xn_residual <= tol and spread <= tol),
     )
+
+
+def _shape_operator(h, alpha):
+    """Form matrix plus the rotation correction: J' pairs v_beta <-> Jv_beta
+    and kills e_n."""
+    n = (h.shape[0] + 1) // 2
+    S = h.copy()
+    for beta in range(n - 1):
+        S[n + beta, beta] += alpha      # <J' v_beta, Jv_beta> = 1
+        S[beta, n + beta] -= alpha      # <J' Jv_beta, v_beta> = -1
+    return S
+
+
+def _umbilic_form(n, k, l, alpha):
+    """Form matrix of an umbilic point: ``k`` on the invariant complement,
+    ``l`` along the characteristic direction, the tilt across the pairs."""
+    h = np.diag(np.full(2 * n - 1, k))
+    h[n - 1, n - 1] = l
+    for beta in range(n - 1):
+        h[beta, n + beta] = alpha
+        h[n + beta, beta] = -alpha
+    return h
 
 
 def report(s: SurfaceDef, p: Point, pivots=None) -> SurfaceReport:
@@ -495,25 +506,8 @@ def rotsym_report(profile: RadialProfile, p: Point) -> SurfaceReport:
         [(fp * x - t * y) / (z * root), (fp * y + t * x) / (z * root)]
     )
     e2n /= np.linalg.norm(e2n)
-    en = -_Jmat(e2n)
-
-    used = [en, e2n]
-    first_half = []
-    chosen = []
-    for _ in range(n - 1):
-        basis_mat = np.array(used)
-        norms = 1.0 - np.sum(basis_mat * basis_mat, axis=0)
-        a = int(np.argmax(norms))
-        r_vec = _residual(a, basis_mat, n)
-        v = r_vec / np.linalg.norm(r_vec)
-        v = v - basis_mat.T @ (basis_mat @ v)
-        v /= np.linalg.norm(v)
-        used.extend([v, _Jmat(v)])
-        first_half.append(v)
-        chosen.append(a)
-    xi = tuple(
-        HorizontalVector(v) for v in first_half + [_Jmat(v) for v in first_half]
-    )
+    en = -_J(e2n)
+    xi, chosen = _complement(en, e2n, n)
     frame = FrameBundle(
         p=p,
         e2n=HorizontalVector(e2n),
@@ -521,21 +515,12 @@ def rotsym_report(profile: RadialProfile, p: Point) -> SurfaceReport:
         xi_prime=xi,
         alpha=float(alpha),
         grad_norm=2.0 * z * root,
-        pivots=tuple(chosen),
+        pivots=chosen,
     )
-    m = 2 * n - 1
-    nidx = n - 1
-    h = np.zeros((m, m))
-    for a in range(m):
-        h[a, a] = k
-    h[nidx, nidx] = l
-    for beta in range(n - 1):
-        h[beta, n + beta] = alpha
-        h[n + beta, beta] = -alpha
     eigs = np.full(2 * n - 2, k)
     return SurfaceReport(
         frame=frame,
-        h=h,
+        h=_umbilic_form(n, k, l, alpha),
         k=float(k),
         l=float(l),
         H=float(l + (2 * n - 2) * k),
@@ -579,11 +564,15 @@ def graph_derivatives(func, n):
 
 
 # ---------------------------------------------------------------------------
-# small symmetric eigensolver
+# reference eigensolver
 
 
 def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations."""
+    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+
+    Reference only: ``shape_matrix`` takes its eigenvalues from
+    ``np.linalg.eigvalsh``, and the tests compare the two.
+    """
     a = np.array(mat, dtype=float)
     m = a.shape[0]
     if m == 1:

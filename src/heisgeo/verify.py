@@ -106,8 +106,46 @@ def _rng(base_seed, claim_id):
     return np.random.default_rng(_claim_seed(base_seed, claim_id))
 
 
-def _entries_for(n):
-    return catalog.standard_entries(n)
+def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None):
+    """One result row per case: the worst residual over its completed points.
+
+    ``cases`` yields ``(surface, params, [(entry, point), ...])``;
+    ``residual(entry, point)`` evaluates one point.  A point whose frame or
+    projection fails (``PivotDegenerate``, ``ProjectionFailure``) is skipped;
+    ``samples`` counts the completed points, and a case with none fails.
+    Rows carry ``row_id`` (default ``cid``) and the seed derived from ``cid``.
+    """
+    out = []
+    for name, params, points in cases:
+        worst = 0.0
+        done = 0
+        for entry, p in points:
+            try:
+                worst = max(worst, residual(entry, p))
+            except (surface.PivotDegenerate, flows.ProjectionFailure):
+                continue
+            done += 1
+        out.append(
+            ClaimResult(row_id or cid, name, params,
+                        worst if done else math.inf, tolerance, done,
+                        _claim_seed(seed, cid))
+        )
+    return out
+
+
+def _case(name, params, entry, rng, count):
+    """A case of ``count`` points drawn from one catalog entry."""
+    return name, params, [(entry, p) for p in entry.sample(rng, count)]
+
+
+def _catalog_cases(rng, count, ns=(2, 3)):
+    """One case per standard catalog entry and dimension."""
+    return (_case(entry.name, {"n": n}, entry, rng, count)
+            for n in ns for entry in catalog.standard_entries(n))
+
+
+def _zabs(p):
+    return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,55 +154,36 @@ def _entries_for(n):
 
 def claim_partial_symmetry(seed, count=100, report_fn=None):
     """Partial symmetry of the form matrix and the paired-entry tilt gap."""
-    rep_fn = report_fn or report
-    out = []
     cid = "prop2.1-symmetry"
-    rng = _rng(seed, cid)
-    for n in (2, 3):
-        for entry in _entries_for(n):
-            worst = 0.0
-            for p in entry.sample(rng, count):
-                rep = rep_fn(entry.surface, p)
-                h, a = rep.h, rep.alpha
-                m = 2 * n - 1
-                for i in range(m):
-                    for j in range(m):
-                        if abs(i - j) == n:
-                            continue
-                        worst = max(worst, abs(h[i, j] - h[j, i]))
-                for b in range(n - 1):
-                    worst = max(worst, abs(h[b, n + b] - h[n + b, b] - 2.0 * a))
-            out.append(
-                ClaimResult(cid, entry.name, {"n": n}, worst, 1e-8, count,
-                            _claim_seed(seed, cid))
-            )
-    return out
 
+    def residual(entry, p):
+        rep = (report_fn or report)(entry.surface, p)
+        h, a = rep.h, rep.alpha
+        n = entry.params["n"]
+        m = 2 * n - 1
+        worst = 0.0
+        for i in range(m):
+            for j in range(m):
+                if abs(i - j) != n:
+                    worst = max(worst, abs(h[i, j] - h[j, i]))
+        for b in range(n - 1):
+            worst = max(worst, abs(h[b, n + b] - h[n + b, b] - 2.0 * a))
+        return worst
 
-def _shape_operator(rep):
-    n = rep.frame.n
-    S = rep.h.copy()
-    for b in range(n - 1):
-        S[n + b, b] += rep.alpha
-        S[b, n + b] -= rep.alpha
-    return S
+    cases = _catalog_cases(_rng(seed, cid), count)
+    return _sampled_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_shape_symmetric(seed, count=60):
     cid = "prop2.2-shape-symmetric"
-    rng = _rng(seed, cid)
-    out = []
-    for n in (2, 3):
-        for entry in _entries_for(n):
-            worst = 0.0
-            for p in entry.sample(rng, count):
-                S = _shape_operator(report(entry.surface, p))
-                worst = max(worst, float(np.max(np.abs(S - S.T))))
-            out.append(
-                ClaimResult(cid, entry.name, {"n": n}, worst, 1e-8, count,
-                            _claim_seed(seed, cid))
-            )
-    return out
+
+    def residual(entry, p):
+        rep = report(entry.surface, p)
+        S = surface._shape_operator(rep.h, rep.alpha)
+        return float(np.max(np.abs(S - S.T)))
+
+    cases = _catalog_cases(_rng(seed, cid), count)
+    return _sampled_claim(cid, seed, cases, residual, 1e-8)
 
 
 def _generic_test_surface(n):
@@ -190,32 +209,32 @@ def claim_xn_shape_equivalence(seed, count=60):
     catalog."""
     cid = "prop2.3-xn-equivalence"
     rng = _rng(seed, cid)
-    out = []
-    for n in (2, 3):
-        worst_cat = 0.0
-        for entry in _entries_for(n):
-            for p in entry.sample(rng, 30):
-                rep = report(entry.surface, p)
-                nidx = n - 1
-                m = 2 * n - 1
-                for a in range(m):
-                    if a == nidx:
-                        continue
-                    worst_cat = max(
-                        worst_cat,
-                        abs(rep.h[nidx, a] - rep.h[a, nidx]),
-                        abs(rep.h[nidx, a]),
-                    )
-                worst_cat = max(worst_cat, rep.xn_residual)
-        out.append(
-            ClaimResult(cid, "catalog", {"n": n}, worst_cat, 1e-8, count,
-                        _claim_seed(seed, cid))
-        )
+
+    def xn_entries(rep):
+        """Largest asymmetry and largest entry of the e_n row of ``h``."""
+        nidx = rep.frame.n - 1
+        keep = [a for a in range(rep.h.shape[0]) if a != nidx]
+        row = rep.h[nidx, keep]
+        return (float(np.max(np.abs(row - rep.h[keep, nidx]))),
+                float(np.max(np.abs(row))))
+
+    def residual(entry, p):
+        rep = report(entry.surface, p)
+        return max(rep.xn_residual, *xn_entries(rep))
+
+    cases = (
+        ("catalog", {"n": n},
+         [(entry, p) for entry in catalog.standard_entries(n)
+          for p in entry.sample(rng, 30)])
+        for n in (2, 3)
+    )
+    out = _sampled_claim(cid, seed, cases, residual, 1e-8)
     # nontrivial direction: a surface with a genuinely nonzero obstruction
     n = 2
     gen, height = _generic_test_surface(n)
     worst_eq = 0.0
     largest = 0.0
+    done = 0
     for _ in range(count):
         x = rng.normal(size=2 * n) * 0.6
         p = Point(np.concatenate([x, [height(x)]]))
@@ -223,15 +242,13 @@ def claim_xn_shape_equivalence(seed, count=60):
             rep = report(gen, p)
         except surface.GeometryError:
             continue
-        nidx = n - 1
-        for a in range(2 * n - 1):
-            if a == nidx:
-                continue
-            worst_eq = max(worst_eq, abs(rep.h[nidx, a] - rep.h[a, nidx]))
-            largest = max(largest, abs(rep.h[nidx, a]))
+        done += 1
+        asym, lead = xn_entries(rep)
+        worst_eq = max(worst_eq, asym)
+        largest = max(largest, lead)
     res = worst_eq if largest > 1e-3 else math.inf  # need a nonzero witness
     out.append(
-        ClaimResult(cid, "generic-graph", {"n": n}, res, 1e-8, count,
+        ClaimResult(cid, "generic-graph", {"n": n}, res, 1e-8, done,
                     _claim_seed(seed, cid), extra={"witness": largest})
     )
     return out
@@ -239,28 +256,14 @@ def claim_xn_shape_equivalence(seed, count=60):
 
 def claim_umbilic_pattern(seed, count=60):
     cid = "prop2.4-umbilic-pattern"
-    rng = _rng(seed, cid)
-    out = []
-    for n in (2, 3):
-        for entry in _entries_for(n):
-            worst = 0.0
-            for p in entry.sample(rng, count):
-                rep = report(entry.surface, p)
-                m = 2 * n - 1
-                nidx = n - 1
-                pattern = np.zeros((m, m))
-                for a in range(m):
-                    pattern[a, a] = rep.k
-                pattern[nidx, nidx] = rep.l
-                for b in range(n - 1):
-                    pattern[b, n + b] = rep.alpha
-                    pattern[n + b, b] = -rep.alpha
-                worst = max(worst, float(np.max(np.abs(rep.h - pattern))))
-            out.append(
-                ClaimResult(cid, entry.name, {"n": n}, worst, 1e-8, count,
-                            _claim_seed(seed, cid))
-            )
-    return out
+
+    def residual(entry, p):
+        rep = report(entry.surface, p)
+        pattern = surface._umbilic_form(entry.params["n"], rep.k, rep.l, rep.alpha)
+        return float(np.max(np.abs(rep.h - pattern)))
+
+    cases = _catalog_cases(_rng(seed, cid), count)
+    return _sampled_claim(cid, seed, cases, residual, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +273,19 @@ def claim_umbilic_pattern(seed, count=60):
 def claim_rotsym(seed, count=60):
     cid = "prop3.1-rotsym-umbilic"
     rng = _rng(seed, cid)
-    out = []
-    for n in (2, 3):
-        for entry in _entries_for(n):
-            if entry.profile is None:
-                continue
-            worst = 0.0
-            for p in entry.sample(rng, count):
-                rs = surface.rotsym_report(entry.profile, p)
-                sm = report(entry.surface, p)
-                if not rs.umbilic or not sm.umbilic:
-                    worst = math.inf
-                worst = max(
-                    worst,
-                    abs(rs.k - sm.k),
-                    abs(rs.l - sm.l),
-                    abs(rs.alpha - sm.alpha),
-                    abs(rs.H - sm.H),
-                )
-            out.append(
-                ClaimResult(cid, entry.name, {"n": n}, worst, 1e-8, count,
-                            _claim_seed(seed, cid))
-            )
-    return out
+
+    def residual(entry, p):
+        rs = surface.rotsym_report(entry.profile, p)
+        sm = report(entry.surface, p)
+        if not rs.umbilic or not sm.umbilic:
+            return math.inf
+        return max(abs(rs.k - sm.k), abs(rs.l - sm.l),
+                   abs(rs.alpha - sm.alpha), abs(rs.H - sm.H))
+
+    cases = (_case(entry.name, {"n": n}, entry, rng, count)
+             for n in (2, 3) for entry in catalog.standard_entries(n)
+             if entry.profile is not None)
+    return _sampled_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_profile_ode(seed):
@@ -377,63 +370,37 @@ def identity_suite_entries(n=2):
 def claim_interior_identities(seed, h_fd=1e-4, points=3):
     cid = "prop4.2-identities"
     rng = _rng(seed, cid)
-    out = []
-    for entry in identity_suite_entries():
-        worst = 0.0
-        done = 0
-        for p in moderate_points(entry, rng, points):
-            try:
-                res = flows.identity_check(entry.surface, p, h_fd=h_fd)
-            except (surface.PivotDegenerate, flows.ProjectionFailure):
-                continue
-            worst = max(worst, res.max())
-            done += 1
-        out.append(
-            ClaimResult(cid, entry.name, dict(entry.params), worst, 1e-5,
-                        done, _claim_seed(seed, cid))
-        )
-    return out
+    cases = (
+        (entry.name, dict(entry.params),
+         [(entry, p) for p in moderate_points(entry, rng, points)])
+        for entry in identity_suite_entries()
+    )
+    return _sampled_claim(
+        cid, seed, cases,
+        lambda entry, p: flows.identity_check(entry.surface, p, h_fd=h_fd).max(),
+        1e-5)
 
 
 def claim_foliation_rank(seed, points=10):
     cid = "prop4.3-foliation-rank"
     rng = _rng(seed, cid)
-    out = []
-    for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2),
-                  catalog.pansu(1.0, 3)):
-        worst = 0.0
-        want = 2 * entry.params["n"] - 1
-        for p in entry.sample(rng, points):
-            try:
-                rank, proj = flows.bracket_span(entry.surface, p)
-            except surface.PivotDegenerate:
-                continue
-            if rank != want:
-                worst = math.inf
-            worst = max(worst, proj)
-        out.append(
-            ClaimResult(cid, entry.name, dict(entry.params), worst,
-                        1.0 - 1e-6, points, _claim_seed(seed, cid))
-        )
-    return out
+
+    def residual(entry, p):
+        rank, proj = flows.bracket_span(entry.surface, p)
+        return proj if rank == 2 * entry.params["n"] - 1 else math.inf
+
+    cases = (_case(entry.name, dict(entry.params), entry, rng, points)
+             for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2),
+                           catalog.pansu(1.0, 3)))
+    return _sampled_claim(cid, seed, cases, residual, 1.0 - 1e-6)
 
 
 def claim_leaf_constancy(seed, points=4):
     cid = "prop4.4-leaf-constancy"
-    rng = _rng(seed, cid)
-    out = []
-    for entry in _entries_for(2):
-        worst = 0.0
-        for p in entry.sample(rng, points):
-            try:
-                worst = max(worst, flows.leaf_constancy(entry.surface, p))
-            except (surface.PivotDegenerate, flows.ProjectionFailure):
-                continue
-        out.append(
-            ClaimResult(cid, entry.name, {"n": 2}, worst, 1e-6, points,
-                        _claim_seed(seed, cid))
-        )
-    return out
+    cases = _catalog_cases(_rng(seed, cid), points, ns=(2,))
+    return _sampled_claim(
+        cid, seed, cases,
+        lambda entry, p: flows.leaf_constancy(entry.surface, p), 1e-6)
 
 
 def confinement_starts(lam, n, rng, count, s_needed=3.05):
@@ -463,20 +430,19 @@ def confinement_starts(lam, n, rng, count, s_needed=3.05):
 def claim_geodesic_confinement(seed, count=20, s_max=3.0):
     cid = "prop4.5-geodesic-confinement"
     rng = _rng(seed, cid)
-    out = []
-    for lam in (0.5, 1.0):
-        entry = catalog.pansu(lam, 2)
-        worst = 0.0
-        for p in confinement_starts(lam, 2, rng, count):
-            fr = build_frame(entry.surface, p)
-            tr = flows.geodesic_flow(flows.CurveState(p, fr.en), lam, s_max)
-            drift = max(abs(entry.surface.value(c)) for c in tr.coords)
-            worst = max(worst, drift)
-        out.append(
-            ClaimResult(cid, "pansu", {"lam": lam}, worst, 1e-7, count,
-                        _claim_seed(seed, cid))
-        )
-    return out
+
+    def residual(entry, p):
+        start = flows.CurveState(p, build_frame(entry.surface, p).en)
+        tr = flows.geodesic_flow(start, entry.params["lam"], s_max)
+        return max(abs(entry.surface.value(c)) for c in tr.coords)
+
+    def cases():
+        for lam in (0.5, 1.0):
+            entry = catalog.pansu(lam, 2)
+            starts = confinement_starts(lam, 2, rng, count)
+            yield "pansu", {"lam": lam}, [(entry, p) for p in starts]
+
+    return _sampled_claim(cid, seed, cases(), residual, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -486,78 +452,56 @@ def claim_geodesic_confinement(seed, count=20, s_max=3.0):
 def claim_pansu_table(seed, count=100):
     cid = "ex3.2-pansu-table"
     rng = _rng(seed, cid)
-    out = []
-    for n in (2, 3):
-        for lam in (0.5, 1.0, 2.0):
-            entry = catalog.pansu(lam, n)
-            worst = 0.0
-            for p in entry.sample(rng, count):
-                rep = report(entry.surface, p)
-                if not rep.umbilic:
-                    worst = math.inf
-                worst = max(
-                    worst,
-                    abs(rep.k - lam),
-                    abs(rep.l - 2.0 * lam),
-                    abs(rep.H - 2.0 * n * lam),
-                    rep.xn_residual,
-                )
-            out.append(
-                ClaimResult(cid, "pansu", {"n": n, "lam": lam}, worst, 1e-8,
-                            count, _claim_seed(seed, cid))
-            )
-    return out
+
+    def residual(entry, p):
+        rep = report(entry.surface, p)
+        if not rep.umbilic:
+            return math.inf
+        lam, n = entry.params["lam"], entry.params["n"]
+        return max(abs(rep.k - lam), abs(rep.l - 2.0 * lam),
+                   abs(rep.H - 2.0 * n * lam), rep.xn_residual)
+
+    cases = (_case("pansu", {"n": n, "lam": lam}, catalog.pansu(lam, n), rng, count)
+             for n in (2, 3) for lam in (0.5, 1.0, 2.0))
+    return _sampled_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_heisenberg_table(seed, count=100):
     cid = "ex3.3-l-eq-3k"
     rng = _rng(seed, cid)
-    out = []
-    for rho in (1.0, 1.3):
-        entry = catalog.heisenberg_sphere(rho, 2)
-        worst = 0.0
-        for p in entry.sample(rng, count):
-            rep = report(entry.surface, p)
-            z = math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
-            worst = max(
-                worst,
-                abs(rep.l - 3.0 * rep.k),
-                abs(rep.alpha - 2.0 * p.t / (rho * rho * z)),
-            )
-        out.append(
-            ClaimResult(cid, "heisenberg-sphere", {"rho": rho}, worst, 1e-8,
-                        count, _claim_seed(seed, cid))
-        )
-    return out
+
+    def residual(entry, p):
+        rep = report(entry.surface, p)
+        rho = entry.params["rho"]
+        return max(abs(rep.l - 3.0 * rep.k),
+                   abs(rep.alpha - 2.0 * p.t / (rho * rho * _zabs(p))))
+
+    cases = (_case("heisenberg-sphere", {"rho": rho},
+                   catalog.heisenberg_sphere(rho, 2), rng, count)
+             for rho in (1.0, 1.3))
+    return _sampled_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_flat_examples(seed, count=100):
     cid = "ex3.4-cylinder-hyperplane"
     rng = _rng(seed, cid)
-    out = []
-    for c in (1.0, 2.0):
-        entry = catalog.cylinder(c, 2)
-        worst = 0.0
-        for p in entry.sample(rng, count):
-            rep = report(entry.surface, p)
-            worst = max(
-                worst, abs(rep.k - 1.0 / c), abs(rep.l - 1.0 / c), abs(rep.alpha)
-            )
-        out.append(
-            ClaimResult(cid, "cylinder", {"c": c}, worst, 1e-10, count,
-                        _claim_seed(seed, cid))
-        )
-    entry = catalog.hyperplane(np.eye(4)[0], 2)
-    worst = 0.0
-    for p in entry.sample(rng, count):
+
+    def cylinder_residual(entry, p):
         rep = report(entry.surface, p)
-        worst = max(worst, abs(rep.k), abs(rep.l), abs(rep.alpha), abs(rep.H),
-                    rep.xn_residual)
-    out.append(
-        ClaimResult(cid, "hyperplane", {}, worst, 1e-12, count,
-                    _claim_seed(seed, cid))
-    )
-    return out
+        c = entry.params["c"]
+        return max(abs(rep.k - 1.0 / c), abs(rep.l - 1.0 / c), abs(rep.alpha))
+
+    def hyperplane_residual(entry, p):
+        rep = report(entry.surface, p)
+        return max(abs(rep.k), abs(rep.l), abs(rep.alpha), abs(rep.H),
+                   rep.xn_residual)
+
+    cylinders = (_case("cylinder", {"c": c}, catalog.cylinder(c, 2), rng, count)
+                 for c in (1.0, 2.0))
+    out = _sampled_claim(cid, seed, cylinders, cylinder_residual, 1e-10)
+    hyperplane = [_case("hyperplane", {}, catalog.hyperplane(np.eye(4)[0], 2),
+                        rng, count)]
+    return out + _sampled_claim(cid, seed, hyperplane, hyperplane_residual, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -770,58 +714,58 @@ def claim_shifted_spheres(seed, count=100):
     formula 3k - l = 2*lam/(rho0^2 |z|), and equality exactly at zero shift."""
     cid = "eq7.3-shifted-l-3k"
     rng = _rng(seed, cid)
-    out = []
-    for lam, rho0 in ((0.5, 1.2), (1.0, 1.5)):
-        entry = catalog.shifted_sphere(lam, rho0, 2)
-        pts = entry.sample(rng, count)
-        zmax = max(math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y))) for p in pts)
-        floor = lam / (rho0**2 * zmax)
-        worst = 0.0
-        for p in pts:
-            rep = report(entry.surface, p)
-            gap = 3.0 * rep.k - rep.l
-            if gap < floor:
-                worst = math.inf
-            z = math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
-            worst = max(worst, abs(gap - 2.0 * lam / (rho0**2 * z)))
-        out.append(
-            ClaimResult(cid, "shifted-sphere", {"lam": lam, "rho0": rho0},
-                        worst, 1e-8, count, _claim_seed(seed, cid),
-                        extra={"floor": floor})
-        )
-    # equality at zero shift
-    entry = catalog.shifted_sphere(0.0, 1.0, 2)
-    worst = 0.0
-    for p in entry.sample(rng, count):
+    floors = {}
+
+    def cases():
+        for lam, rho0 in ((0.5, 1.2), (1.0, 1.5)):
+            entry = catalog.shifted_sphere(lam, rho0, 2)
+            pts = entry.sample(rng, count)
+            floors[lam] = lam / (rho0**2 * max(_zabs(p) for p in pts))
+            yield ("shifted-sphere", {"lam": lam, "rho0": rho0},
+                   [(entry, p) for p in pts])
+
+    def residual(entry, p):
+        lam, rho0 = entry.params["lam"], entry.params["rho0"]
         rep = report(entry.surface, p)
-        worst = max(worst, abs(3.0 * rep.k - rep.l))
-    out.append(
-        ClaimResult(cid + "-equality", "shifted-sphere", {"lam": 0.0},
-                    worst, 1e-10, count, _claim_seed(seed, cid))
-    )
-    return out
+        gap = 3.0 * rep.k - rep.l
+        if gap < floors[lam]:
+            return math.inf
+        return abs(gap - 2.0 * lam / (rho0**2 * _zabs(p)))
+
+    out = _sampled_claim(cid, seed, cases(), residual, 1e-8)
+    for row in out:
+        row.extra = {"floor": floors[row.params["lam"]]}
+
+    def equality_residual(entry, p):
+        rep = report(entry.surface, p)
+        return abs(3.0 * rep.k - rep.l)
+
+    # equality at zero shift
+    equality = [_case("shifted-sphere", {"lam": 0.0},
+                      catalog.shifted_sphere(0.0, 1.0, 2), rng, count)]
+    return out + _sampled_claim(cid, seed, equality, equality_residual, 1e-10,
+                                row_id=cid + "-equality")
 
 
 def pmc_level_set_check(lams, sigma, n, count=20, seed=0):
     """Mean curvature against the level-set power law on the sphere family."""
     cid = "eq7.4-pmc-level-set"
     rng = _rng(seed, cid)
-    worst = 0.0
-    u_values = []
-    for lam in lams:
-        entry = catalog.pansu(lam, n)
-        u_val = (2.0 * n * lam / sigma) ** (2 * n + 1)
-        u_values.append(u_val)
-        target = sigma * u_val ** (1.0 / (2 * n + 1))
-        for p in entry.sample(rng, count):
-            rep = report(entry.surface, p)
-            worst = max(worst, abs(rep.H - target) / target)
+    u_values = [(2.0 * n * lam / sigma) ** (2 * n + 1) for lam in lams]
+    targets = {lam: sigma * u_val ** (1.0 / (2 * n + 1))
+               for lam, u_val in zip(lams, u_values)}
+    entries = [catalog.pansu(lam, n) for lam in lams]
+    cases = [("pansu-family", {"n": n, "sigma": sigma, "lams": list(lams)},
+              [(entry, p) for entry in entries for p in entry.sample(rng, count)])]
+
+    def residual(entry, p):
+        target = targets[entry.params["lam"]]
+        return abs(report(entry.surface, p).H - target) / target
+
+    (res,) = _sampled_claim(cid, seed, cases, residual, 1e-8)
     if any(b <= a for a, b in zip(u_values, u_values[1:])):
-        worst = math.inf  # the level values must grow with the parameter
-    return ClaimResult(
-        cid, "pansu-family", {"n": n, "sigma": sigma, "lams": list(lams)},
-        worst, 1e-8, count * len(lams), _claim_seed(seed, cid)
-    )
+        res.residual = math.inf  # the level values must grow with the parameter
+    return res
 
 
 def claim_pmc_level_set(seed):

@@ -12,9 +12,9 @@ import pytest
 
 from heisgeo import catalog, verify
 from heisgeo.cli import main
-from heisgeo.flows import CurveState, geodesic_flow, identity_check, profile_ode
+from heisgeo.flows import identity_check
 from heisgeo.phaseplane import PhaseParams, PhasePoint, periodic_orbit
-from heisgeo.surface import build_frame, graph_derivatives, report, singular_jacobian
+from heisgeo.surface import report
 
 SEED = 42
 
@@ -33,38 +33,24 @@ def announce(name, residual, limit, elapsed, budget):
         assert elapsed <= budget
 
 
+def announce_claims(name, results, limit, t0, budget):
+    """Every row of a verify claim passes; the worst residual meets ``limit``."""
+    elapsed = time.perf_counter() - t0
+    failed = [r.to_dict() for r in results if not r.passed]
+    assert results and not failed, failed
+    announce(name, max(r.residual for r in results), limit, elapsed, budget)
+
+
 def test_criterion_1_pansu_table():
-    rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3):
-        for lam in (0.5, 1.0, 2.0):
-            entry = catalog.pansu(lam, n)
-            for p in entry.sample(rng, 100):
-                rep = report(entry.surface, p)
-                assert rep.umbilic
-                worst = max(
-                    worst,
-                    abs(rep.k - lam),
-                    abs(rep.l - 2 * lam),
-                    abs(rep.H - 2 * n * lam),
-                    rep.xn_residual,
-                )
-    announce("1-pansu-table", worst, 1e-8, time.perf_counter() - t0, 5.0)
+    results = verify.claim_pansu_table(SEED)
+    announce_claims("1-pansu-table", results, 1e-8, t0, 5.0)
 
 
 def test_criterion_2_heisenberg_sphere():
-    rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
-    worst = 0.0
-    entry = catalog.heisenberg_sphere(1.0, 2)
-    for p in entry.sample(rng, 100):
-        rep = report(entry.surface, p)
-        z = math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
-        worst = max(
-            worst, abs(rep.l - 3 * rep.k), abs(rep.alpha - 2 * p.t / z)
-        )
-    announce("2-heisenberg-sphere", worst, 1e-8, time.perf_counter() - t0, 2.0)
+    results = verify.claim_heisenberg_table(SEED)
+    announce_claims("2-heisenberg-sphere", results, 1e-8, t0, 2.0)
 
 
 def test_criterion_3_cylinder_hyperplane():
@@ -158,75 +144,31 @@ def test_criterion_6_portrait_dataset(tmp_path, capsys):
 
 
 def test_criterion_7_geodesic_confinement():
-    rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
-    worst = 0.0
-    for lam in (0.5, 1.0):
-        entry = catalog.pansu(lam, 2)
-        for p in verify.confinement_starts(lam, 2, rng, 20):
-            fr = build_frame(entry.surface, p)
-            tr = geodesic_flow(CurveState(p, fr.en), lam, 3.0)
-            worst = max(worst, max(abs(entry.surface.value(c)) for c in tr.coords))
-    announce("7-geodesic-confinement", worst, 1e-7, time.perf_counter() - t0, 5.0)
+    results = verify.claim_geodesic_confinement(SEED)
+    announce_claims("7-geodesic-confinement", results, 1e-7, t0, 5.0)
 
 
 def test_criterion_8_profile_ode():
     t0 = time.perf_counter()
-    worst = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        grid, vals = profile_ode(lam)
-        for r, f in zip(grid, vals):
-            z = math.sqrt(r)
-            h = (
-                lam * z * math.sqrt(1 - lam * lam * r) + math.acos(lam * z)
-            ) / (2 * lam * lam)
-            worst = max(worst, abs(f - h * h))
-    announce("8-profile-ode", worst, 1e-6, time.perf_counter() - t0, 1.0)
+    results = verify.claim_profile_ode(SEED)
+    announce_claims("8-profile-ode", results, 1e-6, t0, 1.0)
 
 
 def test_criterion_9_singular_determinant():
-    worst = 0.0
-    for n in (2, 3):
-        for B in (0.0, 0.5, 2.0):
-
-            def quad(c, B=B):
-                acc = 0.0
-                for cc in c:
-                    acc = acc + cc * cc
-                return B * acc
-
-            grad, hess = graph_derivatives(quad, n)
-            _, det = singular_jacobian(grad, hess)
-            target = (4 * B * B + 1) ** n
-            worst = max(worst, abs(det - target) / target)
-    announce("9-singular-determinant", worst, 1e-12, 0.0, None)
+    t0 = time.perf_counter()
+    results = verify.claim_det_u(SEED)
+    announce_claims("9-singular-determinant", results, 1e-12, t0, None)
 
 
 def test_criterion_10_extremal_level_sets():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3):
-        for lam in (0.5, 1.0):
-            res = verify.yamabe_check(lam, n, count=200, seed=SEED)
-            worst = max(worst, res.residual)
-    res = verify.pmc_level_set_check((0.5, 1.0, 2.0), 1.0, 2, seed=SEED)
-    worst = max(worst, res.residual)
-    rng = np.random.default_rng(SEED)
-    entry = catalog.shifted_sphere(0.5, 1.2, 2)
-    pts = entry.sample(rng, 100)
-    zmax = max(math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y))) for p in pts)
-    for p in pts:
-        rep = report(entry.surface, p)
-        gap = 3 * rep.k - rep.l
-        assert gap >= 0.5 / (1.2**2 * zmax) > 0
-    entry0 = catalog.shifted_sphere(0.0, 1.0, 2)
-    worst_eq = 0.0
-    for p in entry0.sample(rng, 100):
-        rep = report(entry0.surface, p)
-        worst_eq = max(worst_eq, abs(3 * rep.k - rep.l))
-    elapsed = time.perf_counter() - t0
-    assert worst_eq <= 1e-10
-    announce("10-extremal-level-sets", worst, 1e-8, elapsed, 10.0)
+    results = (
+        verify.claim_yamabe(SEED)
+        + verify.claim_pmc_level_set(SEED)
+        + verify.claim_shifted_spheres(SEED)
+    )
+    announce_claims("10-extremal-level-sets", results, 1e-8, t0, 10.0)
 
 
 def test_criterion_11_oracle_cross_check():

@@ -205,6 +205,19 @@ def test_portrait_dataset():
         assert lo2 > lo1 and hi2 < hi1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_portrait_two_field_rows_per_grid_point(n, c):
+    data = portrait(PhaseParams(n, c), seeds=[PhasePoint(0.0, 1.5 * c)])
+    field = [r for r in data.rows if r[0] == "field"]
+    assert len(field) == 2 * 21 * 21
+    assert [r[1] for r in field] == [0.0, 1.0] * (21 * 21)
+    # the default grid holds the stationary point (0, c): a zero-length arrow
+    tips = [(tip[2], tip[3]) for base, tip in zip(field[::2], field[1::2])
+            if (base[2], base[3]) == (0.0, c)]
+    assert tips == [(0.0, c)]
+
+
 def test_portrait_csv_format():
     buf = io.StringIO()
     portrait(PP, grid=5, seeds=[PhasePoint(0.0, 1.5)]).write_csv(buf)

@@ -209,6 +209,9 @@ def test_rotsym_matches_shape_matrix():
             assert rs.l == pytest.approx(sm.l, abs=1e-8)
             assert rs.alpha == pytest.approx(sm.alpha, abs=1e-8)
             assert rs.umbilic
+            # both frames come from the same pivoted Gram-Schmidt complement
+            assert rs.frame.pivots == sm.frame.pivots
+            assert np.max(np.abs(rs.frame.basis() - sm.frame.basis())) <= 1e-10
 
 
 def test_rotsym_values():

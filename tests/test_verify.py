@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from heisgeo import verify
-from heisgeo.surface import report
+from heisgeo import flows, verify
+from heisgeo.surface import PivotDegenerate, report
 from heisgeo.verify import ClaimResult, VerifyConfig, run_all
 
 
@@ -83,6 +83,28 @@ def test_mutation_is_detected():
 
     results = verify.claim_partial_symmetry(0, count=4, report_fn=bad_report)
     assert any(not r.passed for r in results)
+
+
+def test_claims_without_completed_samples_fail(monkeypatch):
+    """Skipped points are not evidence: a row with none completed fails."""
+
+    def degenerate(*args, **kwargs):
+        raise PivotDegenerate("forced")
+
+    for name in ("identity_check", "leaf_constancy", "bracket_span"):
+        monkeypatch.setattr(flows, name, degenerate)
+    results = (verify.claim_interior_identities(0)
+               + verify.claim_foliation_rank(0)
+               + verify.claim_leaf_constancy(0))
+    assert {r.claim_id for r in results} == {
+        "prop4.2-identities", "prop4.3-foliation-rank", "prop4.4-leaf-constancy"}
+    assert all(r.samples == 0 and not r.passed for r in results)
+
+
+def test_samples_count_completed_points():
+    results = verify.claim_xn_shape_equivalence(0)
+    assert [r.samples for r in results if r.surface == "catalog"] == [150, 150]
+    assert all(0 < r.samples <= 60 for r in results if r.surface == "generic-graph")
 
 
 def test_yamabe_sigma_matches_golden_and_fd():
