@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["fmt", "json_dumps"]
@@ -17,6 +19,7 @@ def json_dumps(obj, indent=0) -> str:
 
     The standard encoder prints shortest round-trip floats; reports pin the
     17-digit form instead so output bytes are stable across platforms.
+    Non-finite floats, which JSON cannot represent, are written as ``null``.
     """
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -29,7 +32,7 @@ def json_dumps(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt(obj)
+        return fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, np.ndarray):

@@ -2,10 +2,16 @@
 curves of a constant-mean-curvature surface.
 
 State is ``(alpha, beta)`` where ``beta`` is the defect between the normal
-curvature and twice the principal one.  The vertical axis ``beta = 0`` is an
-invariant line that blows up in finite time; every other point of either
-half-plane lies on a closed orbit symmetric across the ``beta`` axis, which
-is how the module constructs and certifies periodic orbits.
+curvature and twice the principal one.  The line ``beta = 0`` is invariant
+and its solution blows up in finite time; every other point of either
+half-plane lies on a closed orbit symmetric across the ``beta`` axis
+``alpha = 0``, and ``first_integral`` is constant along it.
+
+Orbits are integrated in log-defect coordinates ``(alpha, w = log|beta|)``
+on the half-plane of the start.  There the defect equation ``w' = -2 n
+alpha`` is linear, so orbits that pass exponentially close to the invariant
+line cost no more steps than any other; samples and events are reported in
+``(alpha, beta)``.
 """
 
 from __future__ import annotations
@@ -32,17 +38,18 @@ __all__ = [
     "upsilon_polyline",
     "integrate",
     "periodic_orbit",
+    "first_integral",
     "portrait",
     "Portrait",
     "default_seeds",
     "AXIS_EPS",
 ]
 
-AXIS_EPS = 1e-12  # crossings this close to the stationary axis don't count
+AXIS_EPS = 1e-12  # tilt tolerance of located axis crossings; stationary radius
 
 
 class OnSeparatrix(RuntimeError):
-    """The start lies on the invariant vertical-axis solution."""
+    """The start lies on the invariant line ``beta = 0``."""
 
 
 class NotPeriodic(RuntimeError):
@@ -66,9 +73,6 @@ class PhasePoint:
     alpha: float
     beta: float
 
-    def as_array(self):
-        return np.array([self.alpha, self.beta], dtype=float)
-
 
 @dataclass
 class OrbitTrace:
@@ -77,9 +81,19 @@ class OrbitTrace:
     events: list = field(default_factory=list)  # (s, beta) axis crossings
     period: Optional[float] = None
     closure_error: Optional[float] = None
+    nfev: int = 0      # summed over the trace's rk45 solves
+    accepted: int = 0
+    rejected: int = 0
 
     def sample_array(self):
         return np.array([(s, q.alpha, q.beta) for s, q in self.samples])
+
+    def first_integral_drift(self):
+        """Largest change of ``first_integral`` over the samples, relative to
+        its value at the first sample."""
+        arr = self.sample_array()
+        vals = first_integral(self.params, arr[:, 1], arr[:, 2])
+        return float(np.max(np.abs(vals - vals[0])) / vals[0])
 
 
 def vector_field(pp: PhaseParams, q: PhasePoint):
@@ -92,19 +106,53 @@ def vector_field(pp: PhaseParams, q: PhasePoint):
     return dalpha, dbeta
 
 
-def _rhs(pp):
+def first_integral(pp: PhaseParams, alpha, beta):
+    """``|beta|^(-1/n) (alpha^2 + (beta - c)^2 / (4 n^2))``, constant along
+    every trajectory off the invariant line (arrays broadcast)."""
+    n, c = pp.n, pp.c
+    return np.abs(beta) ** (-1.0 / n) * (alpha * alpha + (beta - c) ** 2 / (4.0 * n * n))
+
+
+def _rhs_log(pp, sign):
+    """Right-hand side in ``(alpha, w = log|beta|)`` on the half-plane
+    ``sign * beta > 0``."""
     n, c = pp.n, pp.c
     inv4n2 = 1.0 / (4.0 * n * n)
     two_n = 2.0 * n
     m = 2 * n - 1
 
     def f(s, y):
-        a, b = y
-        return np.array(
-            [-a * a + (b - c) * (m * b + c) * inv4n2, -two_n * b * a]
-        )
+        a, w = y
+        try:
+            b = sign * math.exp(w)
+        except OverflowError:  # a trial stage ran off; the step is rejected
+            b = sign * math.inf
+        return np.array([-a * a + (b - c) * (m * b + c) * inv4n2, -two_n * a])
 
     return f
+
+
+def _to_log(q: PhasePoint):
+    if q.beta == 0.0:
+        raise OnSeparatrix("the solution on the line beta = 0 is never periodic")
+    sign = math.copysign(1.0, q.beta)
+    return sign, np.array([q.alpha, math.log(abs(q.beta))])
+
+
+def _samples(sol, sign):
+    betas = sign * np.exp(sol.ys[:, 1])
+    return [(float(s), PhasePoint(float(a), float(b)))
+            for s, a, b in zip(sol.ss, sol.ys[:, 0], betas)]
+
+
+def _crossings(sol, sign):
+    return [(float(s), sign * math.exp(y[1])) for s, y, _ in sol.events]
+
+
+def _counts(*sols):
+    return {"nfev": sum(sol.nfev for sol in sols),
+            "accepted": sum(sol.accepted for sol in sols),
+            "rejected": sum(sol.rejected for sol in sols)}
 
 
 def stationary_points(pp: PhaseParams):
@@ -147,12 +195,8 @@ def upsilon_polyline(pp: PhaseParams, beta_lo, beta_hi, num=200):
 
 
 def _axis_event(max_count=None):
-    return Event(
-        fn=lambda s, y: y[0],
-        value_tol=AXIS_EPS,
-        accept=lambda s, y: abs(y[1]) > AXIS_EPS,
-        terminal_count=max_count,
-    )
+    return Event(fn=lambda s, y: y[0], value_tol=AXIS_EPS,
+                 terminal_count=max_count)
 
 
 def _default_control():
@@ -169,87 +213,64 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
     if s_max <= 0:
         raise ValueError("s_max must be positive")
     control = control or _default_control()
-    f = _rhs(pp)
-    y0 = q0.as_array()
-    legs = []
-    events = []
-    for direction in (-1.0, 1.0):
-        sol = rk45.solve(f, 0.0, y0, direction * s_max, control,
-                         events=[_axis_event(max_count=2)])
-        legs.append(sol)
-        events.extend((s, y[1]) for s, y, _ in sol.events)
-    back, fwd = legs
-    samples = [
-        (s, PhasePoint(y[0], y[1]))
-        for s, y in zip(back.ss[::-1], back.ys[::-1])
-    ]
-    samples.extend(
-        (s, PhasePoint(y[0], y[1])) for s, y in zip(fwd.ss[1:], fwd.ys[1:])
-    )
-    events.sort(key=lambda e: e[0])
-    return OrbitTrace(params=pp, samples=samples, events=events)
+    sign, y0 = _to_log(q0)
+    f = _rhs_log(pp, sign)
+    back, fwd = [rk45.solve(f, 0.0, y0, direction * s_max, control,
+                            events=[_axis_event(max_count=2)])
+                 for direction in (-1.0, 1.0)]
+    samples = _samples(back, sign)[::-1] + _samples(fwd, sign)[1:]
+    events = sorted(_crossings(back, sign) + _crossings(fwd, sign))
+    return OrbitTrace(params=pp, samples=samples, events=events,
+                      **_counts(back, fwd))
 
 
 def periodic_orbit(pp: PhaseParams, q0: PhasePoint, control=None,
                    orbit_tol=None, s_cap=None) -> OrbitTrace:
-    """Closed orbit through ``q0``, certified by full-period re-integration.
+    """Closed orbit through ``q0``, certified by one forward pass.
 
-    The reflection symmetry across the vertical axis makes the half arc
-    between consecutive axis crossings determine the period; a start on the
-    axis already sees the full period between its two bracketing crossings.
-    Closure is then certified by integrating one full period from ``q0``,
-    with one tightened retry when the error lacks margin below
-    ``orbit_tol``; the trace samples that full period and carries its
-    closure error.
+    The orbit is symmetric across the axis ``alpha = 0``, so the arc between
+    two consecutive axis crossings is half of it: the period is twice the
+    time between the first two forward crossings, or twice the first
+    crossing time for a start on the axis.  The same trajectory is then
+    continued from its last crossing to that period, and its distance from
+    ``q0`` there is the closure error; ``NotPeriodic`` is raised when it
+    exceeds ``orbit_tol``.  The trace samples the full period, and its
+    events are the two turning points on the axis (the start itself for a
+    start on the axis).
     """
     scale = 1.0 + math.hypot(q0.alpha, q0.beta)
     if orbit_tol is None:
         orbit_tol = 1e-8 * scale
-    if abs(q0.beta) <= AXIS_EPS:
-        raise OnSeparatrix("the vertical-axis solution is never periodic")
+    sign, y0 = _to_log(q0)
     for st in stationary_points(pp):
         if math.hypot(q0.alpha - st.alpha, q0.beta - st.beta) <= AXIS_EPS:
             raise ValueError("stationary points have no orbit through them")
     control = control or _default_control()
     if s_cap is None:
         s_cap = 1000.0 / pp.c
-    f = _rhs(pp)
-    y0 = q0.as_array()
-
-    def leg(direction):
-        try:
-            sol = rk45.solve(f, 0.0, y0, direction * s_cap, control,
-                             events=[_axis_event(max_count=1)])
-        except StepUnderflow as exc:
-            raise NotPeriodic(f"blow-up before an axis crossing: {exc}") from exc
-        if not sol.events:
+    f = _rhs_log(pp, sign)
+    on_axis = q0.alpha == 0.0
+    turns = 1 if on_axis else 2
+    try:
+        arc = rk45.solve(f, 0.0, y0, s_cap, control,
+                         events=[_axis_event(max_count=turns)])
+        if len(arc.events) < turns:
             raise NotPeriodic("no axis crossing found within the time cap")
-        return sol
-
-    fwd = leg(+1.0)
-    back = leg(-1.0)
-    s_plus, y_plus, _ = fwd.events[0]
-    s_minus, y_minus, _ = back.events[0]
-    on_axis = abs(q0.alpha) <= AXIS_EPS
-    period = (s_plus - s_minus) if on_axis else 2.0 * (s_plus - s_minus)
-    events = [(s_minus, float(y_minus[1])), (s_plus, float(y_plus[1]))]
-
-    def closure(ctrl):
-        sol = rk45.solve(f, 0.0, y0, period, ctrl)
-        return sol, float(np.linalg.norm(sol.ys[-1] - y0))
-
-    sol, err = closure(control)
-    if err > 0.3 * orbit_tol:  # re-certify with margin before giving up
-        tight = StepControl(rtol=1e-13, atol=1e-13,
-                            max_step=control.max_step / 5.0)
-        sol2, err2 = closure(tight)
-        if err2 < err:
-            sol, err = sol2, err2
-        if err > orbit_tol:
-            raise NotPeriodic(f"closure error {err:g} exceeds {orbit_tol:g}")
-    samples = [(s, PhasePoint(y[0], y[1])) for s, y in zip(sol.ss, sol.ys)]
+        events = _crossings(arc, sign)
+        if on_axis:
+            events.insert(0, (0.0, q0.beta))
+        period = 2.0 * (events[1][0] - events[0][0])
+        rest = rk45.solve(f, arc.ss[-1], arc.ys[-1], period, control)
+    except StepUnderflow as exc:
+        raise NotPeriodic(f"blow-up before the orbit closed: {exc}") from exc
+    samples = _samples(arc, sign) + _samples(rest, sign)[1:]
+    end = samples[-1][1]
+    err = math.hypot(end.alpha - q0.alpha, end.beta - q0.beta)
+    if err > orbit_tol:
+        raise NotPeriodic(f"closure error {err:g} exceeds {orbit_tol:g}")
     return OrbitTrace(params=pp, samples=samples, events=events,
-                      period=float(period), closure_error=err)
+                      period=float(period), closure_error=err,
+                      **_counts(arc, rest))
 
 
 def default_seeds(pp: PhaseParams):

@@ -73,6 +73,9 @@ class Solution:
     fs: np.ndarray
     events: list = field(default_factory=list)  # (s, y, event_index)
     status: str = "done"
+    nfev: int = 0      # right-hand-side evaluations, event location included
+    accepted: int = 0  # accepted steps
+    rejected: int = 0  # steps rejected by the error test or for a non-finite state
 
     def __call__(self, s):
         """Cubic Hermite interpolation on the accepted mesh."""
@@ -131,13 +134,15 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
     direction = 1.0 if s1 >= s0 else -1.0
     span = abs(s1 - s0)
     fy = np.asarray(f(s, y), dtype=float)
+    nfev, accepted, rejected = 1, 0, 0
     ss = [s]
     ys = [y.copy()]
     fs = [fy.copy()]
     found = []
     counts = [0] * len(events)
     if span == 0.0:
-        return Solution(np.array(ss), np.array(ys), np.array(fs), found, "done")
+        return Solution(np.array(ss), np.array(ys), np.array(fs), found, "done",
+                        nfev)
     h = _initial_step(y, fy, control, span)
     g_prev = [ev.fn(s, y) for ev in events]
     status = "done"
@@ -146,15 +151,19 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
         if h <= 4.0 * np.finfo(float).eps * max(1.0, abs(s)):
             raise StepUnderflow(f"step size underflow at s={s!r}")
         ynew, errvec, fnew = _rk_step(f, s, y, fy, direction * h)
+        nfev += 6
         if not math.isfinite(float(ynew.sum())):
+            rejected += 1
             h *= 0.25
             continue
         scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(ynew))
         ratios = errvec / scale
         errnorm = math.sqrt(float(ratios @ ratios) / ratios.size)
         if errnorm > 1.0:
+            rejected += 1
             h *= max(0.2, 0.9 * errnorm ** -0.2)
             continue
+        accepted += 1
         snew = s + direction * h
         terminal_hit = None
         for idx, ev in enumerate(events):
@@ -163,7 +172,8 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             if g0 == 0.0 or g0 * g1 > 0.0:
                 g_prev[idx] = g1
                 continue
-            sev, yev = _locate(f, s, y, fy, direction, h, ev, g0)
+            sev, yev, evals = _locate(f, s, y, fy, direction, h, ev, g0)
+            nfev += evals
             g_prev[idx] = g1
             if ev.accept is not None and not ev.accept(sev, yev):
                 continue
@@ -177,6 +187,7 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             ss.append(sev)
             ys.append(yev.copy())
             fs.append(np.asarray(f(sev, yev), dtype=float))
+            nfev += 1
             status = "event"
             break
         s, y, fy = snew, ynew, fnew
@@ -190,7 +201,8 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
     else:
         raise RuntimeError("maximum number of steps exceeded")
     found.sort(key=lambda e: direction * e[0])
-    return Solution(np.array(ss), np.array(ys), np.array(fs), found, status)
+    return Solution(np.array(ss), np.array(ys), np.array(fs), found, status,
+                    nfev, accepted, rejected)
 
 
 def _locate(f, s, y, fy, direction, h, ev, g0):
@@ -198,12 +210,16 @@ def _locate(f, s, y, fy, direction, h, ev, g0):
 
     Candidate states are produced by taking a fresh Runge-Kutta step of the
     candidate size from the step's left node, so the located state carries
-    the trajectory's own accuracy rather than the interpolant's.
+    the trajectory's own accuracy rather than the interpolant's.  Returns
+    ``(s, y, evals)`` with the number of right-hand-side evaluations spent.
     """
+    evals = 0
 
     def state(sigma):
+        nonlocal evals
         if sigma == 0.0:
             return y
+        evals += 6
         ynew, _, _ = _rk_step(f, s, y, fy, direction * sigma)
         return ynew
 
@@ -218,9 +234,9 @@ def _locate(f, s, y, fy, direction, h, ev, g0):
         if (abs(gm) <= ev.value_tol and (b - a) <= bracket_tol) or (
             b - a
         ) <= 4e-16 * max(1.0, abs(s)):
-            return s + direction * mid, ymid
+            return s + direction * mid, ymid, evals
         if ga * gm <= 0.0:
             b = mid
         else:
             a, ga = mid, gm
-    return s + direction * 0.5 * (a + b), ymid
+    return s + direction * 0.5 * (a + b), ymid, evals

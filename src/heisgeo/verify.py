@@ -593,10 +593,14 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
             pp = PhaseParams(n, c)
             upper, lower = _seed_grid(pp)
             worst = 0.0
+            steps = 0
+            drift = 0.0
             crossings_ok = True
             for q0 in upper + lower:
                 tr = phaseplane.periodic_orbit(pp, q0)
                 worst = max(worst, tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
+                steps += tr.accepted
+                drift = max(drift, tr.first_integral_drift())
                 betas = np.array([q.beta for _, q in tr.samples])
                 if q0.beta > 0 and not np.all(betas > 0):
                     crossings_ok = False
@@ -611,7 +615,9 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
                 worst = math.inf
             out.append(
                 ClaimResult(cid, "phase", {"n": n, "c": c}, worst, 1e-8,
-                            50, _claim_seed(seed, cid))
+                            50, _claim_seed(seed, cid),
+                            extra={"accepted_steps": steps,
+                                   "first_integral_drift": drift})
             )
     # golden period: frozen after halved-step certification
     gold = golden()["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]

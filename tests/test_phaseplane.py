@@ -11,6 +11,7 @@ from heisgeo.phaseplane import (
     OnSeparatrix,
     PhaseParams,
     PhasePoint,
+    first_integral,
     integrate,
     periodic_orbit,
     portrait,
@@ -79,6 +80,15 @@ def test_integrate_sample_spacing_and_events():
     assert np.max(np.diff(arr[:, 0])) <= 0.05 + 1e-12
     assert len(tr.events) >= 2
     assert all(abs(b) > 1e-12 for _, b in tr.events)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_rejects_overflowing_trial_step():
+    # a first step of 2 sends log|beta| past the float range in a trial stage
+    tr = integrate(PP, PhasePoint(-5.0, 3.0), 20.0,
+                   control=StepControl(first_step=2.0))
+    assert tr.rejected >= 1
+    assert tr.first_integral_drift() <= 1e-8
 
 
 def test_integrate_crossing_golden():
@@ -154,6 +164,8 @@ def test_orbit_never_crosses_axis():
 def test_on_separatrix_raises():
     with pytest.raises(OnSeparatrix):
         periodic_orbit(PP, PhasePoint(0.5, 0.0))
+    with pytest.raises(OnSeparatrix):
+        integrate(PP, PhasePoint(0.5, 0.0), 1.0)
     with pytest.raises(ValueError):
         periodic_orbit(PP, PhasePoint(0.0, 1.0))
 
@@ -172,6 +184,42 @@ def test_grid_closure_small_sample():
     for q0 in (PhasePoint(0.3, 0.8), PhasePoint(-0.4, -0.2), PhasePoint(0.1, 1.9)):
         tr = periodic_orbit(pp, q0)
         assert tr.closure_error <= 1e-8 * (1 + math.hypot(q0.alpha, q0.beta))
+
+
+@pytest.mark.parametrize("n,c,alpha,beta", [
+    (4, 1.0, 3.0, 0.1),
+    (5, 0.5, 0.7, -0.3),
+    (8, 2.0, 1.3, 6.0),
+    (8, 1.0, -1.2, 0.25),
+])
+def test_high_dimension_orbits_close(n, c, alpha, beta):
+    """For n >= 4 the orbits pass far closer to the invariant line than
+    double precision resolves in beta itself; they still close."""
+    tr = periodic_orbit(PhaseParams(n, c), PhasePoint(alpha, beta))
+    assert tr.closure_error <= 1e-8 * (1 + math.hypot(alpha, beta))
+    assert tr.first_integral_drift() <= 1e-9
+    arr = tr.sample_array()
+    assert np.all(np.sign(arr[:, 2]) == np.sign(beta))
+
+
+def test_orbit_is_one_forward_pass():
+    tr = periodic_orbit(PP, PhasePoint(0.5, 2.0))
+    arr = tr.sample_array()
+    assert arr[0, 0] == 0.0 and np.all(np.diff(arr[:, 0]) > 0)
+    assert arr[-1, 0] == pytest.approx(tr.period, abs=1e-12)
+    (s1, _), (s2, _) = tr.events
+    assert 0.0 < s1 < s2 < tr.period
+    assert tr.period == pytest.approx(2 * (s2 - s1), rel=1e-15)
+    assert tr.accepted == arr.shape[0] - 1
+    assert tr.nfev >= 6 * (tr.accepted + tr.rejected)
+
+
+def test_first_integral_is_conserved():
+    tr = integrate(PP, PhasePoint(0.5, 2.0), 6.0)
+    assert tr.first_integral_drift() <= 1e-9
+    q0 = PhasePoint(-0.3, -0.7)
+    assert first_integral(PP, q0.alpha, q0.beta) == pytest.approx(
+        abs(q0.beta) ** -0.5 * (0.09 + 1.7**2 / 16.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

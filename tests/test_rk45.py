@@ -73,3 +73,25 @@ def test_blowup_raises_underflow():
 def test_zero_span():
     sol = solve(lambda s, y: y, 1.0, np.array([2.0]), 1.0)
     assert sol.ss.size == 1 and sol.ys[0][0] == 2.0
+
+
+def test_counters_match_rhs_calls():
+    calls = 0
+
+    def f(s, y):
+        nonlocal calls
+        calls += 1
+        return np.array([-y[1], y[0]])
+
+    ev = Event(fn=lambda s, y: y[0], terminal_count=2)
+    ctrl = StepControl(rtol=1e-10, atol=1e-10)
+    sol = solve(f, 0.0, np.array([1.0, 0.0]), 10.0, ctrl, events=[ev])
+    assert sol.status == "event" and len(sol.events) == 2
+    assert sol.nfev == calls
+    assert sol.accepted == sol.ss.size - 1  # the last step ends at the event
+    # a step rejected by the error test is counted, and costs six evaluations
+    calls = 0
+    coarse = StepControl(rtol=1e-10, atol=1e-10, first_step=1.0)
+    sol = solve(f, 0.0, np.array([1.0, 0.0]), 3.0, coarse)
+    assert sol.rejected >= 1
+    assert sol.nfev == calls == 1 + 6 * (sol.accepted + sol.rejected)

@@ -70,6 +70,19 @@ def test_report_json_schema():
         assert key in claim
 
 
+def test_report_json_with_non_finite_residual_is_valid():
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    row = ClaimResult("x", "<error>", {}, math.inf, 0.0, 0, 0,
+                      extra={"error": "NotPeriodic: closure error"})
+    data = json.loads(verify.Report(seed=0, claims=[row]).to_json(),
+                      parse_constant=reject)
+    assert data["passed"] is False
+    assert data["claims"][0]["residual"] is None
+    assert data["claims"][0]["passed"] is False
+
+
 def test_mutation_is_detected():
     """A sign error in the tilt must break the paired-entry symmetry claim."""
 
