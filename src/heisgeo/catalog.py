@@ -3,12 +3,18 @@
 Each entry bundles a defining function, closed-form expectations for the
 tilt and the curvature scalars, and a seeded sampler of regular on-surface
 points kept away from singular radii by a relative margin of 1e-3.
+
+The rotationally symmetric families (Pansu, Heisenberg and shifted spheres)
+are each given by one squared-height profile ``t^2 = f(|z|^2)``: their
+defining function ``f(|z|^2) - t^2``, its closed-form derivatives, the
+sampler and the :class:`RadialProfile` all come from ``f`` and its first two
+derivatives.  The cylinder and the hyperplane take the ``Dual2`` derivatives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +66,11 @@ def _radius2(coords, n):
     for c in coords[1 : 2 * n]:
         r = r + c * c
     return r
+
+
+def _zabs(p):
+    """Horizontal radius |z| of a point."""
+    return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
 
 
 def _unit_direction(rng, m):
@@ -121,6 +132,56 @@ def _psi_d2(sv):
     return (1.0 - sv) / (2.0 * sv) - a / (4.0 * math.sqrt(1.0 - sv) * sv**1.5)
 
 
+def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
+    """Catalog entry of the rotationally symmetric level set ``t^2 = f(|z|^2)``.
+
+    The squared-height profile ``f`` with its first two derivatives gives the
+    defining function ``u = f(r) - t^2`` (``r = |z|^2``), its closed-form
+    gradient and Hessian, the sampler and the :class:`RadialProfile`.
+    ``params`` are the surface's parameters; the entry's also carry ``n``.
+    """
+
+    def func(coords):
+        return f(_radius2(coords, n)) - coords[2 * n] * coords[2 * n]
+
+    def grad_hess(coords):
+        c = np.asarray(coords, dtype=float)
+        z, t = c[: 2 * n], c[2 * n]
+        r = float(z @ z)
+        u = f(r) - t * t  # first, so a profile's domain check runs
+        d1, d2 = df(r), ddf(r)
+        grad = np.empty(2 * n + 1)
+        grad[: 2 * n] = 2.0 * d1 * z
+        grad[2 * n] = -2.0 * t
+        hess = np.zeros((2 * n + 1, 2 * n + 1))
+        hess[: 2 * n, : 2 * n] = 4.0 * d2 * np.outer(z, z) + 2.0 * d1 * np.eye(2 * n)
+        hess[2 * n, 2 * n] = -2.0
+        return u, grad, hess
+
+    surface = SurfaceDef(func=func, n=n, name=name, params=params, grad_hess=grad_hess)
+    z_max = math.sqrt(r_max)
+
+    def sampler(rng, count):
+        pts = []
+        lo, hi = SAMPLER_MARGIN * z_max, (1.0 - SAMPLER_MARGIN) * z_max
+        for _ in range(count):
+            z = _log_uniform(rng, lo, hi)
+            d = _unit_direction(rng, 2 * n)
+            t = math.sqrt(max(f(z * z), 0.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+            pts.append(Point(np.concatenate([z * d, [t]])))
+        return pts
+
+    return CatalogEntry(
+        name=name,
+        surface=surface,
+        params={**params, "n": n},
+        expected=expected,
+        sampler=sampler,
+        formulas=formulas,
+        profile=RadialProfile(f=f, df=df, ddf=ddf, r_max=r_max),
+    )
+
+
 def pansu(lam, n) -> CatalogEntry:
     """Rotationally symmetric sphere of constant principal curvature.
 
@@ -133,33 +194,6 @@ def pansu(lam, n) -> CatalogEntry:
         raise ValueError("curvature parameter must be positive")
     lam = float(lam)
     lam2, lam4 = lam * lam, lam**4
-
-    def func(coords):
-        s = 1.0 - lam2 * _radius2(coords, n)
-        return _psi(s) / lam4 - coords[2 * n] * coords[2 * n]
-
-    def grad_hess(coords):
-        c = np.asarray(coords, dtype=float)
-        hor = c[: 2 * n]
-        t = c[2 * n]
-        s = 1.0 - lam2 * float(hor @ hor)
-        if s < -_SERIES_CUT:
-            raise DomainError("outside the constant-curvature profile domain")
-        p1, p2 = _psi_d1(s), _psi_d2(s)
-        grad = np.empty(2 * n + 1)
-        grad[: 2 * n] = -2.0 * hor * p1 / lam2
-        grad[2 * n] = -2.0 * t
-        hess = np.zeros((2 * n + 1, 2 * n + 1))
-        hess[: 2 * n, : 2 * n] = 4.0 * np.outer(hor, hor) * p2
-        idx = np.arange(2 * n)
-        hess[idx, idx] += -2.0 * p1 / lam2
-        hess[2 * n, 2 * n] = -2.0
-        u = _psi(s) / lam4 - t * t
-        return u, grad, hess
-
-    surface = SurfaceDef(
-        func=func, n=n, name="pansu", params={"lam": lam}, grad_hess=grad_hess
-    )
 
     def height(coords):  # hemisphere graph height
         r = _radius2(coords, n)
@@ -175,57 +209,34 @@ def pansu(lam, n) -> CatalogEntry:
     def lower(coords):
         return height(coords) + coords[2 * n]
 
-    charts = {
-        "upper": SurfaceDef(func=upper, n=n, name="pansu-upper", params={"lam": lam}),
-        "lower": SurfaceDef(func=lower, n=n, name="pansu-lower", params={"lam": lam}),
-    }
-
     def exp_alpha(p: Point):
         r = float(np.dot(p.x, p.x) + np.dot(p.y, p.y))
         s = max(1.0 - lam2 * r, 0.0)
         return math.copysign(math.sqrt(s / r), p.t) if p.t != 0.0 else 0.0
 
-    expected = {
-        "k": lambda p: lam,
-        "l": lambda p: 2.0 * lam,
-        "H": lambda p: 2.0 * n * lam,
-        "alpha": exp_alpha,
-    }
-
-    def sampler(rng, count):
-        pts = []
-        lo = SAMPLER_MARGIN / lam
-        hi = (1.0 - SAMPLER_MARGIN) / lam
-        for _ in range(count):
-            z = _log_uniform(rng, lo, hi)
-            d = _unit_direction(rng, 2 * n)
-            f = _psi(1.0 - lam2 * z * z) / lam4
-            t = math.sqrt(max(f, 0.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-            pts.append(Point(np.concatenate([z * d, [t]])))
-        return pts
-
-    profile = RadialProfile(
+    entry = _radial_entry(
+        "pansu", n, {"lam": lam},
         f=lambda r: _psi(1.0 - lam2 * r) / lam4,
         df=lambda r: -_psi_d1(1.0 - lam2 * r) / lam2,
         ddf=lambda r: _psi_d2(1.0 - lam2 * r),
         r_max=1.0 / lam2,
-    )
-
-    return CatalogEntry(
-        name="pansu",
-        surface=surface,
-        params={"lam": lam, "n": n},
-        expected=expected,
-        sampler=sampler,
+        expected={
+            "k": lambda p: lam,
+            "l": lambda p: 2.0 * lam,
+            "H": lambda p: 2.0 * n * lam,
+            "alpha": exp_alpha,
+        },
         formulas={
             "k": "lam",
             "l": "2*lam",
             "H": "2*n*lam",
             "alpha": "sign(t)*sqrt(1-lam^2*|z|^2)/|z|",
         },
-        profile=profile,
-        charts=charts,
     )
+    return replace(entry, charts={
+        "upper": SurfaceDef(func=upper, n=n, name="pansu-upper", params={"lam": lam}),
+        "lower": SurfaceDef(func=lower, n=n, name="pansu-lower", params={"lam": lam}),
+    })
 
 
 def heisenberg_sphere(rho, n) -> CatalogEntry:
@@ -233,55 +244,25 @@ def heisenberg_sphere(rho, n) -> CatalogEntry:
     if rho <= 0:
         raise ValueError("radius must be positive")
     rho = float(rho)
-    rho4 = rho**4
-
-    def func(coords):
-        r = _radius2(coords, n)
-        t = coords[2 * n]
-        return rho4 - r * r - 4.0 * t * t
-
-    surface = SurfaceDef(func=func, n=n, name="heisenberg-sphere", params={"rho": rho})
-
-    def radius(p):
-        return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
-
-    expected = {
-        "k": lambda p: radius(p) / rho**2,
-        "l": lambda p: 3.0 * radius(p) / rho**2,
-        "H": lambda p: (2 * n + 1) * radius(p) / rho**2,
-        "alpha": lambda p: 2.0 * p.t / (rho**2 * radius(p)),
-    }
-
-    def sampler(rng, count):
-        pts = []
-        lo, hi = SAMPLER_MARGIN * rho, (1.0 - SAMPLER_MARGIN) * rho
-        for _ in range(count):
-            z = _log_uniform(rng, lo, hi)
-            d = _unit_direction(rng, 2 * n)
-            t = 0.5 * math.sqrt(rho4 - z**4) * (1.0 if rng.random() < 0.5 else -1.0)
-            pts.append(Point(np.concatenate([z * d, [t]])))
-        return pts
-
-    profile = RadialProfile(
+    rho2, rho4 = rho**2, rho**4
+    return _radial_entry(
+        "heisenberg-sphere", n, {"rho": rho},
         f=lambda r: (rho4 - r * r) / 4.0,
         df=lambda r: -r / 2.0,
         ddf=lambda r: -0.5,
-        r_max=rho * rho,
-    )
-
-    return CatalogEntry(
-        name="heisenberg-sphere",
-        surface=surface,
-        params={"rho": rho, "n": n},
-        expected=expected,
-        sampler=sampler,
+        r_max=rho2,
+        expected={
+            "k": lambda p: _zabs(p) / rho2,
+            "l": lambda p: 3.0 * _zabs(p) / rho2,
+            "H": lambda p: (2 * n + 1) * _zabs(p) / rho2,
+            "alpha": lambda p: 2.0 * p.t / (rho2 * _zabs(p)),
+        },
         formulas={
             "k": "|z|/rho^2",
             "l": "3|z|/rho^2",
             "H": "(2n+1)|z|/rho^2",
             "alpha": "2t/(rho^2 |z|)",
         },
-        profile=profile,
     )
 
 
@@ -292,47 +273,22 @@ def shifted_sphere(lam, rho0, n) -> CatalogEntry:
     if rho0**2 <= lam:
         raise DomainError("empty surface: need rho0^2 > lam")
     lam, rho0 = float(lam), float(rho0)
-    rho4 = rho0**4
-
-    def func(coords):
-        r = _radius2(coords, n)
-        t = coords[2 * n]
-        shifted = r + lam
-        return rho4 - 4.0 * t * t - shifted * shifted
-
-    surface = SurfaceDef(
-        func=func, n=n, name="shifted-sphere", params={"lam": lam, "rho0": rho0}
-    )
-
-    def radius(p):
-        return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
+    rho2, rho4 = rho0**2, rho0**4
 
     expected = {
-        "k": lambda p: (radius(p) ** 2 + lam) / (rho0**2 * radius(p)),
-        "l": lambda p: (3.0 * radius(p) ** 2 + lam) / (rho0**2 * radius(p)),
-        "alpha": lambda p: 2.0 * p.t / (rho0**2 * radius(p)),
+        "k": lambda p: (_zabs(p) ** 2 + lam) / (rho2 * _zabs(p)),
+        "l": lambda p: (3.0 * _zabs(p) ** 2 + lam) / (rho2 * _zabs(p)),
+        "alpha": lambda p: 2.0 * p.t / (rho2 * _zabs(p)),
     }
     expected["H"] = lambda p: expected["l"](p) + (2 * n - 2) * expected["k"](p)
 
-    zmax = math.sqrt(rho0**2 - lam)
-
-    def sampler(rng, count):
-        pts = []
-        lo, hi = SAMPLER_MARGIN * zmax, (1.0 - SAMPLER_MARGIN) * zmax
-        for _ in range(count):
-            z = _log_uniform(rng, lo, hi)
-            d = _unit_direction(rng, 2 * n)
-            t = 0.5 * math.sqrt(rho4 - (z * z + lam) ** 2)
-            t *= 1.0 if rng.random() < 0.5 else -1.0
-            pts.append(Point(np.concatenate([z * d, [t]])))
-        return pts
-
-    return CatalogEntry(
-        name="shifted-sphere",
-        surface=surface,
-        params={"lam": lam, "rho0": rho0, "n": n},
+    return _radial_entry(
+        "shifted-sphere", n, {"lam": lam, "rho0": rho0},
+        f=lambda r: (rho4 - (r + lam) * (r + lam)) / 4.0,
+        df=lambda r: -(r + lam) / 2.0,
+        ddf=lambda r: -0.5,
+        r_max=rho2 - lam,
         expected=expected,
-        sampler=sampler,
         formulas={
             "k": "(|z|^2+lam)/(rho0^2 |z|)",
             "l": "(3|z|^2+lam)/(rho0^2 |z|)",

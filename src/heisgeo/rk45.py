@@ -54,15 +54,13 @@ class Event:
 
     ``value_tol`` bounds |fn| at the reported crossing and ``time_tol`` the
     remaining bisection bracket (both must be met: a small value alone is
-    not enough at slow, near-tangent crossings).  ``accept`` may veto a
-    located crossing, ``terminal_count`` stops the integration after that
-    many accepted crossings.
+    not enough at slow, near-tangent crossings).  ``terminal_count`` stops
+    the integration after that many crossings.
     """
 
     fn: Callable[[float, np.ndarray], float]
     value_tol: float = 1e-12
     time_tol: float = 1e-13
-    accept: Optional[Callable[[float, np.ndarray], bool]] = None
     terminal_count: Optional[int] = None
 
 
@@ -175,8 +173,6 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             sev, yev, evals = _locate(f, s, y, fy, direction, h, ev, g0)
             nfev += evals
             g_prev[idx] = g1
-            if ev.accept is not None and not ev.accept(sev, yev):
-                continue
             found.append((sev, yev, idx))
             counts[idx] += 1
             if ev.terminal_count is not None and counts[idx] >= ev.terminal_count:
@@ -225,7 +221,6 @@ def _locate(f, s, y, fy, direction, h, ev, g0):
 
     a, b = 0.0, h
     ga = g0
-    ymid = state(b)
     bracket_tol = max(ev.time_tol, 4e-16 * max(1.0, abs(s)))
     for _ in range(200):
         mid = 0.5 * (a + b)

@@ -144,10 +144,6 @@ def _catalog_cases(rng, count, ns=(2, 3)):
             for n in ns for entry in catalog.standard_entries(n))
 
 
-def _zabs(p):
-    return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
-
-
 # ---------------------------------------------------------------------------
 # second-fundamental-form claims
 
@@ -474,7 +470,7 @@ def claim_heisenberg_table(seed, count=100):
         rep = report(entry.surface, p)
         rho = entry.params["rho"]
         return max(abs(rep.l - 3.0 * rep.k),
-                   abs(rep.alpha - 2.0 * p.t / (rho * rho * _zabs(p))))
+                   abs(rep.alpha - 2.0 * p.t / (rho * rho * catalog._zabs(p))))
 
     cases = (_case("heisenberg-sphere", {"rho": rho},
                    catalog.heisenberg_sphere(rho, 2), rng, count)
@@ -555,8 +551,7 @@ def claim_stationary(seed, count=10000):
             keep = (np.abs(betas) > 1e-6) & (
                 np.hypot(alphas - p1.alpha, betas - p1.beta) > 1e-6
             ) & (np.hypot(alphas - p2.alpha, betas - p2.beta) > 1e-6)
-            da = -alphas**2 + (betas - c) * ((2 * n - 1) * betas + c) / (4 * n * n)
-            db = -2 * n * betas * alphas
+            da, db = phaseplane.vector_field(pp, PhasePoint(alphas, betas))
             mags = np.hypot(da, db)[keep]
             smallest = float(np.min(mags)) if mags.size else math.inf
             if smallest == 0.0:
@@ -726,7 +721,7 @@ def claim_shifted_spheres(seed, count=100):
         for lam, rho0 in ((0.5, 1.2), (1.0, 1.5)):
             entry = catalog.shifted_sphere(lam, rho0, 2)
             pts = entry.sample(rng, count)
-            floors[lam] = lam / (rho0**2 * max(_zabs(p) for p in pts))
+            floors[lam] = lam / (rho0**2 * max(catalog._zabs(p) for p in pts))
             yield ("shifted-sphere", {"lam": lam, "rho0": rho0},
                    [(entry, p) for p in pts])
 
@@ -736,7 +731,7 @@ def claim_shifted_spheres(seed, count=100):
         gap = 3.0 * rep.k - rep.l
         if gap < floors[lam]:
             return math.inf
-        return abs(gap - 2.0 * lam / (rho0**2 * _zabs(p)))
+        return abs(gap - 2.0 * lam / (rho0**2 * catalog._zabs(p)))
 
     out = _sampled_claim(cid, seed, cases(), residual, 1e-8)
     for row in out:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisgeo import catalog
+from heisgeo import catalog, duals
 from heisgeo.core import Point
 from heisgeo.surface import DomainError, build_frame, report
 
@@ -166,6 +166,19 @@ def test_shifted_sphere_gap_formula():
         gap = 3 * rep.k - rep.l
         assert gap == pytest.approx(2 * 0.5 / (1.2**2 * radius(p)), abs=1e-8)
         assert gap > 0
+
+
+def test_radial_closed_form_matches_dual2():
+    # the closed form built from the squared-height profile agrees with
+    # automatic differentiation of the same defining function
+    for n in (2, 3, 4):
+        for e in (catalog.heisenberg_sphere(1.0, n), catalog.shifted_sphere(0.5, 1.2, n)):
+            for p in e.sample(RNG, 20):
+                exact = e.surface.grad_hess(p.coords)
+                dual = duals.gradient_hessian(e.surface.func, p.coords)
+                for a, b in zip(exact, dual):
+                    a, b = np.asarray(a), np.asarray(b)
+                    assert np.max(np.abs(a - b)) <= 1e-13 * (1 + np.max(np.abs(b))), e.name
 
 
 def test_shifted_sphere_empty_raises():

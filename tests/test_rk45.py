@@ -39,15 +39,6 @@ def test_event_location_and_terminal():
     assert abs(y_ev[0]) <= 1e-13
 
 
-def test_event_accept_filter():
-    f = lambda s, y: np.array([-y[1], y[0]])
-    ev = Event(fn=lambda s, y: y[0], accept=lambda s, y: y[1] < 0)
-    sol = solve(f, 0.0, np.array([1.0, 0.0]), 7.0, events=[ev])
-    # only the crossing at 3pi/2 (where sin < 0) is kept
-    assert len(sol.events) == 1
-    assert sol.events[0][0] == pytest.approx(3 * math.pi / 2, abs=5e-9)
-
-
 def test_max_step_is_respected():
     ctrl = StepControl(max_step=0.01)
     sol = solve(lambda s, y: y, 0.0, np.array([1.0]), 1.0, ctrl)
@@ -83,12 +74,25 @@ def test_counters_match_rhs_calls():
         calls += 1
         return np.array([-y[1], y[0]])
 
-    ev = Event(fn=lambda s, y: y[0], terminal_count=2)
+    gcalls = 0
+
+    def g(s, y):
+        nonlocal gcalls
+        gcalls += 1
+        return y[0]
+
+    ev = Event(fn=g, terminal_count=2)
     ctrl = StepControl(rtol=1e-10, atol=1e-10)
     sol = solve(f, 0.0, np.array([1.0, 0.0]), 10.0, ctrl, events=[ev])
     assert sol.status == "event" and len(sol.events) == 2
     assert sol.nfev == calls
     assert sol.accepted == sol.ss.size - 1  # the last step ends at the event
+    # the event function runs once at the start and once per accepted step;
+    # every further call is one bisection candidate, one fresh step each,
+    # and the terminal event's node costs one more evaluation
+    bisections = gcalls - 1 - sol.accepted
+    assert bisections > 0
+    assert sol.nfev == 1 + 6 * (sol.accepted + sol.rejected) + 6 * bisections + 1
     # a step rejected by the error test is counted, and costs six evaluations
     calls = 0
     coarse = StepControl(rtol=1e-10, atol=1e-10, first_step=1.0)

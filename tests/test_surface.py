@@ -201,7 +201,7 @@ def _conditioned_points(entry, count):
 
 def test_rotsym_matches_shape_matrix():
     for entry in (catalog.pansu(1.0, 2), catalog.heisenberg_sphere(1.0, 2),
-                  catalog.pansu(0.5, 3)):
+                  catalog.pansu(0.5, 3), catalog.shifted_sphere(0.5, 1.2, 2)):
         for p in entry.sample(RNG, 40):
             rs = rotsym_report(entry.profile, p)
             sm = report(entry.surface, p)
