@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog, flows, phaseplane, verify
 from ._io import fmt, json_dumps
 from .core import HorizontalVector, Point
-from .phaseplane import PhaseParams, PhasePoint
+from .phaseplane import NotPeriodic, OnSeparatrix, PhaseParams, PhasePoint
 from .surface import GeometryError, report
 
 USAGE_ERROR = 2
@@ -107,7 +107,10 @@ def _cmd_catalog(args):
 
 
 def _cmd_phase(args):
-    pp = PhaseParams(args.n, args.c)
+    try:
+        pp = PhaseParams(args.n, args.c)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     seeds = None
     if args.seeds:
         rows = []
@@ -121,7 +124,10 @@ def _cmd_phase(args):
             for line in rows
             if line.strip()
         ]
-    data = phaseplane.portrait(pp, seeds=seeds)
+    try:
+        data = phaseplane.portrait(pp, seeds=seeds)
+    except (ValueError, OnSeparatrix, NotPeriodic) as exc:
+        raise _CliError(f"{type(exc).__name__}: {exc}") from exc
     if args.out:
         with open(_resolve_out(args.out), "w") as fh:
             data.write_csv(fh)

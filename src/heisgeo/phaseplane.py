@@ -11,7 +11,9 @@ Orbits are integrated in log-defect coordinates ``(alpha, w = log|beta|)``
 on the half-plane of the start.  There the defect equation ``w' = -2 n
 alpha`` is linear, so orbits that pass exponentially close to the invariant
 line cost no more steps than any other; samples and events are reported in
-``(alpha, beta)``.
+``(alpha, beta)``.  Every orbit is a lane of an ``rk45.solve_lanes`` sweep:
+``periodic_orbits`` closes a whole set of seeds at once, and a trace is
+bitwise the same whether its seed is integrated alone or in a batch.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "upsilon_polyline",
     "integrate",
     "periodic_orbit",
+    "periodic_orbits",
     "first_integral",
     "portrait",
     "Portrait",
@@ -77,22 +80,30 @@ class PhasePoint:
 @dataclass
 class OrbitTrace:
     params: PhaseParams
-    samples: list  # (s, PhasePoint), spacing bounded by the controller's max_step
+    # samples as float arrays; spacing bounded by the controller's max_step
+    s: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
     events: list = field(default_factory=list)  # (s, beta) axis crossings
     period: Optional[float] = None
     closure_error: Optional[float] = None
-    nfev: int = 0      # summed over the trace's rk45 solves
+    nfev: int = 0      # summed over the trace's rk45 lanes
     accepted: int = 0
     rejected: int = 0
 
+    @property
+    def samples(self):
+        """The samples as a list of ``(s, PhasePoint)``."""
+        return [(s, PhasePoint(a, b)) for s, a, b in
+                zip(self.s.tolist(), self.alpha.tolist(), self.beta.tolist())]
+
     def sample_array(self):
-        return np.array([(s, q.alpha, q.beta) for s, q in self.samples])
+        return np.column_stack((self.s, self.alpha, self.beta))
 
     def first_integral_drift(self):
         """Largest change of ``first_integral`` over the samples, relative to
         its value at the first sample."""
-        arr = self.sample_array()
-        vals = first_integral(self.params, arr[:, 1], arr[:, 2])
+        vals = first_integral(self.params, self.alpha, self.beta)
         return float(np.max(np.abs(vals - vals[0])) / vals[0])
 
 
@@ -113,21 +124,22 @@ def first_integral(pp: PhaseParams, alpha, beta):
     return np.abs(beta) ** (-1.0 / n) * (alpha * alpha + (beta - c) ** 2 / (4.0 * n * n))
 
 
-def _rhs_log(pp, sign):
-    """Right-hand side in ``(alpha, w = log|beta|)`` on the half-plane
-    ``sign * beta > 0``."""
+def _rhs_log(pp, signs):
+    """Right-hand side in ``(alpha, w = log|beta|)`` for lanes on the
+    half-planes ``signs * beta > 0``.  An overflowing ``exp(w)`` in a trial
+    stage gives an infinite defect, so that step is rejected."""
     n, c = pp.n, pp.c
     inv4n2 = 1.0 / (4.0 * n * n)
     two_n = 2.0 * n
     m = 2 * n - 1
 
     def f(s, y):
-        a, w = y
-        try:
-            b = sign * math.exp(w)
-        except OverflowError:  # a trial stage ran off; the step is rejected
-            b = sign * math.inf
-        return np.array([-a * a + (b - c) * (m * b + c) * inv4n2, -two_n * a])
+        a = y[:, 0]
+        b = signs * np.exp(y[:, 1])
+        out = np.empty_like(y)
+        out[:, 0] = -a * a + (b - c) * (m * b + c) * inv4n2
+        out[:, 1] = -two_n * a
+        return out
 
     return f
 
@@ -139,10 +151,9 @@ def _to_log(q: PhasePoint):
     return sign, np.array([q.alpha, math.log(abs(q.beta))])
 
 
-def _samples(sol, sign):
-    betas = sign * np.exp(sol.ys[:, 1])
-    return [(float(s), PhasePoint(float(a), float(b)))
-            for s, a, b in zip(sol.ss, sol.ys[:, 0], betas)]
+def _trace(pp, ss, ys, sign, **info):
+    return OrbitTrace(params=pp, s=ss, alpha=ys[:, 0], beta=sign * np.exp(ys[:, 1]),
+                      **info)
 
 
 def _crossings(sol, sign):
@@ -194,8 +205,8 @@ def upsilon_polyline(pp: PhaseParams, beta_lo, beta_hi, num=200):
     return np.array(rows) if rows else np.empty((0, 2))
 
 
-def _axis_event(max_count=None):
-    return Event(fn=lambda s, y: y[0], value_tol=AXIS_EPS,
+def _axis_event(max_count):
+    return Event(fn=lambda s, y: y[:, 0], value_tol=AXIS_EPS,
                  terminal_count=max_count)
 
 
@@ -207,70 +218,116 @@ def _default_control():
 def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrace:
     """Trajectory through ``q0`` in both time directions.
 
-    Each direction runs until ``s_max`` or until two axis crossings have been
-    located; crossings are found by sign-change bracketing plus bisection.
+    The two directions are two lanes of one sweep; each runs until ``s_max``
+    or until two axis crossings have been located.  Crossings are found by
+    sign-change bracketing plus bisection.
     """
     if s_max <= 0:
         raise ValueError("s_max must be positive")
     control = control or _default_control()
     sign, y0 = _to_log(q0)
-    f = _rhs_log(pp, sign)
-    back, fwd = [rk45.solve(f, 0.0, y0, direction * s_max, control,
-                            events=[_axis_event(max_count=2)])
-                 for direction in (-1.0, 1.0)]
-    samples = _samples(back, sign)[::-1] + _samples(fwd, sign)[1:]
+    back, fwd = rk45.solve_lanes(_rhs_log(pp, sign), 0.0, np.array([y0, y0]),
+                                 np.array([-s_max, s_max]), control,
+                                 events=[_axis_event(2)])
+    for sol in (back, fwd):
+        if sol.status == "underflow":
+            raise StepUnderflow.at(sol.ss[-1])
+    ss = np.concatenate((back.ss[::-1], fwd.ss[1:]))
+    ys = np.concatenate((back.ys[::-1], fwd.ys[1:]))
     events = sorted(_crossings(back, sign) + _crossings(fwd, sign))
-    return OrbitTrace(params=pp, samples=samples, events=events,
-                      **_counts(back, fwd))
+    return _trace(pp, ss, ys, sign, events=events, **_counts(back, fwd))
 
 
 def periodic_orbit(pp: PhaseParams, q0: PhasePoint, control=None,
                    orbit_tol=None, s_cap=None) -> OrbitTrace:
-    """Closed orbit through ``q0``, certified by one forward pass.
+    """Closed orbit through ``q0``: ``periodic_orbits`` of one seed."""
+    return periodic_orbits(pp, [q0], control, orbit_tol, s_cap)[0]
 
-    The orbit is symmetric across the axis ``alpha = 0``, so the arc between
-    two consecutive axis crossings is half of it: the period is twice the
-    time between the first two forward crossings, or twice the first
-    crossing time for a start on the axis.  The same trajectory is then
-    continued from its last crossing to that period, and its distance from
-    ``q0`` there is the closure error; ``NotPeriodic`` is raised when it
-    exceeds ``orbit_tol``.  The trace samples the full period, and its
-    events are the two turning points on the axis (the start itself for a
-    start on the axis).
-    """
-    scale = 1.0 + math.hypot(q0.alpha, q0.beta)
-    if orbit_tol is None:
-        orbit_tol = 1e-8 * scale
+
+def _check_seed(pp, q0):
     sign, y0 = _to_log(q0)
     for st in stationary_points(pp):
         if math.hypot(q0.alpha - st.alpha, q0.beta - st.beta) <= AXIS_EPS:
             raise ValueError("stationary points have no orbit through them")
+    return sign, y0
+
+
+def periodic_orbits(pp: PhaseParams, seeds, control=None, orbit_tol=None,
+                    s_cap=None) -> list:
+    """Closed orbits through ``seeds``, each certified by one forward pass.
+
+    An orbit is symmetric across the axis ``alpha = 0``, so the arc between
+    two consecutive axis crossings is half of it: the period is twice the
+    time between the first two forward crossings, or twice the first
+    crossing time for a start on the axis.  The same trajectory is then
+    continued from its last crossing to that period, and its distance from
+    the seed there is the closure error.  Each trace samples the full
+    period, and its events are the two turning points on the axis (the
+    start itself for a start on the axis).
+
+    All seeds run as lanes of two ``rk45.solve_lanes`` sweeps: one for the
+    arcs, one to each lane's period.  A bad seed raises what it raises
+    alone, the first in input order: ``OnSeparatrix`` on the line
+    ``beta = 0``, ``ValueError`` at a stationary point, ``NotPeriodic`` when
+    the closure error exceeds ``orbit_tol`` (default ``1e-8 (1 + |q0|)``),
+    no crossing comes within ``s_cap`` or the step size underflows.
+    """
+    seeds = list(seeds)
+    starts, pending = [], None
+    for q0 in seeds:
+        try:
+            starts.append(_check_seed(pp, q0))
+        except (OnSeparatrix, ValueError) as exc:
+            pending = exc  # raised unless an earlier seed fails first
+            break
+    seeds = seeds[:len(starts)]
     control = control or _default_control()
     if s_cap is None:
         s_cap = 1000.0 / pp.c
-    f = _rhs_log(pp, sign)
-    on_axis = q0.alpha == 0.0
-    turns = 1 if on_axis else 2
-    try:
-        arc = rk45.solve(f, 0.0, y0, s_cap, control,
-                         events=[_axis_event(max_count=turns)])
-        if len(arc.events) < turns:
-            raise NotPeriodic("no axis crossing found within the time cap")
-        events = _crossings(arc, sign)
-        if on_axis:
-            events.insert(0, (0.0, q0.beta))
-        period = 2.0 * (events[1][0] - events[0][0])
-        rest = rk45.solve(f, arc.ss[-1], arc.ys[-1], period, control)
-    except StepUnderflow as exc:
-        raise NotPeriodic(f"blow-up before the orbit closed: {exc}") from exc
-    samples = _samples(arc, sign) + _samples(rest, sign)[1:]
-    end = samples[-1][1]
-    err = math.hypot(end.alpha - q0.alpha, end.beta - q0.beta)
-    if err > orbit_tol:
-        raise NotPeriodic(f"closure error {err:g} exceeds {orbit_tol:g}")
-    return OrbitTrace(params=pp, samples=samples, events=events,
-                      period=float(period), closure_error=err,
-                      **_counts(arc, rest))
+    signs = [sign for sign, _ in starts]
+    turns = np.array([1 if q0.alpha == 0.0 else 2 for q0 in seeds])
+    arcs = rk45.solve_lanes(_rhs_log(pp, np.array(signs)), 0.0,
+                            np.array([y0 for _, y0 in starts]).reshape(-1, 2), s_cap,
+                            control, events=[_axis_event(turns)])
+    errors = [None] * len(seeds)
+    events, periods = {}, {}
+    for i, (q0, arc) in enumerate(zip(seeds, arcs)):
+        if arc.status == "underflow":
+            errors[i] = _blow_up(arc)
+        elif len(arc.events) < turns[i]:
+            errors[i] = NotPeriodic("no axis crossing found within the time cap")
+        else:
+            events[i] = _crossings(arc, signs[i])
+            if turns[i] == 1:
+                events[i].insert(0, (0.0, q0.beta))
+            periods[i] = 2.0 * (events[i][1][0] - events[i][0][0])
+    go = sorted(periods)
+    rests = rk45.solve_lanes(_rhs_log(pp, np.array([signs[i] for i in go])),
+                             [arcs[i].ss[-1] for i in go],
+                             np.array([arcs[i].ys[-1] for i in go]).reshape(-1, 2),
+                             [periods[i] for i in go], control)
+    traces = []
+    for i, rest in zip(go, rests):
+        q0, arc = seeds[i], arcs[i]
+        if rest.status == "underflow":
+            errors[i] = _blow_up(rest)
+            continue
+        tr = _trace(pp, np.concatenate((arc.ss, rest.ss[1:])),
+                    np.concatenate((arc.ys, rest.ys[1:])), signs[i], events=events[i],
+                    period=float(periods[i]), **_counts(arc, rest))
+        tr.closure_error = math.hypot(tr.alpha[-1] - q0.alpha, tr.beta[-1] - q0.beta)
+        tol = 1e-8 * (1.0 + math.hypot(q0.alpha, q0.beta)) if orbit_tol is None else orbit_tol
+        if tr.closure_error > tol:
+            errors[i] = NotPeriodic(f"closure error {tr.closure_error:g} exceeds {tol:g}")
+        traces.append(tr)
+    for exc in errors + [pending]:
+        if exc is not None:
+            raise exc
+    return traces
+
+
+def _blow_up(sol):
+    return NotPeriodic(f"blow-up before the orbit closed: {StepUnderflow.at(sol.ss[-1])}")
 
 
 def default_seeds(pp: PhaseParams):
@@ -323,12 +380,11 @@ def portrait(pp: PhaseParams, alpha_range=None, beta_range=None, grid=21,
     poly = upsilon_polyline(pp, beta_range[0], beta_range[1])
     for i, (a, b) in enumerate(poly):
         rows.append(("upsilon", float(i), a, b))
-    orbits = []
-    for i, seed in enumerate(seeds or default_seeds(pp)):
-        tr = periodic_orbit(pp, seed, control=control)
-        orbits.append(tr)
-        for s, q in tr.samples:
-            rows.append((f"orbit:{i}", s, q.alpha, q.beta))
+    orbits = periodic_orbits(pp, seeds or default_seeds(pp), control=control)
+    for i, tr in enumerate(orbits):
+        kind = f"orbit:{i}"
+        rows.extend((kind, s, a, b) for s, a, b in
+                    zip(tr.s.tolist(), tr.alpha.tolist(), tr.beta.tolist()))
     for st in stationary_points(pp):
         rows.append(("stationary", 0.0, st.alpha, st.beta))
     return Portrait(params=pp, rows=rows, orbits=orbits)

@@ -5,6 +5,10 @@ experiments (order checks, halved-step certification) that need direct
 control over the error controller, and event times are polished by taking a
 single fresh Runge-Kutta step onto each bisection candidate, which keeps the
 located crossing as accurate as the trajectory itself.
+
+``solve`` integrates one trajectory.  ``solve_lanes`` integrates a set of
+independent trajectories as lanes of one vectorised sweep under the same
+controller, which is much cheaper per trajectory than looping ``solve``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["StepControl", "Event", "Solution", "StepUnderflow", "solve"]
+__all__ = ["StepControl", "Event", "Solution", "StepUnderflow", "solve", "solve_lanes"]
 
 # Dormand-Prince tableau; the fifth-order solution is propagated.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -33,10 +37,17 @@ _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
+# the same rows as Python floats, for the lanes' ordered stage sums
+_A_ROWS = [tuple(float(a) for a in row) for row in _A]
+_ERR_ROW = tuple(float(e) for e in _ERR)
 
 
 class StepUnderflow(RuntimeError):
     """Raised when the controller cannot meet the local error tolerance."""
+
+    @classmethod
+    def at(cls, s):
+        return cls(f"step size underflow at s={float(s)!r}")
 
 
 @dataclass
@@ -55,7 +66,8 @@ class Event:
     ``value_tol`` bounds |fn| at the reported crossing and ``time_tol`` the
     remaining bisection bracket (both must be met: a small value alone is
     not enough at slow, near-tangent crossings).  ``terminal_count`` stops
-    the integration after that many crossings.
+    the integration after that many crossings (``solve_lanes`` also takes
+    one count per lane).
     """
 
     fn: Callable[[float, np.ndarray], float]
@@ -116,7 +128,7 @@ def _rk_step(f, s, y, fy, h):
 
 def _initial_step(y0, f0, control, span):
     if control.first_step is not None:
-        return min(control.first_step, span)
+        return min(control.first_step, span, control.max_step)
     scale = control.atol + control.rtol * np.linalg.norm(y0)
     d0 = np.linalg.norm(y0) / scale if scale > 0 else 0.0
     d1 = np.linalg.norm(f0) / scale if scale > 0 else 0.0
@@ -147,7 +159,7 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
     for _ in range(control.max_steps):
         h = min(h, abs(s1 - s))
         if h <= 4.0 * np.finfo(float).eps * max(1.0, abs(s)):
-            raise StepUnderflow(f"step size underflow at s={s!r}")
+            raise StepUnderflow.at(s)
         ynew, errvec, fnew = _rk_step(f, s, y, fy, direction * h)
         nfev += 6
         if not math.isfinite(float(ynew.sum())):
@@ -235,3 +247,243 @@ def _locate(f, s, y, fy, direction, h, ev, g0):
         else:
             a, ga = mid, gm
     return s + direction * 0.5 * (a + b), ymid, evals
+
+
+# ---------------------------------------------------------------------------
+# many trajectories as lanes of one sweep
+
+_DONE, _EVENT, _UNDERFLOW = 0, 1, 2
+_STATUS = ("done", "event", "underflow")
+
+
+def _ordered_sum(coeffs, arrays):
+    """``sum(c * a)`` over the nonzero coefficients, added left to right.
+
+    Each lane's result depends only on that lane's entries, so a trajectory
+    integrated alone and inside a batch takes bitwise the same steps.
+    """
+    acc = None
+    for c, a in zip(coeffs, arrays):
+        if c != 0.0:
+            acc = c * a if acc is None else acc + c * a
+    return acc
+
+
+def _row_sum(x):
+    """Per-row sum of an (N, d) array, columns added left to right."""
+    acc = x[:, 0]
+    for j in range(1, x.shape[1]):
+        acc = acc + x[:, j]
+    return acc
+
+
+def _lane_step(f, s, y, fy, h):
+    """One Dormand-Prince step per lane of signed sizes ``h`` (N,); returns
+    ``(y5, stages)``.  The last stage is taken at the fifth-order result
+    (FSAL), so a lane with ``h == 0`` keeps its state exactly."""
+    hc = h[:, None]
+    stages = [fy]
+    for i in range(1, 7):
+        yi = y + hc * _ordered_sum(_A_ROWS[i], stages)
+        stages.append(np.asarray(f(s + _C[i] * h, yi), dtype=float))
+    return yi, stages
+
+
+def _initial_steps(y0, f0, control, span):
+    if control.first_step is not None:
+        return np.fmin(np.fmin(control.first_step, span), control.max_step)
+    ny = np.sqrt(_row_sum(y0 * y0))
+    scale = control.atol + control.rtol * ny
+    d0 = np.where(scale > 0, ny / scale, 0.0)
+    d1 = np.where(scale > 0, np.sqrt(_row_sum(f0 * f0)) / scale, 0.0)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    return np.fmin(np.fmin(h0, span), control.max_step)
+
+
+def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
+    """Integrate N independent problems ``y' = f(s, y)`` as lanes of one sweep.
+
+    ``y0`` has shape (N, d); ``s0`` and ``s1`` are scalars or (N,) arrays, so
+    lanes may run in either direction and to their own end.  ``f(s, Y)`` and
+    each ``Event.fn(s, Y)`` take ``s`` of shape (N,) and ``Y`` of shape
+    (N, d) and are called on all lanes every sweep; a finished lane is frozen
+    by a zero step.  Each lane keeps its own ``s``, step size, counters and
+    event state, and follows ``solve``'s controller: lane i's ``Solution`` has
+    the steps, events and counts ``solve`` gives for problem i alone, up to
+    rounding.  During the sweep a sign change only records its bracket; the
+    brackets are located afterwards, one vectorised bisection per crossing
+    ordinal, as ``_locate`` does.  A lane that underflows gets status
+    ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the error ``solve``
+    raises) and the other lanes go on.
+    """
+    control = control or StepControl()
+    y = np.array(y0, dtype=float)
+    n, d = y.shape
+    s = np.array(np.broadcast_to(np.asarray(s0, dtype=float), (n,)))
+    s1 = np.array(np.broadcast_to(np.asarray(s1, dtype=float), (n,)))
+    direction = np.where(s1 >= s, 1.0, -1.0)
+    terminal = [np.inf if ev.terminal_count is None else np.asarray(ev.terminal_count)
+                for ev in events]
+    # non-finite trial states are rejected below; their warnings are noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fy = np.asarray(f(s, y), dtype=float)
+        nfev = np.ones(n, dtype=np.int64)
+        accepted = np.zeros(n, dtype=np.int64)
+        rejected = np.zeros(n, dtype=np.int64)
+        status = np.full(n, _DONE)
+        done = s1 == s
+        h = _initial_steps(y, fy, control, np.abs(s1 - s))
+        g_prev = [np.asarray(ev.fn(s, y), dtype=float) for ev in events]
+        counts = [np.zeros(n, dtype=np.int64) for _ in events]
+        brackets = []  # (lane, event index, s, y, fy, h, g0), in sweep order
+        # accepted nodes per sweep: (lane mask, rows (s, y, f(s, y)))
+        nodes = [(np.ones(n, dtype=bool), np.column_stack((s, y, fy)))]
+        tiny = 4.0 * np.finfo(float).eps
+        while not done.all():
+            live = ~done
+            if np.any(live & (accepted + rejected >= control.max_steps)):
+                raise RuntimeError("maximum number of steps exceeded")
+            h = np.where(live, np.fmin(h, np.abs(s1 - s)), h)
+            under = live & (h <= tiny * np.fmax(1.0, np.abs(s)))
+            status[under] = _UNDERFLOW
+            done |= under
+            live &= ~under
+            step = np.where(live, direction * h, 0.0)
+            ynew, stages = _lane_step(f, s, y, fy, step)
+            nfev += 6 * live
+            finite = np.isfinite(_row_sum(ynew))
+            blown = live & ~finite
+            scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(ynew))
+            ratios = step[:, None] * _ordered_sum(_ERR_ROW, stages) / scale
+            errnorm = np.sqrt(_row_sum(ratios * ratios) / d)
+            too_big = live & finite & (errnorm > 1.0)
+            rejected += blown | too_big
+            shrink = np.fmax(0.2, 0.9 * errnorm ** -0.2)
+            h = np.where(blown, h * 0.25, np.where(too_big, h * shrink, h))
+            ok = live & finite & ~too_big
+            accepted += ok
+            snew = s + step
+            stop = np.zeros(n, dtype=bool)
+            if events:
+                s_try = np.where(ok, snew, s)
+                y_try = np.where(ok[:, None], ynew, y)
+                for idx, ev in enumerate(events):
+                    g0 = g_prev[idx]
+                    g1 = np.asarray(ev.fn(s_try, y_try), dtype=float)
+                    seen = ok & ~stop
+                    cross = seen & ~((g0 == 0.0) | (g0 * g1 > 0.0))
+                    for lane in np.flatnonzero(cross):
+                        brackets.append((lane, idx, s[lane], y[lane], fy[lane], h[lane],
+                                         g0[lane]))
+                    g_prev[idx] = np.where(seen, g1, g0)
+                    counts[idx] += cross
+                    stop |= cross & (counts[idx] >= terminal[idx])
+                status[stop] = _EVENT
+                done |= stop
+            moved = ok & ~stop
+            s = np.where(moved, snew, s)
+            y = np.where(moved[:, None], ynew, y)
+            fy = np.where(moved[:, None], stages[6], fy)
+            if moved.any():
+                nodes.append((moved, np.column_stack((s, y, fy))[moved]))
+            done |= moved & (np.abs(s1 - s) <= 1e-14 * np.fmax(1.0, np.abs(s1)))
+            factor = np.where(errnorm == 0.0, 5.0, np.fmin(5.0, shrink))
+            h = np.where(moved, np.fmin(h * factor, control.max_step), h)
+
+        found = [[] for _ in range(n)]  # (s, y, event index), in sweep order
+        for round_ in _by_ordinal(brackets):
+            s_ev, y_ev, evals = _locate_lanes(f, events, round_, direction, s, y, fy)
+            nfev += evals
+            for lane, idx, *_ in round_:
+                found[lane].append((s_ev[lane], y_ev[lane].copy(), idx))
+        term = status == _EVENT
+        if term.any():  # a terminal lane ends at its last event
+            s_end, y_end = s.copy(), y.copy()
+            for lane in np.flatnonzero(term):
+                s_end[lane], y_end[lane], _ = found[lane][-1]
+            f_end = np.asarray(f(s_end, y_end), dtype=float)
+            nfev += term
+            nodes.append((term, np.column_stack((s_end, y_end, f_end))[term]))
+
+    # every lane has 1 + accepted nodes (a terminal step's node is its event);
+    # gather them lane by lane, in step order, into one table
+    cuts = np.concatenate(([0], np.cumsum(1 + accepted)))
+    table = np.empty((cuts[-1], 1 + 2 * d))
+    fill = cuts[:-1].copy()
+    for lanes, rows in nodes:
+        table[fill[lanes]] = rows
+        fill[lanes] += 1
+    out = []
+    for i in range(n):
+        rows = table[cuts[i]:cuts[i + 1]]
+        found[i].sort(key=lambda e: direction[i] * e[0])
+        out.append(Solution(rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:], found[i],
+                            _STATUS[status[i]], int(nfev[i]), int(accepted[i]),
+                            int(rejected[i])))
+    return out
+
+
+def _by_ordinal(brackets):
+    """Split the brackets into rounds of at most one per lane: the k-th
+    round holds each lane's k-th bracket."""
+    rounds = []
+    seen = {}
+    for br in brackets:
+        k = seen.get(br[0], 0)
+        seen[br[0]] = k + 1
+        if k == len(rounds):
+            rounds.append([])
+        rounds[k].append(br)
+    return rounds
+
+
+def _locate_lanes(f, events, round_, direction, s, y, fy):
+    """``_locate`` for one bracket per lane, bisected together.
+
+    Lanes without a bracket in this round take zero steps from their final
+    state.  Returns the located times and states (per lane) and the
+    right-hand-side evaluations each lane spent.
+    """
+    n = s.size
+    s_left, y_left, f_left = s.copy(), y.copy(), fy.copy()
+    width = np.zeros(n)
+    ga = np.zeros(n)
+    which = np.full(n, -1)
+    value_tol = np.zeros(n)
+    bracket_tol = np.zeros(n)
+    for lane, idx, s_l, y_l, f_l, h, g0 in round_:
+        s_left[lane], y_left[lane], f_left[lane] = s_l, y_l, f_l
+        width[lane], ga[lane], which[lane] = h, g0, idx
+        value_tol[lane] = events[idx].value_tol
+        bracket_tol[lane] = max(events[idx].time_tol, 4e-16 * max(1.0, abs(s_l)))
+    floor = 4e-16 * np.fmax(1.0, np.abs(s_left))
+    active = which >= 0
+    a, b = np.zeros(n), width
+    s_ev, y_ev = np.zeros(n), np.zeros_like(y)
+    evals = np.zeros(n, dtype=np.int64)
+    ymid = y_left
+    for _ in range(200):
+        if not active.any():
+            break
+        mid = 0.5 * (a + b)
+        sigma = np.where(active, direction * mid, 0.0)
+        ymid, _ = _lane_step(f, s_left, y_left, f_left, sigma)
+        evals += 6 * (active & (mid != 0.0))
+        smid = s_left + sigma
+        gm = np.zeros(n)
+        for idx, ev in enumerate(events):
+            mine = which == idx
+            if np.any(active & mine):
+                gm = np.where(mine, ev.fn(smid, ymid), gm)
+        span = b - a
+        hit = active & (((np.abs(gm) <= value_tol) & (span <= bracket_tol)) | (span <= floor))
+        s_ev[hit] = smid[hit]
+        y_ev[hit] = ymid[hit]
+        active &= ~hit
+        left = ga * gm <= 0.0
+        b = np.where(active & left, mid, b)
+        a = np.where(active & ~left, mid, a)
+        ga = np.where(active & ~left, gm, ga)
+    s_ev[active] = (s_left + direction * 0.5 * (a + b))[active]
+    y_ev[active] = ymid[active]
+    return s_ev, y_ev, evals

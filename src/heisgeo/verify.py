@@ -591,15 +591,14 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
             steps = 0
             drift = 0.0
             crossings_ok = True
-            for q0 in upper + lower:
-                tr = phaseplane.periodic_orbit(pp, q0)
+            seeds = upper + lower
+            for q0, tr in zip(seeds, phaseplane.periodic_orbits(pp, seeds)):
                 worst = max(worst, tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
                 steps += tr.accepted
                 drift = max(drift, tr.first_integral_drift())
-                betas = np.array([q.beta for _, q in tr.samples])
-                if q0.beta > 0 and not np.all(betas > 0):
+                if q0.beta > 0 and not np.all(tr.beta > 0):
                     crossings_ok = False
-                if q0.beta < 0 and not np.all(betas < 0):
+                if q0.beta < 0 and not np.all(tr.beta < 0):
                     crossings_ok = False
                 if q0.beta > 0:
                     lo = min(b for _, b in tr.events)
@@ -632,12 +631,12 @@ def claim_orbit_symmetry(seed, count=6):
     out = []
     for n, c in ((2, 1.0), (3, 0.5)):
         pp = PhaseParams(n, c)
+        # (alpha, beta) drawn in that order
+        pairs = [(rng.uniform(0.2, 1.2) * c, rng.uniform(1.2, 2.5) * c) for _ in range(count)]
+        traces = phaseplane.periodic_orbits(
+            pp, [PhasePoint(a, b) for a, b in pairs] + [PhasePoint(-a, b) for a, b in pairs])
         worst = 0.0
-        for _ in range(count):
-            a = rng.uniform(0.2, 1.2) * c
-            b = rng.uniform(1.2, 2.5) * c
-            t1 = phaseplane.periodic_orbit(pp, PhasePoint(a, b))
-            t2 = phaseplane.periodic_orbit(pp, PhasePoint(-a, b))
+        for t1, t2 in zip(traces[:count], traces[count:]):
             worst = max(worst, abs(t1.period - t2.period) / t1.period)
         out.append(
             ClaimResult(cid, "phase", {"n": n, "c": c}, worst, 1e-9, count,

@@ -13,7 +13,7 @@ import pytest
 from heisgeo import catalog, verify
 from heisgeo.cli import main
 from heisgeo.flows import identity_check
-from heisgeo.phaseplane import PhaseParams, PhasePoint, periodic_orbit
+from heisgeo.phaseplane import PhaseParams, PhasePoint, periodic_orbit, periodic_orbits
 from heisgeo.surface import report
 
 SEED = 42
@@ -99,18 +99,18 @@ def test_criterion_5_orbit_closure():
             pp = PhaseParams(n, c)
             upper, lower = verify._seed_grid(pp)
             assert len(upper) == 25 and len(lower) == 25
-            for q0 in upper + lower:
-                tr = periodic_orbit(pp, q0)
+            seeds = upper + lower
+            traces = periodic_orbits(pp, seeds)
+            for q0, tr in zip(seeds, traces):
                 scale = 1 + math.hypot(q0.alpha, q0.beta)
                 worst_closure = max(worst_closure, tr.closure_error / scale)
-                betas = np.array([q.beta for _, q in tr.samples])
-                assert np.all(np.sign(betas) == np.sign(q0.beta))
-                if q0.alpha != 0.0:
-                    mirrored = periodic_orbit(pp, PhasePoint(-q0.alpha, q0.beta))
-                    worst_period = max(
-                        worst_period,
-                        abs(tr.period - mirrored.period) / tr.period,
-                    )
+                assert np.all(np.sign(tr.beta) == np.sign(q0.beta))
+            off_axis = [(q0, tr) for q0, tr in zip(seeds, traces) if q0.alpha != 0.0]
+            mirrored = periodic_orbits(
+                pp, [PhasePoint(-q0.alpha, q0.beta) for q0, _ in off_axis])
+            for (_, tr), mirror in zip(off_axis, mirrored):
+                worst_period = max(worst_period,
+                                   abs(tr.period - mirror.period) / tr.period)
     elapsed = time.perf_counter() - t0
     assert worst_period <= 1e-9
     announce("5-orbit-closure", worst_closure, 1e-8, elapsed, 60.0)

@@ -104,6 +104,22 @@ def test_phase_seed_file(tmp_path, capsys):
     assert "orbit:0" in kinds and "orbit:1" in kinds and "orbit:2" not in kinds
 
 
+@pytest.mark.parametrize("args", [("--c", "0"), ("--n", "1")])
+def test_phase_bad_parameters(capsys, args):
+    code, _, err = run(capsys, "phase", *args)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_phase_seed_on_separatrix(tmp_path, capsys):
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("alpha,beta\n0,1.5\n0.3,0\n")
+    code, _, err = run(capsys, "phase", "--seeds", str(seeds),
+                       "--out", str(tmp_path / "p.csv"))
+    assert code == 2
+    assert err.startswith("error: OnSeparatrix: ") and len(err.splitlines()) == 1
+
+
 def test_geodesic_csv(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, _, _ = run(

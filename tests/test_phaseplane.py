@@ -8,12 +8,14 @@ import pytest
 
 from heisgeo import verify
 from heisgeo.phaseplane import (
+    NotPeriodic,
     OnSeparatrix,
     PhaseParams,
     PhasePoint,
     first_integral,
     integrate,
     periodic_orbit,
+    periodic_orbits,
     portrait,
     stationary_points,
     upsilon_beta,
@@ -212,6 +214,43 @@ def test_orbit_is_one_forward_pass():
     assert tr.period == pytest.approx(2 * (s2 - s1), rel=1e-15)
     assert tr.accepted == arr.shape[0] - 1
     assert tr.nfev >= 6 * (tr.accepted + tr.rejected)
+
+
+def test_batch_equals_each_seed_alone():
+    """Lanes are independent: a batch gives bitwise the traces of its seeds
+    integrated one at a time, on-axis (one turn) and off-axis starts mixed."""
+    pp = PhaseParams(3, 0.5)
+    seeds = [PhasePoint(0.3, 0.8), PhasePoint(-0.4, -0.2), PhasePoint(0.0, 1.9),
+             PhasePoint(1.3, 0.06), PhasePoint(0.0, -0.5)]
+    batch = periodic_orbits(pp, seeds)
+    assert len(batch) == len(seeds)
+    for q0, tb in zip(seeds, batch):
+        ta = periodic_orbit(pp, q0)
+        assert (tb.period, tb.closure_error) == (ta.period, ta.closure_error)
+        assert (tb.nfev, tb.accepted, tb.rejected) == (ta.nfev, ta.accepted, ta.rejected)
+        assert np.array_equal(tb.sample_array(), ta.sample_array())
+        assert tb.events == ta.events
+    s, q = batch[0].samples[-1]
+    assert (s, q) == (batch[0].s[-1], PhasePoint(batch[0].alpha[-1], batch[0].beta[-1]))
+
+
+def test_batch_raises_for_the_first_bad_seed():
+    good = PhasePoint(0.5, 2.0)
+    on_line, stationary = PhasePoint(0.5, 0.0), PhasePoint(0.0, 1.0)
+    with pytest.raises(OnSeparatrix):
+        periodic_orbits(PP, [good, on_line, stationary])
+    with pytest.raises(ValueError, match="stationary"):
+        periodic_orbits(PP, [good, stationary, on_line])
+    # a seed that fails to close raises before a later invalid seed, with the
+    # message it raises alone
+    with pytest.raises(NotPeriodic) as batch:
+        periodic_orbits(PP, [good, on_line], orbit_tol=1e-20)
+    with pytest.raises(NotPeriodic) as alone:
+        periodic_orbit(PP, good, orbit_tol=1e-20)
+    assert str(batch.value) == str(alone.value)
+    with pytest.raises(NotPeriodic, match="time cap"):
+        periodic_orbits(PP, [good, PhasePoint(0.0, 2.0)], s_cap=0.1)
+    assert periodic_orbits(PP, []) == []
 
 
 def test_first_integral_is_conserved():

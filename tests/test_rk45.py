@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisgeo.rk45 import Event, StepControl, StepUnderflow, solve
+from heisgeo.rk45 import Event, StepControl, StepUnderflow, solve, solve_lanes
 
 
 def test_exponential_accuracy():
@@ -43,6 +43,12 @@ def test_max_step_is_respected():
     ctrl = StepControl(max_step=0.01)
     sol = solve(lambda s, y: y, 0.0, np.array([1.0]), 1.0, ctrl)
     assert np.max(np.diff(sol.ss)) <= 0.01 + 1e-12
+    # a larger first step is clamped too
+    ctrl = StepControl(max_step=0.01, first_step=0.5)
+    sol = solve(lambda s, y: y, 0.0, np.array([1.0]), 1.0, ctrl)
+    assert np.max(np.diff(sol.ss)) <= 0.01 + 1e-12
+    lanes = solve_lanes(lambda s, y: y, 0.0, np.ones((2, 1)), [1.0, -1.0], ctrl)
+    assert all(np.max(np.abs(np.diff(sol.ss))) <= 0.01 + 1e-12 for sol in lanes)
 
 
 def test_fifth_order_convergence():
@@ -99,3 +105,95 @@ def test_counters_match_rhs_calls():
     sol = solve(f, 0.0, np.array([1.0, 0.0]), 3.0, coarse)
     assert sol.rejected >= 1
     assert sol.nfev == calls == 1 + 6 * (sol.accepted + sol.rejected)
+
+
+# ---------------------------------------------------------------------------
+# lanes
+
+
+def _circle(s, y):
+    return np.array([-y[1], y[0]])
+
+
+def _circle_lanes(s, y):
+    return np.column_stack((-y[:, 1], y[:, 0]))
+
+
+def test_lanes_match_solve_on_circle():
+    radii = (1.0, 0.5, 2.0, 3.0)
+    y0 = np.array([[r, 0.0] for r in radii])
+    ev = Event(fn=lambda s, y: y[0], value_tol=1e-13, terminal_count=1)
+    lane_ev = Event(fn=lambda s, y: y[:, 0], value_tol=1e-13, terminal_count=1)
+    lanes = solve_lanes(_circle_lanes, 0.0, y0, 10.0, events=[lane_ev])
+    for r, lane in zip(radii, lanes):
+        alone = solve(_circle, 0.0, np.array([r, 0.0]), 10.0, events=[ev])
+        assert lane.status == alone.status == "event"
+        (s_ev, y_ev, idx), = lane.events
+        assert idx == 0 and s_ev == pytest.approx(math.pi / 2, abs=5e-10)
+        assert abs(y_ev[0]) <= 1e-13
+        assert lane.ss[-1] == s_ev and np.array_equal(lane.ys[-1], y_ev)
+        assert (lane.nfev, lane.accepted, lane.rejected) == (
+            alone.nfev, alone.accepted, alone.rejected)
+        assert lane.ss.shape == alone.ss.shape
+
+
+def test_lanes_mixed_directions_and_end_times():
+    ends = np.array([3.0, -2.0, 0.5, 0.0])
+    lanes = solve_lanes(lambda s, y: y, 0.0, np.ones((4, 1)), ends)
+    for end, lane in zip(ends, lanes):
+        alone = solve(lambda s, y: y, 0.0, np.array([1.0]), end)
+        assert lane.status == "done" and lane.ss[-1] == pytest.approx(end, abs=1e-12)
+        assert lane.ys[-1][0] == pytest.approx(math.exp(end), rel=1e-9)
+        assert (lane.nfev, lane.accepted, lane.rejected) == (
+            alone.nfev, alone.accepted, alone.rejected)
+        assert lane(0.5 * end)[0] == pytest.approx(alone(0.5 * end)[0], rel=1e-12)
+    assert lanes[3].ss.size == 1 and lanes[3].nfev == 1  # zero span
+    # per-lane start times, and a lane that ends where another starts
+    lanes = solve_lanes(lambda s, y: np.ones_like(y), [0.0, 1.0], np.zeros((2, 1)),
+                        [1.0, 3.0])
+    assert [lane.ys[-1][0] for lane in lanes] == pytest.approx([1.0, 2.0], abs=1e-12)
+
+
+def test_lane_underflow_does_not_stop_the_others():
+    # y' = y^2 from y = 1 blows up at s = 1; from y = 0.1 it stays finite
+    lanes = solve_lanes(lambda s, y: y * y, 0.0, np.array([[1.0], [0.1]]), 5.0)
+    assert lanes[0].status == "underflow"
+    assert lanes[0].ss[-1] == pytest.approx(1.0, abs=1e-9)
+    assert str(StepUnderflow.at(1.0)) == "step size underflow at s=1.0"
+    assert lanes[1].status == "done" and lanes[1].ss[-1] == pytest.approx(5.0)
+    assert lanes[1].ys[-1][0] == pytest.approx(0.1 / (1 - 0.5), rel=1e-9)
+
+
+def test_lane_counters_match_rhs_calls():
+    """Per lane, ``nfev`` is what ``solve`` counts for that problem alone:
+    the identity of ``test_counters_match_rhs_calls``, with the bisection
+    candidates counted by the scalar run's event-function calls."""
+    radii = (1.0, 0.7, 1.9)
+
+    def lane_g(s, y):
+        return y[:, 0]
+
+    lanes = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0] for r in radii]), 10.0,
+                        StepControl(rtol=1e-10, atol=1e-10),
+                        events=[Event(fn=lane_g, terminal_count=2)])
+    for r, lane in zip(radii, lanes):
+        gcalls = 0
+
+        def g(s, y):
+            nonlocal gcalls
+            gcalls += 1
+            return y[0]
+
+        alone = solve(_circle, 0.0, np.array([r, 0.0]), 10.0,
+                      StepControl(rtol=1e-10, atol=1e-10),
+                      events=[Event(fn=g, terminal_count=2)])
+        bisections = gcalls - 1 - alone.accepted
+        assert lane.status == "event" and len(lane.events) == 2
+        assert lane.accepted == lane.ss.size - 1
+        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected) + 6 * bisections + 1
+    # rejected steps are counted per lane
+    lanes = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0], [0.1, 0.0]]), 3.0,
+                        StepControl(rtol=1e-10, atol=1e-10, first_step=1.0))
+    for lane in lanes:
+        assert lane.rejected >= 1
+        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected)
