@@ -16,7 +16,7 @@ import numpy as np
 from . import rk45
 from .catalog import _psi  # squared-height profile of the reference sphere
 from .core import HorizontalVector, Point, _J, frame_lift
-from .rk45 import StepControl
+from .rk45 import StepControl, _row_sum  # per-row sums, independent of the batch
 from .surface import (
     DomainError,
     GeometryError,
@@ -33,6 +33,7 @@ __all__ = [
     "ProjectionFailure",
     "IdentityResiduals",
     "geodesic_flow",
+    "geodesic_flows",
     "profile_ode",
     "identity_check",
     "leaf_constancy",
@@ -60,9 +61,30 @@ class GeodesicTrace:
     ss: np.ndarray
     coords: np.ndarray      # (m, 2n+1)
     velocities: np.ndarray  # (m, 2n)
+    nfev: int = 0      # counters of the rk45 solution
+    accepted: int = 0
+    rejected: int = 0
 
     def state(self, i) -> CurveState:
         return CurveState(Point(self.coords[i]), HorizontalVector(self.velocities[i]))
+
+
+def _geodesic_y0(start: CurveState):
+    v0 = start.v.coeffs
+    if abs(np.linalg.norm(v0) - 1.0) > 1e-10:
+        raise ValueError("initial direction must be a unit horizontal vector")
+    return np.concatenate([start.p.coords, v0])
+
+
+def _geodesic_control():
+    # tight default: norm drift must stay below 1e-9 over long arcs
+    return StepControl(rtol=1e-12, atol=1e-12, max_step=0.05)
+
+
+def _geodesic_trace(lam, sol, n):
+    return GeodesicTrace(lam=lam, ss=sol.ss, coords=sol.ys[:, : 2 * n + 1],
+                         velocities=sol.ys[:, 2 * n + 1 :], nfev=sol.nfev,
+                         accepted=sol.accepted, rejected=sol.rejected)
 
 
 def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
@@ -74,11 +96,7 @@ def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
     and is asserted on, never renormalized.
     """
     n = start.p.n
-    v0 = start.v.coeffs
-    if abs(np.linalg.norm(v0) - 1.0) > 1e-10:
-        raise ValueError("initial direction must be a unit horizontal vector")
-    # tight default: norm drift must stay below 1e-9 over long arcs
-    control = control or StepControl(rtol=1e-12, atol=1e-12, max_step=0.05)
+    y0 = _geodesic_y0(start)
     lam = float(lam)
 
     def f(s, y):
@@ -89,14 +107,47 @@ def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
         dt = float(yy @ v[:n] - x @ v[n:])
         return np.concatenate([v[:n], v[n:], [dt], dv])
 
-    y0 = np.concatenate([start.p.coords, v0])
-    sol = rk45.solve(f, 0.0, y0, float(s_max), control)
-    return GeodesicTrace(
-        lam=lam,
-        ss=sol.ss,
-        coords=sol.ys[:, : 2 * n + 1],
-        velocities=sol.ys[:, 2 * n + 1 :],
-    )
+    sol = rk45.solve(f, 0.0, y0, float(s_max), control or _geodesic_control())
+    return _geodesic_trace(lam, sol, n)
+
+
+def geodesic_flows(starts, lams, s_max, control=None) -> list:
+    """``geodesic_flow`` for a set of starts, as lanes of one
+    ``rk45.solve_lanes`` sweep.
+
+    ``lams`` is one curvature for all starts or one per start; the starts
+    share their dimension n.  Each lane follows ``geodesic_flow``'s
+    controller, so a trace has the steps ``geodesic_flow`` takes for its
+    start alone, up to rounding.  A lane whose step size underflows raises
+    ``StepUnderflow``, the first in input order.
+    """
+    starts = list(starts)
+    if not starts:
+        return []
+    n = starts[0].p.n
+    if any(st.p.n != n for st in starts):
+        raise ValueError("all starts must have the same dimension n")
+    y0 = np.array([_geodesic_y0(st) for st in starts])
+    lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(starts),))
+    omega = (2.0 * lams)[:, None]
+
+    def f(s, y):
+        x = y[:, :n]
+        yy = y[:, n : 2 * n]
+        v = y[:, 2 * n + 1 :]
+        out = np.empty_like(y)
+        out[:, : 2 * n] = v
+        out[:, 2 * n] = _row_sum(yy * v[:, :n]) - _row_sum(x * v[:, n:])
+        # dv = 2 lam J(v), row by row
+        out[:, 2 * n + 1 : 3 * n + 1] = -v[:, n:] * omega
+        out[:, 3 * n + 1 :] = v[:, :n] * omega
+        return out
+
+    sols = rk45.solve_lanes(f, 0.0, y0, float(s_max), control or _geodesic_control())
+    for sol in sols:
+        if sol.status == "underflow":
+            raise rk45.StepUnderflow.at(sol.ss[-1])
+    return [_geodesic_trace(float(lam), sol, n) for lam, sol in zip(lams, sols)]
 
 
 def profile_ode(lam, r_span=None, num=200, eps=1e-6, control=None):

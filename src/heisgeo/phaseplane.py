@@ -124,11 +124,13 @@ def first_integral(pp: PhaseParams, alpha, beta):
     return np.abs(beta) ** (-1.0 / n) * (alpha * alpha + (beta - c) ** 2 / (4.0 * n * n))
 
 
-def _rhs_log(pp, signs):
+def _rhs_log(n, c, signs):
     """Right-hand side in ``(alpha, w = log|beta|)`` for lanes on the
-    half-planes ``signs * beta > 0``.  An overflowing ``exp(w)`` in a trial
+    half-planes ``signs * beta > 0``, with parameters ``n`` and ``c`` given
+    for all lanes or one per lane.  An overflowing ``exp(w)`` in a trial
     stage gives an infinite defect, so that step is rejected."""
-    n, c = pp.n, pp.c
+    n = np.asarray(n)
+    c = np.asarray(c, dtype=float)
     inv4n2 = 1.0 / (4.0 * n * n)
     two_n = 2.0 * n
     m = 2 * n - 1
@@ -226,7 +228,7 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
         raise ValueError("s_max must be positive")
     control = control or _default_control()
     sign, y0 = _to_log(q0)
-    back, fwd = rk45.solve_lanes(_rhs_log(pp, sign), 0.0, np.array([y0, y0]),
+    back, fwd = rk45.solve_lanes(_rhs_log(pp.n, pp.c, sign), 0.0, np.array([y0, y0]),
                                  np.array([-s_max, s_max]), control,
                                  events=[_axis_event(2)])
     for sol in (back, fwd):
@@ -252,9 +254,11 @@ def _check_seed(pp, q0):
     return sign, y0
 
 
-def periodic_orbits(pp: PhaseParams, seeds, control=None, orbit_tol=None,
-                    s_cap=None) -> list:
+def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list:
     """Closed orbits through ``seeds``, each certified by one forward pass.
+
+    ``pp`` is one ``PhaseParams`` for all seeds or a sequence with one per
+    seed; each trace carries its own.
 
     An orbit is symmetric across the axis ``alpha = 0``, so the arc between
     two consecutive axis crossings is half of it: the period is twice the
@@ -266,27 +270,35 @@ def periodic_orbits(pp: PhaseParams, seeds, control=None, orbit_tol=None,
     start itself for a start on the axis).
 
     All seeds run as lanes of two ``rk45.solve_lanes`` sweeps: one for the
-    arcs, one to each lane's period.  A bad seed raises what it raises
-    alone, the first in input order: ``OnSeparatrix`` on the line
-    ``beta = 0``, ``ValueError`` at a stationary point, ``NotPeriodic`` when
-    the closure error exceeds ``orbit_tol`` (default ``1e-8 (1 + |q0|)``),
-    no crossing comes within ``s_cap`` or the step size underflows.
+    arcs, one to each lane's period.  Lanes with different parameters share
+    the sweeps, and a seed's trace is still bitwise the one it gets alone.
+    A bad seed raises what it raises alone, the first in input order:
+    ``OnSeparatrix`` on the line ``beta = 0``, ``ValueError`` at a stationary
+    point, ``NotPeriodic`` when the closure error exceeds ``orbit_tol``
+    (default ``1e-8 (1 + |q0|)``), no crossing comes within ``s_cap``
+    (default ``1000 / c`` per seed) or the step size underflows.
     """
     seeds = list(seeds)
+    params = [pp] * len(seeds) if isinstance(pp, PhaseParams) else list(pp)
+    if len(params) != len(seeds):
+        raise ValueError("give one PhaseParams for all seeds or one per seed")
     starts, pending = [], None
-    for q0 in seeds:
+    for q0, pq in zip(seeds, params):
         try:
-            starts.append(_check_seed(pp, q0))
+            starts.append(_check_seed(pq, q0))
         except (OnSeparatrix, ValueError) as exc:
             pending = exc  # raised unless an earlier seed fails first
             break
     seeds = seeds[:len(starts)]
+    params = params[:len(starts)]
+    ns = np.array([pq.n for pq in params], dtype=np.int64)
+    cs = np.array([pq.c for pq in params], dtype=float)
     control = control or _default_control()
     if s_cap is None:
-        s_cap = 1000.0 / pp.c
+        s_cap = 1000.0 / cs
     signs = [sign for sign, _ in starts]
     turns = np.array([1 if q0.alpha == 0.0 else 2 for q0 in seeds])
-    arcs = rk45.solve_lanes(_rhs_log(pp, np.array(signs)), 0.0,
+    arcs = rk45.solve_lanes(_rhs_log(ns, cs, np.array(signs)), 0.0,
                             np.array([y0 for _, y0 in starts]).reshape(-1, 2), s_cap,
                             control, events=[_axis_event(turns)])
     errors = [None] * len(seeds)
@@ -302,7 +314,7 @@ def periodic_orbits(pp: PhaseParams, seeds, control=None, orbit_tol=None,
                 events[i].insert(0, (0.0, q0.beta))
             periods[i] = 2.0 * (events[i][1][0] - events[i][0][0])
     go = sorted(periods)
-    rests = rk45.solve_lanes(_rhs_log(pp, np.array([signs[i] for i in go])),
+    rests = rk45.solve_lanes(_rhs_log(ns[go], cs[go], np.array(signs)[go]),
                              [arcs[i].ss[-1] for i in go],
                              np.array([arcs[i].ys[-1] for i in go]).reshape(-1, 2),
                              [periods[i] for i in go], control)
@@ -312,7 +324,7 @@ def periodic_orbits(pp: PhaseParams, seeds, control=None, orbit_tol=None,
         if rest.status == "underflow":
             errors[i] = _blow_up(rest)
             continue
-        tr = _trace(pp, np.concatenate((arc.ss, rest.ss[1:])),
+        tr = _trace(params[i], np.concatenate((arc.ss, rest.ss[1:])),
                     np.concatenate((arc.ys, rest.ys[1:])), signs[i], events=events[i],
                     period=float(periods[i]), **_counts(arc, rest))
         tr.closure_error = math.hypot(tr.alpha[-1] - q0.alpha, tr.beta[-1] - q0.beta)

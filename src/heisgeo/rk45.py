@@ -372,9 +372,11 @@ def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
                     g1 = np.asarray(ev.fn(s_try, y_try), dtype=float)
                     seen = ok & ~stop
                     cross = seen & ~((g0 == 0.0) | (g0 * g1 > 0.0))
+                    # row copies: a view would keep this sweep's whole (N, d)
+                    # arrays alive, so bracket memory would grow as N**2
                     for lane in np.flatnonzero(cross):
-                        brackets.append((lane, idx, s[lane], y[lane], fy[lane], h[lane],
-                                         g0[lane]))
+                        brackets.append((lane, idx, s[lane], y[lane].copy(),
+                                         fy[lane].copy(), h[lane], g0[lane]))
                     g_prev[idx] = np.where(seen, g1, g0)
                     counts[idx] += cross
                     stop |= cross & (counts[idx] >= terminal[idx])

@@ -106,31 +106,45 @@ def _rng(base_seed, claim_id):
     return np.random.default_rng(_claim_seed(base_seed, claim_id))
 
 
+_SKIPPED = (surface.PivotDegenerate, flows.ProjectionFailure)
+
+
+def _completed(fn, items):
+    """``fn(*item)`` for every item whose frame or projection does not fail
+    (``PivotDegenerate``, ``ProjectionFailure``); the failed ones are
+    skipped."""
+    out = []
+    for item in items:
+        try:
+            out.append(fn(*item))
+        except _SKIPPED:
+            continue
+    return out
+
+
+def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None):
+    """A result row: the worst of ``residuals`` over its completed points.
+
+    ``samples`` counts the residuals, and a row with none fails.  Rows carry
+    ``row_id`` (default ``cid``) and the seed derived from ``cid``.
+    """
+    worst = 0.0
+    for r in residuals:
+        worst = max(worst, r)
+    return ClaimResult(row_id or cid, name, params,
+                       worst if residuals else math.inf, tolerance, len(residuals),
+                       _claim_seed(seed, cid), extra=extra or {})
+
+
 def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None):
     """One result row per case: the worst residual over its completed points.
 
     ``cases`` yields ``(surface, params, [(entry, point), ...])``;
     ``residual(entry, point)`` evaluates one point.  A point whose frame or
-    projection fails (``PivotDegenerate``, ``ProjectionFailure``) is skipped;
-    ``samples`` counts the completed points, and a case with none fails.
-    Rows carry ``row_id`` (default ``cid``) and the seed derived from ``cid``.
+    projection fails is skipped (``_completed``); see ``_row``.
     """
-    out = []
-    for name, params, points in cases:
-        worst = 0.0
-        done = 0
-        for entry, p in points:
-            try:
-                worst = max(worst, residual(entry, p))
-            except (surface.PivotDegenerate, flows.ProjectionFailure):
-                continue
-            done += 1
-        out.append(
-            ClaimResult(row_id or cid, name, params,
-                        worst if done else math.inf, tolerance, done,
-                        _claim_seed(seed, cid))
-        )
-    return out
+    return [_row(cid, seed, name, params, _completed(residual, points), tolerance, row_id)
+            for name, params, points in cases]
 
 
 def _case(name, params, entry, rng, count):
@@ -423,22 +437,34 @@ def confinement_starts(lam, n, rng, count, s_needed=3.05):
     return starts
 
 
+def _characteristic_start(entry, p):
+    return flows.CurveState(p, build_frame(entry.surface, p).en)
+
+
 def claim_geodesic_confinement(seed, count=20, s_max=3.0):
+    """Characteristic flows of matching curvature stay on the Pansu sphere.
+
+    The flows of both curvatures run as lanes of one ``geodesic_flows``
+    sweep; a start whose frame fails is skipped.
+    """
     cid = "prop4.5-geodesic-confinement"
     rng = _rng(seed, cid)
-
-    def residual(entry, p):
-        start = flows.CurveState(p, build_frame(entry.surface, p).en)
-        tr = flows.geodesic_flow(start, entry.params["lam"], s_max)
-        return max(abs(entry.surface.value(c)) for c in tr.coords)
-
-    def cases():
-        for lam in (0.5, 1.0):
-            entry = catalog.pansu(lam, 2)
-            starts = confinement_starts(lam, 2, rng, count)
-            yield "pansu", {"lam": lam}, [(entry, p) for p in starts]
-
-    return _sampled_claim(cid, seed, cases(), residual, 1e-7)
+    cases = []
+    for lam in (0.5, 1.0):
+        entry = catalog.pansu(lam, 2)
+        starts = _completed(_characteristic_start,
+                            [(entry, p) for p in confinement_starts(lam, 2, rng, count)])
+        cases.append((lam, entry, starts))
+    traces = iter(flows.geodesic_flows([st for _, _, starts in cases for st in starts],
+                                       [lam for lam, _, starts in cases for _ in starts],
+                                       s_max))
+    out = []
+    for lam, entry, starts in cases:
+        mine = [next(traces) for _ in starts]
+        residuals = [max(abs(entry.surface.value(c)) for c in tr.coords) for tr in mine]
+        out.append(_row(cid, seed, "pansu", {"lam": lam}, residuals, 1e-7,
+                        extra={"accepted_steps": sum(tr.accepted for tr in mine)}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -580,66 +606,93 @@ def _seed_grid(pp):
     return upper, lower
 
 
+def _closure_row(cid, seed, pp, orbits):
+    """The ``lemma6.1-closure`` row of one ``(n, c)`` grid, from its traces
+    in ``orbits`` (keyed by ``(params, seed)``)."""
+    worst = 0.0
+    steps = 0
+    drift = 0.0
+    crossings_ok = True
+    seeds = sum(_seed_grid(pp), [])
+    for q0 in seeds:
+        tr = orbits[pp, q0]
+        worst = max(worst, tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
+        steps += tr.accepted
+        drift = max(drift, tr.first_integral_drift())
+        if q0.beta > 0 and not np.all(tr.beta > 0):
+            crossings_ok = False
+        if q0.beta < 0 and not np.all(tr.beta < 0):
+            crossings_ok = False
+        if q0.beta > 0:
+            lo = min(b for _, b in tr.events)
+            hi = max(b for _, b in tr.events)
+            if not (0.0 < lo < pp.c < hi):
+                crossings_ok = False
+    if not crossings_ok:
+        worst = math.inf
+    return ClaimResult(cid, "phase", {"n": pp.n, "c": pp.c}, worst, 1e-8,
+                       len(seeds), _claim_seed(seed, cid),
+                       extra={"accepted_steps": steps, "first_integral_drift": drift})
+
+
 def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
+    """Every grid seed closes, stays in its half-plane and turns on both
+    sides of the stationary defect; the reference period matches its golden
+    value.
+
+    The grid runs as one ``periodic_orbits`` batch per ``c`` holding every
+    ``n``, with the golden orbit in the first batch; each batch's traces are
+    reduced to their rows before the next batch runs.  A batch holds all
+    its lanes' nodes at once: one batch of the whole grid is faster but
+    holds three times as many.
+    """
     cid = "lemma6.1-closure"
-    out = []
-    for n in ns:
-        for c in cs:
-            pp = PhaseParams(n, c)
-            upper, lower = _seed_grid(pp)
-            worst = 0.0
-            steps = 0
-            drift = 0.0
-            crossings_ok = True
-            seeds = upper + lower
-            for q0, tr in zip(seeds, phaseplane.periodic_orbits(pp, seeds)):
-                worst = max(worst, tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
-                steps += tr.accepted
-                drift = max(drift, tr.first_integral_drift())
-                if q0.beta > 0 and not np.all(tr.beta > 0):
-                    crossings_ok = False
-                if q0.beta < 0 and not np.all(tr.beta < 0):
-                    crossings_ok = False
-                if q0.beta > 0:
-                    lo = min(b for _, b in tr.events)
-                    hi = max(b for _, b in tr.events)
-                    if not (0.0 < lo < c < hi):
-                        crossings_ok = False
-            if not crossings_ok:
-                worst = math.inf
-            out.append(
-                ClaimResult(cid, "phase", {"n": n, "c": c}, worst, 1e-8,
-                            50, _claim_seed(seed, cid),
-                            extra={"accepted_steps": steps,
-                                   "first_integral_drift": drift})
-            )
+    gold = (PhaseParams(2, 1.0), PhasePoint(0.0, 2.0))
+    rows, period = {}, None
+    for c in cs:
+        lanes = [(PhaseParams(n, c), q0) for n in ns
+                 for q0 in sum(_seed_grid(PhaseParams(n, c)), [])]
+        if period is None:
+            lanes.append(gold)
+        # lanes are independent, so a trace depends only on its (params, seed)
+        orbits = dict(zip(lanes, phaseplane.periodic_orbits(*zip(*lanes))))
+        if period is None:
+            period = orbits[gold].period
+        for n in ns:
+            rows[n, c] = _closure_row(cid, seed, PhaseParams(n, c), orbits)
+        del orbits  # free this batch's traces before the next one runs
+    out = [rows[n, c] for n in ns for c in cs]
     # golden period: frozen after halved-step certification
-    gold = golden()["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]
-    tr = phaseplane.periodic_orbit(PhaseParams(2, 1.0), PhasePoint(0.0, 2.0))
-    drift = abs(tr.period - gold) / gold
+    frozen = golden()["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]
     out.append(
-        ClaimResult(cid + "-golden", "phase", {"n": 2, "c": 1.0}, drift,
-                    1e-6, 1, _claim_seed(seed, cid),
-                    extra={"period": tr.period, "golden": gold})
+        ClaimResult(cid + "-golden", "phase", {"n": 2, "c": 1.0},
+                    abs(period - frozen) / frozen, 1e-6, 1, _claim_seed(seed, cid),
+                    extra={"period": period, "golden": frozen})
     )
     return out
 
 
 def claim_orbit_symmetry(seed, count=6):
+    """Mirrored seeds ``(a, b)`` and ``(-a, b)`` have equal periods; both
+    ``(n, c)`` cases run as one ``periodic_orbits`` batch."""
     cid = "lemma6.1-symmetry"
     rng = _rng(seed, cid)
-    out = []
+    cases = []
     for n, c in ((2, 1.0), (3, 0.5)):
-        pp = PhaseParams(n, c)
         # (alpha, beta) drawn in that order
         pairs = [(rng.uniform(0.2, 1.2) * c, rng.uniform(1.2, 2.5) * c) for _ in range(count)]
-        traces = phaseplane.periodic_orbits(
-            pp, [PhasePoint(a, b) for a, b in pairs] + [PhasePoint(-a, b) for a, b in pairs])
+        seeds = [PhasePoint(a, b) for a, b in pairs] + [PhasePoint(-a, b) for a, b in pairs]
+        cases.append((PhaseParams(n, c), seeds))
+    traces = phaseplane.periodic_orbits([pp for pp, seeds in cases for _ in seeds],
+                                        [q0 for _, seeds in cases for q0 in seeds])
+    out = []
+    for k, (pp, _) in enumerate(cases):
+        mine = traces[2 * count * k:2 * count * (k + 1)]
         worst = 0.0
-        for t1, t2 in zip(traces[:count], traces[count:]):
+        for t1, t2 in zip(mine[:count], mine[count:]):
             worst = max(worst, abs(t1.period - t2.period) / t1.period)
         out.append(
-            ClaimResult(cid, "phase", {"n": n, "c": c}, worst, 1e-9, count,
+            ClaimResult(cid, "phase", {"n": pp.n, "c": pp.c}, worst, 1e-9, count,
                         _claim_seed(seed, cid))
         )
     return out

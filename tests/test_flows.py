@@ -7,7 +7,13 @@ import pytest
 
 from heisgeo import catalog, flows, verify
 from heisgeo.core import HorizontalVector, Point, theta
-from heisgeo.flows import CurveState, geodesic_flow, identity_check, profile_ode
+from heisgeo.flows import (
+    CurveState,
+    geodesic_flow,
+    geodesic_flows,
+    identity_check,
+    profile_ode,
+)
 from heisgeo.surface import DomainError, build_frame, report
 
 RNG = np.random.default_rng(90210)
@@ -89,6 +95,77 @@ def test_confinement_with_clearance_starts():
             fr = build_frame(e.surface, p)
             tr = geodesic_flow(CurveState(p, fr.en), lam, 3.0)
             assert max(abs(e.surface.value(c)) for c in tr.coords) <= 1e-7
+
+
+def closed_form_geodesic(start, lam, s):
+    """The constant-curvature curve in closed form, with omega = 2 lam:
+    v(s) = cos(omega s) v0 + sin(omega s) J v0, z the integral of v, and t
+    the integral of the contact lift <z, J v>."""
+    n = start.p.n
+    z0, t0 = start.p.coords[: 2 * n], start.p.coords[2 * n]
+    v0 = start.v.coeffs
+    jv0 = np.concatenate([-v0[n:], v0[:n]])
+    s = np.asarray(s, dtype=float)[:, None]
+    if lam == 0.0:
+        z = z0 + s * v0
+        t = t0 + s[:, 0] * float(z0 @ jv0)
+        v = np.broadcast_to(v0, z.shape)
+    else:
+        om = 2.0 * lam
+        sn, cs = np.sin(om * s), np.cos(om * s)
+        v = cs * v0 + sn * jv0
+        z = z0 + (sn * v0 + (1.0 - cs) * jv0) / om
+        t = (t0 + (sn * jv0 - (1.0 - cs) * v0) @ z0 / om
+             + (sn[:, 0] / om - s[:, 0]) / om)
+    return np.column_stack((z, t)), v
+
+
+def random_starts(n, count):
+    # a local stream, so the shared RNG's draws in later tests do not move
+    rng = np.random.default_rng(7)
+    return [CurveState(Point(rng.normal(size=2 * n + 1)), unit(rng.normal(size=2 * n)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geodesics_match_closed_form(n):
+    """Both the scalar flow and the lanes follow the explicit curve; the
+    oracle does not use RK45 at all."""
+    lams = [0.0, 0.5, 1.0, 1.7]
+    starts = random_starts(n, len(lams))
+    lanes = geodesic_flows(starts, lams, 3.0)
+    for start, lam, tr_lane in zip(starts, lams, lanes):
+        for tr in (geodesic_flow(start, lam, 3.0), tr_lane):
+            assert tr.ss[-1] == pytest.approx(3.0, abs=1e-14)
+            coords, v = closed_form_geodesic(start, lam, tr.ss)
+            assert np.max(np.abs(tr.coords - coords)) <= 1e-10
+            assert np.max(np.abs(tr.velocities - v)) <= 1e-10
+
+
+def test_geodesic_lanes_match_scalar_flows():
+    """Lanes take the scalar flow's steps: the same step counts, end states
+    within 1e-12; one curvature may serve all starts."""
+    starts = random_starts(2, 5)
+    lams = [0.25, 1.0, 4.0, 1.0, 0.5]
+    for lam_arg in (lams, 1.0):
+        lanes = geodesic_flows(starts, lam_arg, 4.0)
+        assert len(lanes) == len(starts)
+        for start, lam, tr in zip(starts, np.broadcast_to(lam_arg, 5), lanes):
+            ref = geodesic_flow(start, lam, 4.0)
+            assert tr.lam == ref.lam == lam
+            assert (tr.accepted, tr.rejected, tr.nfev) == (ref.accepted, ref.rejected, ref.nfev)
+            assert tr.accepted == tr.ss.size - 1 and tr.nfev >= 6 * tr.accepted
+            assert np.max(np.abs(tr.coords[-1] - ref.coords[-1])) <= 1e-12
+            assert np.max(np.abs(tr.velocities[-1] - ref.velocities[-1])) <= 1e-12
+
+
+def test_geodesic_lanes_validate_starts():
+    assert geodesic_flows([], 1.0, 1.0) == []
+    with pytest.raises(ValueError, match="same dimension"):
+        geodesic_flows(random_starts(2, 1) + random_starts(3, 1), 1.0, 1.0)
+    bad = CurveState(Point(np.zeros(5)), HorizontalVector(np.array([1.0, 1.0, 0, 0])))
+    with pytest.raises(ValueError, match="unit"):
+        geodesic_flows(random_starts(2, 1) + [bad], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

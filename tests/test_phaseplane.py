@@ -151,14 +151,13 @@ def test_periodic_orbit_negative_defect():
 
 
 def test_mirrored_seeds_equal_periods():
-    t1 = periodic_orbit(PP, PhasePoint(0.8, 1.7))
-    t2 = periodic_orbit(PP, PhasePoint(-0.8, 1.7))
+    t1, t2 = periodic_orbits(PP, [PhasePoint(0.8, 1.7), PhasePoint(-0.8, 1.7)])
     assert abs(t1.period - t2.period) / t1.period <= 1e-9
 
 
 def test_orbit_never_crosses_axis():
-    for seed in (PhasePoint(0.3, 0.4), PhasePoint(-1.0, 2.5), PhasePoint(0.0, -0.5)):
-        tr = periodic_orbit(PP, seed)
+    seeds = [PhasePoint(0.3, 0.4), PhasePoint(-1.0, 2.5), PhasePoint(0.0, -0.5)]
+    for seed, tr in zip(seeds, periodic_orbits(PP, seeds)):
         arr = tr.sample_array()
         assert np.all(np.sign(arr[:, 2]) == np.sign(seed.beta))
 
@@ -183,8 +182,8 @@ def test_closure_convergence_order():
 
 def test_grid_closure_small_sample():
     pp = PhaseParams(3, 0.5)
-    for q0 in (PhasePoint(0.3, 0.8), PhasePoint(-0.4, -0.2), PhasePoint(0.1, 1.9)):
-        tr = periodic_orbit(pp, q0)
+    seeds = [PhasePoint(0.3, 0.8), PhasePoint(-0.4, -0.2), PhasePoint(0.1, 1.9)]
+    for q0, tr in zip(seeds, periodic_orbits(pp, seeds)):
         assert tr.closure_error <= 1e-8 * (1 + math.hypot(q0.alpha, q0.beta))
 
 
@@ -218,18 +217,24 @@ def test_orbit_is_one_forward_pass():
 
 def test_batch_equals_each_seed_alone():
     """Lanes are independent: a batch gives bitwise the traces of its seeds
-    integrated one at a time, on-axis (one turn) and off-axis starts mixed."""
+    integrated one at a time, on-axis (one turn) and off-axis starts mixed,
+    under one set of parameters or one per seed."""
     pp = PhaseParams(3, 0.5)
     seeds = [PhasePoint(0.3, 0.8), PhasePoint(-0.4, -0.2), PhasePoint(0.0, 1.9),
              PhasePoint(1.3, 0.06), PhasePoint(0.0, -0.5)]
-    batch = periodic_orbits(pp, seeds)
-    assert len(batch) == len(seeds)
-    for q0, tb in zip(seeds, batch):
-        ta = periodic_orbit(pp, q0)
-        assert (tb.period, tb.closure_error) == (ta.period, ta.closure_error)
-        assert (tb.nfev, tb.accepted, tb.rejected) == (ta.nfev, ta.accepted, ta.rejected)
-        assert np.array_equal(tb.sample_array(), ta.sample_array())
-        assert tb.events == ta.events
+    mixed = [PhaseParams(2, 1.0), PhaseParams(4, 2.0), PhaseParams(8, 1.0), pp,
+             PhaseParams(5, 0.5)]
+    for params in (pp, mixed):
+        batch = periodic_orbits(params, seeds)
+        assert len(batch) == len(seeds)
+        per_seed = params if isinstance(params, list) else [params] * len(seeds)
+        for q0, pq, tb in zip(seeds, per_seed, batch):
+            ta = periodic_orbit(pq, q0)
+            assert tb.params == ta.params == pq
+            assert (tb.period, tb.closure_error) == (ta.period, ta.closure_error)
+            assert (tb.nfev, tb.accepted, tb.rejected) == (ta.nfev, ta.accepted, ta.rejected)
+            assert np.array_equal(tb.sample_array(), ta.sample_array())
+            assert tb.events == ta.events
     s, q = batch[0].samples[-1]
     assert (s, q) == (batch[0].s[-1], PhasePoint(batch[0].alpha[-1], batch[0].beta[-1]))
 
@@ -251,6 +256,13 @@ def test_batch_raises_for_the_first_bad_seed():
     with pytest.raises(NotPeriodic, match="time cap"):
         periodic_orbits(PP, [good, PhasePoint(0.0, 2.0)], s_cap=0.1)
     assert periodic_orbits(PP, []) == []
+    assert periodic_orbits([], []) == []
+    with pytest.raises(ValueError, match="one per seed"):
+        periodic_orbits([PP], [good, good])
+    # a stationary point of its own lane's parameters only
+    periodic_orbits([PhaseParams(2, 2.0)], [stationary])
+    with pytest.raises(ValueError, match="stationary"):
+        periodic_orbits([PhaseParams(2, 2.0), PP], [stationary, stationary])
 
 
 def test_first_integral_is_conserved():

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from heisgeo import flows, verify
-from heisgeo.surface import PivotDegenerate, report
+from heisgeo import catalog, flows, verify
+from heisgeo.surface import PivotDegenerate, build_frame, report
 from heisgeo.verify import ClaimResult, VerifyConfig, run_all
 
 
@@ -112,6 +112,43 @@ def test_claims_without_completed_samples_fail(monkeypatch):
     assert {r.claim_id for r in results} == {
         "prop4.2-identities", "prop4.3-foliation-rank", "prop4.4-leaf-constancy"}
     assert all(r.samples == 0 and not r.passed for r in results)
+
+
+def test_geodesic_confinement_lanes_report_scalar_steps():
+    """The batched claim reports, per curvature, the accepted steps that
+    scalar flows from the same starts take."""
+    rows = verify.claim_geodesic_confinement(5, count=3)
+    rng = verify._rng(5, "prop4.5-geodesic-confinement")
+    for row, lam in zip(rows, (0.5, 1.0)):
+        entry = catalog.pansu(lam, 2)
+        steps = sum(flows.geodesic_flow(flows.CurveState(p, build_frame(entry.surface, p).en),
+                                        lam, 3.0).accepted
+                    for p in verify.confinement_starts(lam, 2, rng, 3))
+        assert row.passed and row.samples == 3 and row.params == {"lam": lam}
+        assert row.extra == {"accepted_steps": steps}
+
+
+def test_geodesic_confinement_skips_failed_frames(monkeypatch):
+    """A start whose frame degenerates is skipped, not flowed; a row left
+    with no start fails."""
+    calls = []
+
+    def every_other(surface_def, p):
+        calls.append(p)
+        if len(calls) % 2:
+            raise PivotDegenerate("forced")
+        return build_frame(surface_def, p)
+
+    def degenerate(surface_def, p):
+        raise PivotDegenerate("forced")
+
+    monkeypatch.setattr(verify, "build_frame", every_other)
+    rows = verify.claim_geodesic_confinement(0, count=4)
+    assert [r.samples for r in rows] == [2, 2] and all(r.passed for r in rows)
+    monkeypatch.setattr(verify, "build_frame", degenerate)
+    rows = verify.claim_geodesic_confinement(0, count=4)
+    assert all(r.samples == 0 and not r.passed for r in rows)
+    assert all(r.extra == {"accepted_steps": 0} for r in rows)
 
 
 def test_samples_count_completed_points():
