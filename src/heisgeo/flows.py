@@ -111,12 +111,12 @@ def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
     return _geodesic_trace(lam, sol, n)
 
 
-def geodesic_flows(starts, lams, s_max, control=None) -> list:
+def geodesic_flows(starts, lams, s_max) -> list:
     """``geodesic_flow`` for a set of starts, as lanes of one
     ``rk45.solve_lanes`` sweep.
 
-    ``lams`` is one curvature for all starts or one per start; the starts
-    share their dimension n.  Each lane follows ``geodesic_flow``'s
+    ``lams`` holds one curvature per start; the starts share their
+    dimension n.  Each lane follows ``geodesic_flow``'s
     controller, so a trace has the steps ``geodesic_flow`` takes for its
     start alone, up to rounding.  A lane whose step size underflows raises
     ``StepUnderflow``, the first in input order.
@@ -127,8 +127,10 @@ def geodesic_flows(starts, lams, s_max, control=None) -> list:
     n = starts[0].p.n
     if any(st.p.n != n for st in starts):
         raise ValueError("all starts must have the same dimension n")
+    lams = np.asarray(lams, dtype=float)
+    if lams.shape != (len(starts),):
+        raise ValueError("lams must hold one curvature per start")
     y0 = np.array([_geodesic_y0(st) for st in starts])
-    lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(starts),))
     omega = (2.0 * lams)[:, None]
 
     def f(s, y):
@@ -143,7 +145,7 @@ def geodesic_flows(starts, lams, s_max, control=None) -> list:
         out[:, 3 * n + 1 :] = v[:, :n] * omega
         return out
 
-    sols = rk45.solve_lanes(f, 0.0, y0, float(s_max), control or _geodesic_control())
+    sols = rk45.solve_lanes(f, 0.0, y0, float(s_max), _geodesic_control())
     for sol in sols:
         if sol.status == "underflow":
             raise rk45.StepUnderflow.at(sol.ss[-1])

@@ -606,16 +606,14 @@ def _seed_grid(pp):
     return upper, lower
 
 
-def _closure_row(cid, seed, pp, orbits):
-    """The ``lemma6.1-closure`` row of one ``(n, c)`` grid, from its traces
-    in ``orbits`` (keyed by ``(params, seed)``)."""
+def _closure_row(cid, seed, pp, seeds, traces):
+    """The ``lemma6.1-closure`` row of one ``(n, c)`` grid, from the traces
+    of its seeds."""
     worst = 0.0
     steps = 0
     drift = 0.0
     crossings_ok = True
-    seeds = sum(_seed_grid(pp), [])
-    for q0 in seeds:
-        tr = orbits[pp, q0]
+    for q0, tr in zip(seeds, traces, strict=True):
         worst = max(worst, tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
         steps += tr.accepted
         drift = max(drift, tr.first_integral_drift())
@@ -641,26 +639,28 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
     value.
 
     The grid runs as one ``periodic_orbits`` batch per ``c`` holding every
-    ``n``, with the golden orbit in the first batch; each batch's traces are
-    reduced to their rows before the next batch runs.  A batch holds all
-    its lanes' nodes at once: one batch of the whole grid is faster but
-    holds three times as many.
+    ``n``, with the golden orbit last in the first batch; each batch's
+    traces are reduced to their rows before the next batch runs.  A batch
+    holds all its lanes' nodes at once: one batch of the whole grid is
+    faster but holds three times as many.
     """
     cid = "lemma6.1-closure"
-    gold = (PhaseParams(2, 1.0), PhasePoint(0.0, 2.0))
     rows, period = {}, None
     for c in cs:
-        lanes = [(PhaseParams(n, c), q0) for n in ns
-                 for q0 in sum(_seed_grid(PhaseParams(n, c)), [])]
+        grids = [(PhaseParams(n, c), sum(_seed_grid(PhaseParams(n, c)), [])) for n in ns]
+        params = [pp for pp, grid in grids for _ in grid]
+        seeds = [q0 for _, grid in grids for q0 in grid]
         if period is None:
-            lanes.append(gold)
-        # lanes are independent, so a trace depends only on its (params, seed)
-        orbits = dict(zip(lanes, phaseplane.periodic_orbits(*zip(*lanes))))
+            params.append(PhaseParams(2, 1.0))
+            seeds.append(PhasePoint(0.0, 2.0))
+        traces = phaseplane.periodic_orbits(params, seeds)
         if period is None:
-            period = orbits[gold].period
-        for n in ns:
-            rows[n, c] = _closure_row(cid, seed, PhaseParams(n, c), orbits)
-        del orbits  # free this batch's traces before the next one runs
+            period = traces[-1].period
+        k = 0
+        for pp, grid in grids:
+            rows[pp.n, c] = _closure_row(cid, seed, pp, grid, traces[k:k + len(grid)])
+            k += len(grid)
+        del traces  # free this batch's traces before the next one runs
     out = [rows[n, c] for n in ns for c in cs]
     # golden period: frozen after halved-step certification
     frozen = golden()["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]

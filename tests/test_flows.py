@@ -144,13 +144,12 @@ def test_geodesics_match_closed_form(n):
 
 def test_geodesic_lanes_match_scalar_flows():
     """Lanes take the scalar flow's steps: the same step counts, end states
-    within 1e-12; one curvature may serve all starts."""
+    within 1e-12, with mixed curvatures or one curvature for all."""
     starts = random_starts(2, 5)
-    lams = [0.25, 1.0, 4.0, 1.0, 0.5]
-    for lam_arg in (lams, 1.0):
-        lanes = geodesic_flows(starts, lam_arg, 4.0)
+    for lams in ([0.25, 1.0, 4.0, 1.0, 0.5], [1.0] * 5):
+        lanes = geodesic_flows(starts, lams, 4.0)
         assert len(lanes) == len(starts)
-        for start, lam, tr in zip(starts, np.broadcast_to(lam_arg, 5), lanes):
+        for start, lam, tr in zip(starts, lams, lanes):
             ref = geodesic_flow(start, lam, 4.0)
             assert tr.lam == ref.lam == lam
             assert (tr.accepted, tr.rejected, tr.nfev) == (ref.accepted, ref.rejected, ref.nfev)
@@ -160,12 +159,16 @@ def test_geodesic_lanes_match_scalar_flows():
 
 
 def test_geodesic_lanes_validate_starts():
-    assert geodesic_flows([], 1.0, 1.0) == []
+    assert geodesic_flows([], [], 1.0) == []
     with pytest.raises(ValueError, match="same dimension"):
-        geodesic_flows(random_starts(2, 1) + random_starts(3, 1), 1.0, 1.0)
+        geodesic_flows(random_starts(2, 1) + random_starts(3, 1), [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="one curvature per start"):
+        geodesic_flows(random_starts(2, 2), 1.0, 1.0)
+    with pytest.raises(ValueError, match="one curvature per start"):
+        geodesic_flows(random_starts(2, 2), [1.0] * 3, 1.0)
     bad = CurveState(Point(np.zeros(5)), HorizontalVector(np.array([1.0, 1.0, 0, 0])))
     with pytest.raises(ValueError, match="unit"):
-        geodesic_flows(random_starts(2, 1) + [bad], 1.0, 1.0)
+        geodesic_flows(random_starts(2, 1) + [bad], [1.0, 1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
