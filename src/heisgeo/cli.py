@@ -4,7 +4,8 @@ Subcommands: ``report`` (pointwise surface geometry as JSON), ``catalog``
 (list/show the example surfaces), ``phase`` (portrait CSV), ``geodesic``
 (curve CSV), ``identities`` (interior-identity residuals as JSON) and
 ``verify run`` (the claim suite).  Exit status: 0 success, 1 claim failure,
-2 usage error.  Output floats carry 17 significant digits and runs are
+2 usage error (bad arguments or parameter values, reported as one ``error:``
+line).  Output floats carry 17 significant digits and runs are
 byte-reproducible for fixed arguments and seed.
 """
 
@@ -107,10 +108,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_phase(args):
-    try:
-        pp = PhaseParams(args.n, args.c)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    pp = PhaseParams(args.n, args.c)
     seeds = None
     if args.seeds:
         rows = []
@@ -287,7 +285,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except GeometryError as exc:

@@ -76,6 +76,11 @@ def _geodesic_y0(start: CurveState):
     return np.concatenate([start.p.coords, v0])
 
 
+def _check_curvatures(lams):
+    if not np.isfinite(lams).all():
+        raise ValueError("curvature must be finite")
+
+
 def _geodesic_control():
     # tight default: norm drift must stay below 1e-9 over long arcs
     return StepControl(rtol=1e-12, atol=1e-12, max_step=0.05)
@@ -87,7 +92,7 @@ def _geodesic_trace(lam, sol, n):
                          accepted=sol.accepted, rejected=sol.rejected)
 
 
-def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
+def geodesic_flow(start: CurveState, lam, s_max) -> GeodesicTrace:
     """Integrate a constant-curvature horizontal curve.
 
     The frame coefficients of the velocity rotate at twice the curvature,
@@ -98,6 +103,7 @@ def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
     n = start.p.n
     y0 = _geodesic_y0(start)
     lam = float(lam)
+    _check_curvatures(lam)
 
     def f(s, y):
         x = y[:n]
@@ -107,7 +113,7 @@ def geodesic_flow(start: CurveState, lam, s_max, control=None) -> GeodesicTrace:
         dt = float(yy @ v[:n] - x @ v[n:])
         return np.concatenate([v[:n], v[n:], [dt], dv])
 
-    sol = rk45.solve(f, 0.0, y0, float(s_max), control or _geodesic_control())
+    sol = rk45.solve(f, 0.0, y0, float(s_max), _geodesic_control())
     return _geodesic_trace(lam, sol, n)
 
 
@@ -119,7 +125,8 @@ def geodesic_flows(starts, lams, s_max) -> list:
     dimension n.  Each lane follows ``geodesic_flow``'s
     controller, so a trace has the steps ``geodesic_flow`` takes for its
     start alone, up to rounding.  A lane whose step size underflows raises
-    ``StepUnderflow``, the first in input order.
+    ``StepUnderflow``, the first in input order; a non-finite curvature
+    raises ``ValueError``.
     """
     starts = list(starts)
     if not starts:
@@ -130,6 +137,7 @@ def geodesic_flows(starts, lams, s_max) -> list:
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (len(starts),):
         raise ValueError("lams must hold one curvature per start")
+    _check_curvatures(lams)
     y0 = np.array([_geodesic_y0(st) for st in starts])
     omega = (2.0 * lams)[:, None]
 
@@ -152,26 +160,25 @@ def geodesic_flows(starts, lams, s_max) -> list:
     return [_geodesic_trace(float(lam), sol, n) for lam, sol in zip(lams, sols)]
 
 
-def profile_ode(lam, r_span=None, num=200, eps=1e-6, control=None):
+def profile_ode(lam, r_span=None):
     """Integrate the squared-height radial equation of the umbilic sphere.
 
     Starts just inside the outer radius with the analytic local expansion of
     the profile as the initial value and integrates inward; returns the
-    profile on a grid as ``(r, f)`` arrays.
+    profile on a 200-point grid as ``(r, f)`` arrays.
     """
     lam = float(lam)
     if lam <= 0:
         raise ValueError("curvature parameter must be positive")
     r_out = 1.0 / (lam * lam)
     if r_span is None:
-        r_span = (0.01 * r_out, (1.0 - eps) * r_out)
+        r_span = (0.01 * r_out, (1.0 - 1e-6) * r_out)
     r_lo, r_hi = r_span
     if not 0.0 < r_lo < r_hi < r_out:
         raise DomainError("profile grid must sit inside (0, 1/lam^2)")
     # keep steps below the grid scale: values come off the interpolant
-    control = control or StepControl(
-        rtol=1e-10, atol=1e-12, max_step=(r_hi - r_lo) / (4.0 * num)
-    )
+    num = 200
+    control = StepControl(rtol=1e-10, atol=1e-12, max_step=(r_hi - r_lo) / (4.0 * num))
     lam2 = lam * lam
 
     def f(r, y):

@@ -159,7 +159,7 @@ def _trace(pp, ss, ys, sign, **info):
 
 
 def _crossings(sol, sign):
-    return [(float(s), sign * math.exp(y[1])) for s, y, _ in sol.events]
+    return [(float(s), sign * math.exp(y[1])) for s, y in sol.events]
 
 
 def _counts(*sols):
@@ -229,8 +229,7 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
     control = control or _default_control()
     sign, y0 = _to_log(q0)
     back, fwd = rk45.solve_lanes(_rhs_log(pp.n, pp.c, sign), 0.0, np.array([y0, y0]),
-                                 np.array([-s_max, s_max]), control,
-                                 events=[_axis_event(2)])
+                                 np.array([-s_max, s_max]), control, _axis_event(2))
     for sol in (back, fwd):
         if sol.status == "underflow":
             raise StepUnderflow.at(sol.ss[-1])
@@ -300,7 +299,7 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
     turns = np.array([1 if q0.alpha == 0.0 else 2 for q0 in seeds])
     arcs = rk45.solve_lanes(_rhs_log(ns, cs, np.array(signs)), 0.0,
                             np.array([y0 for _, y0 in starts]).reshape(-1, 2), s_cap,
-                            control, events=[_axis_event(turns)])
+                            control, _axis_event(turns))
     errors = [None] * len(seeds)
     events, periods = {}, {}
     for i, (q0, arc) in enumerate(zip(seeds, arcs)):
@@ -363,20 +362,18 @@ class Portrait:
             fh.write(f"{kind},{fmt(s)},{fmt(a)},{fmt(b)}\n")
 
 
-def portrait(pp: PhaseParams, alpha_range=None, beta_range=None, grid=21,
-             seeds=None, control=None) -> Portrait:
+def portrait(pp: PhaseParams, grid=21, seeds=None) -> Portrait:
     """Data set sufficient to re-plot the phase picture.
 
-    Emits the vector field on a rectangular grid (two rows per grid point:
-    base at s=0, tip at s=1; the tip equals the base where the field
-    vanishes), the zero-tilt-rate polyline, a family of periodic orbits and
-    the stationary points.
+    Emits the vector field on a rectangular grid over ``|alpha| <= 2c``,
+    ``-2c <= beta <= 4c`` (two rows per grid point: base at s=0, tip at
+    s=1; the tip equals the base where the field vanishes), the
+    zero-tilt-rate polyline, a family of periodic orbits and the stationary
+    points.
     """
     c = pp.c
-    if alpha_range is None:
-        alpha_range = (-2.0 * c, 2.0 * c)
-    if beta_range is None:
-        beta_range = (-2.0 * c, 4.0 * c)
+    alpha_range = (-2.0 * c, 2.0 * c)
+    beta_range = (-2.0 * c, 4.0 * c)
     rows = []
     cell = max(
         (alpha_range[1] - alpha_range[0]) / (grid - 1),
@@ -392,7 +389,7 @@ def portrait(pp: PhaseParams, alpha_range=None, beta_range=None, grid=21,
     poly = upsilon_polyline(pp, beta_range[0], beta_range[1])
     for i, (a, b) in enumerate(poly):
         rows.append(("upsilon", float(i), a, b))
-    orbits = periodic_orbits(pp, seeds or default_seeds(pp), control=control)
+    orbits = periodic_orbits(pp, seeds or default_seeds(pp))
     for i, tr in enumerate(orbits):
         kind = f"orbit:{i}"
         rows.extend((kind, s, a, b) for s, a, b in

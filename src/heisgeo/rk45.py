@@ -6,16 +6,17 @@ control over the error controller, and event times are polished by taking a
 single fresh Runge-Kutta step onto each bisection candidate, which keeps the
 located crossing as accurate as the trajectory itself.
 
-``solve`` integrates one trajectory.  ``solve_lanes`` integrates a set of
-independent trajectories as lanes of one vectorised sweep under the same
-controller, which is much cheaper per trajectory than looping ``solve``.
+``solve`` integrates one trajectory and locates no events.  ``solve_lanes``
+integrates a set of independent trajectories as lanes of one vectorised
+sweep under the same controller, which is much cheaper per trajectory than
+looping ``solve``, and locates the sign changes of at most one ``Event``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,16 +62,18 @@ class StepControl:
 
 @dataclass
 class Event:
-    """Scalar event function; crossings are located where it changes sign.
+    """Event function of ``solve_lanes``; a lane's crossings are located
+    where its value changes sign.
 
-    ``value_tol`` bounds |fn| at the reported crossing and ``time_tol`` the
-    remaining bisection bracket (both must be met: a small value alone is
-    not enough at slow, near-tangent crossings).  ``terminal_count`` stops
-    the integration after that many crossings (``solve_lanes`` also takes
-    one count per lane).
+    ``fn(s, Y)`` takes ``s`` of shape (N,) and ``Y`` of shape (N, d) and
+    returns one value per lane.  ``value_tol`` bounds |fn| at the reported
+    crossing and ``time_tol`` the remaining bisection bracket (both must be
+    met: a small value alone is not enough at slow, near-tangent crossings).
+    ``terminal_count`` stops a lane after that many crossings; it is one
+    count for all lanes or one per lane.
     """
 
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     value_tol: float = 1e-12
     time_tol: float = 1e-13
     terminal_count: Optional[int] = None
@@ -81,7 +84,7 @@ class Solution:
     ss: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    events: list = field(default_factory=list)  # (s, y, event_index)
+    events: list = field(default_factory=list)  # (s, y) crossings, in order
     status: str = "done"
     nfev: int = 0      # right-hand-side evaluations, event location included
     accepted: int = 0  # accepted steps
@@ -136,8 +139,14 @@ def _initial_step(y0, f0, control, span):
     return min(h0, span, control.max_step)
 
 
-def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
+def _finite_span(s0, s1):
+    if not (np.isfinite(s0).all() and np.isfinite(s1).all()):
+        raise ValueError("s0 and s1 must be finite")
+
+
+def solve(f, s0, y0, s1, control=None):
     """Integrate ``y' = f(s, y)`` from ``s0`` to ``s1`` (either direction)."""
+    _finite_span(s0, s1)
     control = control or StepControl()
     y = np.asarray(y0, dtype=float).copy()
     s = float(s0)
@@ -145,20 +154,13 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
     span = abs(s1 - s0)
     fy = np.asarray(f(s, y), dtype=float)
     nfev, accepted, rejected = 1, 0, 0
-    ss = [s]
-    ys = [y.copy()]
-    fs = [fy.copy()]
-    found = []
-    counts = [0] * len(events)
+    ss, ys, fs = [s], [y.copy()], [fy.copy()]
     if span == 0.0:
-        return Solution(np.array(ss), np.array(ys), np.array(fs), found, "done",
-                        nfev)
+        return Solution(np.array(ss), np.array(ys), np.array(fs), nfev=nfev)
     h = _initial_step(y, fy, control, span)
-    g_prev = [ev.fn(s, y) for ev in events]
-    status = "done"
     for _ in range(control.max_steps):
         h = min(h, abs(s1 - s))
-        if h <= 4.0 * np.finfo(float).eps * max(1.0, abs(s)):
+        if not h > 4.0 * np.finfo(float).eps * max(1.0, abs(s)):  # NaN too
             raise StepUnderflow.at(s)
         ynew, errvec, fnew = _rk_step(f, s, y, fy, direction * h)
         nfev += 6
@@ -174,31 +176,7 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             h *= max(0.2, 0.9 * errnorm ** -0.2)
             continue
         accepted += 1
-        snew = s + direction * h
-        terminal_hit = None
-        for idx, ev in enumerate(events):
-            g1 = ev.fn(snew, ynew)
-            g0 = g_prev[idx]
-            if g0 == 0.0 or g0 * g1 > 0.0:
-                g_prev[idx] = g1
-                continue
-            sev, yev, evals = _locate(f, s, y, fy, direction, h, ev, g0)
-            nfev += evals
-            g_prev[idx] = g1
-            found.append((sev, yev, idx))
-            counts[idx] += 1
-            if ev.terminal_count is not None and counts[idx] >= ev.terminal_count:
-                terminal_hit = (sev, yev)
-                break
-        if terminal_hit is not None:
-            sev, yev = terminal_hit
-            ss.append(sev)
-            ys.append(yev.copy())
-            fs.append(np.asarray(f(sev, yev), dtype=float))
-            nfev += 1
-            status = "event"
-            break
-        s, y, fy = snew, ynew, fnew
+        s, y, fy = s + direction * h, ynew, fnew
         ss.append(s)
         ys.append(y.copy())
         fs.append(fy.copy())
@@ -208,45 +186,8 @@ def solve(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
         h = min(h * factor, control.max_step)
     else:
         raise RuntimeError("maximum number of steps exceeded")
-    found.sort(key=lambda e: direction * e[0])
-    return Solution(np.array(ss), np.array(ys), np.array(fs), found, status,
-                    nfev, accepted, rejected)
-
-
-def _locate(f, s, y, fy, direction, h, ev, g0):
-    """Bisect a sign change within one accepted step.
-
-    Candidate states are produced by taking a fresh Runge-Kutta step of the
-    candidate size from the step's left node, so the located state carries
-    the trajectory's own accuracy rather than the interpolant's.  Returns
-    ``(s, y, evals)`` with the number of right-hand-side evaluations spent.
-    """
-    evals = 0
-
-    def state(sigma):
-        nonlocal evals
-        if sigma == 0.0:
-            return y
-        evals += 6
-        ynew, _, _ = _rk_step(f, s, y, fy, direction * sigma)
-        return ynew
-
-    a, b = 0.0, h
-    ga = g0
-    bracket_tol = max(ev.time_tol, 4e-16 * max(1.0, abs(s)))
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        ymid = state(mid)
-        gm = ev.fn(s + direction * mid, ymid)
-        if (abs(gm) <= ev.value_tol and (b - a) <= bracket_tol) or (
-            b - a
-        ) <= 4e-16 * max(1.0, abs(s)):
-            return s + direction * mid, ymid, evals
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    return s + direction * 0.5 * (a + b), ymid, evals
+    return Solution(np.array(ss), np.array(ys), np.array(fs), nfev=nfev,
+                    accepted=accepted, rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +241,32 @@ def _initial_steps(y0, f0, control, span):
     return np.fmin(np.fmin(h0, span), control.max_step)
 
 
-def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
+def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
     """Integrate N independent problems ``y' = f(s, y)`` as lanes of one sweep.
 
     ``y0`` has shape (N, d); ``s0`` and ``s1`` are scalars or (N,) arrays, so
     lanes may run in either direction and to their own end.  ``f(s, Y)`` and
-    each ``Event.fn(s, Y)`` take ``s`` of shape (N,) and ``Y`` of shape
-    (N, d) and are called on all lanes every sweep; a finished lane is frozen
-    by a zero step.  Each lane keeps its own ``s``, step size, counters and
-    event state, and follows ``solve``'s controller: lane i's ``Solution`` has
-    the steps, events and counts ``solve`` gives for problem i alone, up to
-    rounding.  During the sweep a sign change only records its bracket; the
-    brackets are located afterwards, one vectorised bisection per crossing
-    ordinal, as ``_locate`` does.  A lane that underflows gets status
-    ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the error ``solve``
-    raises) and the other lanes go on.
+    ``event.fn(s, Y)`` take ``s`` of shape (N,) and ``Y`` of shape (N, d)
+    and are called on all lanes every sweep; a finished lane is frozen by a
+    zero step.  Each lane keeps its own ``s``, step size, counters and event
+    state, and follows ``solve``'s controller: lane i's ``Solution`` has the
+    steps and counts ``solve`` gives for problem i alone, up to rounding.
+    During the sweep a sign change only records its bracket; the brackets
+    are located afterwards, one vectorised bisection per crossing ordinal
+    (``_locate_lanes``), and a lane stopped by ``event.terminal_count`` ends
+    at its last crossing with status ``"event"``.  A lane that underflows
+    gets status ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the
+    error ``solve`` raises) and the other lanes go on.
     """
     control = control or StepControl()
     y = np.array(y0, dtype=float)
     n, d = y.shape
     s = np.array(np.broadcast_to(np.asarray(s0, dtype=float), (n,)))
     s1 = np.array(np.broadcast_to(np.asarray(s1, dtype=float), (n,)))
+    _finite_span(s, s1)
     direction = np.where(s1 >= s, 1.0, -1.0)
-    terminal = [np.inf if ev.terminal_count is None else np.asarray(ev.terminal_count)
-                for ev in events]
+    terminal = None if event is None else event.terminal_count
+    terminal = np.inf if terminal is None else np.asarray(terminal)
     # non-finite trial states are rejected below; their warnings are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fy = np.asarray(f(s, y), dtype=float)
@@ -333,9 +276,9 @@ def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
         status = np.full(n, _DONE)
         done = s1 == s
         h = _initial_steps(y, fy, control, np.abs(s1 - s))
-        g_prev = [np.asarray(ev.fn(s, y), dtype=float) for ev in events]
-        counts = [np.zeros(n, dtype=np.int64) for _ in events]
-        brackets = []  # (lane, event index, s, y, fy, h, g0), in sweep order
+        g_prev = None if event is None else np.asarray(event.fn(s, y), dtype=float)
+        count = np.zeros(n, dtype=np.int64)
+        brackets = []  # (lane, s, y, fy, h, g0), in sweep order
         # accepted nodes per sweep: (lane mask, rows (s, y, f(s, y)))
         nodes = [(np.ones(n, dtype=bool), np.column_stack((s, y, fy)))]
         tiny = 4.0 * np.finfo(float).eps
@@ -344,7 +287,7 @@ def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             if np.any(live & (accepted + rejected >= control.max_steps)):
                 raise RuntimeError("maximum number of steps exceeded")
             h = np.where(live, np.fmin(h, np.abs(s1 - s)), h)
-            under = live & (h <= tiny * np.fmax(1.0, np.abs(s)))
+            under = live & ~(h > tiny * np.fmax(1.0, np.abs(s)))  # NaN too
             status[under] = _UNDERFLOW
             done |= under
             live &= ~under
@@ -364,22 +307,18 @@ def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             accepted += ok
             snew = s + step
             stop = np.zeros(n, dtype=bool)
-            if events:
-                s_try = np.where(ok, snew, s)
-                y_try = np.where(ok[:, None], ynew, y)
-                for idx, ev in enumerate(events):
-                    g0 = g_prev[idx]
-                    g1 = np.asarray(ev.fn(s_try, y_try), dtype=float)
-                    seen = ok & ~stop
-                    cross = seen & ~((g0 == 0.0) | (g0 * g1 > 0.0))
-                    # row copies: a view would keep this sweep's whole (N, d)
-                    # arrays alive, so bracket memory would grow as N**2
-                    for lane in np.flatnonzero(cross):
-                        brackets.append((lane, idx, s[lane], y[lane].copy(),
-                                         fy[lane].copy(), h[lane], g0[lane]))
-                    g_prev[idx] = np.where(seen, g1, g0)
-                    counts[idx] += cross
-                    stop |= cross & (counts[idx] >= terminal[idx])
+            if event is not None:
+                g1 = np.asarray(event.fn(np.where(ok, snew, s),
+                                         np.where(ok[:, None], ynew, y)), dtype=float)
+                cross = ok & ~((g_prev == 0.0) | (g_prev * g1 > 0.0))
+                # row copies: a view would keep this sweep's whole (N, d)
+                # arrays alive, so bracket memory would grow as N**2
+                for lane in np.flatnonzero(cross):
+                    brackets.append((lane, s[lane], y[lane].copy(), fy[lane].copy(),
+                                     h[lane], g_prev[lane]))
+                g_prev = np.where(ok, g1, g_prev)
+                count += cross
+                stop = cross & (count >= terminal)
                 status[stop] = _EVENT
                 done |= stop
             moved = ok & ~stop
@@ -392,17 +331,17 @@ def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
             factor = np.where(errnorm == 0.0, 5.0, np.fmin(5.0, shrink))
             h = np.where(moved, np.fmin(h * factor, control.max_step), h)
 
-        found = [[] for _ in range(n)]  # (s, y, event index), in sweep order
+        found = [[] for _ in range(n)]  # (s, y), in step order
         for round_ in _by_ordinal(brackets):
-            s_ev, y_ev, evals = _locate_lanes(f, events, round_, direction, s, y, fy)
+            s_ev, y_ev, evals = _locate_lanes(f, event, round_, direction, s, y, fy)
             nfev += evals
-            for lane, idx, *_ in round_:
-                found[lane].append((s_ev[lane], y_ev[lane].copy(), idx))
+            for lane, *_ in round_:
+                found[lane].append((s_ev[lane], y_ev[lane].copy()))
         term = status == _EVENT
         if term.any():  # a terminal lane ends at its last event
             s_end, y_end = s.copy(), y.copy()
             for lane in np.flatnonzero(term):
-                s_end[lane], y_end[lane], _ = found[lane][-1]
+                s_end[lane], y_end[lane] = found[lane][-1]
             f_end = np.asarray(f(s_end, y_end), dtype=float)
             nfev += term
             nodes.append((term, np.column_stack((s_end, y_end, f_end))[term]))
@@ -418,7 +357,6 @@ def solve_lanes(f, s0, y0, s1, control=None, events: Sequence[Event] = ()):
     out = []
     for i in range(n):
         rows = table[cuts[i]:cuts[i + 1]]
-        found[i].sort(key=lambda e: direction[i] * e[0])
         out.append(Solution(rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:], found[i],
                             _STATUS[status[i]], int(nfev[i]), int(accepted[i]),
                             int(rejected[i])))
@@ -439,27 +377,25 @@ def _by_ordinal(brackets):
     return rounds
 
 
-def _locate_lanes(f, events, round_, direction, s, y, fy):
-    """``_locate`` for one bracket per lane, bisected together.
+def _locate_lanes(f, event, round_, direction, s, y, fy):
+    """Bisect one sign-change bracket per lane, all lanes together.
 
+    Candidate states are produced by taking a fresh Runge-Kutta step of the
+    candidate size from the bracket's left node, so the located state
+    carries the trajectory's own accuracy rather than the interpolant's.
     Lanes without a bracket in this round take zero steps from their final
     state.  Returns the located times and states (per lane) and the
     right-hand-side evaluations each lane spent.
     """
     n = s.size
     s_left, y_left, f_left = s.copy(), y.copy(), fy.copy()
-    width = np.zeros(n)
-    ga = np.zeros(n)
-    which = np.full(n, -1)
-    value_tol = np.zeros(n)
-    bracket_tol = np.zeros(n)
-    for lane, idx, s_l, y_l, f_l, h, g0 in round_:
+    width, ga = np.zeros(n), np.zeros(n)
+    active = np.zeros(n, dtype=bool)
+    for lane, s_l, y_l, f_l, h, g0 in round_:
         s_left[lane], y_left[lane], f_left[lane] = s_l, y_l, f_l
-        width[lane], ga[lane], which[lane] = h, g0, idx
-        value_tol[lane] = events[idx].value_tol
-        bracket_tol[lane] = max(events[idx].time_tol, 4e-16 * max(1.0, abs(s_l)))
+        width[lane], ga[lane], active[lane] = h, g0, True
     floor = 4e-16 * np.fmax(1.0, np.abs(s_left))
-    active = which >= 0
+    bracket_tol = np.fmax(event.time_tol, floor)
     a, b = np.zeros(n), width
     s_ev, y_ev = np.zeros(n), np.zeros_like(y)
     evals = np.zeros(n, dtype=np.int64)
@@ -470,15 +406,12 @@ def _locate_lanes(f, events, round_, direction, s, y, fy):
         mid = 0.5 * (a + b)
         sigma = np.where(active, direction * mid, 0.0)
         ymid, _ = _lane_step(f, s_left, y_left, f_left, sigma)
-        evals += 6 * (active & (mid != 0.0))
+        evals += 6 * active
         smid = s_left + sigma
-        gm = np.zeros(n)
-        for idx, ev in enumerate(events):
-            mine = which == idx
-            if np.any(active & mine):
-                gm = np.where(mine, ev.fn(smid, ymid), gm)
+        gm = np.asarray(event.fn(smid, ymid), dtype=float)
         span = b - a
-        hit = active & (((np.abs(gm) <= value_tol) & (span <= bracket_tol)) | (span <= floor))
+        hit = active & (((np.abs(gm) <= event.value_tol) & (span <= bracket_tol))
+                        | (span <= floor))
         s_ev[hit] = smid[hit]
         y_ev[hit] = ymid[hit]
         active &= ~hit

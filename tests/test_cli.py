@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, schemas, exit codes, reproducibility."""
 
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,26 @@ def test_phase_seed_on_separatrix(tmp_path, capsys):
                        "--out", str(tmp_path / "p.csv"))
     assert code == 2
     assert err.startswith("error: OnSeparatrix: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--surface", "pansu", "--n", "1", "--point", "0,0,0"),
+    ("report", "--surface", "pansu", "--lam", "-1", "--point", "0,0,0,0,0"),
+    ("report", "--surface", "pansu", "--point", "nan,0,0,0,0"),
+    ("identities", "--surface", "cylinder", "--c", "-1"),
+    ("catalog", "list", "--n", "1"),
+    ("geodesic", "--lam", "1", "--start", "nan,0,0,0,0", "--velocity", "1,0,0,0"),
+    ("geodesic", "--lam", "1", "--start", "0,0,0,0,0", "--velocity", "nan,0,0,0"),
+    ("geodesic", "--lam", "nan", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0"),
+    ("geodesic", "--lam", "1", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0",
+     "--smax", "nan"),
+])
+def test_bad_parameter_values_are_usage_errors(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_geodesic_csv(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Constant-curvature curves, the radial profile equation, identity checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,18 @@ def test_geodesic_lanes_validate_starts():
     bad = CurveState(Point(np.zeros(5)), HorizontalVector(np.array([1.0, 1.0, 0, 0])))
     with pytest.raises(ValueError, match="unit"):
         geodesic_flows(random_starts(2, 1) + [bad], [1.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("lam, s_max", [(math.nan, 3.0), (math.inf, 3.0),
+                                        (1.0, math.nan), (1.0, math.inf)])
+def test_geodesic_non_finite_input_fails_at_once(lam, s_max):
+    start = time.perf_counter()
+    st = random_starts(2, 2)
+    with pytest.raises(ValueError, match="must be finite"):
+        geodesic_flow(st[0], lam, s_max)
+    with pytest.raises(ValueError, match="must be finite"):
+        geodesic_flows(st, [1.0, lam], s_max)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Integrator accuracy, dense output, events and step-size behavior."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,17 +27,6 @@ def test_dense_output_on_circle():
         y = sol(s)
         assert y[0] == pytest.approx(math.cos(s), abs=5e-8)
         assert y[1] == pytest.approx(math.sin(s), abs=5e-8)
-
-
-def test_event_location_and_terminal():
-    f = lambda s, y: np.array([-y[1], y[0]])
-    ev = Event(fn=lambda s, y: y[0], value_tol=1e-13, terminal_count=1)
-    sol = solve(f, 0.0, np.array([1.0, 0.0]), 10.0, events=[ev])
-    assert sol.status == "event"
-    s_ev, y_ev, idx = sol.events[0]
-    assert idx == 0
-    assert s_ev == pytest.approx(math.pi / 2, abs=5e-10)
-    assert abs(y_ev[0]) <= 1e-13
 
 
 def test_max_step_is_respected():
@@ -78,26 +68,26 @@ def test_counters_match_rhs_calls():
     def f(s, y):
         nonlocal calls
         calls += 1
-        return np.array([-y[1], y[0]])
+        return np.stack((-y[..., 1], y[..., 0]), axis=-1)  # one state or (N, 2)
 
     gcalls = 0
 
     def g(s, y):
         nonlocal gcalls
         gcalls += 1
-        return y[0]
+        return y[:, 0]
 
     ev = Event(fn=g, terminal_count=2)
     ctrl = StepControl(rtol=1e-10, atol=1e-10)
-    sol = solve(f, 0.0, np.array([1.0, 0.0]), 10.0, ctrl, events=[ev])
+    sol, = solve_lanes(f, 0.0, np.array([[1.0, 0.0]]), 10.0, ctrl, ev)
     assert sol.status == "event" and len(sol.events) == 2
     assert sol.nfev == calls
     assert sol.accepted == sol.ss.size - 1  # the last step ends at the event
-    # the event function runs once at the start and once per accepted step;
-    # every further call is one bisection candidate, one fresh step each,
-    # and the terminal event's node costs one more evaluation
-    bisections = gcalls - 1 - sol.accepted
-    assert bisections > 0
+    # the event function runs once at the start and once per step, accepted
+    # or rejected; every further call is one bisection candidate, one fresh
+    # step each, and the terminal event's node costs one more evaluation
+    bisections = gcalls - 1 - sol.accepted - sol.rejected
+    assert bisections == 80  # what the scalar event locator spent here
     assert sol.nfev == 1 + 6 * (sol.accepted + sol.rejected) + 6 * bisections + 1
     # a step rejected by the error test is counted, and costs six evaluations
     calls = 0
@@ -111,25 +101,22 @@ def test_counters_match_rhs_calls():
 # lanes
 
 
-def _circle(s, y):
-    return np.array([-y[1], y[0]])
-
-
 def _circle_lanes(s, y):
     return np.column_stack((-y[:, 1], y[:, 0]))
 
 
 def test_lanes_match_solve_on_circle():
+    """Each lane of a batch stops at its first axis crossing with the steps
+    and counts it takes as a lane of one."""
     radii = (1.0, 0.5, 2.0, 3.0)
     y0 = np.array([[r, 0.0] for r in radii])
-    ev = Event(fn=lambda s, y: y[0], value_tol=1e-13, terminal_count=1)
-    lane_ev = Event(fn=lambda s, y: y[:, 0], value_tol=1e-13, terminal_count=1)
-    lanes = solve_lanes(_circle_lanes, 0.0, y0, 10.0, events=[lane_ev])
+    ev = Event(fn=lambda s, y: y[:, 0], value_tol=1e-13, terminal_count=1)
+    lanes = solve_lanes(_circle_lanes, 0.0, y0, 10.0, event=ev)
     for r, lane in zip(radii, lanes):
-        alone = solve(_circle, 0.0, np.array([r, 0.0]), 10.0, events=[ev])
+        alone, = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0]]), 10.0, event=ev)
         assert lane.status == alone.status == "event"
-        (s_ev, y_ev, idx), = lane.events
-        assert idx == 0 and s_ev == pytest.approx(math.pi / 2, abs=5e-10)
+        (s_ev, y_ev), = lane.events
+        assert s_ev == pytest.approx(math.pi / 2, abs=5e-10)
         assert abs(y_ev[0]) <= 1e-13
         assert lane.ss[-1] == s_ev and np.array_equal(lane.ys[-1], y_ev)
         assert (lane.nfev, lane.accepted, lane.rejected) == (
@@ -165,29 +152,26 @@ def test_lane_underflow_does_not_stop_the_others():
 
 
 def test_lane_counters_match_rhs_calls():
-    """Per lane, ``nfev`` is what ``solve`` counts for that problem alone:
-    the identity of ``test_counters_match_rhs_calls``, with the bisection
-    candidates counted by the scalar run's event-function calls."""
+    """Per lane, ``nfev`` is what that problem counts as a lane of one: the
+    identity of ``test_counters_match_rhs_calls``, with the bisection
+    candidates counted by the lane of one's event-function calls."""
     radii = (1.0, 0.7, 1.9)
-
-    def lane_g(s, y):
-        return y[:, 0]
-
+    ctrl = StepControl(rtol=1e-10, atol=1e-10)
     lanes = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0] for r in radii]), 10.0,
-                        StepControl(rtol=1e-10, atol=1e-10),
-                        events=[Event(fn=lane_g, terminal_count=2)])
+                        ctrl, Event(fn=lambda s, y: y[:, 0], terminal_count=2))
     for r, lane in zip(radii, lanes):
         gcalls = 0
 
         def g(s, y):
             nonlocal gcalls
             gcalls += 1
-            return y[0]
+            return y[:, 0]
 
-        alone = solve(_circle, 0.0, np.array([r, 0.0]), 10.0,
-                      StepControl(rtol=1e-10, atol=1e-10),
-                      events=[Event(fn=g, terminal_count=2)])
-        bisections = gcalls - 1 - alone.accepted
+        alone, = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0]]), 10.0, ctrl,
+                             Event(fn=g, terminal_count=2))
+        bisections = gcalls - 1 - alone.accepted - alone.rejected
+        assert (lane.nfev, lane.accepted, lane.rejected) == (
+            alone.nfev, alone.accepted, alone.rejected)
         assert lane.status == "event" and len(lane.events) == 2
         assert lane.accepted == lane.ss.size - 1
         assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected) + 6 * bisections + 1
@@ -197,3 +181,31 @@ def test_lane_counters_match_rhs_calls():
     for lane in lanes:
         assert lane.rejected >= 1
         assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+@pytest.mark.parametrize("s0, s1", [(math.nan, 1.0), (0.0, math.nan),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_span_is_rejected(s0, s1):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="must be finite"):
+        solve(lambda s, y: y, s0, np.array([1.0]), s1)
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_lanes(lambda s, y: y, s0, np.ones((2, 1)), s1)
+    with pytest.raises(ValueError, match="must be finite"):  # one bad lane
+        solve_lanes(lambda s, y: y, [0.0, s0], np.ones((2, 1)), [1.0, s1])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nan_field_underflows_at_once():
+    """A NaN right-hand side (so a NaN first step) is a step underflow, not a
+    spin through ``max_steps``."""
+    start = time.perf_counter()
+    with pytest.raises(StepUnderflow, match="at s=0.0"):
+        solve(lambda s, y: y * math.nan, 0.0, np.array([1.0]), 1.0)
+    lane, = solve_lanes(lambda s, y: y * math.nan, 0.0, np.ones((1, 1)), 1.0)
+    assert lane.status == "underflow" and lane.ss.size == 1
+    assert time.perf_counter() - start < 1.0
