@@ -8,7 +8,9 @@ The rotationally symmetric families (Pansu, Heisenberg and shifted spheres)
 are each given by one squared-height profile ``t^2 = f(|z|^2)``: their
 defining function ``f(|z|^2) - t^2``, its closed-form derivatives, the
 sampler and the :class:`RadialProfile` all come from ``f`` and its first two
-derivatives.  The cylinder and the hyperplane take the ``Dual2`` derivatives.
+derivatives.  The cylinder (``u = c^2 - |z|^2``) and the hyperplane (``u``
+linear) have closed-form derivatives too, so no standard family takes the
+``Dual2`` fallback.
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ def _radius2(coords, n):
 def _zabs(p):
     """Horizontal radius |z| of a point."""
     return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
+
+
+def _positive(value, what):
+    """``value`` as a float, or ValueError unless it is finite and positive."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite and positive")
+    return float(value)
 
 
 def _unit_direction(rng, m):
@@ -190,9 +199,7 @@ def pansu(lam, n) -> CatalogEntry:
     the poles); the upper/lower hemisphere height graphs are attached as
     separate charts and must agree with it wherever both apply.
     """
-    if lam <= 0:
-        raise ValueError("curvature parameter must be positive")
-    lam = float(lam)
+    lam = _positive(lam, "curvature parameter")
     lam2, lam4 = lam * lam, lam**4
 
     def height(coords):  # hemisphere graph height
@@ -241,9 +248,7 @@ def pansu(lam, n) -> CatalogEntry:
 
 def heisenberg_sphere(rho, n) -> CatalogEntry:
     """Quartic sphere ``|z|^4 + 4t^2 = rho^4``; umbilic with l = 3k."""
-    if rho <= 0:
-        raise ValueError("radius must be positive")
-    rho = float(rho)
+    rho = _positive(rho, "radius")
     rho2, rho4 = rho**2, rho**4
     return _radial_entry(
         "heisenberg-sphere", n, {"rho": rho},
@@ -268,11 +273,12 @@ def heisenberg_sphere(rho, n) -> CatalogEntry:
 
 def shifted_sphere(lam, rho0, n) -> CatalogEntry:
     """Level set ``4t^2 + (|z|^2 + lam)^2 = rho0^4``; umbilic with l <= 3k."""
-    if lam < 0:
-        raise ValueError("shift parameter must be nonnegative")
-    if rho0**2 <= lam:
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError("shift parameter must be finite and nonnegative")
+    rho0 = _positive(rho0, "radius")
+    if not rho0**2 > lam:
         raise DomainError("empty surface: need rho0^2 > lam")
-    lam, rho0 = float(lam), float(rho0)
+    lam = float(lam)
     rho2, rho4 = rho0**2, rho0**4
 
     expected = {
@@ -299,14 +305,21 @@ def shifted_sphere(lam, rho0, n) -> CatalogEntry:
 
 def cylinder(c, n) -> CatalogEntry:
     """Vertical cylinder over a round sphere; umbilic with l = k = 1/c."""
-    if c <= 0:
-        raise ValueError("radius must be positive")
-    c = float(c)
+    c = _positive(c, "radius")
 
     def func(coords):
         return c * c - _radius2(coords, n)
 
-    surface = SurfaceDef(func=func, n=n, name="cylinder", params={"c": c})
+    def grad_hess(coords):
+        z = np.asarray(coords, dtype=float)[: 2 * n]
+        grad = np.zeros(2 * n + 1)
+        grad[: 2 * n] = -2.0 * z
+        hess = np.zeros((2 * n + 1, 2 * n + 1))
+        hess[: 2 * n, : 2 * n] = -2.0 * np.eye(2 * n)
+        return c * c - float(z @ z), grad, hess
+
+    surface = SurfaceDef(func=func, n=n, name="cylinder", params={"c": c},
+                         grad_hess=grad_hess)
     expected = {
         "k": lambda p: 1.0 / c,
         "l": lambda p: 1.0 / c,
@@ -335,8 +348,8 @@ def cylinder(c, n) -> CatalogEntry:
 def hyperplane(A, n) -> CatalogEntry:
     """Vertical hyperplane; totally flat with vanishing tilt."""
     A = np.asarray(A, dtype=float)
-    if A.size != 2 * n or not np.any(A):
-        raise ValueError("need a nonzero coefficient vector of length 2n")
+    if A.size != 2 * n or not np.any(A) or not np.all(np.isfinite(A)):
+        raise ValueError("need a finite nonzero coefficient vector of length 2n")
 
     def func(coords):
         acc = 0.0
@@ -345,8 +358,14 @@ def hyperplane(A, n) -> CatalogEntry:
                 acc = acc + a * cc
         return acc
 
+    grad = np.append(A, 0.0)
+    hess = np.zeros((2 * n + 1, 2 * n + 1))
+
+    def grad_hess(coords):
+        return float(A @ np.asarray(coords, dtype=float)[: 2 * n]), grad.copy(), hess.copy()
+
     surface = SurfaceDef(
-        func=func, n=n, name="hyperplane", params={"A": tuple(A)}
+        func=func, n=n, name="hyperplane", params={"A": tuple(A)}, grad_hess=grad_hess
     )
     zero = lambda p: 0.0
     expected = {"k": zero, "l": zero, "H": zero, "alpha": zero}

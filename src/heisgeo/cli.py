@@ -4,14 +4,16 @@ Subcommands: ``report`` (pointwise surface geometry as JSON), ``catalog``
 (list/show the example surfaces), ``phase`` (portrait CSV), ``geodesic``
 (curve CSV), ``identities`` (interior-identity residuals as JSON) and
 ``verify run`` (the claim suite).  Exit status: 0 success, 1 claim failure,
-2 usage error (bad arguments or parameter values, reported as one ``error:``
-line).  Output floats carry 17 significant digits and runs are
+2 usage error (bad arguments or parameter values, NaN included, or a
+``verify run --only`` prefix that matches no claim; reported as one
+``error:`` line).  Output floats carry 17 significant digits and runs are
 byte-reproducible for fixed arguments and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -161,6 +163,8 @@ def _cmd_geodesic(args):
 
 
 def _cmd_identities(args):
+    if not (args.step > 0 and math.isfinite(args.step)):
+        raise _CliError("--step must be finite and positive")
     entry = _entry_from_args(args)
     rng = np.random.default_rng(args.seed)
     pts = entry.sample(rng, args.points)

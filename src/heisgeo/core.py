@@ -45,7 +45,7 @@ class Point:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 1 or c.size < 5 or c.size % 2 == 0:
             raise ValueError("coordinates must be (x_1..x_n, y_1..y_n, t) with n >= 2")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
@@ -84,7 +84,7 @@ class HorizontalVector:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 4 or c.size % 2 == 1:
             raise ValueError("frame coefficients must have even length 2n, n >= 2")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("frame coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -161,9 +161,10 @@ def apply_J(v: HorizontalVector) -> HorizontalVector:
 
 
 def _J(c):
-    """The rotation on raw frame coefficients ``(a, b) -> (-b, a)``."""
-    n = c.size // 2
-    return np.concatenate([-c[n:], c[:n]])
+    """The rotation on raw frame coefficients ``(a, b) -> (-b, a)``, along
+    the last axis."""
+    n = c.shape[-1] // 2
+    return np.concatenate([-c[..., n:], c[..., :n]], axis=-1)
 
 
 def theta(p: Point, w):

@@ -23,8 +23,10 @@ from .surface import (
     SurfaceDef,
     alpha_directional,
     build_frame,
+    frame_many,
     horizontal_gradient,
     report,
+    report_many,
 )
 
 __all__ = [
@@ -168,8 +170,8 @@ def profile_ode(lam, r_span=None):
     profile on a 200-point grid as ``(r, f)`` arrays.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError("curvature parameter must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError("curvature parameter must be finite and positive")
     r_out = 1.0 / (lam * lam)
     if r_span is None:
         r_span = (0.01 * r_out, (1.0 - 1e-6) * r_out)
@@ -219,15 +221,28 @@ def surface_offset(s: SurfaceDef, coords, dirfn, h, nsub=4):
     The fields used here annihilate the defining function, so the Newton
     correction only removes integration drift.
     """
-    c = np.asarray(coords, dtype=float).copy()
-    step = h / nsub
+    (c,) = _surface_offsets(s, coords, _rows(dirfn), (h,), nsub)
+    return c
+
+
+def _surface_offsets(s: SurfaceDef, coords, field, hs, nsub=4):
+    """``surface_offset`` for each distance in ``hs``.  The flows run in
+    lockstep, so ``field`` maps an (N, 2n+1) stack of coordinates to the
+    field's values there, and each row's arithmetic is its own."""
+    c = np.tile(np.asarray(coords, dtype=float), (len(hs), 1))
+    step = np.array(hs, dtype=float)[:, None] / nsub
     for _ in range(nsub):
-        k1 = dirfn(c)
-        k2 = dirfn(c + 0.5 * step * k1)
-        k3 = dirfn(c + 0.5 * step * k2)
-        k4 = dirfn(c + step * k3)
+        k1 = field(c)
+        k2 = field(c + 0.5 * step * k1)
+        k3 = field(c + 0.5 * step * k2)
+        k4 = field(c + step * k3)
         c += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _newton_project(s, c)
+    return [_newton_project(s, row) for row in c]
+
+
+def _rows(dirfn):
+    """A field over stacks of coordinates from a field at one point."""
+    return lambda cs: np.array([dirfn(c) for c in cs])
 
 
 def _en_field(s: SurfaceDef, n):
@@ -253,13 +268,16 @@ def _e2nhat_field(s: SurfaceDef, n):
     return dirfn
 
 
-def _xi_field(s: SurfaceDef, pivots, index, n):
-    coeffs = _xi_coeff_field(s, pivots, index, n)
+def _xi_field(s: SurfaceDef, pivots, index):
+    """The ``index``-th invariant-complement field under forced pivots, over
+    a stack of coordinates: one ``frame_many`` batch per call."""
 
-    def dirfn(c):
-        return frame_lift(HorizontalVector(coeffs(c)), Point(c))
+    def field(cs):
+        points = [Point(c) for c in cs]
+        xi = frame_many(s, points, pivots=pivots).xi_prime[:, index]
+        return np.array([frame_lift(HorizontalVector(v), p) for v, p in zip(xi, points)])
 
-    return dirfn
+    return field
 
 
 def _en_alpha(s: SurfaceDef, coords, n):
@@ -313,26 +331,22 @@ def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
     phi0 = _en_alpha(s, coords, n)
     root = math.sqrt(1.0 + a0 * a0)
 
-    def scalars(c):
-        rep = report(s, Point(c), pivots=pivots)
-        return rep.k, rep.l, rep.alpha
-
-    def rates(dirfn):
-        """Offsets along ``dirfn`` and central differences of k, l, alpha."""
-        cp = surface_offset(s, coords, dirfn, +h_fd)
-        cm = surface_offset(s, coords, dirfn, -h_fd)
-        return cp, cm, [(gp - gm) / (2.0 * h_fd)
-                        for gp, gm in zip(scalars(cp), scalars(cm))]
+    def rates(field):
+        """Offsets along ``field`` and central differences of k, l, alpha;
+        both offsets flow, and are reported, as one batch."""
+        cp, cm = _surface_offsets(s, coords, field, (+h_fd, -h_fd))
+        rep = report_many(s, (Point(cp), Point(cm)), pivots=pivots)
+        return cp, cm, [float(g[0] - g[1]) / (2.0 * h_fd) for g in (rep.k, rep.l, rep.alpha)]
 
     # characteristic direction
-    cp, cm, (dk, dl, da) = rates(_en_field(s, n))
+    cp, cm, (dk, dl, da) = rates(_rows(_en_field(s, n)))
     r_en_k = abs(dk - (l0 - 2.0 * k0) * a0)
     r_en_a = abs(da - (k0 * k0 - a0 * a0 - k0 * l0))
     # first difference of the exact tilt rate = the iterated derivative
     en_en_alpha = (_en_alpha(s, cp, n) - _en_alpha(s, cm, n)) / (2.0 * h_fd)
 
     # rescaled vertical tangent
-    _, _, (dk, dl, da) = rates(_e2nhat_field(s, n))
+    _, _, (dk, dl, da) = rates(_rows(_e2nhat_field(s, n)))
     r_e2n_k = abs(dk - a0 * (k0 * k0 + phi0 + a0 * a0) / root)
     r_e2n_a = abs(da + k0 * phi0 / root)
     r_e2n_l = abs(
@@ -342,7 +356,7 @@ def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
     # invariant complement: every scalar must be constant
     r_xi = 0.0
     for i in range(2 * n - 2):
-        cp, cm, diffs = rates(_xi_field(s, pivots, i, n))
+        cp, cm, diffs = rates(_xi_field(s, pivots, i))
         diffs.append((_en_alpha(s, cp, n) - _en_alpha(s, cm, n)) / (2.0 * h_fd))
         r_xi = max(r_xi, *map(abs, diffs))
 
@@ -363,16 +377,9 @@ def leaf_constancy(s: SurfaceDef, p: Point, h_fd=1e-4):
     pivots = base.frame.pivots
     worst = 0.0
     for i in range(2 * n - 2):
-        dirfn = _xi_field(s, pivots, i, n)
-        cp = surface_offset(s, p.coords, dirfn, +h_fd)
-        cm = surface_offset(s, p.coords, dirfn, -h_fd)
-        rp, rm = report(s, Point(cp), pivots=pivots), report(s, Point(cm), pivots=pivots)
-        worst = max(
-            worst,
-            abs(rp.k - rm.k),
-            abs(rp.l - rm.l),
-            abs(rp.alpha - rm.alpha),
-        )
+        cp, cm = _surface_offsets(s, p.coords, _xi_field(s, pivots, i), (+h_fd, -h_fd))
+        rep = report_many(s, (Point(cp), Point(cm)), pivots=pivots)
+        worst = max(worst, *(abs(float(g[0] - g[1])) for g in (rep.k, rep.l, rep.alpha)))
     return worst
 
 
@@ -388,7 +395,7 @@ def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
     n = p.n
     fr = build_frame(s, p)
     pivots = fr.pivots
-    fields = [_xi_coeff_field(s, pivots, i, n) for i in range(2 * n - 2)]
+    fields = [_xi_coeff_field(s, pivots, i) for i in range(2 * n - 2)]
     vals = [f(p.coords) for f in fields]
     rows = [np.concatenate([v, [0.0]]) for v in vals]
 
@@ -416,9 +423,8 @@ def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
     return rank, proj
 
 
-def _xi_coeff_field(s: SurfaceDef, pivots, index, n):
+def _xi_coeff_field(s: SurfaceDef, pivots, index):
     def coeffs(c):
-        fr = build_frame(s, Point(c), pivots=pivots)
-        return fr.xi_prime[index].coeffs
+        return frame_many(s, (Point(c),), pivots=pivots).xi_prime[0, index]
 
     return coeffs

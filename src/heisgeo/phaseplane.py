@@ -67,8 +67,8 @@ class PhaseParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.c <= 0:
-            raise ValueError("the constant mean curvature c must be positive")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError("the constant mean curvature c must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ direction, the complex-structure-invariant complement), the horizontal
 second fundamental form, the symmetric shape operator with its curvature
 scalars ``k``, ``l``, ``H``, and decides umbilicity.
 
+One array kernel does this over an (N, 2n+1) stack of points
+(:func:`report_many`): each point is evaluated on its own, and the frame,
+the form and the eigenvalues are stacked array operations.  The per-point
+functions (:func:`build_frame`, :func:`shape_matrix`, :func:`report`,
+:func:`rotsym_report`) are batches of one, and a point gives the same bits
+alone and inside a batch.
+
 Derivatives of the normalized horizontal normal are exact: the frame is
 parallel, so the normal field's frame coefficients are rational in the
 defining function's gradient and Hessian and are differentiated in closed
@@ -14,13 +21,15 @@ form rather than by nested automatic differentiation.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import duals
-from .core import HorizontalVector, Point, _J, frame_lift
+from .core import HorizontalVector, Point, _J
 
 __all__ = [
     "GeometryError",
@@ -33,12 +42,17 @@ __all__ = [
     "PivotDegenerate",
     "SurfaceDef",
     "FrameBundle",
+    "FrameBatch",
     "SurfaceReport",
+    "ReportBatch",
     "RadialProfile",
     "build_frame",
+    "frame_many",
     "shape_matrix",
     "report",
+    "report_many",
     "rotsym_report",
+    "rotsym_many",
     "singular_jacobian",
     "graph_derivatives",
     "horizontal_gradient",
@@ -158,44 +172,61 @@ class SurfaceDef:
 
 
 # ---------------------------------------------------------------------------
-# horizontal gradient machinery
+# horizontal gradient machinery; the helpers act on the trailing axes, so the
+# same code serves one point and a stack of points
 
 
 def horizontal_gradient(n, coords, grad):
     """Frame coefficients of the horizontal part of the gradient."""
-    x = coords[:n]
-    y = coords[n : 2 * n]
-    ut = grad[2 * n]
-    b = np.empty(2 * n)
-    b[:n] = grad[:n] + y * ut
-    b[n:] = grad[n : 2 * n] - x * ut
+    x = coords[..., :n]
+    y = coords[..., n : 2 * n]
+    ut = grad[..., 2 * n, None]
+    b = np.empty(grad.shape[:-1] + (2 * n,))
+    b[..., :n] = grad[..., :n] + y * ut
+    b[..., n:] = grad[..., n : 2 * n] - x * ut
     return b
 
 
 def _hgrad_jacobian(n, coords, grad, hess):
     """Coordinate Jacobian of the horizontal-gradient coefficients."""
-    x = coords[:n]
-    y = coords[n : 2 * n]
-    ut = grad[2 * n]
-    jac = np.empty((2 * n, 2 * n + 1))
-    jac[:n, :] = hess[:n, :] + y[:, None] * hess[2 * n, :][None, :]
-    jac[n:, :] = hess[n : 2 * n, :] - x[:, None] * hess[2 * n, :][None, :]
-    idx = np.arange(n)
-    jac[idx, n + idx] += ut
-    jac[n + idx, idx] -= ut
+    x = coords[..., :n, None]
+    y = coords[..., n : 2 * n, None]
+    ht = hess[..., 2 * n, None, :]
+    jac = np.empty(hess.shape[:-2] + (2 * n, 2 * n + 1))
+    jac[..., :n, :] = hess[..., :n, :] + y * ht
+    jac[..., n:, :] = hess[..., n : 2 * n, :] - x * ht
+    plus, minus = _pairs(n, n, 2 * n + 1)
+    flat = jac.reshape(jac.shape[:-2] + (2 * n * (2 * n + 1),))
+    ut = grad[..., 2 * n, None]
+    flat[..., plus] += ut
+    flat[..., minus] -= ut
     return jac
 
 
-def _singular_eps(grad):
-    return 1e-9 * (1.0 + float(np.max(np.abs(grad))))
+@functools.lru_cache(maxsize=None)
+def _pairs(count, shift, width):
+    """Flat positions of the entries ``(j, shift+j)`` and ``(shift+j, j)``,
+    ``j < count``, of a matrix with ``width`` columns."""
+    j = np.arange(count)
+    return _read_only(j * width + shift + j), _read_only((shift + j) * width + j)
 
 
-def _on_surface_tol(coords, grad):
-    return (
-        1e-9
-        * (1.0 + float(np.max(np.abs(grad))))
-        * (1.0 + float(np.max(np.abs(coords))))
-    )
+def _read_only(a):
+    """``a``, made read-only: cached arrays are shared by every caller."""
+    a.setflags(write=False)
+    return a
+
+
+def _dots(a, b):
+    """Dot products of matching rows (last axis) of two stacks, each taken
+    as one vector dot product, so a row gives the same bits in any stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(v):
+    """Euclidean norms of the rows of a stack (as ``np.linalg.norm`` takes
+    one vector's)."""
+    return np.sqrt(_dots(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +265,42 @@ class FrameBundle:
         return np.array(rows)
 
 
+@dataclass(frozen=True, eq=False)
+class FrameBatch:
+    """Adapted frames of N points on one surface as stacked arrays.
+
+    Row i belongs to ``points[i]`` and holds what :class:`FrameBundle` holds
+    for it.  ``grad``/``hess`` are None for closed-form frames.
+    """
+
+    points: tuple
+    coords: np.ndarray     # (N, 2n+1)
+    e2n: np.ndarray        # (N, 2n)
+    en: np.ndarray         # (N, 2n)
+    xi_prime: np.ndarray   # (N, 2n-2, 2n), rows v_1..v_{n-1}, Jv_1..Jv_{n-1}
+    alpha: np.ndarray      # (N,)
+    grad_norm: np.ndarray  # (N,)
+    pivots: np.ndarray     # (N, n-1) integers
+    grad: Optional[np.ndarray] = None
+    hess: Optional[np.ndarray] = None
+
+    def __len__(self):
+        return len(self.points)
+
+    def bundle(self, i) -> FrameBundle:
+        return FrameBundle(
+            p=self.points[i],
+            e2n=HorizontalVector(self.e2n[i]),
+            en=HorizontalVector(self.en[i]),
+            xi_prime=tuple(HorizontalVector(v) for v in self.xi_prime[i]),
+            alpha=float(self.alpha[i]),
+            grad_norm=float(self.grad_norm[i]),
+            pivots=tuple(self.pivots[i].tolist()),
+            _grad=None if self.grad is None else self.grad[i],
+            _hess=None if self.hess is None else self.hess[i],
+        )
+
+
 def build_frame(s: SurfaceDef, p: Point, pivots=None) -> FrameBundle:
     """Construct the adapted frame at ``p``.
 
@@ -242,68 +309,145 @@ def build_frame(s: SurfaceDef, p: Point, pivots=None) -> FrameBundle:
     complement is produced by pivoted Gram-Schmidt over the standard frame,
     pairing each accepted pivot with its rotation so the basis respects the
     complex structure.  ``pivots`` forces a previously chosen pivot sequence,
-    which extends the basis smoothly to nearby points.
+    which extends the basis smoothly to nearby points.  A batch of one of
+    :func:`frame_many`.
     """
-    n = p.n
-    if s.n != n:
-        raise ValueError("surface and point dimensions disagree")
-    coords = p.coords
-    u, grad, hess = s.evaluate(coords)
+    return frame_many(s, (p,), pivots).bundle(0)
+
+
+def frame_many(s: SurfaceDef, points, pivots=None) -> FrameBatch:
+    """Adapted frames of a sequence of points on one surface, as one batch:
+    the frame stage of :func:`report_many`, with its failures."""
+    return _kernel(s, points, pivots, None)
+
+
+def _kernel(s, points, pivots, finish):
+    """Evaluate each point, then run the frame stage and ``finish`` (the
+    shape stage, or None) over the stacks.
+
+    A failing point raises once every point before it has passed every
+    stage, so of several failures the first in input order wins.
+    """
+    points = tuple(points)
+    coords = np.empty((len(points), 2 * s.n + 1))
+    for i, p in enumerate(points):
+        if p.n != s.n:
+            raise ValueError("surface and point dimensions disagree")
+        coords[i] = p.coords
+    pivots = _pivot_rows(s.n, len(points), pivots)
+    evaluated, failure = [], None
+    for c in coords:
+        try:
+            evaluated.append(s.evaluate(c))
+        except Exception as exc:  # raised once the points before it pass
+            failure = exc
+            break
+    done = len(evaluated)
+    out = _stages(s, points[:done], coords[:done], evaluated,
+                  None if pivots is None else pivots[:done], finish)
+    if failure is not None:
+        raise failure
+    return out
+
+
+def _stages(s, points, coords, evaluated, pivots, finish):
+    """The array stages over points with their ``evaluate`` triples."""
+    count, dim = coords.shape
+    u, grad, hess = np.empty(count), np.empty((count, dim)), np.empty((count, dim, dim))
+    for i, (ui, gi, hi) in enumerate(evaluated):
+        u[i], grad[i], hess[i] = ui, gi, hi
+
+    def fail(i, exc):
+        # a point before i may still fail a later check, and comes first
+        _stages(s, points[:i], coords[:i], evaluated[:i],
+                None if pivots is None else pivots[:i], finish)
+        raise exc
+
+    fb = _frames(s.n, points, coords, u, grad, hess, pivots, fail)
+    return fb if finish is None else finish(s, fb)
+
+
+def _pivot_rows(n, count, pivots):
+    """Forced pivots as (count, n-1) rows: one sequence for all points or
+    one per point."""
+    if pivots is None:
+        return None
+    rows = np.asarray(pivots, dtype=np.intp).reshape(-1, n - 1)
+    return rows if len(rows) == count else np.broadcast_to(rows, (count, n - 1))
+
+
+def _frames(n, points, coords, u, grad, hess, pivots, fail):
+    """Frame stage of the kernel over evaluated points.
+
+    A point whose horizontal gradient vanishes, that lies off the surface, or
+    whose forced pivot collapses goes to ``fail(i, exc)`` (the first such
+    point of each check), which raises.
+    """
     b = horizontal_gradient(n, coords, grad)
-    gnorm = float(np.linalg.norm(b))
-    if gnorm <= _singular_eps(grad):
-        raise SingularPoint(f"horizontal gradient {gnorm:g} at {coords!r}")
-    if abs(u) > _on_surface_tol(coords, grad):
-        raise OffSurface(f"|u|={abs(u):g} exceeds the on-surface tolerance")
-    e2n = b / gnorm
+    gnorm = _norms(b)
+    gscale = 1.0 + np.abs(grad).max(axis=-1)
+    singular = gnorm <= 1e-9 * gscale
+    bad = singular | (np.abs(u) > 1e-9 * gscale * (1.0 + np.abs(coords).max(axis=-1)))
+    if bad.any():
+        i = int(bad.argmax())
+        fail(i, SingularPoint(f"horizontal gradient {gnorm[i]:g} at {coords[i]!r}")
+             if singular[i] else
+             OffSurface(f"|u|={abs(u[i]):g} exceeds the on-surface tolerance"))
+    e2n = b / gnorm[:, None]
     en = -_J(e2n)
-    alpha = -grad[2 * n] / gnorm
-    xi, chosen = _complement(en, e2n, n, pivots)
-    return FrameBundle(
-        p=p,
-        e2n=HorizontalVector(e2n),
-        en=HorizontalVector(en),
-        xi_prime=xi,
-        alpha=float(alpha),
-        grad_norm=gnorm,
-        pivots=chosen,
-        _grad=grad,
-        _hess=hess,
-    )
+    xi, chosen = _complement(en, e2n, pivots, fail)
+    return FrameBatch(points, coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, gnorm, chosen,
+                      grad, hess)
 
 
-def _complement(en, e2n, n, pivots=None):
-    """Invariant complement of ``en, e2n`` by pivoted Gram-Schmidt.
+def _complement(en, e2n, pivots=None, fail=None):
+    """Invariant complements of stacked ``en, e2n`` rows by pivoted Gram-Schmidt.
 
-    Each pivot is the standard frame vector with the largest residual, and
-    each accepted vector is paired with its rotation.  Forced ``pivots``
-    replace the search; one whose residual collapses raises
-    :class:`PivotDegenerate`.  Returns ``(xi_prime, pivots)``.
+    Each point's pivot is the standard frame vector among ``e_1..e_n`` with
+    the largest residual (ties resolve to the lowest index; ``e_{j+n} =
+    J e_j`` has the same residual as ``e_j``, since the complement is
+    J-invariant), and each accepted vector is paired with its rotation.
+    Forced ``pivots`` rows replace the search; the first point whose forced
+    residual collapses goes to ``fail`` with :class:`PivotDegenerate`.
+    Returns ``(xi_prime, pivots)`` stacks.
     """
-    used = [en, e2n]
-    first_half = []
-    chosen = []
+    count, dim = en.shape
+    n = dim // 2
+    used = np.empty((count, dim, dim))  # en, e2n, v_1, Jv_1, v_2, Jv_2, ...
+    used[:, 0], used[:, 1] = en, e2n
+    xi = np.empty((count, dim - 2, dim))
+    chosen = np.empty((count, n - 1), dtype=np.intp)
+    rows = np.arange(count)
     for beta in range(n - 1):
-        basis_mat = np.array(used)
+        basis = used[:, : 2 * beta + 2]
+        basis_t = basis.transpose(0, 2, 1)
         if pivots is None:
-            norms = 1.0 - np.sum(basis_mat * basis_mat, axis=0)
-            a = int(np.argmax(norms))  # ties resolve to the lowest index
+            half = basis[:, :, :n]
+            a = (1.0 - (half * half).sum(axis=1)).argmax(axis=1)
         else:
-            a = pivots[beta]
-        r = np.zeros(2 * n)
-        r[a] = 1.0
-        r -= basis_mat.T @ basis_mat[:, a]
-        rn = float(np.linalg.norm(r))
-        if pivots is not None and rn < 1e-6:
-            raise PivotDegenerate(f"forced pivot {a} degenerated ({rn:g})")
-        v = r / rn
-        v = v - basis_mat.T @ (basis_mat @ v)  # re-orthogonalize
-        v /= np.linalg.norm(v)
-        used += [v, _J(v)]
-        first_half.append(v)
-        chosen.append(a)
-    xi = tuple(HorizontalVector(v) for v in first_half + [_J(v) for v in first_half])
-    return xi, tuple(chosen)
+            a = pivots[:, beta]
+        # the pivot column as a strided view, like ``B[:, a]`` of one matrix:
+        # numpy picks its BLAS path, and so the rounding, by the strides
+        col = np.empty_like(basis)[:, :, :1]
+        col[:, :, 0] = basis[rows, :, a]
+        r = _eye(dim)[a] - (basis_t @ col)[:, :, 0]
+        rn = _norms(r)
+        if pivots is not None and (rn < 1e-6).any():
+            i = int((rn < 1e-6).argmax())
+            fail(i, PivotDegenerate(f"forced pivot {a[i]} degenerated ({rn[i]:g})"))
+        v = r / rn[:, None]
+        v -= (basis_t @ (basis @ v[:, :, None]))[:, :, 0]  # re-orthogonalize
+        v /= _norms(v)[:, None]
+        jv = _J(v)
+        used[:, 2 * beta + 2], used[:, 2 * beta + 3] = v, jv
+        xi[:, beta], xi[:, n - 1 + beta] = v, jv
+        chosen[:, beta] = a
+    return xi, chosen
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(dim):
+    return _read_only(np.eye(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -342,86 +486,160 @@ class SurfaceReport:
         }
 
 
-def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
-    """Second fundamental form and shape operator in the adapted basis.
+@dataclass(frozen=True, eq=False)
+class ReportBatch:
+    """Reports of N points on one surface as stacked arrays.
+
+    Row i holds what :class:`SurfaceReport` holds for ``frame.points[i]``;
+    ``batch[i]`` is that report.
+    """
+
+    frame: FrameBatch
+    h: np.ndarray            # (N, 2n-1, 2n-1)
+    k: np.ndarray            # (N,)
+    l: np.ndarray
+    H: np.ndarray
+    eigenvalues: np.ndarray  # (N, 2n-2)
+    xn_residual: np.ndarray
+    spread: np.ndarray
+    umbilic: np.ndarray      # (N,) bool
+
+    @property
+    def alpha(self):
+        return self.frame.alpha
+
+    def __len__(self):
+        return len(self.frame)
+
+    def __getitem__(self, i) -> SurfaceReport:
+        return self._report(i, self.frame.bundle(i))
+
+    def _report(self, i, frame):
+        return SurfaceReport(
+            frame=frame,
+            h=self.h[i],
+            k=float(self.k[i]),
+            l=float(self.l[i]),
+            H=float(self.H[i]),
+            eigenvalues=self.eigenvalues[i],
+            xn_residual=float(self.xn_residual[i]),
+            spread=float(self.spread[i]),
+            umbilic=bool(self.umbilic[i]),
+        )
+
+
+def report_many(s: SurfaceDef, points, pivots=None) -> ReportBatch:
+    """Reports of a sequence of points on one surface, as one batch.
+
+    Each point is evaluated with :meth:`SurfaceDef.evaluate`; the frames,
+    second fundamental forms and eigenvalues are then computed as stacked
+    array operations, and entry i is bitwise what ``report(s, points[i],
+    pivots)`` gives.  ``pivots`` is one forced pivot sequence for every
+    point or one per point.  A failing point raises what :func:`report`
+    raises for it; of several, the first in input order.
+    """
+    return _kernel(s, points, pivots, _shapes)
+
+
+def _shapes(s, fb: FrameBatch) -> ReportBatch:
+    """Shape stage of the kernel: second fundamental form and shape operator.
 
     Entry ``h[a,b]`` is minus the Levi product of the normal's derivative
     along basis vector b with basis vector a.  The shape operator adds the
     rotation correction on the invariant complement; its restriction there
     must come out symmetric, which is enforced as a sanity gate.
     """
-    n = f.n
-    coords = f.p.coords
-    grad, hess = f._grad, f._hess
-    if grad is None or hess is None:
-        _, grad, hess = s.evaluate(coords)
-    b = horizontal_gradient(n, coords, grad)
-    gnorm = float(np.linalg.norm(b))
-    jac = _hgrad_jacobian(n, coords, grad, hess)
-
-    basis = f.basis()  # (2n-1, 2n)
-    m = 2 * n - 1
-    derivs = np.empty((m, 2 * n))  # row b: frame coeffs of D_{e_b} (b/|b|)
-    for idx in range(m):
-        w = frame_lift(HorizontalVector(basis[idx]), f.p)
-        db = jac @ w
-        derivs[idx] = db / gnorm - b * (b @ db) / gnorm**3
-
-    h = -(basis @ derivs.T)  # h[a, idx] = -<deriv_idx, e_a>
-
+    n = s.n
     nidx = n - 1
-    l = float(h[nidx, nidx])
-    xn = derivs[nidx] + l * f.en.coeffs
-    xn_residual = float(np.linalg.norm(xn))
+    coords = fb.coords
+    b = horizontal_gradient(n, coords, fb.grad)
+    gnorm = _norms(b)[:, None, None]
+    jac = _hgrad_jacobian(n, coords, fb.grad, fb.hess)
+    xi = fb.xi_prime
+    basis = np.concatenate([xi[:, :nidx], fb.en[:, None], xi[:, nidx:]], axis=1)
+    lift = np.empty(basis.shape[:2] + (2 * n + 1,))  # basis vectors as coordinates
+    lift[..., : 2 * n] = basis
+    lift[..., 2 * n] = (_dots(coords[:, None, n : 2 * n], basis[..., :n])
+                        - _dots(coords[:, None, :n], basis[..., n:]))
+    db = (jac[:, None] @ lift[..., None])[..., 0]  # row a: derivative of b along lift a
+    derivs = db / gnorm - b[:, None, :] * _dots(b[:, None], db)[..., None] / gnorm**3
+    h = -(basis @ derivs.transpose(0, 2, 1))
+    l = h[:, nidx, nidx]
+    xn_residual = _norms(derivs[:, nidx] + l[:, None] * fb.en)
 
-    S = _shape_operator(h, f.alpha)
-    asym = float(np.max(np.abs(S - S.T)))
-    if asym > 1e-8 * (1.0 + float(np.max(np.abs(S)))):
-        raise NonSymmetric(f"shape operator asymmetry {asym:g}")
-
-    keep = [i for i in range(m) if i != nidx]
-    S_xi = 0.5 * (S + S.T)[np.ix_(keep, keep)]
-    eigs = np.linalg.eigvalsh(S_xi)
-    k = float(np.mean(eigs))
-    spread = float(eigs[-1] - eigs[0])
+    S = _shape_operator(h, fb.alpha)
+    S_t = S.transpose(0, 2, 1)
+    asym = np.max(np.abs(S - S_t), axis=(1, 2))
+    bad = asym > 1e-8 * (1.0 + np.max(np.abs(S), axis=(1, 2)))
+    if np.any(bad):  # the last check: the first such point is the first failure
+        raise NonSymmetric(f"shape operator asymmetry {asym[np.argmax(bad)]:g}")
+    keep = _complement_rows(n)
+    eigs = np.linalg.eigvalsh(0.5 * (S + S_t)[:, keep[:, None], keep])
+    spread = eigs[:, -1] - eigs[:, 0]
     tol = s.umbilic_tol
-    return SurfaceReport(
-        frame=f,
+    return ReportBatch(
+        frame=fb,
         h=h,
-        k=k,
+        k=eigs.sum(axis=-1) / (2 * n - 2),  # the mean
         l=l,
-        H=float(np.trace(h)),
+        H=np.trace(h, axis1=1, axis2=2),
         eigenvalues=eigs,
         xn_residual=xn_residual,
         spread=spread,
-        umbilic=bool(xn_residual <= tol and spread <= tol),
+        umbilic=(xn_residual <= tol) & (spread <= tol),
     )
 
 
+def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
+    """Second fundamental form and shape operator in the adapted basis of
+    ``f``: a batch of one of the shape stage of :func:`report_many`."""
+    grad, hess = f._grad, f._hess
+    if grad is None or hess is None:
+        _, grad, hess = s.evaluate(f.p.coords)
+    fb = FrameBatch((f.p,), f.p.coords[None], f.e2n.coeffs[None], f.en.coeffs[None],
+                    np.array([[v.coeffs for v in f.xi_prime]]), np.array([f.alpha]),
+                    np.array([f.grad_norm]), np.array([f.pivots], dtype=np.intp),
+                    grad[None], hess[None])
+    return _shapes(s, fb)._report(0, f)
+
+
+def report(s: SurfaceDef, p: Point, pivots=None) -> SurfaceReport:
+    """Pointwise report at ``p``: a batch of one of :func:`report_many`."""
+    return report_many(s, (p,), pivots)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _complement_rows(n):
+    """Indices of the invariant complement's rows in the adapted basis."""
+    return _read_only(np.delete(np.arange(2 * n - 1), n - 1))
+
+
 def _shape_operator(h, alpha):
-    """Form matrix plus the rotation correction: J' pairs v_beta <-> Jv_beta
+    """Form matrices plus the rotation correction: J' pairs v_beta <-> Jv_beta
     and kills e_n."""
-    n = (h.shape[0] + 1) // 2
+    m = h.shape[-1]
+    n = (m + 1) // 2
     S = h.copy()
-    for beta in range(n - 1):
-        S[n + beta, beta] += alpha      # <J' v_beta, Jv_beta> = 1
-        S[beta, n + beta] -= alpha      # <J' Jv_beta, v_beta> = -1
+    upper, lower = _pairs(n - 1, n, m)  # (beta, n+beta) and (n+beta, beta)
+    flat = S.reshape(S.shape[:-2] + (m * m,))
+    alpha = np.asarray(alpha)[..., None]
+    flat[..., lower] += alpha      # <J' v_beta, Jv_beta> = 1
+    flat[..., upper] -= alpha      # <J' Jv_beta, v_beta> = -1
     return S
 
 
 def _umbilic_form(n, k, l, alpha):
-    """Form matrix of an umbilic point: ``k`` on the invariant complement,
+    """Form matrices of umbilic points: ``k`` on the invariant complement,
     ``l`` along the characteristic direction, the tilt across the pairs."""
-    h = np.diag(np.full(2 * n - 1, k))
-    h[n - 1, n - 1] = l
-    for beta in range(n - 1):
-        h[beta, n + beta] = alpha
-        h[n + beta, beta] = -alpha
+    k, l, alpha = np.asarray(k), np.asarray(l), np.asarray(alpha)
+    h = np.zeros(k.shape + (2 * n - 1, 2 * n - 1))
+    diag = np.arange(2 * n - 1)
+    h[..., diag, diag] = k[..., None]
+    h[..., n - 1, n - 1] = l
+    beta = np.arange(n - 1)
+    h[..., beta, n + beta] = alpha[..., None]
+    h[..., n + beta, beta] = -alpha[..., None]
     return h
-
-
-def report(s: SurfaceDef, p: Point, pivots=None) -> SurfaceReport:
-    return shape_matrix(s, build_frame(s, p, pivots=pivots))
 
 
 def sublaplacian(s: SurfaceDef, coords):
@@ -479,56 +697,59 @@ class RadialProfile:
     r_max: float
 
 
-def rotsym_report(profile: RadialProfile, p: Point) -> SurfaceReport:
-    """Closed-form report for a rotationally symmetric surface.
+def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
+    """Closed-form reports of points on a rotationally symmetric surface.
 
     All scalars come from the radial profile alone; the surface is umbilic
-    by symmetry, so the form matrix is filled with the umbilic pattern.
+    by symmetry, so the form matrices are filled with the umbilic pattern.
+    The frames take their complement from the kernel's Gram-Schmidt.  The
+    first point off the profile's domain or off the surface raises.
     """
-    n = p.n
-    x, y, t = p.x, p.y, p.t
-    r = float(np.dot(x, x) + np.dot(y, y))
-    z = np.sqrt(r)
-    if z <= 0.0:
-        raise DegenerateProfile("profile formulas need |z| > 0")
-    fv, fp, fpp = profile.f(r), profile.df(r), profile.ddf(r)
-    disc = fp * fp + fv
-    if disc <= 0.0:
-        raise DegenerateProfile(f"(f')^2 + f = {disc:g} <= 0")
-    if abs(t * t - fv) > 1e-9 * (1.0 + abs(fv) + t * t):
-        raise OffSurface("point does not satisfy t^2 = f(|z|^2)")
-    root = np.sqrt(disc)
-    k = -fp / (z * root)
-    alpha = t / (z * root)
-    l = (r - fp) / (z * root) - (1.0 + 2.0 * fpp) * fv * z / disc**1.5
-
-    e2n = np.concatenate(
-        [(fp * x - t * y) / (z * root), (fp * y + t * x) / (z * root)]
-    )
-    e2n /= np.linalg.norm(e2n)
+    points = tuple(points)
+    if not points:
+        raise ValueError("need at least one point")
+    n = points[0].n
+    coords = np.array([p.coords for p in points])
+    vals = np.empty((len(points), 5))
+    for i, p in enumerate(points):
+        r = float(np.dot(p.x, p.x) + np.dot(p.y, p.y))
+        z = math.sqrt(r)
+        if z <= 0.0:
+            raise DegenerateProfile("profile formulas need |z| > 0")
+        fv, fp, fpp = profile.f(r), profile.df(r), profile.ddf(r)
+        disc = fp * fp + fv
+        if disc <= 0.0:
+            raise DegenerateProfile(f"(f')^2 + f = {disc:g} <= 0")
+        if abs(p.t * p.t - fv) > 1e-9 * (1.0 + abs(fv) + p.t * p.t):
+            raise OffSurface("point does not satisfy t^2 = f(|z|^2)")
+        zroot = z * math.sqrt(disc)
+        l = (r - fp) / zroot - (1.0 + 2.0 * fpp) * fv * z / disc**1.5
+        vals[i] = -fp / zroot, l, p.t / zroot, fp, zroot
+    k, l, alpha, fp, zroot = vals.T
+    x, y, t = coords[:, :n], coords[:, n : 2 * n], coords[:, 2 * n]
+    fp, t, zroot = fp[:, None], t[:, None], zroot[:, None]
+    e2n = np.concatenate([(fp * x - t * y) / zroot, (fp * y + t * x) / zroot], axis=1)
+    e2n /= _norms(e2n)[:, None]
     en = -_J(e2n)
-    xi, chosen = _complement(en, e2n, n)
-    frame = FrameBundle(
-        p=p,
-        e2n=HorizontalVector(e2n),
-        en=HorizontalVector(en),
-        xi_prime=xi,
-        alpha=float(alpha),
-        grad_norm=2.0 * z * root,
-        pivots=chosen,
-    )
-    eigs = np.full(2 * n - 2, k)
-    return SurfaceReport(
+    xi, chosen = _complement(en, e2n)
+    frame = FrameBatch(points, coords, e2n, en, xi, alpha, 2.0 * zroot[:, 0], chosen)
+    zeros = np.zeros(len(points))
+    return ReportBatch(
         frame=frame,
         h=_umbilic_form(n, k, l, alpha),
-        k=float(k),
-        l=float(l),
-        H=float(l + (2 * n - 2) * k),
-        eigenvalues=eigs,
-        xn_residual=0.0,
-        spread=0.0,
-        umbilic=True,
+        k=k,
+        l=l,
+        H=l + (2 * n - 2) * k,
+        eigenvalues=np.repeat(k[:, None], 2 * n - 2, axis=1),
+        xn_residual=zeros,
+        spread=zeros,
+        umbilic=np.ones(len(points), dtype=bool),
     )
+
+
+def rotsym_report(profile: RadialProfile, p: Point) -> SurfaceReport:
+    """Closed-form report at ``p``: a batch of one of :func:`rotsym_many`."""
+    return rotsym_many(profile, (p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +791,7 @@ def graph_derivatives(func, n):
 def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
     """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
 
-    Reference only: ``shape_matrix`` takes its eigenvalues from
+    Reference only: the kernel takes its eigenvalues from
     ``np.linalg.eigvalsh``, and the tests compare the two.
     """
     a = np.array(mat, dtype=float)

@@ -9,6 +9,7 @@ constants live in ``data/golden.json`` and recomputation must stay within
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import zlib
@@ -147,6 +148,34 @@ def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None):
             for name, params, points in cases]
 
 
+def _report_claim(cid, seed, cases, residual, tolerance, row_id=None, report_fn=None):
+    """One result row per case, from batched reports.
+
+    ``cases`` are as for ``_sampled_claim``.  Each run of consecutive points
+    of one catalog entry is evaluated as one ``surface.report_many`` call
+    (or ``report_fn(surface, points)``), and ``residual(entry, batch)`` gives
+    one residual per point.  A point whose report fails fails the claim, as
+    the report of a catalog point must not fail; see ``_row``.
+    """
+    rows = []
+    for name, params, points in cases:
+        residuals = []
+        for _, run in itertools.groupby(points, key=lambda item: id(item[0])):
+            run = list(run)
+            entry = run[0][0]
+            batch = (report_fn or surface.report_many)(entry.surface, [p for _, p in run])
+            residuals.extend(np.asarray(residual(entry, batch), dtype=float).tolist())
+        rows.append(_row(cid, seed, name, params, residuals, tolerance, row_id))
+    return rows
+
+
+def _zabs(coords):
+    """Horizontal radii |z| of stacked points (``catalog._zabs`` row by row)."""
+    n = coords.shape[1] // 2
+    x, y = coords[:, :n], coords[:, n : 2 * n]
+    return np.sqrt(surface._dots(x, x) + surface._dots(y, y))
+
+
 def _case(name, params, entry, rng, count):
     """A case of ``count`` points drawn from one catalog entry."""
     return name, params, [(entry, p) for p in entry.sample(rng, count)]
@@ -163,37 +192,35 @@ def _catalog_cases(rng, count, ns=(2, 3)):
 
 
 def claim_partial_symmetry(seed, count=100, report_fn=None):
-    """Partial symmetry of the form matrix and the paired-entry tilt gap."""
+    """Partial symmetry of the form matrix and the paired-entry tilt gap.
+
+    ``report_fn(surface, points)`` stands in for ``surface.report_many``;
+    it needs to give ``h`` and ``alpha`` stacks.
+    """
     cid = "prop2.1-symmetry"
 
-    def residual(entry, p):
-        rep = (report_fn or report)(entry.surface, p)
-        h, a = rep.h, rep.alpha
+    def residual(entry, batch):
+        h, a = batch.h, batch.alpha
         n = entry.params["n"]
-        m = 2 * n - 1
-        worst = 0.0
-        for i in range(m):
-            for j in range(m):
-                if abs(i - j) != n:
-                    worst = max(worst, abs(h[i, j] - h[j, i]))
-        for b in range(n - 1):
-            worst = max(worst, abs(h[b, n + b] - h[n + b, b] - 2.0 * a))
-        return worst
+        i, j = np.indices(h.shape[1:])
+        asym = np.abs(h - h.transpose(0, 2, 1))[:, np.abs(i - j) != n].max(axis=1)
+        b = np.arange(n - 1)
+        paired = np.abs(h[:, b, n + b] - h[:, n + b, b] - 2.0 * a[:, None]).max(axis=1)
+        return np.maximum(asym, paired)
 
     cases = _catalog_cases(_rng(seed, cid), count)
-    return _sampled_claim(cid, seed, cases, residual, 1e-8)
+    return _report_claim(cid, seed, cases, residual, 1e-8, report_fn=report_fn)
 
 
 def claim_shape_symmetric(seed, count=60):
     cid = "prop2.2-shape-symmetric"
 
-    def residual(entry, p):
-        rep = report(entry.surface, p)
-        S = surface._shape_operator(rep.h, rep.alpha)
-        return float(np.max(np.abs(S - S.T)))
+    def residual(entry, batch):
+        S = surface._shape_operator(batch.h, batch.alpha)
+        return np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2))
 
     cases = _catalog_cases(_rng(seed, cid), count)
-    return _sampled_claim(cid, seed, cases, residual, 1e-8)
+    return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
 def _generic_test_surface(n):
@@ -220,17 +247,14 @@ def claim_xn_shape_equivalence(seed, count=60):
     cid = "prop2.3-xn-equivalence"
     rng = _rng(seed, cid)
 
-    def xn_entries(rep):
-        """Largest asymmetry and largest entry of the e_n row of ``h``."""
-        nidx = rep.frame.n - 1
-        keep = [a for a in range(rep.h.shape[0]) if a != nidx]
-        row = rep.h[nidx, keep]
-        return (float(np.max(np.abs(row - rep.h[keep, nidx]))),
-                float(np.max(np.abs(row))))
+    def xn_entries(h, n):
+        """Largest asymmetry and largest entry of the e_n row of each ``h``."""
+        keep = surface._complement_rows(n)
+        row = h[:, n - 1, keep]
+        return np.abs(row - h[:, keep, n - 1]).max(axis=1), np.abs(row).max(axis=1)
 
-    def residual(entry, p):
-        rep = report(entry.surface, p)
-        return max(rep.xn_residual, *xn_entries(rep))
+    def residual(entry, batch):
+        return np.maximum(batch.xn_residual, np.maximum(*xn_entries(batch.h, entry.params["n"])))
 
     cases = (
         ("catalog", {"n": n},
@@ -238,27 +262,24 @@ def claim_xn_shape_equivalence(seed, count=60):
           for p in entry.sample(rng, 30)])
         for n in (2, 3)
     )
-    out = _sampled_claim(cid, seed, cases, residual, 1e-8)
-    # nontrivial direction: a surface with a genuinely nonzero obstruction
+    out = _report_claim(cid, seed, cases, residual, 1e-8)
+    # nontrivial direction: a surface with a genuinely nonzero obstruction;
+    # points whose report fails are skipped
     n = 2
     gen, height = _generic_test_surface(n)
-    worst_eq = 0.0
-    largest = 0.0
-    done = 0
+    forms = []
     for _ in range(count):
         x = rng.normal(size=2 * n) * 0.6
         p = Point(np.concatenate([x, [height(x)]]))
         try:
-            rep = report(gen, p)
+            forms.append(report(gen, p).h)
         except surface.GeometryError:
             continue
-        done += 1
-        asym, lead = xn_entries(rep)
-        worst_eq = max(worst_eq, asym)
-        largest = max(largest, lead)
-    res = worst_eq if largest > 1e-3 else math.inf  # need a nonzero witness
+    asym, lead = xn_entries(np.array(forms).reshape(-1, 2 * n - 1, 2 * n - 1), n)
+    largest = float(lead.max(initial=0.0))
+    res = float(asym.max(initial=0.0)) if largest > 1e-3 else math.inf  # need a nonzero witness
     out.append(
-        ClaimResult(cid, "generic-graph", {"n": n}, res, 1e-8, done,
+        ClaimResult(cid, "generic-graph", {"n": n}, res, 1e-8, len(forms),
                     _claim_seed(seed, cid), extra={"witness": largest})
     )
     return out
@@ -267,13 +288,12 @@ def claim_xn_shape_equivalence(seed, count=60):
 def claim_umbilic_pattern(seed, count=60):
     cid = "prop2.4-umbilic-pattern"
 
-    def residual(entry, p):
-        rep = report(entry.surface, p)
-        pattern = surface._umbilic_form(entry.params["n"], rep.k, rep.l, rep.alpha)
-        return float(np.max(np.abs(rep.h - pattern)))
+    def residual(entry, batch):
+        pattern = surface._umbilic_form(entry.params["n"], batch.k, batch.l, batch.alpha)
+        return np.abs(batch.h - pattern).max(axis=(1, 2))
 
     cases = _catalog_cases(_rng(seed, cid), count)
-    return _sampled_claim(cid, seed, cases, residual, 1e-8)
+    return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +304,16 @@ def claim_rotsym(seed, count=60):
     cid = "prop3.1-rotsym-umbilic"
     rng = _rng(seed, cid)
 
-    def residual(entry, p):
-        rs = surface.rotsym_report(entry.profile, p)
-        sm = report(entry.surface, p)
-        if not rs.umbilic or not sm.umbilic:
-            return math.inf
-        return max(abs(rs.k - sm.k), abs(rs.l - sm.l),
-                   abs(rs.alpha - sm.alpha), abs(rs.H - sm.H))
+    def residual(entry, batch):
+        rs = surface.rotsym_many(entry.profile, batch.frame.points)
+        gap = np.maximum.reduce([np.abs(rs.k - batch.k), np.abs(rs.l - batch.l),
+                                 np.abs(rs.alpha - batch.alpha), np.abs(rs.H - batch.H)])
+        return np.where(rs.umbilic & batch.umbilic, gap, math.inf)
 
     cases = (_case(entry.name, {"n": n}, entry, rng, count)
              for n in (2, 3) for entry in catalog.standard_entries(n)
              if entry.profile is not None)
-    return _sampled_claim(cid, seed, cases, residual, 1e-8)
+    return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_profile_ode(seed):
@@ -475,55 +493,52 @@ def claim_pansu_table(seed, count=100):
     cid = "ex3.2-pansu-table"
     rng = _rng(seed, cid)
 
-    def residual(entry, p):
-        rep = report(entry.surface, p)
-        if not rep.umbilic:
-            return math.inf
+    def residual(entry, batch):
         lam, n = entry.params["lam"], entry.params["n"]
-        return max(abs(rep.k - lam), abs(rep.l - 2.0 * lam),
-                   abs(rep.H - 2.0 * n * lam), rep.xn_residual)
+        gap = np.maximum.reduce([np.abs(batch.k - lam), np.abs(batch.l - 2.0 * lam),
+                                 np.abs(batch.H - 2.0 * n * lam), batch.xn_residual])
+        return np.where(batch.umbilic, gap, math.inf)
 
     cases = (_case("pansu", {"n": n, "lam": lam}, catalog.pansu(lam, n), rng, count)
              for n in (2, 3) for lam in (0.5, 1.0, 2.0))
-    return _sampled_claim(cid, seed, cases, residual, 1e-8)
+    return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_heisenberg_table(seed, count=100):
     cid = "ex3.3-l-eq-3k"
     rng = _rng(seed, cid)
 
-    def residual(entry, p):
-        rep = report(entry.surface, p)
+    def residual(entry, batch):
         rho = entry.params["rho"]
-        return max(abs(rep.l - 3.0 * rep.k),
-                   abs(rep.alpha - 2.0 * p.t / (rho * rho * catalog._zabs(p))))
+        coords = batch.frame.coords
+        return np.maximum(np.abs(batch.l - 3.0 * batch.k),
+                          np.abs(batch.alpha - 2.0 * coords[:, -1] / (rho * rho * _zabs(coords))))
 
     cases = (_case("heisenberg-sphere", {"rho": rho},
                    catalog.heisenberg_sphere(rho, 2), rng, count)
              for rho in (1.0, 1.3))
-    return _sampled_claim(cid, seed, cases, residual, 1e-8)
+    return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_flat_examples(seed, count=100):
     cid = "ex3.4-cylinder-hyperplane"
     rng = _rng(seed, cid)
 
-    def cylinder_residual(entry, p):
-        rep = report(entry.surface, p)
+    def cylinder_residual(entry, batch):
         c = entry.params["c"]
-        return max(abs(rep.k - 1.0 / c), abs(rep.l - 1.0 / c), abs(rep.alpha))
+        return np.maximum.reduce([np.abs(batch.k - 1.0 / c), np.abs(batch.l - 1.0 / c),
+                                  np.abs(batch.alpha)])
 
-    def hyperplane_residual(entry, p):
-        rep = report(entry.surface, p)
-        return max(abs(rep.k), abs(rep.l), abs(rep.alpha), abs(rep.H),
-                   rep.xn_residual)
+    def hyperplane_residual(entry, batch):
+        return np.maximum.reduce([np.abs(batch.k), np.abs(batch.l), np.abs(batch.alpha),
+                                  np.abs(batch.H), batch.xn_residual])
 
     cylinders = (_case("cylinder", {"c": c}, catalog.cylinder(c, 2), rng, count)
                  for c in (1.0, 2.0))
-    out = _sampled_claim(cid, seed, cylinders, cylinder_residual, 1e-10)
+    out = _report_claim(cid, seed, cylinders, cylinder_residual, 1e-10)
     hyperplane = [_case("hyperplane", {}, catalog.hyperplane(np.eye(4)[0], 2),
                         rng, count)]
-    return out + _sampled_claim(cid, seed, hyperplane, hyperplane_residual, 1e-12)
+    return out + _report_claim(cid, seed, hyperplane, hyperplane_residual, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -777,27 +792,24 @@ def claim_shifted_spheres(seed, count=100):
             yield ("shifted-sphere", {"lam": lam, "rho0": rho0},
                    [(entry, p) for p in pts])
 
-    def residual(entry, p):
+    def residual(entry, batch):
         lam, rho0 = entry.params["lam"], entry.params["rho0"]
-        rep = report(entry.surface, p)
-        gap = 3.0 * rep.k - rep.l
-        if gap < floors[lam]:
-            return math.inf
-        return abs(gap - 2.0 * lam / (rho0**2 * catalog._zabs(p)))
+        gap = 3.0 * batch.k - batch.l
+        return np.where(gap < floors[lam], math.inf,
+                        np.abs(gap - 2.0 * lam / (rho0**2 * _zabs(batch.frame.coords))))
 
-    out = _sampled_claim(cid, seed, cases(), residual, 1e-8)
+    out = _report_claim(cid, seed, cases(), residual, 1e-8)
     for row in out:
         row.extra = {"floor": floors[row.params["lam"]]}
 
-    def equality_residual(entry, p):
-        rep = report(entry.surface, p)
-        return abs(3.0 * rep.k - rep.l)
+    def equality_residual(entry, batch):
+        return np.abs(3.0 * batch.k - batch.l)
 
     # equality at zero shift
     equality = [_case("shifted-sphere", {"lam": 0.0},
                       catalog.shifted_sphere(0.0, 1.0, 2), rng, count)]
-    return out + _sampled_claim(cid, seed, equality, equality_residual, 1e-10,
-                                row_id=cid + "-equality")
+    return out + _report_claim(cid, seed, equality, equality_residual, 1e-10,
+                               row_id=cid + "-equality")
 
 
 def pmc_level_set_check(lams, sigma, n, count=20, seed=0):
@@ -811,11 +823,11 @@ def pmc_level_set_check(lams, sigma, n, count=20, seed=0):
     cases = [("pansu-family", {"n": n, "sigma": sigma, "lams": list(lams)},
               [(entry, p) for entry in entries for p in entry.sample(rng, count)])]
 
-    def residual(entry, p):
+    def residual(entry, batch):
         target = targets[entry.params["lam"]]
-        return abs(report(entry.surface, p).H - target) / target
+        return np.abs(batch.H - target) / target
 
-    (res,) = _sampled_claim(cid, seed, cases, residual, 1e-8)
+    (res,) = _report_claim(cid, seed, cases, residual, 1e-8)
     if any(b <= a for a, b in zip(u_values, u_values[1:])):
         res.residual = math.inf  # the level values must grow with the parameter
     return res
@@ -860,12 +872,18 @@ REQUIRED_COVERAGE = sorted(CLAIMS.keys())
 
 
 def run_all(config: VerifyConfig = None) -> Report:
-    """Execute the registry (optionally filtered by id prefix)."""
+    """Execute the registry (optionally filtered by id prefix).
+
+    A filter that matches no claim id raises ``ValueError``: a run of no
+    claims would pass vacuously.
+    """
     config = config or VerifyConfig()
+    chosen = [(cid, producer) for cid, producer in CLAIMS.items()
+              if not config.only or cid.startswith(config.only)]
+    if not chosen:
+        raise ValueError(f"no claim id starts with {config.only!r}")
     results = []
-    for cid, producer in CLAIMS.items():
-        if config.only and not cid.startswith(config.only):
-            continue
+    for cid, producer in chosen:
         try:
             results.extend(producer(config.seed))
         except Exception as exc:  # a crashed claim is a failed claim

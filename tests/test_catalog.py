@@ -169,10 +169,13 @@ def test_shifted_sphere_gap_formula():
 
 
 def test_radial_closed_form_matches_dual2():
-    # the closed form built from the squared-height profile agrees with
-    # automatic differentiation of the same defining function
+    # the closed forms (squared-height profiles, the cylinder's quadratic and
+    # the hyperplane's linear function) agree with automatic differentiation
+    # of the same defining function
     for n in (2, 3, 4):
-        for e in (catalog.heisenberg_sphere(1.0, n), catalog.shifted_sphere(0.5, 1.2, n)):
+        for e in (catalog.heisenberg_sphere(1.0, n), catalog.shifted_sphere(0.5, 1.2, n),
+                  catalog.cylinder(1.5, n),
+                  catalog.hyperplane(np.arange(1.0, 2 * n + 1) - n, n)):
             for p in e.sample(RNG, 20):
                 exact = e.surface.grad_hess(p.coords)
                 dual = duals.gradient_hessian(e.surface.func, p.coords)

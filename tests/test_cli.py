@@ -132,6 +132,11 @@ def test_phase_seed_on_separatrix(tmp_path, capsys):
     ("geodesic", "--lam", "nan", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0"),
     ("geodesic", "--lam", "1", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0",
      "--smax", "nan"),
+    ("identities", "--surface", "pansu", "--lam", "nan"),
+    ("identities", "--surface", "shifted-sphere", "--rho0", "nan"),
+    ("phase", "--c", "nan"),
+    ("phase", "--c", "inf"),
+    ("identities", "--surface", "pansu", "--step", "0"),
 ])
 def test_bad_parameter_values_are_usage_errors(capsys, argv):
     start = time.perf_counter()
@@ -195,6 +200,12 @@ def test_verify_only_lemma_filter(capsys):
     assert all(
         ln.split()[1].startswith("lemma6.1") for ln in out.splitlines()[:-1]
     )
+
+
+def test_verify_only_matching_no_claim_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "run", "--only", "nonexistent")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_usage_errors(capsys):

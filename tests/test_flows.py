@@ -290,3 +290,15 @@ def test_bracket_span_rank_n3():
         rank, proj = flows.bracket_span(entry.surface, p)
         assert rank == 5
         assert proj <= 1 - 1e-6
+
+
+def test_offsets_in_lockstep_match_single_offsets():
+    """Both offsets of a central difference flow as one stack; each row is
+    bitwise the offset flowed alone."""
+    e = catalog.pansu(1.0, 3)
+    p = e.sample(np.random.default_rng(8), 1)[0]
+    field = flows._xi_field(e.surface, report(e.surface, p).frame.pivots, 1)
+    both = flows._surface_offsets(e.surface, p.coords, field, (1e-4, -1e-4))
+    for c, h in zip(both, (1e-4, -1e-4)):
+        one = flows.surface_offset(e.surface, p.coords, lambda x: field(x[None])[0], h)
+        assert np.array_equal(c, one)

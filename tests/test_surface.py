@@ -9,14 +9,19 @@ from heisgeo import catalog, surface
 from heisgeo.core import Point, apply_J, frame_lift
 from heisgeo.surface import (
     DegenerateProfile,
+    DomainError,
     NotSingularCandidate,
     OffSurface,
+    PivotDegenerate,
     SingularPoint,
     SurfaceDef,
     build_frame,
+    frame_many,
     graph_derivatives,
     jacobi_eigenvalues,
     report,
+    report_many,
+    rotsym_many,
     rotsym_report,
     singular_jacobian,
 )
@@ -193,6 +198,105 @@ def _conditioned_points(entry, count):
                 continue
         pts.append(p)
     return pts
+
+
+# ---------------------------------------------------------------------------
+# the array kernel: batches and batches of one
+
+
+def _same_report(one, batch, i):
+    """Every field of a batch-of-one report equals batch entry i, bit for bit."""
+    f = one.frame
+    return (np.array_equal(one.h, batch.h[i]) and one.k == batch.k[i]
+            and one.l == batch.l[i] and one.H == batch.H[i]
+            and one.alpha == batch.alpha[i]
+            and np.array_equal(one.eigenvalues, batch.eigenvalues[i])
+            and one.xn_residual == batch.xn_residual[i]
+            and one.spread == batch.spread[i] and one.umbilic == batch.umbilic[i]
+            and f.pivots == tuple(batch.frame.pivots[i])
+            and np.array_equal(f.basis(), batch[i].frame.basis())
+            and np.array_equal(f.e2n.coeffs, batch.frame.e2n[i]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_report_many_is_batch_invariant(n):
+    rng = np.random.default_rng(100 + n)
+    for entry in catalog.standard_entries(n):
+        pts = entry.sample(rng, 6)
+        batch = report_many(entry.surface, pts)
+        assert len(batch) == len(pts)
+        for i, p in enumerate(pts):
+            assert _same_report(report(entry.surface, p), batch, i), (entry.name, i)
+            frame = build_frame(entry.surface, p)
+            assert _same_report(surface.shape_matrix(entry.surface, frame), batch, i)
+        # forced pivots: the first point's sequence for every point
+        pivots = batch.frame.pivots[0]
+        kept = []
+        for p in pts:
+            try:
+                kept.append((p, report(entry.surface, p, pivots=tuple(pivots))))
+            except PivotDegenerate:
+                continue
+        assert kept
+        forced = report_many(entry.surface, [p for p, _ in kept], pivots=pivots)
+        for i, (_, one) in enumerate(kept):
+            assert _same_report(one, forced, i), (entry.name, i)
+        frames = frame_many(entry.surface, [p for p, _ in kept], pivots=pivots)
+        assert np.array_equal(frames.xi_prime, forced.frame.xi_prime)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    raise AssertionError("no exception raised")
+
+
+def test_report_many_raises_the_first_failing_point():
+    e = catalog.pansu(1.0, 2)
+    good = e.sample(np.random.default_rng(3), 4)
+    off = Point(np.array([0.5, 0.0, 0.0, 0.0, 0.01]))        # OffSurface
+    pole = Point(np.array([0.0, 0.0, 0.0, 0.0, math.pi / 4]))  # SingularPoint
+    outside = Point(np.array([1.5, 0.0, 0.0, 0.0, 0.0]))       # DomainError in evaluate
+    for bad, kind in ((off, OffSurface), (pole, SingularPoint), (outside, DomainError)):
+        want = _raised(lambda: report(e.surface, bad))
+        assert want[0] is kind
+        assert _raised(lambda: report_many(e.surface, good[:2] + [bad] + good[2:])) == want
+        assert _raised(lambda: frame_many(e.surface, good[:2] + [bad] + good[2:])) == want
+    # of several failing points the first in input order wins, whatever its stage
+    first = _raised(lambda: report(e.surface, pole))
+    assert _raised(lambda: report_many(e.surface, [good[0], pole, outside, off])) == first
+    first = _raised(lambda: report(e.surface, off))
+    assert _raised(lambda: report_many(e.surface, [good[0], off, pole, good[1]])) == first
+    # a collapsing forced pivot
+    h = catalog.hyperplane([1.0, 0.0, 0.0, 0.0], 2)
+    p = h.sample(np.random.default_rng(4), 1)[0]
+    want = _raised(lambda: report(h.surface, p, pivots=(0,)))
+    assert want[0] is PivotDegenerate
+    assert _raised(lambda: report_many(h.surface, [p, p], pivots=(0,))) == want
+    # ... which comes first even though the off-surface point after it fails
+    # an earlier check
+    off = Point(p.coords + np.array([0.1, 0.0, 0.0, 0.0, 0.0]))
+    assert _raised(lambda: report(h.surface, off))[0] is OffSurface
+    assert _raised(lambda: report_many(h.surface, [p, off], pivots=(0,))) == want
+
+
+def test_report_many_of_no_points_is_empty():
+    e = catalog.pansu(1.0, 3)
+    batch = report_many(e.surface, [])
+    assert len(batch) == 0
+    assert batch.h.shape == (0, 5, 5) and batch.eigenvalues.shape == (0, 4)
+    assert batch.k.shape == batch.alpha.shape == batch.umbilic.shape == (0,)
+    assert frame_many(e.surface, []).xi_prime.shape == (0, 4, 6)
+
+
+def test_rotsym_many_matches_rotsym_report():
+    e = catalog.shifted_sphere(0.5, 1.2, 3)
+    pts = e.sample(RNG, 10)
+    batch = rotsym_many(e.profile, pts)
+    for i, p in enumerate(pts):
+        assert _same_report(rotsym_report(e.profile, p), batch, i)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from heisgeo import catalog, flows, verify
-from heisgeo.surface import PivotDegenerate, build_frame, report
+from heisgeo.surface import PivotDegenerate, build_frame, report_many
 from heisgeo.verify import ClaimResult, VerifyConfig, run_all
 
 
@@ -87,12 +87,12 @@ def test_mutation_is_detected():
     """A sign error in the tilt must break the paired-entry symmetry claim."""
 
     class Corrupted:
-        def __init__(self, rep):
-            self.h = rep.h
-            self.alpha = -rep.alpha  # injected sign error
+        def __init__(self, batch):
+            self.h = batch.h
+            self.alpha = -batch.alpha  # injected sign error
 
-    def bad_report(surface_def, p):
-        return Corrupted(report(surface_def, p))
+    def bad_report(surface_def, points):
+        return Corrupted(report_many(surface_def, points))
 
     results = verify.claim_partial_symmetry(0, count=4, report_fn=bad_report)
     assert any(not r.passed for r in results)
