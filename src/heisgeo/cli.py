@@ -197,10 +197,10 @@ def _cmd_identities(args):
 def _cmd_verify(args):
     config = verify.VerifyConfig(seed=args.seed, only=args.only)
     rep = verify.run_all(config)
-    text = rep.to_json() + "\n"
     if args.json:
-        with open(_resolve_out(args.json), "w") as fh:
-            fh.write(text)
+        _write(args.json, rep.to_json() + "\n")
+    if args.timings:  # wall clock, so never in the reproducible report
+        _write(args.timings, json_dumps(rep.timings) + "\n")
     for claim in rep.claims:
         status = "pass" if claim.passed else "FAIL"
         sys.stdout.write(
@@ -270,6 +270,8 @@ def _build_parser():
     p.add_argument("--only", default="", help="claim-id prefix filter")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", default="", help="write the JSON report here")
+    p.add_argument("--timings", default="",
+                   help="write each claim's wall seconds here as JSON")
     return parser
 
 

@@ -392,29 +392,8 @@ def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
     characteristic direction; the foliation statement needs rank 2n-1 with
     that projection bounded away from one.
     """
-    n = p.n
     fr = build_frame(s, p)
-    pivots = fr.pivots
-    fields = [_xi_coeff_field(s, pivots, i) for i in range(2 * n - 2)]
-    vals = [f(p.coords) for f in fields]
-    rows = [np.concatenate([v, [0.0]]) for v in vals]
-
-    step = h_fd
-    for i in range(2 * n - 2):
-        for j in range(i + 1, 2 * n - 2):
-            Xi, Xj = vals[i], vals[j]
-            wi = frame_lift(HorizontalVector(Xi), p)
-            wj = frame_lift(HorizontalVector(Xj), p)
-            dji = (fields[j](p.coords + step * wi) - fields[j](p.coords - step * wi)) / (
-                2.0 * step
-            )
-            dij = (fields[i](p.coords + step * wj) - fields[i](p.coords - step * wj)) / (
-                2.0 * step
-            )
-            hor = dji - dij
-            tau = -2.0 * float(Xi[:n] @ Xj[n:] - Xi[n:] @ Xj[:n])
-            rows.append(np.concatenate([hor, [tau]]))
-    mat = np.array(rows)
+    mat = _bracket_rows(s, p, fr.pivots, h_fd)
     _, svals, vt = np.linalg.svd(mat)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     # orthonormal basis of the span, then project the characteristic direction
@@ -423,8 +402,24 @@ def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
     return rank, proj
 
 
-def _xi_coeff_field(s: SurfaceDef, pivots, index):
-    def coeffs(c):
-        return frame_many(s, (Point(c),), pivots=pivots).xi_prime[0, index]
-
-    return coeffs
+def _bracket_rows(s: SurfaceDef, p: Point, pivots, h_fd):
+    """The complement fields at ``p`` and their brackets, one row each with
+    the vertical component last.  A bracket's horizontal part is a central
+    difference of the fields at ``p +- h_fd X``; the fields come from two
+    ``frame_many`` batches under ``pivots``, one at ``p`` and one at every
+    offset, and each row of a batch is the point's frame alone."""
+    n = p.n
+    m = 2 * n - 2
+    vals = frame_many(s, (p,), pivots=pivots).xi_prime[0]
+    lifts = [frame_lift(HorizontalVector(v), p) for v in vals]
+    offsets = [c for w in lifts for c in (p.coords + h_fd * w, p.coords - h_fd * w)]
+    xi = frame_many(s, [Point(c) for c in offsets], pivots=pivots).xi_prime
+    rows = [np.concatenate([v, [0.0]]) for v in vals]
+    for i in range(m):
+        for j in range(i + 1, m):
+            Xi, Xj = vals[i], vals[j]
+            dji = (xi[2 * i, j] - xi[2 * i + 1, j]) / (2.0 * h_fd)
+            dij = (xi[2 * j, i] - xi[2 * j + 1, i]) / (2.0 * h_fd)
+            tau = -2.0 * float(Xi[:n] @ Xj[n:] - Xi[n:] @ Xj[:n])
+            rows.append(np.concatenate([dji - dij, [tau]]))
+    return np.array(rows)

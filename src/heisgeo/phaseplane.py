@@ -154,8 +154,10 @@ def _to_log(q: PhasePoint):
 
 
 def _trace(pp, ss, ys, sign, **info):
-    return OrbitTrace(params=pp, s=ss, alpha=ys[:, 0], beta=sign * np.exp(ys[:, 1]),
-                      **info)
+    """A trace from nodes ``ys`` in ``(alpha, w)``; its arrays do not keep
+    ``ys`` alive."""
+    return OrbitTrace(params=pp, s=ss, alpha=ys[:, 0].copy(),
+                      beta=sign * np.exp(ys[:, 1]), **info)
 
 
 def _crossings(sol, sign):
@@ -271,6 +273,8 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
     All seeds run as lanes of two ``rk45.solve_lanes`` sweeps: one for the
     arcs, one to each lane's period.  Lanes with different parameters share
     the sweeps, and a seed's trace is still bitwise the one it gets alone.
+    Each lane's arc and rest are released as its trace is built, so a large
+    batch holds its nodes about once.
     A bad seed raises what it raises alone, the first in input order:
     ``OnSeparatrix`` on the line ``beta = 0``, ``ValueError`` at a stationary
     point, ``NotPeriodic`` when the closure error exceeds ``orbit_tol``
@@ -318,8 +322,10 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
                              np.array([arcs[i].ys[-1] for i in go]).reshape(-1, 2),
                              [periods[i] for i in go], control)
     traces = []
-    for i, rest in zip(go, rests):
-        q0, arc = seeds[i], arcs[i]
+    for k, i in enumerate(go):
+        q0 = seeds[i]
+        arc, rest = arcs[i], rests[k]
+        arcs[i] = rests[k] = None
         if rest.status == "underflow":
             errors[i] = _blow_up(rest)
             continue

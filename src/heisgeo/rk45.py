@@ -6,10 +6,11 @@ control over the error controller, and event times are polished by taking a
 single fresh Runge-Kutta step onto each bisection candidate, which keeps the
 located crossing as accurate as the trajectory itself.
 
-``solve`` integrates one trajectory and locates no events.  ``solve_lanes``
-integrates a set of independent trajectories as lanes of one vectorised
-sweep under the same controller, which is much cheaper per trajectory than
-looping ``solve``, and locates the sign changes of at most one ``Event``.
+``solve`` integrates one trajectory, locates no events and keeps the
+derivative at every node for dense output.  ``solve_lanes`` integrates a set
+of independent trajectories as lanes of one vectorised sweep under the same
+controller, which is much cheaper per trajectory than looping ``solve``,
+locates the sign changes of at most one ``Event`` and keeps mesh values only.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Event:
 class Solution:
     ss: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
+    fs: Optional[np.ndarray]  # f(s, y) at the nodes; None for a lane (mesh values only)
     events: list = field(default_factory=list)  # (s, y) crossings, in order
     status: str = "done"
     nfev: int = 0      # right-hand-side evaluations, event location included
@@ -91,7 +92,10 @@ class Solution:
     rejected: int = 0  # steps rejected by the error test or for a non-finite state
 
     def __call__(self, s):
-        """Cubic Hermite interpolation on the accepted mesh."""
+        """Cubic Hermite interpolation on the accepted mesh (``solve`` only)."""
+        if self.fs is None:
+            raise ValueError("a lane solution keeps mesh values only; "
+                             "dense output needs rk45.solve")
         ss = self.ss
         if ss[0] <= ss[-1]:
             i = int(np.clip(np.searchsorted(ss, s) - 1, 0, ss.size - 2))
@@ -257,6 +261,10 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
     at its last crossing with status ``"event"``.  A lane that underflows
     gets status ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the
     error ``solve`` raises) and the other lanes go on.
+
+    A lane's ``Solution`` keeps mesh values only (``fs`` is None, so it has
+    no dense output) in arrays of its own, so releasing one lane frees its
+    nodes.
     """
     control = control or StepControl()
     y = np.array(y0, dtype=float)
@@ -279,8 +287,8 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
         g_prev = None if event is None else np.asarray(event.fn(s, y), dtype=float)
         count = np.zeros(n, dtype=np.int64)
         brackets = []  # (lane, s, y, fy, h, g0), in sweep order
-        # accepted nodes per sweep: (lane mask, rows (s, y, f(s, y)))
-        nodes = [(np.ones(n, dtype=bool), np.column_stack((s, y, fy)))]
+        # accepted nodes per sweep: (lane mask, rows (s, y))
+        nodes = [(np.ones(n, dtype=bool), np.column_stack((s, y)))]
         tiny = 4.0 * np.finfo(float).eps
         while not done.all():
             live = ~done
@@ -326,7 +334,7 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
             y = np.where(moved[:, None], ynew, y)
             fy = np.where(moved[:, None], stages[6], fy)
             if moved.any():
-                nodes.append((moved, np.column_stack((s, y, fy))[moved]))
+                nodes.append((moved, np.column_stack((s, y))[moved]))
             done |= moved & (np.abs(s1 - s) <= 1e-14 * np.fmax(1.0, np.abs(s1)))
             factor = np.where(errnorm == 0.0, 5.0, np.fmin(5.0, shrink))
             h = np.where(moved, np.fmin(h * factor, control.max_step), h)
@@ -342,22 +350,22 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
             s_end, y_end = s.copy(), y.copy()
             for lane in np.flatnonzero(term):
                 s_end[lane], y_end[lane] = found[lane][-1]
-            f_end = np.asarray(f(s_end, y_end), dtype=float)
-            nfev += term
-            nodes.append((term, np.column_stack((s_end, y_end, f_end))[term]))
+            nodes.append((term, np.column_stack((s_end, y_end))[term]))
 
     # every lane has 1 + accepted nodes (a terminal step's node is its event);
-    # gather them lane by lane, in step order, into one table
+    # gather them lane by lane, in step order, into one table, releasing each
+    # sweep's chunk once it is copied
     cuts = np.concatenate(([0], np.cumsum(1 + accepted)))
-    table = np.empty((cuts[-1], 1 + 2 * d))
+    table = np.empty((cuts[-1], 1 + d))
     fill = cuts[:-1].copy()
-    for lanes, rows in nodes:
+    for k, (lanes, rows) in enumerate(nodes):
+        nodes[k] = None
         table[fill[lanes]] = rows
         fill[lanes] += 1
     out = []
     for i in range(n):
-        rows = table[cuts[i]:cuts[i + 1]]
-        out.append(Solution(rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:], found[i],
+        rows = table[cuts[i]:cuts[i + 1]].copy()  # the lane's own block
+        out.append(Solution(rows[:, 0], rows[:, 1:], None, found[i],
                             _STATUS[status[i]], int(nfev[i]), int(accepted[i]),
                             int(rejected[i])))
     return out

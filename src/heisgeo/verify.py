@@ -15,6 +15,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from importlib import resources
+from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,6 +80,7 @@ class VerifyConfig:
 class Report:
     seed: int
     claims: list
+    timings: dict = field(default_factory=dict)  # claim id -> wall seconds; not in to_json
 
     @property
     def passed(self):
@@ -123,18 +125,27 @@ def _completed(fn, items):
     return out
 
 
+def _worst(residuals):
+    """The largest of ``residuals`` (0 for none), or NaN if any is NaN:
+    Python's ``max`` skips a NaN, and a NaN residual must fail its row."""
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        worst = max(worst, r)
+    return worst
+
+
 def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None):
     """A result row: the worst of ``residuals`` over its completed points.
 
-    ``samples`` counts the residuals, and a row with none fails.  Rows carry
-    ``row_id`` (default ``cid``) and the seed derived from ``cid``.
+    ``samples`` counts the residuals, and a row with none fails, as does a
+    row with a NaN residual (reported as non-finite).  Rows carry ``row_id``
+    (default ``cid``) and the seed derived from ``cid``.
     """
-    worst = 0.0
-    for r in residuals:
-        worst = max(worst, r)
     return ClaimResult(row_id or cid, name, params,
-                       worst if residuals else math.inf, tolerance, len(residuals),
-                       _claim_seed(seed, cid), extra=extra or {})
+                       _worst(residuals) if residuals else math.inf, tolerance,
+                       len(residuals), _claim_seed(seed, cid), extra=extra or {})
 
 
 def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None):
@@ -624,12 +635,12 @@ def _seed_grid(pp):
 def _closure_row(cid, seed, pp, seeds, traces):
     """The ``lemma6.1-closure`` row of one ``(n, c)`` grid, from the traces
     of its seeds."""
-    worst = 0.0
+    errors = []
     steps = 0
     drift = 0.0
     crossings_ok = True
     for q0, tr in zip(seeds, traces, strict=True):
-        worst = max(worst, tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
+        errors.append(tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
         steps += tr.accepted
         drift = max(drift, tr.first_integral_drift())
         if q0.beta > 0 and not np.all(tr.beta > 0):
@@ -641,8 +652,7 @@ def _closure_row(cid, seed, pp, seeds, traces):
             hi = max(b for _, b in tr.events)
             if not (0.0 < lo < pp.c < hi):
                 crossings_ok = False
-    if not crossings_ok:
-        worst = math.inf
+    worst = _worst(errors) if crossings_ok else math.inf
     return ClaimResult(cid, "phase", {"n": pp.n, "c": pp.c}, worst, 1e-8,
                        len(seeds), _claim_seed(seed, cid),
                        extra={"accepted_steps": steps, "first_integral_drift": drift})
@@ -653,30 +663,23 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
     sides of the stationary defect; the reference period matches its golden
     value.
 
-    The grid runs as one ``periodic_orbits`` batch per ``c`` holding every
-    ``n``, with the golden orbit last in the first batch; each batch's
-    traces are reduced to their rows before the next batch runs.  A batch
-    holds all its lanes' nodes at once: one batch of the whole grid is
-    faster but holds three times as many.
+    The whole grid runs as one ``periodic_orbits`` batch, every ``(n, c)``
+    grid in row order with the golden orbit last, and each row takes its
+    traces from the batch by position.  A lane sweep runs as many sweeps as
+    its slowest lane needs, so one batch costs about as much as its slowest
+    grid.
     """
     cid = "lemma6.1-closure"
-    rows, period = {}, None
-    for c in cs:
-        grids = [(PhaseParams(n, c), sum(_seed_grid(PhaseParams(n, c)), [])) for n in ns]
-        params = [pp for pp, grid in grids for _ in grid]
-        seeds = [q0 for _, grid in grids for q0 in grid]
-        if period is None:
-            params.append(PhaseParams(2, 1.0))
-            seeds.append(PhasePoint(0.0, 2.0))
-        traces = phaseplane.periodic_orbits(params, seeds)
-        if period is None:
-            period = traces[-1].period
-        k = 0
-        for pp, grid in grids:
-            rows[pp.n, c] = _closure_row(cid, seed, pp, grid, traces[k:k + len(grid)])
-            k += len(grid)
-        del traces  # free this batch's traces before the next one runs
-    out = [rows[n, c] for n in ns for c in cs]
+    grids = [(pp, sum(_seed_grid(pp), [])) for pp in
+             (PhaseParams(n, c) for n in ns for c in cs)]
+    params = [pp for pp, grid in grids for _ in grid] + [PhaseParams(2, 1.0)]
+    seeds = [q0 for _, grid in grids for q0 in grid] + [PhasePoint(0.0, 2.0)]
+    traces = phaseplane.periodic_orbits(params, seeds)
+    period = traces[-1].period
+    out, k = [], 0
+    for pp, grid in grids:
+        out.append(_closure_row(cid, seed, pp, grid, traces[k:k + len(grid)]))
+        k += len(grid)
     # golden period: frozen after halved-step certification
     frozen = golden()["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]
     out.append(
@@ -703,9 +706,8 @@ def claim_orbit_symmetry(seed, count=6):
     out = []
     for k, (pp, _) in enumerate(cases):
         mine = traces[2 * count * k:2 * count * (k + 1)]
-        worst = 0.0
-        for t1, t2 in zip(mine[:count], mine[count:]):
-            worst = max(worst, abs(t1.period - t2.period) / t1.period)
+        worst = _worst([abs(t1.period - t2.period) / t1.period
+                        for t1, t2 in zip(mine[:count], mine[count:])])
         out.append(
             ClaimResult(cid, "phase", {"n": pp.n, "c": pp.c}, worst, 1e-9, count,
                         _claim_seed(seed, cid))
@@ -875,15 +877,17 @@ def run_all(config: VerifyConfig = None) -> Report:
     """Execute the registry (optionally filtered by id prefix).
 
     A filter that matches no claim id raises ``ValueError``: a run of no
-    claims would pass vacuously.
+    claims would pass vacuously.  The report's ``timings`` hold each claim's
+    wall seconds, which stay out of its JSON so that stays reproducible.
     """
     config = config or VerifyConfig()
     chosen = [(cid, producer) for cid, producer in CLAIMS.items()
               if not config.only or cid.startswith(config.only)]
     if not chosen:
         raise ValueError(f"no claim id starts with {config.only!r}")
-    results = []
+    results, timings = [], {}
     for cid, producer in chosen:
+        start = perf_counter()
         try:
             results.extend(producer(config.seed))
         except Exception as exc:  # a crashed claim is a failed claim
@@ -892,4 +896,5 @@ def run_all(config: VerifyConfig = None) -> Report:
                             _claim_seed(config.seed, cid),
                             extra={"error": f"{type(exc).__name__}: {exc}"})
             )
-    return Report(seed=config.seed, claims=results)
+        timings[cid] = perf_counter() - start
+    return Report(seed=config.seed, claims=results, timings=timings)

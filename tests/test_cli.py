@@ -202,6 +202,21 @@ def test_verify_only_lemma_filter(capsys):
     )
 
 
+def test_verify_timings_file_stays_out_of_the_report(capsys, tmp_path):
+    """``--timings`` writes each claim's wall seconds to its own file; the
+    ``--json`` report is byte-identical with and without it."""
+    plain, timed, timings = (tmp_path / name for name in ("a.json", "b.json", "t.json"))
+    code_a, out_a, _ = run(capsys, "verify", "run", "--only", "eq5", "--json", str(plain))
+    code_b, out_b, _ = run(capsys, "verify", "run", "--only", "eq5", "--json", str(timed),
+                           "--timings", str(timings))
+    assert code_a == code_b == 0 and out_a == out_b
+    assert plain.read_bytes() == timed.read_bytes()
+    ran = {c["claim_id"] for c in json.loads(plain.read_text())["claims"]}
+    seconds = json.loads(timings.read_text())
+    assert set(seconds) == ran == {"eq5.4-alpha-axis", "eq5.5-stationary"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+
+
 def test_verify_only_matching_no_claim_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "run", "--only", "nonexistent")
     assert code == 2 and out == ""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heisgeo import catalog, flows, verify
-from heisgeo.core import HorizontalVector, Point, theta
+from heisgeo.core import HorizontalVector, Point, frame_lift, theta
 from heisgeo.flows import (
     CurveState,
     geodesic_flow,
@@ -15,7 +15,7 @@ from heisgeo.flows import (
     identity_check,
     profile_ode,
 )
-from heisgeo.surface import DomainError, build_frame, report
+from heisgeo.surface import DomainError, build_frame, frame_many, report
 
 RNG = np.random.default_rng(90210)
 
@@ -290,6 +290,40 @@ def test_bracket_span_rank_n3():
         rank, proj = flows.bracket_span(entry.surface, p)
         assert rank == 5
         assert proj <= 1 - 1e-6
+
+
+def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
+    """The bracket rows from one-point ``frame_many`` calls, one per field
+    value, as ``bracket_span`` took them before it batched its offsets."""
+    n = p.n
+
+    def field(c, i):
+        return frame_many(s, (Point(c),), pivots=pivots).xi_prime[0, i]
+
+    vals = [field(p.coords, i) for i in range(2 * n - 2)]
+    rows = [np.concatenate([v, [0.0]]) for v in vals]
+    for i in range(2 * n - 2):
+        for j in range(i + 1, 2 * n - 2):
+            Xi, Xj = vals[i], vals[j]
+            wi = frame_lift(HorizontalVector(Xi), p)
+            wj = frame_lift(HorizontalVector(Xj), p)
+            dji = (field(p.coords + h_fd * wi, j) - field(p.coords - h_fd * wi, j)) / (2.0 * h_fd)
+            dij = (field(p.coords + h_fd * wj, i) - field(p.coords - h_fd * wj, i)) / (2.0 * h_fd)
+            tau = -2.0 * float(Xi[:n] @ Xj[n:] - Xi[n:] @ Xj[:n])
+            rows.append(np.concatenate([dji - dij, [tau]]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("entry", [catalog.pansu(1.0, 2), catalog.pansu(1.0, 3),
+                                   catalog.cylinder(1.0, 2)], ids=["pansu2", "pansu3", "cyl2"])
+def test_bracket_rows_batched_match_one_point_frames(entry):
+    """``bracket_span`` takes its fields from two ``frame_many`` batches; each
+    row is bitwise what one-point frames give."""
+    for p in entry.sample(np.random.default_rng(11), 3):
+        pivots = build_frame(entry.surface, p).pivots
+        batched = flows._bracket_rows(entry.surface, p, pivots, 1e-5)
+        assert np.array_equal(batched,
+                              _bracket_rows_one_point_at_a_time(entry.surface, p, pivots, 1e-5))
 
 
 def test_offsets_in_lockstep_match_single_offsets():

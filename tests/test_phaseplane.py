@@ -239,6 +239,15 @@ def test_batch_equals_each_seed_alone():
     assert (s, q) == (batch[0].s[-1], PhasePoint(batch[0].alpha[-1], batch[0].beta[-1]))
 
 
+def test_trace_arrays_own_their_data():
+    """A trace keeps no view of its rk45 nodes: its tilt is an array of its
+    own, not a column of the (alpha, log|beta|) nodes."""
+    for tr in (periodic_orbit(PP, PhasePoint(0.5, 2.0)),
+               integrate(PP, PhasePoint(0.5, 2.0), 10.0)):
+        assert tr.alpha.base is None and tr.alpha.flags.c_contiguous
+        assert not np.shares_memory(tr.alpha, tr.s)
+
+
 def test_batch_raises_for_the_first_bad_seed():
     good = PhasePoint(0.5, 2.0)
     on_line, stationary = PhasePoint(0.5, 0.0), PhasePoint(0.0, 1.0)

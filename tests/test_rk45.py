@@ -85,10 +85,11 @@ def test_counters_match_rhs_calls():
     assert sol.accepted == sol.ss.size - 1  # the last step ends at the event
     # the event function runs once at the start and once per step, accepted
     # or rejected; every further call is one bisection candidate, one fresh
-    # step each, and the terminal event's node costs one more evaluation
+    # step each (the terminal event's node is mesh values only, so it costs
+    # no further evaluation)
     bisections = gcalls - 1 - sol.accepted - sol.rejected
     assert bisections == 80  # what the scalar event locator spent here
-    assert sol.nfev == 1 + 6 * (sol.accepted + sol.rejected) + 6 * bisections + 1
+    assert sol.nfev == 1 + 6 * (sol.accepted + sol.rejected) + 6 * bisections
     # a step rejected by the error test is counted, and costs six evaluations
     calls = 0
     coarse = StepControl(rtol=1e-10, atol=1e-10, first_step=1.0)
@@ -133,12 +134,27 @@ def test_lanes_mixed_directions_and_end_times():
         assert lane.ys[-1][0] == pytest.approx(math.exp(end), rel=1e-9)
         assert (lane.nfev, lane.accepted, lane.rejected) == (
             alone.nfev, alone.accepted, alone.rejected)
-        assert lane(0.5 * end)[0] == pytest.approx(alone(0.5 * end)[0], rel=1e-12)
+        # a lane keeps mesh values only: dense output is the scalar solve's
+        assert lane.fs is None
+        with pytest.raises(ValueError, match="mesh values only"):
+            lane(0.5 * end)
     assert lanes[3].ss.size == 1 and lanes[3].nfev == 1  # zero span
     # per-lane start times, and a lane that ends where another starts
     lanes = solve_lanes(lambda s, y: np.ones_like(y), [0.0, 1.0], np.zeros((2, 1)),
                         [1.0, 3.0])
     assert [lane.ys[-1][0] for lane in lanes] == pytest.approx([1.0, 2.0], abs=1e-12)
+
+
+def test_lanes_own_their_nodes():
+    """Each lane's mesh is an array of its own, so releasing a lane frees its
+    nodes while the other lanes live on."""
+    ev = Event(fn=lambda s, y: y[:, 0], terminal_count=1)
+    lanes = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0], [2.0, 0.0]]), 10.0,
+                        event=ev)
+    for a, b in ((0, 1), (1, 0)):
+        assert not np.shares_memory(lanes[a].ys, lanes[b].ys)
+        assert not np.shares_memory(lanes[a].ss, lanes[b].ys)
+    assert all(lane.fs is None and lane.ys.shape == (lane.ss.size, 2) for lane in lanes)
 
 
 def test_lane_underflow_does_not_stop_the_others():
@@ -174,7 +190,7 @@ def test_lane_counters_match_rhs_calls():
             alone.nfev, alone.accepted, alone.rejected)
         assert lane.status == "event" and len(lane.events) == 2
         assert lane.accepted == lane.ss.size - 1
-        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected) + 6 * bisections + 1
+        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected) + 6 * bisections
     # rejected steps are counted per lane
     lanes = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0], [0.1, 0.0]]), 3.0,
                         StepControl(rtol=1e-10, atol=1e-10, first_step=1.0))

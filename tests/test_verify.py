@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from heisgeo import catalog, flows, verify
+from heisgeo import catalog, flows, phaseplane, verify
+from heisgeo.phaseplane import PhaseParams, PhasePoint
 from heisgeo.surface import PivotDegenerate, build_frame, report_many
 from heisgeo.verify import ClaimResult, VerifyConfig, run_all
 
@@ -81,6 +84,58 @@ def test_report_json_with_non_finite_residual_is_valid():
     assert data["passed"] is False
     assert data["claims"][0]["residual"] is None
     assert data["claims"][0]["passed"] is False
+
+
+def test_nan_residual_fails_its_row():
+    """Python's ``max`` skips NaN; a row with a NaN residual must fail and
+    report a non-finite residual (``null`` in the JSON)."""
+    for residuals in ([math.nan], [1e-9, math.nan], [math.nan, 1e-9]):
+        row = verify._row("x", 0, "s", {}, residuals, 1e-8)
+        assert math.isnan(row.residual) and not row.passed
+        assert row.samples == len(residuals)
+        data = json.loads(verify.Report(seed=0, claims=[row]).to_json())
+        assert data["claims"][0]["residual"] is None and data["passed"] is False
+    assert verify._row("x", 0, "s", {}, [1e-9, 2e-9], 1e-8).residual == 2e-9
+    entry = catalog.pansu(1.0, 2)
+    cases = [("pansu", {"n": 2}, [(entry, p) for p in entry.sample(np.random.default_rng(3), 4)])]
+    rows = verify._report_claim("x", 0, cases, lambda e, batch: batch.k * math.nan, 1e-8)
+    assert len(rows) == 1 and rows[0].samples == 4
+    assert math.isnan(rows[0].residual) and not rows[0].passed
+
+
+def test_closure_batch_rows_match_one_batch_per_grid():
+    """The one ``lemma6.1-closure`` batch gives field for field the rows of a
+    separate ``periodic_orbits`` batch per ``(n, c)`` grid."""
+    cid = "lemma6.1-closure"
+    rows = verify.claim_orbit_closure(42)
+    grids = [PhaseParams(n, c) for n in (2, 3) for c in (0.5, 1.0, 2.0)]
+    assert len(rows) == len(grids) + 1
+    for row, pp in zip(rows, grids):
+        grid = sum(verify._seed_grid(pp), [])
+        ref = verify._closure_row(cid, 42, pp, grid, phaseplane.periodic_orbits(pp, grid))
+        assert row.to_dict() == ref.to_dict()
+        assert row.passed
+    golden = phaseplane.periodic_orbit(PhaseParams(2, 1.0), PhasePoint(0.0, 2.0))
+    assert rows[-1].claim_id == cid + "-golden"
+    assert rows[-1].extra["period"] == golden.period
+
+
+@pytest.mark.parametrize("claim, small, bound_mb", [
+    # measured peaks 5.15 and 1.86 MB (seed 42), plus 25%
+    (verify.claim_orbit_closure, {"ns": (2,), "cs": (1.0,)}, 6.45),
+    (verify.claim_geodesic_confinement, {"count": 1}, 2.35),
+])
+def test_lane_batches_stay_within_their_memory(claim, small, bound_mb):
+    """Lanes keep mesh values only and are released as they are reduced, so
+    the peak traced memory of a lane-batched claim stays bounded."""
+    claim(42, **small)  # a small run first, so one-time caches are not counted
+    tracemalloc.start()
+    try:
+        claim(42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 def test_mutation_is_detected():
