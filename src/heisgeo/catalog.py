@@ -10,7 +10,9 @@ defining function ``f(|z|^2) - t^2``, its closed-form derivatives, the
 sampler and the :class:`RadialProfile` all come from ``f`` and its first two
 derivatives.  The cylinder (``u = c^2 - |z|^2``) and the hyperplane (``u``
 linear) have closed-form derivatives too, so no standard family takes the
-``Dual2`` fallback.
+``Dual2`` fallback.  Every closed-form ``grad_hess`` acts on the trailing
+axis, so it takes one point or a stack of points, and a row gives the same
+bits in any stack.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import duals
 from .core import Point
-from .surface import DomainError, RadialProfile, SurfaceDef
+from .surface import DomainError, RadialProfile, SurfaceDef, _dots
 
 __all__ = [
     "CatalogEntry",
@@ -153,19 +155,24 @@ def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
     def func(coords):
         return f(_radius2(coords, n)) - coords[2 * n] * coords[2 * n]
 
+    eye = np.eye(2 * n)
+
     def grad_hess(coords):
         c = np.asarray(coords, dtype=float)
-        z, t = c[: 2 * n], c[2 * n]
-        r = float(z @ z)
-        u = f(r) - t * t  # first, so a profile's domain check runs
-        d1, d2 = df(r), ddf(r)
-        grad = np.empty(2 * n + 1)
-        grad[: 2 * n] = 2.0 * d1 * z
-        grad[2 * n] = -2.0 * t
-        hess = np.zeros((2 * n + 1, 2 * n + 1))
-        hess[: 2 * n, : 2 * n] = 4.0 * d2 * np.outer(z, z) + 2.0 * d1 * np.eye(2 * n)
-        hess[2 * n, 2 * n] = -2.0
-        return u, grad, hess
+        z, t = c[..., : 2 * n], c[..., 2 * n]
+        r = _dots(z, z)
+        # the profile scalars row by row, the value first so its domain check runs
+        vals = np.array([(f(x), df(x), ddf(x)) for x in r.ravel().tolist()])
+        vals = vals.reshape(r.shape + (3,))
+        fv, d1, d2 = vals[..., 0], vals[..., 1, None], vals[..., 2, None, None]
+        grad = np.empty(c.shape)
+        grad[..., : 2 * n] = 2.0 * d1 * z
+        grad[..., 2 * n] = -2.0 * t
+        hess = np.zeros(c.shape + c.shape[-1:])
+        hess[..., : 2 * n, : 2 * n] = (4.0 * d2 * (z[..., :, None] * z[..., None, :])
+                                      + 2.0 * d1[..., None] * eye)
+        hess[..., 2 * n, 2 * n] = -2.0
+        return fv - t * t, grad, hess
 
     surface = SurfaceDef(func=func, n=n, name=name, params=params, grad_hess=grad_hess)
     z_max = math.sqrt(r_max)
@@ -310,13 +317,15 @@ def cylinder(c, n) -> CatalogEntry:
     def func(coords):
         return c * c - _radius2(coords, n)
 
+    flat = -2.0 * np.eye(2 * n)
+
     def grad_hess(coords):
-        z = np.asarray(coords, dtype=float)[: 2 * n]
-        grad = np.zeros(2 * n + 1)
-        grad[: 2 * n] = -2.0 * z
-        hess = np.zeros((2 * n + 1, 2 * n + 1))
-        hess[: 2 * n, : 2 * n] = -2.0 * np.eye(2 * n)
-        return c * c - float(z @ z), grad, hess
+        z = np.asarray(coords, dtype=float)[..., : 2 * n]
+        grad = np.zeros(z.shape[:-1] + (2 * n + 1,))
+        grad[..., : 2 * n] = -2.0 * z
+        hess = np.zeros(grad.shape + (2 * n + 1,))
+        hess[..., : 2 * n, : 2 * n] = flat
+        return c * c - _dots(z, z), grad, hess
 
     surface = SurfaceDef(func=func, n=n, name="cylinder", params={"c": c},
                          grad_hess=grad_hess)
@@ -358,11 +367,11 @@ def hyperplane(A, n) -> CatalogEntry:
                 acc = acc + a * cc
         return acc
 
-    grad = np.append(A, 0.0)
-    hess = np.zeros((2 * n + 1, 2 * n + 1))
-
     def grad_hess(coords):
-        return float(A @ np.asarray(coords, dtype=float)[: 2 * n]), grad.copy(), hess.copy()
+        z = np.asarray(coords, dtype=float)[..., : 2 * n]
+        grad = np.zeros(z.shape[:-1] + (2 * n + 1,))
+        grad[..., : 2 * n] = A
+        return _dots(A, z), grad, np.zeros(grad.shape + (2 * n + 1,))
 
     surface = SurfaceDef(
         func=func, n=n, name="hyperplane", params={"A": tuple(A)}, grad_hess=grad_hess

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import catalog, flows, phaseplane, verify
 from ._io import fmt, json_dumps
+from ._stats import worst
 from .core import HorizontalVector, Point
 from .phaseplane import NotPeriodic, OnSeparatrix, PhaseParams, PhasePoint
 from .surface import GeometryError, report
@@ -169,7 +170,7 @@ def _cmd_identities(args):
     rng = np.random.default_rng(args.seed)
     pts = entry.sample(rng, args.points)
     rows = []
-    worst = {}
+    residuals = {}
     skipped = 0
     for p in pts:
         try:
@@ -180,14 +181,14 @@ def _cmd_identities(args):
         d = res.as_dict()
         rows.append({"point": list(p.coords), "residuals": d})
         for key, val in d.items():
-            worst[key] = max(worst.get(key, 0.0), val)
+            residuals.setdefault(key, []).append(val)
     payload = {
         "surface": entry.name,
         "params": {k: v for k, v in entry.params.items()},
         "step": args.step,
         "seed": args.seed,
         "skipped": skipped,
-        "max_residuals": worst,
+        "max_residuals": {key: worst(vals) for key, vals in residuals.items()},
         "points": rows,
     }
     _write(args.out, json_dumps(payload) + "\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk45
+from ._stats import worst
 from .catalog import _psi  # squared-height profile of the reference sphere
 from .core import HorizontalVector, Point, _J, frame_lift
 from .rk45 import StepControl, _row_sum  # per-row sums, independent of the batch
@@ -21,11 +22,12 @@ from .surface import (
     DomainError,
     GeometryError,
     SurfaceDef,
-    alpha_directional,
+    _alpha_rates,
+    _dots,
+    _frame_stack,
+    _lifts,
     build_frame,
     frame_many,
-    horizontal_gradient,
-    report,
     report_many,
 )
 
@@ -38,7 +40,9 @@ __all__ = [
     "geodesic_flows",
     "profile_ode",
     "identity_check",
+    "identity_check_many",
     "leaf_constancy",
+    "leaf_constancy_many",
     "bracket_span",
     "surface_offset",
 ]
@@ -200,19 +204,41 @@ def profile_ode(lam, r_span=None):
 
 
 def _newton_project(s: SurfaceDef, coords, maxit=10):
-    c = np.asarray(coords, dtype=float).copy()
-    for _ in range(maxit):
-        u, grad, _ = s.evaluate(c)
-        tol = 1e-13 * (1.0 + float(np.max(np.abs(grad)))) * (
-            1.0 + float(np.max(np.abs(c)))
-        )
-        if abs(u) <= tol:
-            return c
-        g2 = float(grad @ grad)
-        if g2 == 0.0:
-            break
-        c -= (u / g2) * grad
-    raise ProjectionFailure(f"|u| stuck at {abs(u):g} after {maxit} iterations")
+    """Newton-project each row of an (N, 2n+1) stack onto the level set.
+
+    The rows run in lockstep: every row still off the level set takes its
+    step from one ``evaluate_many`` call per sweep, with its own arithmetic,
+    so a row gives the same bits in any stack.  Of the rows that do not
+    converge, the first raises :class:`ProjectionFailure`.  If an evaluation
+    raises, the rows are projected one at a time instead, so the first
+    failing row raises what it raises alone.
+    """
+    c = np.array(coords, dtype=float)
+    live = np.arange(len(c))  # rows still stepping
+    failed = np.zeros(len(c), dtype=bool)
+    last_u = np.zeros(len(c))
+    try:
+        for _ in range(maxit):
+            if not len(live):
+                break
+            u, grad, _ = s.evaluate_many(c[live])
+            last_u[live] = u
+            tol = 1e-13 * (1.0 + np.abs(grad).max(axis=1)) * (1.0 + np.abs(c[live]).max(axis=1))
+            off = np.abs(u) > tol
+            g2 = _dots(grad, grad)
+            failed[live[off & (g2 == 0.0)]] = True
+            step = off & (g2 != 0.0)
+            c[live[step]] -= (u[step] / g2[step])[:, None] * grad[step]
+            live = live[step]
+    except Exception:
+        if len(c) == 1:
+            raise
+        return [_newton_project(s, row[None], maxit)[0] for row in np.asarray(coords)]
+    failed[live] = True  # still off the level set after maxit steps
+    if failed.any():
+        i = int(failed.argmax())
+        raise ProjectionFailure(f"|u| stuck at {abs(last_u[i]):g} after {maxit} iterations")
+    return list(c)
 
 
 def surface_offset(s: SurfaceDef, coords, dirfn, h, nsub=4):
@@ -221,69 +247,83 @@ def surface_offset(s: SurfaceDef, coords, dirfn, h, nsub=4):
     The fields used here annihilate the defining function, so the Newton
     correction only removes integration drift.
     """
-    (c,) = _surface_offsets(s, coords, _rows(dirfn), (h,), nsub)
+    (c,) = _surface_offsets(s, coords, lambda cs: np.array([dirfn(c) for c in cs]), (h,), nsub)
     return c
 
 
 def _surface_offsets(s: SurfaceDef, coords, field, hs, nsub=4):
-    """``surface_offset`` for each distance in ``hs``.  The flows run in
-    lockstep, so ``field`` maps an (N, 2n+1) stack of coordinates to the
-    field's values there, and each row's arithmetic is its own."""
-    c = np.tile(np.asarray(coords, dtype=float), (len(hs), 1))
-    step = np.array(hs, dtype=float)[:, None] / nsub
+    """``surface_offset`` for each distance in ``hs``, from ``coords`` (one
+    start for all, or one per distance).  The flows run in lockstep, so
+    ``field`` maps an (N, 2n+1) stack of coordinates to the field's values
+    there, and each row's arithmetic is its own."""
+    hs = np.asarray(hs, dtype=float)
+    coords = np.asarray(coords, dtype=float)
+    c = np.broadcast_to(coords, (len(hs), coords.shape[-1])).copy()
+    step = hs[:, None] / nsub
     for _ in range(nsub):
         k1 = field(c)
         k2 = field(c + 0.5 * step * k1)
         k3 = field(c + 0.5 * step * k2)
         k4 = field(c + step * k3)
         c += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return [_newton_project(s, row) for row in c]
+    return _newton_project(s, c)
 
 
-def _rows(dirfn):
-    """A field over stacks of coordinates from a field at one point."""
-    return lambda cs: np.array([dirfn(c) for c in cs])
+# field kinds of the finite-difference checks; a kind >= 0 is that
+# invariant-complement field
+_EN, _E2NHAT = -2, -1
 
 
-def _en_field(s: SurfaceDef, n):
-    def dirfn(c):
-        _, grad, _ = s.evaluate(c)
-        b = horizontal_gradient(n, c, grad)
-        b /= np.linalg.norm(b)
-        return frame_lift(HorizontalVector(-_J(b)), Point(c))
-
-    return dirfn
-
-
-def _e2nhat_field(s: SurfaceDef, n):
-    def dirfn(c):
-        _, grad, _ = s.evaluate(c)
-        b = horizontal_gradient(n, c, grad)
-        gnorm = float(np.linalg.norm(b))
-        alpha = -grad[2 * n] / gnorm
-        w = alpha * frame_lift(HorizontalVector(b / gnorm), Point(c))
-        w[2 * n] += 1.0
-        return w / math.sqrt(1.0 + alpha * alpha)
-
-    return dirfn
-
-
-def _xi_field(s: SurfaceDef, pivots, index):
-    """The ``index``-th invariant-complement field under forced pivots, over
-    a stack of coordinates: one ``frame_many`` batch per call."""
+def _fields(s: SurfaceDef, pivots, kinds):
+    """The unit fields of the finite-difference checks over a stack of rows:
+    row i follows ``kinds[i]``, the characteristic direction (``_EN``), the
+    rescaled vertical tangent (``_E2NHAT``) or that complement field.  Each
+    call takes every row's field from one frame batch under the rows'
+    forced ``pivots``."""
+    n = s.n
+    en_rows, e2n_rows, xi_rows = kinds == _EN, kinds == _E2NHAT, kinds >= 0
+    xi_at, xi_kind = np.flatnonzero(xi_rows), kinds[xi_rows]
 
     def field(cs):
-        points = [Point(c) for c in cs]
-        xi = frame_many(s, points, pivots=pivots).xi_prime[:, index]
-        return np.array([frame_lift(HorizontalVector(v), p) for v, p in zip(xi, points)])
+        fb = _frame_stack(s, cs, pivots)
+        v = np.empty((len(cs), 2 * n))
+        v[en_rows] = fb.en[en_rows]
+        v[e2n_rows] = fb.e2n[e2n_rows]
+        v[xi_rows] = fb.xi_prime[xi_at, xi_kind]
+        w = _lifts(cs, v)
+        # the vertical tangent: alpha e_2n + T, rescaled to unit length
+        alpha = fb.alpha[e2n_rows, None]
+        wv = alpha * w[e2n_rows]
+        wv[:, 2 * n] += 1.0
+        w[e2n_rows] = wv / np.sqrt(1.0 + alpha * alpha)
+        return w
 
     return field
 
 
-def _en_alpha(s: SurfaceDef, coords, n):
-    """Exact derivative of the tilt along the characteristic direction."""
-    dirfn = _en_field(s, n)
-    return alpha_directional(s, coords, dirfn(coords))
+def _offset_reports(s: SurfaceDef, base, kinds, h_fd):
+    """Reports at the offsets ``+h_fd`` and ``-h_fd`` (rows 2i and 2i+1)
+    along field ``kinds[i]`` from the base point of row i, one per point of
+    the ``base`` report batch and kind; every offset flows in one lockstep
+    stack under its base point's pivots, and all are reported as one batch."""
+    m = len(kinds)
+    kinds = np.repeat(np.tile(kinds, len(base)), 2)
+    pivots = np.repeat(base.frame.pivots, 2 * m, axis=0)
+    starts = np.repeat(base.frame.coords, 2 * m, axis=0)
+    hs = np.tile((h_fd, -h_fd), m * len(base))
+    offsets = _surface_offsets(s, starts, _fields(s, pivots, kinds), hs)
+    return report_many(s, [Point(c) for c in offsets], pivots=pivots)
+
+
+def _en_alpha_rates(fb):
+    """Exact derivatives of the tilt along the characteristic direction at
+    the points of a frame batch."""
+    return _alpha_rates(fb.coords, fb.grad, fb.hess, _lifts(fb.coords, fb.en))
+
+
+def _central(values, h_fd):
+    """Central differences of values at paired offset rows."""
+    return (values[0::2] - values[1::2]) / (2.0 * h_fd)
 
 
 @dataclass
@@ -308,7 +348,7 @@ class IdentityResiduals:
         }
 
     def max(self):
-        return max(self.as_dict().values())
+        return worst(self.as_dict().values())
 
 
 def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
@@ -320,67 +360,64 @@ def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
     sides use the base-point scalars, exact tilt rates, and a second
     difference of the exact tilt rate for the one second-order term.
     Every residual is expected to scale quadratically with the step.
+    A batch of one of :func:`identity_check_many`.
     """
-    n = p.n
-    base = report(s, p)
-    if base.spread > 10.0 * s.umbilic_tol:
+    return identity_check_many(s, (p,), h_fd)[0]
+
+
+def identity_check_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
+    """:func:`identity_check` at each of a sequence of points on one surface.
+
+    Every offset of every point (both signs of the 2n fields) flows in one
+    lockstep stack and is reported in one batch; entry i is bitwise what
+    ``identity_check(s, points[i], h_fd)`` gives.  Any point's failure
+    raises, so a caller that skips failed points reruns them one by one.
+    """
+    base = report_many(s, points)
+    if np.any(base.spread > 10.0 * s.umbilic_tol):
         raise ValueError("identity residuals are meaningful only at umbilic points")
-    pivots = base.frame.pivots
-    k0, l0, a0 = base.k, base.l, base.alpha
-    coords = p.coords
-    phi0 = _en_alpha(s, coords, n)
-    root = math.sqrt(1.0 + a0 * a0)
-
-    def rates(field):
-        """Offsets along ``field`` and central differences of k, l, alpha;
-        both offsets flow, and are reported, as one batch."""
-        cp, cm = _surface_offsets(s, coords, field, (+h_fd, -h_fd))
-        rep = report_many(s, (Point(cp), Point(cm)), pivots=pivots)
-        return cp, cm, [float(g[0] - g[1]) / (2.0 * h_fd) for g in (rep.k, rep.l, rep.alpha)]
-
-    # characteristic direction
-    cp, cm, (dk, dl, da) = rates(_rows(_en_field(s, n)))
-    r_en_k = abs(dk - (l0 - 2.0 * k0) * a0)
-    r_en_a = abs(da - (k0 * k0 - a0 * a0 - k0 * l0))
+    n = s.n
+    m = 2 * n  # fields per point: e_n, the vertical tangent, 2n-2 complement fields
+    rep = _offset_reports(s, base, np.array([_EN, _E2NHAT, *range(2 * n - 2)]), h_fd)
+    dk, dl, da = (_central(g, h_fd) for g in (rep.k, rep.l, rep.alpha))
     # first difference of the exact tilt rate = the iterated derivative
-    en_en_alpha = (_en_alpha(s, cp, n) - _en_alpha(s, cm, n)) / (2.0 * h_fd)
-
-    # rescaled vertical tangent
-    _, _, (dk, dl, da) = rates(_rows(_e2nhat_field(s, n)))
-    r_e2n_k = abs(dk - a0 * (k0 * k0 + phi0 + a0 * a0) / root)
-    r_e2n_a = abs(da + k0 * phi0 / root)
-    r_e2n_l = abs(
-        dl - (en_en_alpha + 6.0 * a0 * phi0 + 4.0 * a0**3 + a0 * l0 * l0) / root
-    )
-
-    # invariant complement: every scalar must be constant
-    r_xi = 0.0
-    for i in range(2 * n - 2):
-        cp, cm, diffs = rates(_xi_field(s, pivots, i))
-        diffs.append((_en_alpha(s, cp, n) - _en_alpha(s, cm, n)) / (2.0 * h_fd))
-        r_xi = max(r_xi, *map(abs, diffs))
-
-    return IdentityResiduals(
-        en_k=float(r_en_k),
-        en_alpha=float(r_en_a),
-        e2n_k=float(r_e2n_k),
-        e2n_alpha=float(r_e2n_a),
-        e2n_l=float(r_e2n_l),
-        xi_prime=float(r_xi),
-    )
+    dphi = _central(_en_alpha_rates(rep.frame), h_fd)
+    phis = _en_alpha_rates(base.frame)
+    out = []
+    for j in range(len(base)):
+        k0, l0, a0 = float(base.k[j]), float(base.l[j]), float(base.alpha[j])
+        phi0 = float(phis[j])
+        root = math.sqrt(1.0 + a0 * a0)
+        en, e2n = j * m, j * m + 1
+        xi = range(j * m + 2, (j + 1) * m)  # every scalar must be constant
+        out.append(IdentityResiduals(
+            en_k=float(abs(dk[en] - (l0 - 2.0 * k0) * a0)),
+            en_alpha=float(abs(da[en] - (k0 * k0 - a0 * a0 - k0 * l0))),
+            e2n_k=float(abs(dk[e2n] - a0 * (k0 * k0 + phi0 + a0 * a0) / root)),
+            e2n_alpha=float(abs(da[e2n] + k0 * phi0 / root)),
+            e2n_l=float(abs(dl[e2n] - (float(dphi[en]) + 6.0 * a0 * phi0 + 4.0 * a0**3
+                                        + a0 * l0 * l0) / root)),
+            xi_prime=float(worst(abs(float(d[i])) for i in xi for d in (dk, dl, da, dphi))),
+        ))
+    return out
 
 
 def leaf_constancy(s: SurfaceDef, p: Point, h_fd=1e-4):
-    """Largest change of k, l, alpha along the invariant-complement fields."""
-    n = p.n
-    base = report(s, p)
-    pivots = base.frame.pivots
-    worst = 0.0
-    for i in range(2 * n - 2):
-        cp, cm = _surface_offsets(s, p.coords, _xi_field(s, pivots, i), (+h_fd, -h_fd))
-        rep = report_many(s, (Point(cp), Point(cm)), pivots=pivots)
-        worst = max(worst, *(abs(float(g[0] - g[1])) for g in (rep.k, rep.l, rep.alpha)))
-    return worst
+    """Largest change of k, l, alpha along the invariant-complement fields.
+    A batch of one of :func:`leaf_constancy_many`."""
+    return leaf_constancy_many(s, (p,), h_fd)[0]
+
+
+def leaf_constancy_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
+    """:func:`leaf_constancy` at each of a sequence of points on one
+    surface, with every offset in one lockstep stack and one report batch;
+    entry i is bitwise the one-point result."""
+    base = report_many(s, points)
+    m = 2 * s.n - 2
+    rep = _offset_reports(s, base, np.arange(m), h_fd)
+    diffs = [np.abs(g[0::2] - g[1::2]) for g in (rep.k, rep.l, rep.alpha)]
+    return [worst(float(d[i]) for i in range(j * m, (j + 1) * m) for d in diffs)
+            for j in range(len(base))]
 
 
 def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
@@ -413,7 +450,7 @@ def _bracket_rows(s: SurfaceDef, p: Point, pivots, h_fd):
     vals = frame_many(s, (p,), pivots=pivots).xi_prime[0]
     lifts = [frame_lift(HorizontalVector(v), p) for v in vals]
     offsets = [c for w in lifts for c in (p.coords + h_fd * w, p.coords - h_fd * w)]
-    xi = frame_many(s, [Point(c) for c in offsets], pivots=pivots).xi_prime
+    xi = _frame_stack(s, np.array(offsets), pivots).xi_prime
     rows = [np.concatenate([v, [0.0]]) for v in vals]
     for i in range(m):
         for j in range(i + 1, m):

@@ -334,7 +334,7 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
                     period=float(periods[i]), **_counts(arc, rest))
         tr.closure_error = math.hypot(tr.alpha[-1] - q0.alpha, tr.beta[-1] - q0.beta)
         tol = 1e-8 * (1.0 + math.hypot(q0.alpha, q0.beta)) if orbit_tol is None else orbit_tol
-        if tr.closure_error > tol:
+        if not tr.closure_error <= tol:  # a NaN error does not close either
             errors[i] = NotPeriodic(f"closure error {tr.closure_error:g} exceeds {tol:g}")
         traces.append(tr)
     for exc in errors + [pending]:

@@ -7,8 +7,9 @@ second fundamental form, the symmetric shape operator with its curvature
 scalars ``k``, ``l``, ``H``, and decides umbilicity.
 
 One array kernel does this over an (N, 2n+1) stack of points
-(:func:`report_many`): each point is evaluated on its own, and the frame,
-the form and the eigenvalues are stacked array operations.  The per-point
+(:func:`report_many`): the derivatives come from one
+:meth:`SurfaceDef.evaluate_many` call, and the frame, the form and the
+eigenvalues are stacked array operations.  The per-point
 functions (:func:`build_frame`, :func:`shape_matrix`, :func:`report`,
 :func:`rotsym_report`) are batches of one, and a point gives the same bits
 alone and inside a batch.
@@ -130,20 +131,42 @@ class SurfaceDef:
         return float(self.func(np.asarray(coords, dtype=float)))
 
     def evaluate(self, coords):
-        """Return ``(u, gradient, hessian)`` at coordinates."""
+        """Return ``(u, gradient, hessian)`` at coordinates: a batch of one of
+        :meth:`evaluate_many`."""
+        u, g, h = self.evaluate_many(np.asarray(coords, dtype=float)[None])
+        return float(u[0]), g[0], h[0]
+
+    def evaluate_many(self, coords):
+        """``(u, gradient, hessian)`` stacks, of shapes (N,), (N, d) and
+        (N, d, d), over an (N, d) stack of coordinates.
+
+        A closed-form ``grad_hess`` takes the whole stack (it acts on the
+        trailing axis); duals and the finite-difference oracle run row by
+        row.  Rows are independent, so a row gives the same bits in any
+        stack.  A row whose Hessian is not symmetric raises
+        :class:`NonSymmetric`, the first such row.
+        """
         coords = np.asarray(coords, dtype=float)
-        if self.derivatives == "fd":
-            u, g, h = duals.fd_gradient_hessian(self.func, coords)
-        elif self.grad_hess is not None:
+        if self.derivatives == "fd" or self.grad_hess is None:
+            fn = (duals.fd_gradient_hessian if self.derivatives == "fd"
+                  else duals.gradient_hessian)
+            rows = [fn(self.func, c) for c in coords]
+            u = np.array([r[0] for r in rows], dtype=float)
+            g = np.array([r[1] for r in rows], dtype=float).reshape(coords.shape)
+            h = np.array([r[2] for r in rows], dtype=float).reshape(
+                coords.shape + coords.shape[-1:])
+        else:
             u, g, h = self.grad_hess(coords)
+            u = np.asarray(u, dtype=float)
             g = np.asarray(g, dtype=float)
             h = np.asarray(h, dtype=float)
-        else:
-            u, g, h = duals.gradient_hessian(self.func, coords)
-        asym = float(np.max(np.abs(h - h.T))) if h.size else 0.0
-        if asym > 1e-12 * (1.0 + float(np.max(np.abs(h)))):
-            raise NonSymmetric(f"Hessian asymmetry {asym:g}")
-        return float(u), g, 0.5 * (h + h.T)
+        h_t = h.swapaxes(-1, -2)
+        if (h != h_t).any():  # the gate, row by row
+            asym = np.abs(h - h_t).max(axis=(-2, -1))
+            bad = asym > 1e-12 * (1.0 + np.abs(h).max(axis=(-2, -1)))
+            if bad.any():
+                raise NonSymmetric(f"Hessian asymmetry {asym[bad.argmax()]:g}")
+        return u, g, 0.5 * (h + h_t)
 
     def with_derivatives(self, mode) -> "SurfaceDef":
         return replace(self, derivatives=mode)
@@ -223,6 +246,17 @@ def _dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _lifts(coords, v):
+    """Coordinate components of stacked horizontal vectors ``v`` at stacked
+    ``coords`` (``core.frame_lift`` row by row)."""
+    n = v.shape[-1] // 2
+    w = np.empty(v.shape[:-1] + (2 * n + 1,))
+    w[..., : 2 * n] = v
+    w[..., 2 * n] = (_dots(coords[..., n : 2 * n], v[..., :n])
+                     - _dots(coords[..., :n], v[..., n:]))
+    return w
+
+
 def _norms(v):
     """Euclidean norms of the rows of a stack (as ``np.linalg.norm`` takes
     one vector's)."""
@@ -273,7 +307,7 @@ class FrameBatch:
     for it.  ``grad``/``hess`` are None for closed-form frames.
     """
 
-    points: tuple
+    points: Optional[tuple]  # None for a bare coordinate stack
     coords: np.ndarray     # (N, 2n+1)
     e2n: np.ndarray        # (N, 2n)
     en: np.ndarray         # (N, 2n)
@@ -285,7 +319,7 @@ class FrameBatch:
     hess: Optional[np.ndarray] = None
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords)
 
     def bundle(self, i) -> FrameBundle:
         return FrameBundle(
@@ -322,8 +356,8 @@ def frame_many(s: SurfaceDef, points, pivots=None) -> FrameBatch:
 
 
 def _kernel(s, points, pivots, finish):
-    """Evaluate each point, then run the frame stage and ``finish`` (the
-    shape stage, or None) over the stacks.
+    """Evaluate the points as one stack, then run the frame stage and
+    ``finish`` (the shape stage, or None) over the stacks.
 
     A failing point raises once every point before it has passed every
     stage, so of several failures the first in input order wins.
@@ -334,33 +368,56 @@ def _kernel(s, points, pivots, finish):
         if p.n != s.n:
             raise ValueError("surface and point dimensions disagree")
         coords[i] = p.coords
-    pivots = _pivot_rows(s.n, len(points), pivots)
-    evaluated, failure = [], None
-    for c in coords:
-        try:
-            evaluated.append(s.evaluate(c))
-        except Exception as exc:  # raised once the points before it pass
-            failure = exc
-            break
-    done = len(evaluated)
-    out = _stages(s, points[:done], coords[:done], evaluated,
-                  None if pivots is None else pivots[:done], finish)
+    return _run(s, points, coords, pivots, finish)
+
+
+def _frame_stack(s, coords, pivots=None) -> FrameBatch:
+    """:func:`frame_many` over an (N, 2n+1) stack of coordinates, for
+    callers that hold no :class:`Point` objects; the batch's ``points`` is
+    None."""
+    return _run(s, None, coords, pivots, None)
+
+
+def _run(s, points, coords, pivots, finish):
+    """The kernel over a coordinate stack (``points`` is None or holds the
+    stack's points)."""
+    pivots = _pivot_rows(s.n, len(coords), pivots)
+    (u, grad, hess), failure = _evaluated(s, coords)
+    done = len(u)
+    out = _stages(s, _head(points, done), coords[:done], u, grad, hess,
+                  _head(pivots, done), finish)
     if failure is not None:
         raise failure
     return out
 
 
-def _stages(s, points, coords, evaluated, pivots, finish):
-    """The array stages over points with their ``evaluate`` triples."""
-    count, dim = coords.shape
-    u, grad, hess = np.empty(count), np.empty((count, dim)), np.empty((count, dim, dim))
-    for i, (ui, gi, hi) in enumerate(evaluated):
-        u[i], grad[i], hess[i] = ui, gi, hi
+def _head(rows, count):
+    """The first ``count`` rows, or None for None."""
+    return None if rows is None else rows[:count]
+
+
+def _evaluated(s, coords):
+    """``(s.evaluate_many(coords), None)``, or, if that raises, the stacks of
+    the rows before the first row that fails alone, with that row's
+    exception."""
+    try:
+        return s.evaluate_many(coords), None
+    except Exception as exc:
+        for i in range(len(coords)):
+            try:
+                s.evaluate_many(coords[i : i + 1])
+            except Exception as row_exc:
+                return s.evaluate_many(coords[:i]), row_exc
+        raise exc
+
+
+def _stages(s, points, coords, u, grad, hess, pivots, finish):
+    """The array stages over evaluated points."""
 
     def fail(i, exc):
         # a point before i may still fail a later check, and comes first
-        _stages(s, points[:i], coords[:i], evaluated[:i],
-                None if pivots is None else pivots[:i], finish)
+        _stages(s, _head(points, i), coords[:i], u[:i], grad[:i], hess[:i],
+                _head(pivots, i), finish)
         raise exc
 
     fb = _frames(s.n, points, coords, u, grad, hess, pivots, fail)
@@ -531,9 +588,9 @@ class ReportBatch:
 def report_many(s: SurfaceDef, points, pivots=None) -> ReportBatch:
     """Reports of a sequence of points on one surface, as one batch.
 
-    Each point is evaluated with :meth:`SurfaceDef.evaluate`; the frames,
-    second fundamental forms and eigenvalues are then computed as stacked
-    array operations, and entry i is bitwise what ``report(s, points[i],
+    The points are evaluated as one stack (:meth:`SurfaceDef.evaluate_many`);
+    the frames, second fundamental forms and eigenvalues are then computed as
+    stacked array operations, and entry i is bitwise what ``report(s, points[i],
     pivots)`` gives.  ``pivots`` is one forced pivot sequence for every
     point or one per point.  A failing point raises what :func:`report`
     raises for it; of several, the first in input order.
@@ -557,10 +614,7 @@ def _shapes(s, fb: FrameBatch) -> ReportBatch:
     jac = _hgrad_jacobian(n, coords, fb.grad, fb.hess)
     xi = fb.xi_prime
     basis = np.concatenate([xi[:, :nidx], fb.en[:, None], xi[:, nidx:]], axis=1)
-    lift = np.empty(basis.shape[:2] + (2 * n + 1,))  # basis vectors as coordinates
-    lift[..., : 2 * n] = basis
-    lift[..., 2 * n] = (_dots(coords[:, None, n : 2 * n], basis[..., :n])
-                        - _dots(coords[:, None, :n], basis[..., n:]))
+    lift = _lifts(coords[:, None], basis)  # basis vectors as coordinates
     db = (jac[:, None] @ lift[..., None])[..., 0]  # row a: derivative of b along lift a
     derivs = db / gnorm - b[:, None, :] * _dots(b[:, None], db)[..., None] / gnorm**3
     h = -(basis @ derivs.transpose(0, 2, 1))
@@ -667,18 +721,24 @@ def alpha_directional(s: SurfaceDef, coords, w):
 
     The tilt extends off the surface as minus the vertical derivative over
     the horizontal gradient norm; its derivative needs only the defining
-    function's gradient and Hessian.
+    function's gradient and Hessian.  A batch of one of :func:`_alpha_rates`.
     """
     coords = np.asarray(coords, dtype=float)
-    n = (coords.size - 1) // 2
     _, grad, hess = s.evaluate(coords)
-    b = horizontal_gradient(n, coords, grad)
-    gnorm = float(np.linalg.norm(b))
-    jac = _hgrad_jacobian(n, coords, grad, hess)
     w = np.asarray(w, dtype=float)
-    dut = float(hess[2 * n, :] @ w)
-    dnorm = float(b @ (jac @ w)) / gnorm
-    ut = grad[2 * n]
+    return float(_alpha_rates(coords[None], grad[None], hess[None], w[None])[0])
+
+
+def _alpha_rates(coords, grad, hess, w):
+    """Tilt derivatives along stacked coordinate vectors ``w`` at stacked
+    evaluated points (:func:`alpha_directional` row by row)."""
+    n = coords.shape[-1] // 2
+    b = horizontal_gradient(n, coords, grad)
+    gnorm = _norms(b)
+    jw = (_hgrad_jacobian(n, coords, grad, hess) @ w[..., None])[..., 0]
+    dut = _dots(hess[..., 2 * n, :], w)
+    dnorm = _dots(b, jw) / gnorm
+    ut = grad[..., 2 * n]
     return -dut / gnorm + ut * dnorm / gnorm**2
 
 

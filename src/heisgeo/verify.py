@@ -22,6 +22,7 @@ import numpy as np
 
 from . import catalog, flows, phaseplane, surface
 from ._io import json_dumps
+from ._stats import worst as _worst
 from .core import Point
 from .phaseplane import PhaseParams, PhasePoint
 from .surface import SurfaceDef, build_frame, report
@@ -113,50 +114,60 @@ _SKIPPED = (surface.PivotDegenerate, flows.ProjectionFailure)
 
 
 def _completed(fn, items):
-    """``fn(*item)`` for every item whose frame or projection does not fail
-    (``PivotDegenerate``, ``ProjectionFailure``); the failed ones are
-    skipped."""
-    out = []
+    """``(results, skipped)``: ``fn(*item)`` for every item whose frame or
+    projection does not fail (``PivotDegenerate``, ``ProjectionFailure``),
+    and the failed ones counted by exception type name."""
+    out, skipped = [], {}
     for item in items:
         try:
             out.append(fn(*item))
-        except _SKIPPED:
-            continue
-    return out
+        except _SKIPPED as exc:
+            name = type(exc).__name__
+            skipped[name] = skipped.get(name, 0) + 1
+    return out, dict(sorted(skipped.items()))
 
 
-def _worst(residuals):
-    """The largest of ``residuals`` (0 for none), or NaN if any is NaN:
-    Python's ``max`` skips a NaN, and a NaN residual must fail its row."""
-    worst = 0.0
-    for r in residuals:
-        if math.isnan(r):
-            return math.nan
-        worst = max(worst, r)
-    return worst
-
-
-def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None):
+def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None,
+         skipped=None):
     """A result row: the worst of ``residuals`` over its completed points.
 
     ``samples`` counts the residuals, and a row with none fails, as does a
     row with a NaN residual (reported as non-finite).  Rows carry ``row_id``
-    (default ``cid``) and the seed derived from ``cid``.
+    (default ``cid``), the seed derived from ``cid``, and
+    ``extra["skipped"]`` when ``skipped`` counts any skipped sample.
     """
+    extra = dict(extra or {})
+    if skipped:
+        extra["skipped"] = skipped
     return ClaimResult(row_id or cid, name, params,
                        _worst(residuals) if residuals else math.inf, tolerance,
-                       len(residuals), _claim_seed(seed, cid), extra=extra or {})
+                       len(residuals), _claim_seed(seed, cid), extra=extra)
 
 
-def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None):
+def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None, batch=None):
     """One result row per case: the worst residual over its completed points.
 
     ``cases`` yields ``(surface, params, [(entry, point), ...])``;
     ``residual(entry, point)`` evaluates one point.  A point whose frame or
-    projection fails is skipped (``_completed``); see ``_row``.
+    projection fails is skipped (``_completed``); see ``_row``.  With
+    ``batch(entry, points)``, which gives the residuals of a sequence of
+    points of one entry, a case whose points share one entry runs as one
+    batch first; if the batch raises, the case runs point by point, so
+    exactly the points the one-point path skips are skipped.
     """
-    return [_row(cid, seed, name, params, _completed(residual, points), tolerance, row_id)
-            for name, params, points in cases]
+    rows = []
+    for name, params, items in cases:
+        residuals, skipped = None, {}
+        if batch is not None and len({id(entry) for entry, _ in items}) == 1:
+            try:
+                residuals = list(batch(items[0][0], [p for _, p in items]))
+            except Exception:  # rerun point by point, where a failure not skipped raises
+                pass
+        if residuals is None:
+            residuals, skipped = _completed(residual, items)
+        rows.append(_row(cid, seed, name, params, residuals, tolerance, row_id,
+                         skipped=skipped))
+    return rows
 
 
 def _report_claim(cid, seed, cases, residual, tolerance, row_id=None, report_fn=None):
@@ -358,7 +369,7 @@ def claim_det_u(seed):
     cid = "prop4.1-detU"
     out = []
     for n in (2, 3):
-        worst = 0.0
+        gaps = []
         for B in (0.0, 0.5, 2.0):
 
             def quad(c, B=B):
@@ -370,9 +381,9 @@ def claim_det_u(seed):
             grad, hess = surface.graph_derivatives(quad, n)
             _, det = surface.singular_jacobian(grad, hess)
             target = (4.0 * B * B + 1.0) ** n
-            worst = max(worst, abs(det - target) / target)
+            gaps.append(abs(det - target) / target)
         out.append(
-            ClaimResult(cid, "quadratic-graph", {"n": n}, worst, 1e-12, 3,
+            ClaimResult(cid, "quadratic-graph", {"n": n}, _worst(gaps), 1e-12, 3,
                         _claim_seed(seed, cid))
         )
     return out
@@ -417,7 +428,9 @@ def claim_interior_identities(seed, h_fd=1e-4, points=3):
     return _sampled_claim(
         cid, seed, cases,
         lambda entry, p: flows.identity_check(entry.surface, p, h_fd=h_fd).max(),
-        1e-5)
+        1e-5,
+        batch=lambda entry, pts: [r.max() for r in
+                                  flows.identity_check_many(entry.surface, pts, h_fd=h_fd)])
 
 
 def claim_foliation_rank(seed, points=10):
@@ -439,7 +452,8 @@ def claim_leaf_constancy(seed, points=4):
     cases = _catalog_cases(_rng(seed, cid), points, ns=(2,))
     return _sampled_claim(
         cid, seed, cases,
-        lambda entry, p: flows.leaf_constancy(entry.surface, p), 1e-6)
+        lambda entry, p: flows.leaf_constancy(entry.surface, p), 1e-6,
+        batch=lambda entry, pts: flows.leaf_constancy_many(entry.surface, pts))
 
 
 def confinement_starts(lam, n, rng, count, s_needed=3.05):
@@ -474,26 +488,39 @@ def claim_geodesic_confinement(seed, count=20, s_max=3.0):
     """Characteristic flows of matching curvature stay on the Pansu sphere.
 
     The flows of both curvatures run as lanes of one ``geodesic_flows``
-    sweep; a start whose frame fails is skipped.
+    sweep; a start whose frame fails is skipped.  A trace's residual is the
+    largest defining-function value over its nodes.
     """
     cid = "prop4.5-geodesic-confinement"
     rng = _rng(seed, cid)
     cases = []
     for lam in (0.5, 1.0):
         entry = catalog.pansu(lam, 2)
-        starts = _completed(_characteristic_start,
-                            [(entry, p) for p in confinement_starts(lam, 2, rng, count)])
-        cases.append((lam, entry, starts))
-    traces = iter(flows.geodesic_flows([st for _, _, starts in cases for st in starts],
-                                       [lam for lam, _, starts in cases for _ in starts],
+        starts, skipped = _completed(
+            _characteristic_start, [(entry, p) for p in confinement_starts(lam, 2, rng, count)])
+        cases.append((lam, entry, starts, skipped))
+    traces = iter(flows.geodesic_flows([st for _, _, starts, _ in cases for st in starts],
+                                       [lam for lam, _, starts, _ in cases for _ in starts],
                                        s_max))
     out = []
-    for lam, entry, starts in cases:
+    for lam, entry, starts, skipped in cases:
         mine = [next(traces) for _ in starts]
-        residuals = [max(abs(entry.surface.value(c)) for c in tr.coords) for tr in mine]
+        residuals = [_worst(np.abs(_profile_values(entry, tr.coords)).tolist()) for tr in mine]
         out.append(_row(cid, seed, "pansu", {"lam": lam}, residuals, 1e-7,
-                        extra={"accepted_steps": sum(tr.accepted for tr in mine)}))
+                        extra={"accepted_steps": sum(tr.accepted for tr in mine)},
+                        skipped=skipped))
     return out
+
+
+def _profile_values(entry, coords):
+    """Defining-function values ``f(|z|^2) - t^2`` of a rotationally
+    symmetric catalog entry over an (N, 2n+1) stack of coordinates, each
+    bitwise ``entry.surface.value`` of its row: the same left-to-right
+    radius sum, and the profile ``f`` row by row."""
+    n = entry.params["n"]
+    r = catalog._radius2(coords.T, n)
+    t = coords[:, 2 * n]
+    return np.array([entry.profile.f(x) for x in r.tolist()]) - t * t
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +592,16 @@ def claim_axis_solution(seed, count=200):
     for n in (2, 3):
         for c in (0.5, 1.0, 2.0):
             pp = PhaseParams(n, c)
-            worst = 0.0
+            gaps = []
             for _ in range(count):
                 a = rng.uniform(-3.0 * c, 3.0 * c)
                 da, db = phaseplane.vector_field(pp, PhasePoint(a, 0.0))
                 if db != 0.0 or da >= 0.0:
-                    worst = math.inf
+                    gaps.append(math.inf)
                 scale = 1.0 + a * a + c * c
-                worst = max(worst, abs(da + a * a + c * c / (4.0 * n * n)) / scale)
+                gaps.append(abs(da + a * a + c * c / (4.0 * n * n)) / scale)
             out.append(
-                ClaimResult(cid, "phase", {"n": n, "c": c}, worst, 2e-15,
+                ClaimResult(cid, "phase", {"n": n, "c": c}, _worst(gaps), 2e-15,
                             count, _claim_seed(seed, cid))
             )
     return out
@@ -597,7 +624,7 @@ def claim_stationary(seed, count=10000):
             f2 = phaseplane.vector_field(pp, p2)
             worst = math.inf if (f1[0] != 0.0 or f1[1] != 0.0) else 0.0
             ulp_budget = 4.0 * np.finfo(float).eps * c
-            worst = max(worst, abs(f2[0]) / ulp_budget, abs(f2[1]) / ulp_budget)
+            worst = _worst([worst, abs(f2[0]) / ulp_budget, abs(f2[1]) / ulp_budget])
             alphas = rng.uniform(-3 * c, 3 * c, size=count)
             betas = rng.uniform(-3 * c, 3 * c, size=count)
             keep = (np.abs(betas) > 1e-6) & (
@@ -635,14 +662,13 @@ def _seed_grid(pp):
 def _closure_row(cid, seed, pp, seeds, traces):
     """The ``lemma6.1-closure`` row of one ``(n, c)`` grid, from the traces
     of its seeds."""
-    errors = []
+    errors, drifts = [], []
     steps = 0
-    drift = 0.0
     crossings_ok = True
     for q0, tr in zip(seeds, traces, strict=True):
         errors.append(tr.closure_error / (1.0 + math.hypot(q0.alpha, q0.beta)))
         steps += tr.accepted
-        drift = max(drift, tr.first_integral_drift())
+        drifts.append(tr.first_integral_drift())
         if q0.beta > 0 and not np.all(tr.beta > 0):
             crossings_ok = False
         if q0.beta < 0 and not np.all(tr.beta < 0):
@@ -655,7 +681,8 @@ def _closure_row(cid, seed, pp, seeds, traces):
     worst = _worst(errors) if crossings_ok else math.inf
     return ClaimResult(cid, "phase", {"n": pp.n, "c": pp.c}, worst, 1e-8,
                        len(seeds), _claim_seed(seed, cid),
-                       extra={"accepted_steps": steps, "first_integral_drift": drift})
+                       extra={"accepted_steps": steps,
+                              "first_integral_drift": _worst(drifts)})
 
 
 def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):

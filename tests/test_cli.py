@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, schemas, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from heisgeo import flows
 from heisgeo.cli import main
 
 HEIS_T = 0.38418745424597092  # sqrt(1 - 0.8^4)/2
@@ -234,3 +239,35 @@ def test_output_directory_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "catalog", "list", "--out", "entries.json")
     assert code == 0
     assert (tmp_path / "entries.json").exists()
+
+
+def test_identities_max_residuals_keep_nan(tmp_path, capsys, monkeypatch):
+    """A NaN residual after a finite one shows in ``max_residuals``."""
+    original = flows.identity_check
+    calls = []
+
+    def second_nan(*args, **kwargs):
+        res = original(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 2:
+            res.e2n_l = float("nan")
+        return res
+
+    monkeypatch.setattr(flows, "identity_check", second_nan)
+    out_file = tmp_path / "res.json"
+    code, _, _ = run(capsys, "identities", "--surface", "cylinder", "--c", "2",
+                     "--points", "3", "--out", str(out_file))
+    assert code == 0
+    data = json.loads(out_file.read_text())
+    assert data["max_residuals"]["e2n_l"] is None
+    assert data["max_residuals"]["en_k"] is not None
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "heisgeo", "verify", "run", "--only", "eq5.4",
+                           "--seed", "1"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "all claims passed" in done.stdout

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heisgeo import catalog, flows, verify
-from heisgeo.core import HorizontalVector, Point, frame_lift, theta
+from heisgeo.core import HorizontalVector, Point, _J, frame_lift, theta
 from heisgeo.flows import (
     CurveState,
     geodesic_flow,
@@ -15,7 +15,14 @@ from heisgeo.flows import (
     identity_check,
     profile_ode,
 )
-from heisgeo.surface import DomainError, build_frame, frame_many, report
+from heisgeo.surface import (
+    DomainError,
+    alpha_directional,
+    build_frame,
+    frame_many,
+    horizontal_gradient,
+    report,
+)
 
 RNG = np.random.default_rng(90210)
 
@@ -253,9 +260,7 @@ def test_identity_heisenberg_rate_oracle():
     entry = catalog.heisenberg_sphere(1.0, 2)
     for p in moderate(entry, 5):
         rep = report(entry.surface, p)
-        from heisgeo.flows import _en_alpha
-
-        phi = _en_alpha(entry.surface, p.coords, 2)
+        phi = float(flows._en_alpha_rates(frame_many(entry.surface, (p,)))[0])
         assert phi == pytest.approx(-2 * rep.k**2 - rep.alpha**2, abs=1e-10)
 
 
@@ -264,9 +269,7 @@ def test_identity_pansu_rate_oracle():
     entry = catalog.pansu(1.0, 2)
     for p in moderate(entry, 5):
         rep = report(entry.surface, p)
-        from heisgeo.flows import _en_alpha
-
-        phi = _en_alpha(entry.surface, p.coords, 2)
+        phi = float(flows._en_alpha_rates(frame_many(entry.surface, (p,)))[0])
         assert phi == pytest.approx(-(1.0 + rep.alpha**2), abs=1e-9)
 
 
@@ -331,8 +334,178 @@ def test_offsets_in_lockstep_match_single_offsets():
     bitwise the offset flowed alone."""
     e = catalog.pansu(1.0, 3)
     p = e.sample(np.random.default_rng(8), 1)[0]
-    field = flows._xi_field(e.surface, report(e.surface, p).frame.pivots, 1)
+    pivots = report(e.surface, p).frame.pivots
+
+    def field(cs):  # the second complement field under forced pivots, over a stack
+        points = [Point(c) for c in cs]
+        xi = frame_many(e.surface, points, pivots=pivots).xi_prime[:, 1]
+        return np.array([frame_lift(HorizontalVector(v), q) for v, q in zip(xi, points)])
+
     both = flows._surface_offsets(e.surface, p.coords, field, (1e-4, -1e-4))
     for c, h in zip(both, (1e-4, -1e-4)):
         one = flows.surface_offset(e.surface, p.coords, lambda x: field(x[None])[0], h)
         assert np.array_equal(c, one)
+
+
+# ---------------------------------------------------------------------------
+# lockstep checks against one field at a time
+
+
+def _reference_fields(s, pivots):
+    """The checks' unit fields at one point, as they were written before
+    the fields shared one frame batch: the characteristic direction, the
+    rescaled vertical tangent, and the complement fields under ``pivots``."""
+    n = s.n
+
+    def en(c):
+        _, grad, _ = s.evaluate(c)
+        b = horizontal_gradient(n, c, grad)
+        b /= np.linalg.norm(b)
+        return frame_lift(HorizontalVector(-_J(b)), Point(c))
+
+    def e2nhat(c):
+        _, grad, _ = s.evaluate(c)
+        b = horizontal_gradient(n, c, grad)
+        gnorm = float(np.linalg.norm(b))
+        alpha = -grad[2 * n] / gnorm
+        w = alpha * frame_lift(HorizontalVector(b / gnorm), Point(c))
+        w[2 * n] += 1.0
+        return w / math.sqrt(1.0 + alpha * alpha)
+
+    def xi(i):
+        return lambda c: frame_lift(build_frame(s, Point(c), pivots).xi_prime[i], Point(c))
+
+    return en, e2nhat, [xi(i) for i in range(2 * n - 2)]
+
+
+def _reference_changes(s, p, dirfn, pivots, h_fd):
+    """Offsets along one field, each flowed alone, and the changes of k, l
+    and alpha between them."""
+    cp, cm = (flows.surface_offset(s, p.coords, dirfn, h) for h in (h_fd, -h_fd))
+    rp, rm = report(s, Point(cp), pivots), report(s, Point(cm), pivots)
+    return cp, cm, [a - b for a, b in ((rp.k, rm.k), (rp.l, rm.l), (rp.alpha, rm.alpha))]
+
+
+def _reference_rates(s, p, dirfn, pivots, h_fd):
+    """``_reference_changes`` as central differences."""
+    cp, cm, changes = _reference_changes(s, p, dirfn, pivots, h_fd)
+    return cp, cm, [float(d) / (2.0 * h_fd) for d in changes]
+
+
+def _reference_identities(s, p, h_fd=1e-4):
+    """``identity_check`` flowing one field at a time."""
+    base = report(s, p)
+    pivots = base.frame.pivots
+    k0, l0, a0 = base.k, base.l, base.alpha
+    en, e2nhat, xis = _reference_fields(s, pivots)
+
+    def en_alpha(c):
+        return alpha_directional(s, c, en(c))
+
+    phi0 = en_alpha(p.coords)
+    root = math.sqrt(1.0 + a0 * a0)
+    cp, cm, (dk, dl, da) = _reference_rates(s, p, en, pivots, h_fd)
+    r_en_k = abs(dk - (l0 - 2.0 * k0) * a0)
+    r_en_a = abs(da - (k0 * k0 - a0 * a0 - k0 * l0))
+    en_en_alpha = (en_alpha(cp) - en_alpha(cm)) / (2.0 * h_fd)
+    _, _, (dk, dl, da) = _reference_rates(s, p, e2nhat, pivots, h_fd)
+    r_xi = 0.0
+    for field in xis:
+        xp, xm, diffs = _reference_rates(s, p, field, pivots, h_fd)
+        diffs.append((en_alpha(xp) - en_alpha(xm)) / (2.0 * h_fd))
+        r_xi = max(r_xi, *map(abs, diffs))
+    return {
+        "en_k": r_en_k,
+        "en_alpha": r_en_a,
+        "e2n_k": abs(dk - a0 * (k0 * k0 + phi0 + a0 * a0) / root),
+        "e2n_alpha": abs(da + k0 * phi0 / root),
+        "e2n_l": abs(dl - (en_en_alpha + 6.0 * a0 * phi0 + 4.0 * a0**3 + a0 * l0 * l0) / root),
+        "xi_prime": r_xi,
+    }
+
+
+def _reference_leaf(s, p, h_fd=1e-4):
+    """``leaf_constancy`` flowing one field at a time."""
+    pivots = report(s, p).frame.pivots
+    worst = 0.0
+    for field in _reference_fields(s, pivots)[2]:
+        _, _, changes = _reference_changes(s, p, field, pivots, h_fd)
+        worst = max(worst, *(abs(float(d)) for d in changes))
+    return worst
+
+
+LOCKSTEP_ENTRIES = [catalog.pansu(1.0, 2), catalog.pansu(1.0, 3), catalog.cylinder(2.0, 2),
+                    catalog.heisenberg_sphere(1.0, 2), catalog.shifted_sphere(0.5, 1.2, 2)]
+
+
+@pytest.mark.parametrize("entry", LOCKSTEP_ENTRIES,
+                         ids=["pansu2", "pansu3", "cyl2", "heis2", "shifted2"])
+def test_lockstep_checks_match_one_field_at_a_time(entry):
+    """Every field and sign of a point (and every point of a batch) flows in
+    one stack; each residual is bitwise what flowing one field at a time
+    gives."""
+    pts = verify.moderate_points(entry, np.random.default_rng(21), 2)
+    many = flows.identity_check_many(entry.surface, pts)
+    leaves = flows.leaf_constancy_many(entry.surface, pts)
+    for p, res, leaf in zip(pts, many, leaves):
+        assert res.as_dict() == _reference_identities(entry.surface, p)
+        assert identity_check(entry.surface, p).as_dict() == res.as_dict()
+        assert leaf == _reference_leaf(entry.surface, p)
+        assert flows.leaf_constancy(entry.surface, p) == leaf
+
+
+def test_newton_projection_rows_match_projected_alone():
+    e = catalog.pansu(1.0, 2)
+    pts = e.sample(np.random.default_rng(5), 4)
+    rows = (np.array([p.coords for p in pts])
+            + np.random.default_rng(6).normal(size=(4, 5)) * 1e-6)
+    stack = flows._newton_project(e.surface, rows)
+    for row, c in zip(rows, stack):
+        assert np.array_equal(flows._newton_project(e.surface, row[None])[0], c)
+    # of the rows that do not converge, the first raises
+    with pytest.raises(flows.ProjectionFailure) as many:
+        flows._newton_project(e.surface, rows, maxit=1)
+    with pytest.raises(flows.ProjectionFailure) as one:
+        flows._newton_project(e.surface, rows[:1], maxit=1)
+    assert str(many.value) == str(one.value)
+    # a row whose evaluation fails raises only after the rows before it
+    outside = np.array([[1.5, 0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(flows.ProjectionFailure):
+        flows._newton_project(e.surface, np.vstack([rows[:1], outside]), maxit=1)
+    with pytest.raises(DomainError):
+        flows._newton_project(e.surface, np.vstack([outside, rows[:1]]), maxit=1)
+
+
+def _nan_in_offset_row(monkeypatch, row):
+    """Make the offset reports carry a NaN ``k`` at one row: the checks'
+    second ``report_many`` call is the one over the offsets."""
+    calls = []
+    original = flows.report_many
+
+    def patched(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        calls.append(rep)
+        if len(calls) == 2:
+            rep.k[row] = math.nan
+        return rep
+
+    monkeypatch.setattr(flows, "report_many", patched)
+
+
+def test_identity_residuals_max_keeps_nan():
+    res = flows.IdentityResiduals(0.0, 1e-9, math.nan, 0.0, 0.0, 0.0)
+    assert math.isnan(res.max())
+
+
+def test_nan_in_a_complement_field_reaches_the_residual(monkeypatch):
+    """A NaN change along the second complement field is not hidden by the
+    finite ones before it."""
+    e = catalog.pansu(1.0, 2)
+    p = verify.moderate_points(e, np.random.default_rng(3), 1)[0]
+    _nan_in_offset_row(monkeypatch, 6)  # rows: e_n +-, vertical +-, xi_1 +-, xi_2 +-
+    res = identity_check(e.surface, p)
+    assert math.isnan(res.xi_prime) and math.isnan(res.max())
+    assert res.en_k <= 1e-5
+    monkeypatch.undo()
+    _nan_in_offset_row(monkeypatch, 2)  # rows: xi_1 +-, xi_2 +-
+    assert math.isnan(flows.leaf_constancy(e.surface, p))

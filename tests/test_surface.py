@@ -433,3 +433,98 @@ def test_surfacedef_validation():
         SurfaceDef(func=lambda c: c[0], n=1)
     with pytest.raises(ValueError):
         SurfaceDef(func=lambda c: c[0], n=2, derivatives="symbolic")
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+def _radial_grad_hess_one_point(entry, coords):
+    """The radial closed form at one point, as it was written for one point
+    before the closures took stacks."""
+    n = entry.params["n"]
+    f, df, ddf = entry.profile.f, entry.profile.df, entry.profile.ddf
+    z, t = coords[: 2 * n], coords[2 * n]
+    r = float(z @ z)
+    u = f(r) - t * t
+    d1, d2 = df(r), ddf(r)
+    grad = np.empty(2 * n + 1)
+    grad[: 2 * n] = 2.0 * d1 * z
+    grad[2 * n] = -2.0 * t
+    hess = np.zeros((2 * n + 1, 2 * n + 1))
+    hess[: 2 * n, : 2 * n] = 4.0 * d2 * np.outer(z, z) + 2.0 * d1 * np.eye(2 * n)
+    hess[2 * n, 2 * n] = -2.0
+    return u, grad, hess
+
+
+def _same_triple(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_evaluate_many_rows_match_one_point_calls(n):
+    """Stacked evaluation and stacked ``grad_hess`` give every row the bits
+    of a one-point call, in all five families, with duals and in fd mode."""
+    from heisgeo.verify import _generic_test_surface
+
+    rng = np.random.default_rng(500 + n)
+    gen, height = _generic_test_surface(n)
+    xs = rng.normal(size=(12, 2 * n)) * 0.6
+    graph = np.array([np.append(x, height(x)) for x in xs])
+    cases = [(e.surface, np.array([p.coords for p in e.sample(rng, 12)]), e)
+             for e in catalog.standard_entries(n)] + [(gen, graph, None)]
+    for s, coords, entry in cases:
+        for sd in (s, s.with_derivatives("fd")):
+            u, g, h = sd.evaluate_many(coords)
+            assert u.shape == (12,) and g.shape == coords.shape and h.shape == (12,) + 2 * (2 * n + 1,)
+            for i, c in enumerate(coords):
+                assert _same_triple(sd.evaluate(c), (u[i], g[i], h[i])), (s.name, sd.derivatives, i)
+        if s.grad_hess is None:
+            continue
+        stacked = s.grad_hess(coords)
+        for i, c in enumerate(coords):
+            one = s.grad_hess(c)
+            assert _same_triple(one, [a[i] for a in stacked]), (s.name, i)
+            if entry.profile is not None:
+                assert _same_triple(one, _radial_grad_hess_one_point(entry, c)), (s.name, i)
+
+
+def test_evaluate_many_of_no_rows_is_empty():
+    for entry in catalog.standard_entries(3):
+        u, g, h = entry.surface.evaluate_many(np.empty((0, 7)))
+        assert u.shape == (0,) and g.shape == (0, 7) and h.shape == (0, 7, 7)
+
+
+def _skewed_plane(n=2):
+    """The plane x_1 = 0 whose Hessian rows are made asymmetric by the
+    second coordinate of the point (asymmetry ``x_2`` where ``x_2 > 0``)."""
+
+    def grad_hess(coords):
+        c = np.asarray(coords, dtype=float)
+        grad = np.zeros(c.shape)
+        grad[..., 0] = 1.0
+        hess = np.zeros(c.shape + c.shape[-1:])
+        hess[..., 0, 1] = np.maximum(c[..., 1], 0.0)
+        return c[..., 0], grad, hess
+
+    return SurfaceDef(func=lambda c: c[0], n=n, name="skewed", grad_hess=grad_hess)
+
+
+def test_evaluate_many_gate_raises_for_the_first_asymmetric_row():
+    from heisgeo.surface import NonSymmetric
+
+    s = _skewed_plane()
+    rows = np.array([[0.0, -1.0, 0.3, 0.2, 0.1], [0.0, 0.5, 0.1, 0.0, 0.0],
+                     [0.0, 0.25, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0, 0.0]])
+    with pytest.raises(NonSymmetric, match="asymmetry 0.5$"):
+        s.evaluate_many(rows)
+    s.evaluate_many(rows[[0, 3]])  # the symmetric rows pass
+    pts = [Point(r) for r in rows]
+    want = _raised(lambda: report(s, pts[1]))
+    assert want[0] is NonSymmetric
+    assert _raised(lambda: report_many(s, pts)) == want
+    # a point before the asymmetric one that fails a later stage comes first
+    off = Point(np.array([0.1, -1.0, 0.0, 0.0, 0.0]))
+    want = _raised(lambda: report(s, off))
+    assert want[0] is OffSurface
+    assert _raised(lambda: report_many(s, [off] + pts)) == want

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heisgeo import catalog, flows, phaseplane, verify
+from heisgeo import catalog, flows, phaseplane, surface, verify
+from heisgeo.core import Point
 from heisgeo.phaseplane import PhaseParams, PhasePoint
 from heisgeo.surface import PivotDegenerate, build_frame, report_many
 from heisgeo.verify import ClaimResult, VerifyConfig, run_all
@@ -159,7 +160,8 @@ def test_claims_without_completed_samples_fail(monkeypatch):
     def degenerate(*args, **kwargs):
         raise PivotDegenerate("forced")
 
-    for name in ("identity_check", "leaf_constancy", "bracket_span"):
+    for name in ("identity_check", "identity_check_many", "leaf_constancy",
+                 "leaf_constancy_many", "bracket_span"):
         monkeypatch.setattr(flows, name, degenerate)
     results = (verify.claim_interior_identities(0)
                + verify.claim_foliation_rank(0)
@@ -167,6 +169,10 @@ def test_claims_without_completed_samples_fail(monkeypatch):
     assert {r.claim_id for r in results} == {
         "prop4.2-identities", "prop4.3-foliation-rank", "prop4.4-leaf-constancy"}
     assert all(r.samples == 0 and not r.passed for r in results)
+    per_case = {"prop4.2-identities": 3, "prop4.3-foliation-rank": 10,
+                "prop4.4-leaf-constancy": 4}
+    assert all(r.extra == {"skipped": {"PivotDegenerate": per_case[r.claim_id]}}
+               for r in results)
 
 
 def test_geodesic_confinement_lanes_report_scalar_steps():
@@ -203,7 +209,8 @@ def test_geodesic_confinement_skips_failed_frames(monkeypatch):
     monkeypatch.setattr(verify, "build_frame", degenerate)
     rows = verify.claim_geodesic_confinement(0, count=4)
     assert all(r.samples == 0 and not r.passed for r in rows)
-    assert all(r.extra == {"accepted_steps": 0} for r in rows)
+    assert all(r.extra == {"accepted_steps": 0, "skipped": {"PivotDegenerate": 4}}
+               for r in rows)
 
 
 def test_samples_count_completed_points():
@@ -259,3 +266,150 @@ def test_stationary_claim():
 
 def test_axis_claim():
     assert all(r.passed for r in verify.claim_axis_solution(0, count=100))
+
+
+# ---------------------------------------------------------------------------
+# skipped samples and the batch fallback
+
+
+def test_skipped_samples_are_counted_by_type():
+    """A point whose forced pivot collapses is skipped and counted in its
+    row's ``extra``; rows without skipped samples carry no count."""
+    entry = catalog.cylinder(1.0, 2)
+    degenerate = Point(np.array([1.0, 0.0, 0.0, 0.0, 0.3]))  # e_1 lies in span(e_n, e_2n) here
+    pts = entry.sample(np.random.default_rng(2), 3)
+    cases = [("cylinder", {}, [(entry, p) for p in pts[:2] + [degenerate] + pts[2:]]),
+             ("cylinder", {}, [(entry, p) for p in pts])]
+
+    def residual(e, p):
+        return surface.report(e.surface, p, pivots=(0,)).spread
+
+    with_skip, without = verify._sampled_claim("x", 0, cases, residual, 1e-6)
+    assert with_skip.samples == 3 and with_skip.extra == {"skipped": {"PivotDegenerate": 1}}
+    assert without.samples == 3 and without.extra == {}
+    assert with_skip.residual == without.residual
+
+
+def _projection_fails_near(monkeypatch, bad):
+    """Make every Newton projection of a stack fail when one of its rows is
+    near ``bad``, in the batched and the one-point paths alike."""
+    original = flows._newton_project
+
+    def patched(s, coords, maxit=10):
+        if np.min(np.abs(np.asarray(coords) - bad.coords).max(axis=-1)) < 1e-2:
+            raise flows.ProjectionFailure("forced")
+        return original(s, coords, maxit)
+
+    monkeypatch.setattr(flows, "_newton_project", patched)
+
+
+@pytest.mark.parametrize("claim", ["identities", "leaf"])
+def test_batch_fallback_skips_what_the_one_point_path_skips(monkeypatch, claim):
+    entry = catalog.heisenberg_sphere(1.0, 2)
+    pts = verify.moderate_points(entry, np.random.default_rng(9), 4)
+    _projection_fails_near(monkeypatch, pts[2])
+    if claim == "identities":
+        one = lambda e, p: flows.identity_check(e.surface, p).max()
+        batch = lambda e, ps: [r.max() for r in flows.identity_check_many(e.surface, ps)]
+    else:
+        one = lambda e, p: flows.leaf_constancy(e.surface, p)
+        batch = lambda e, ps: flows.leaf_constancy_many(e.surface, ps)
+    cases = [("heisenberg-sphere", {}, [(entry, p) for p in pts])]
+    (batched,) = verify._sampled_claim("x", 0, cases, one, 1e-5, batch=batch)
+    (alone,) = verify._sampled_claim("x", 0, cases, one, 1e-5)
+    assert batched.to_dict() == alone.to_dict()
+    assert batched.samples == 3 and batched.extra == {"skipped": {"ProjectionFailure": 1}}
+    assert batched.residual == verify._worst([one(entry, p) for i, p in enumerate(pts) if i != 2])
+
+
+def test_batched_claims_match_one_point_claims():
+    """``prop4.2`` and ``prop4.4`` rows from one batch per case equal the
+    rows that one-point checks give."""
+    for claim, name in ((verify.claim_interior_identities, "identity_check_many"),
+                        (verify.claim_leaf_constancy, "leaf_constancy_many")):
+        batched = [r.to_dict() for r in claim(42)]
+        original = getattr(flows, name)
+
+        def single(s, points, *args, original=original, **kwargs):
+            if len(points) > 1:  # the batch raises: every case runs point by point
+                raise flows.ProjectionFailure("forced")
+            return original(s, points, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flows, name, single)
+            assert [r.to_dict() for r in claim(42)] == batched
+
+
+def test_geodesic_residuals_match_surface_values():
+    """The confinement residuals over each trace's node stack are bitwise the
+    ``SurfaceDef.value`` of every node."""
+    rng = np.random.default_rng(4)
+    for lam in (0.5, 1.0):
+        entry = catalog.pansu(lam, 2)
+        starts = [flows.CurveState(p, build_frame(entry.surface, p).en)
+                  for p in verify.confinement_starts(lam, 2, rng, 3)]
+        for tr in flows.geodesic_flows(starts, [lam] * 3, 3.0):
+            stacked = verify._profile_values(entry, tr.coords)
+            one = [entry.surface.value(c) for c in tr.coords]
+            assert stacked.tolist() == one
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals are not hidden
+
+
+def _nan_on_call(monkeypatch, module, name, which, value):
+    """Make ``module.name`` return ``value`` on the calls numbered in
+    ``which`` (counted from 0)."""
+    original = getattr(module, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return value if len(calls) - 1 in which else original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_det_u_nan_fails_its_row(monkeypatch):
+    _nan_on_call(monkeypatch, surface, "singular_jacobian", {1}, (None, math.nan))
+    rows = verify.claim_det_u(0)
+    assert math.isnan(rows[0].residual) and not rows[0].passed
+    assert rows[1].passed
+
+
+def test_axis_solution_nan_fails_its_row(monkeypatch):
+    _nan_on_call(monkeypatch, phaseplane, "vector_field", {1}, (math.nan, 0.0))
+    rows = verify.claim_axis_solution(0, count=5)
+    assert math.isnan(rows[0].residual) and not rows[0].passed
+    assert all(r.passed for r in rows[1:])
+
+
+def test_stationary_nan_fails_its_row(monkeypatch):
+    # calls per (n, c): the first stationary point, the second, the sample grid
+    _nan_on_call(monkeypatch, phaseplane, "vector_field", {1}, (math.nan, math.nan))
+    rows = verify.claim_stationary(0, count=100)
+    assert math.isnan(rows[0].residual) and not rows[0].passed
+    assert all(r.passed for r in rows[1:])
+
+
+def test_closure_row_keeps_a_nan_drift():
+    pp = PhaseParams(2, 1.0)
+    seeds = sum(verify._seed_grid(pp), [])[:3]
+    traces = phaseplane.periodic_orbits(pp, seeds)
+    traces[1].first_integral_drift = lambda: math.nan
+    row = verify._closure_row("lemma6.1-closure", 0, pp, seeds, traces)
+    assert math.isnan(row.extra["first_integral_drift"])
+
+
+def test_periodic_orbits_reject_a_nan_closure_error(monkeypatch):
+    original = phaseplane._trace
+
+    def nan_end(*args, **kwargs):
+        tr = original(*args, **kwargs)
+        tr.alpha[-1] = math.nan
+        return tr
+
+    monkeypatch.setattr(phaseplane, "_trace", nan_end)
+    with pytest.raises(phaseplane.NotPeriodic, match="closure error nan"):
+        phaseplane.periodic_orbits(PhaseParams(2, 1.0), [PhasePoint(0.0, 2.0)])
