@@ -371,7 +371,9 @@ def identity_check_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
     Every offset of every point (both signs of the 2n fields) flows in one
     lockstep stack and is reported in one batch; entry i is bitwise what
     ``identity_check(s, points[i], h_fd)`` gives.  Any point's failure
-    raises, so a caller that skips failed points reruns them one by one.
+    raises, but the stages run over all points at once, so the error need
+    not be the first failing point's; a caller that skips failed points
+    reruns them as batches of one.
     """
     base = report_many(s, points)
     if np.any(base.spread > 10.0 * s.umbilic_tol):

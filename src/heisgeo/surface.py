@@ -12,7 +12,8 @@ One array kernel does this over an (N, 2n+1) stack of points
 eigenvalues are stacked array operations.  The per-point
 functions (:func:`build_frame`, :func:`shape_matrix`, :func:`report`,
 :func:`rotsym_report`) are batches of one, and a point gives the same bits
-alone and inside a batch.
+alone and inside a batch.  A batch that raises reruns one point at a time,
+and the first point that raises alone raises its own error.
 
 Derivatives of the normalized horizontal normal are exact: the frame is
 parallel, so the normal field's frame coefficients are rational in the
@@ -357,11 +358,7 @@ def frame_many(s: SurfaceDef, points, pivots=None) -> FrameBatch:
 
 def _kernel(s, points, pivots, finish):
     """Evaluate the points as one stack, then run the frame stage and
-    ``finish`` (the shape stage, or None) over the stacks.
-
-    A failing point raises once every point before it has passed every
-    stage, so of several failures the first in input order wins.
-    """
+    ``finish`` (the shape stage, or None) over the stacks."""
     points = tuple(points)
     coords = np.empty((len(points), 2 * s.n + 1))
     for i, p in enumerate(points):
@@ -380,48 +377,19 @@ def _frame_stack(s, coords, pivots=None) -> FrameBatch:
 
 def _run(s, points, coords, pivots, finish):
     """The kernel over a coordinate stack (``points`` is None or holds the
-    stack's points)."""
+    stack's points).  If the stack raises, each row reruns alone under its
+    own pivots, and the first row that raises alone raises."""
     pivots = _pivot_rows(s.n, len(coords), pivots)
-    (u, grad, hess), failure = _evaluated(s, coords)
-    done = len(u)
-    out = _stages(s, _head(points, done), coords[:done], u, grad, hess,
-                  _head(pivots, done), finish)
-    if failure is not None:
-        raise failure
-    return out
-
-
-def _head(rows, count):
-    """The first ``count`` rows, or None for None."""
-    return None if rows is None else rows[:count]
-
-
-def _evaluated(s, coords):
-    """``(s.evaluate_many(coords), None)``, or, if that raises, the stacks of
-    the rows before the first row that fails alone, with that row's
-    exception."""
     try:
-        return s.evaluate_many(coords), None
-    except Exception as exc:
-        for i in range(len(coords)):
-            try:
-                s.evaluate_many(coords[i : i + 1])
-            except Exception as row_exc:
-                return s.evaluate_many(coords[:i]), row_exc
-        raise exc
-
-
-def _stages(s, points, coords, u, grad, hess, pivots, finish):
-    """The array stages over evaluated points."""
-
-    def fail(i, exc):
-        # a point before i may still fail a later check, and comes first
-        _stages(s, _head(points, i), coords[:i], u[:i], grad[:i], hess[:i],
-                _head(pivots, i), finish)
-        raise exc
-
-    fb = _frames(s.n, points, coords, u, grad, hess, pivots, fail)
-    return fb if finish is None else finish(s, fb)
+        u, grad, hess = s.evaluate_many(coords)
+        fb = _frames(s.n, points, coords, u, grad, hess, pivots)
+        return fb if finish is None else finish(s, fb)
+    except Exception:
+        if len(coords) > 1:
+            for i in range(len(coords)):
+                _run(s, None if points is None else points[i : i + 1], coords[i : i + 1],
+                     None if pivots is None else pivots[i : i + 1], finish)
+        raise
 
 
 def _pivot_rows(n, count, pivots):
@@ -433,12 +401,11 @@ def _pivot_rows(n, count, pivots):
     return rows if len(rows) == count else np.broadcast_to(rows, (count, n - 1))
 
 
-def _frames(n, points, coords, u, grad, hess, pivots, fail):
+def _frames(n, points, coords, u, grad, hess, pivots):
     """Frame stage of the kernel over evaluated points.
 
     A point whose horizontal gradient vanishes, that lies off the surface, or
-    whose forced pivot collapses goes to ``fail(i, exc)`` (the first such
-    point of each check), which raises.
+    whose forced pivot collapses raises (the first such point of each check).
     """
     b = horizontal_gradient(n, coords, grad)
     gnorm = _norms(b)
@@ -447,17 +414,17 @@ def _frames(n, points, coords, u, grad, hess, pivots, fail):
     bad = singular | (np.abs(u) > 1e-9 * gscale * (1.0 + np.abs(coords).max(axis=-1)))
     if bad.any():
         i = int(bad.argmax())
-        fail(i, SingularPoint(f"horizontal gradient {gnorm[i]:g} at {coords[i]!r}")
-             if singular[i] else
-             OffSurface(f"|u|={abs(u[i]):g} exceeds the on-surface tolerance"))
+        if singular[i]:
+            raise SingularPoint(f"horizontal gradient {gnorm[i]:g} at {coords[i]!r}")
+        raise OffSurface(f"|u|={abs(u[i]):g} exceeds the on-surface tolerance")
     e2n = b / gnorm[:, None]
     en = -_J(e2n)
-    xi, chosen = _complement(en, e2n, pivots, fail)
+    xi, chosen = _complement(en, e2n, pivots)
     return FrameBatch(points, coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, gnorm, chosen,
                       grad, hess)
 
 
-def _complement(en, e2n, pivots=None, fail=None):
+def _complement(en, e2n, pivots=None):
     """Invariant complements of stacked ``en, e2n`` rows by pivoted Gram-Schmidt.
 
     Each point's pivot is the standard frame vector among ``e_1..e_n`` with
@@ -465,7 +432,7 @@ def _complement(en, e2n, pivots=None, fail=None):
     J e_j`` has the same residual as ``e_j``, since the complement is
     J-invariant), and each accepted vector is paired with its rotation.
     Forced ``pivots`` rows replace the search; the first point whose forced
-    residual collapses goes to ``fail`` with :class:`PivotDegenerate`.
+    residual collapses raises :class:`PivotDegenerate`.
     Returns ``(xi_prime, pivots)`` stacks.
     """
     count, dim = en.shape
@@ -491,7 +458,7 @@ def _complement(en, e2n, pivots=None, fail=None):
         rn = _norms(r)
         if pivots is not None and (rn < 1e-6).any():
             i = int((rn < 1e-6).argmax())
-            fail(i, PivotDegenerate(f"forced pivot {a[i]} degenerated ({rn[i]:g})"))
+            raise PivotDegenerate(f"forced pivot {a[i]} degenerated ({rn[i]:g})")
         v = r / rn[:, None]
         v -= (basis_t @ (basis @ v[:, :, None]))[:, :, 0]  # re-orthogonalize
         v /= _norms(v)[:, None]
@@ -625,7 +592,7 @@ def _shapes(s, fb: FrameBatch) -> ReportBatch:
     S_t = S.transpose(0, 2, 1)
     asym = np.max(np.abs(S - S_t), axis=(1, 2))
     bad = asym > 1e-8 * (1.0 + np.max(np.abs(S), axis=(1, 2)))
-    if np.any(bad):  # the last check: the first such point is the first failure
+    if np.any(bad):
         raise NonSymmetric(f"shape operator asymmetry {asym[np.argmax(bad)]:g}")
     keep = _complement_rows(n)
     eigs = np.linalg.eigvalsh(0.5 * (S + S_t)[:, keep[:, None], keep])

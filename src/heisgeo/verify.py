@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from time import perf_counter
@@ -112,83 +113,86 @@ def _rng(base_seed, claim_id):
 
 _SKIPPED = (surface.PivotDegenerate, flows.ProjectionFailure)
 
+# a row fails when fewer than this share of its attempted samples completed
+MIN_COMPLETED_SHARE = 0.5
+
 
 def _completed(fn, items):
-    """``(results, skipped)``: ``fn(*item)`` for every item whose frame or
+    """``(results, skipped)``: ``fn(item)`` for every item whose frame or
     projection does not fail (``PivotDegenerate``, ``ProjectionFailure``),
     and the failed ones counted by exception type name."""
-    out, skipped = [], {}
+    out, skipped = [], Counter()
     for item in items:
         try:
-            out.append(fn(*item))
+            out.append(fn(item))
         except _SKIPPED as exc:
-            name = type(exc).__name__
-            skipped[name] = skipped.get(name, 0) + 1
-    return out, dict(sorted(skipped.items()))
+            skipped[type(exc).__name__] += 1
+    return out, skipped
 
 
 def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None,
          skipped=None):
     """A result row: the worst of ``residuals`` over its completed points.
 
-    ``samples`` counts the residuals, and a row with none fails, as does a
-    row with a NaN residual (reported as non-finite).  Rows carry ``row_id``
-    (default ``cid``), the seed derived from ``cid``, and
-    ``extra["skipped"]`` when ``skipped`` counts any skipped sample.
+    ``samples`` counts the residuals.  A row fails when fewer than
+    ``MIN_COMPLETED_SHARE`` of its attempted samples (completed plus
+    ``skipped``) completed, and so when none did, or when a residual is NaN
+    (reported as non-finite).  Rows carry ``row_id`` (default ``cid``), the
+    seed derived from ``cid``, and ``extra["skipped"]`` when ``skipped``
+    counts any skipped sample.
     """
     extra = dict(extra or {})
+    attempted = len(residuals)
     if skipped:
-        extra["skipped"] = skipped
+        extra["skipped"] = dict(sorted(skipped.items()))
+        attempted += sum(skipped.values())
+    enough = residuals and len(residuals) >= MIN_COMPLETED_SHARE * attempted
     return ClaimResult(row_id or cid, name, params,
-                       _worst(residuals) if residuals else math.inf, tolerance,
+                       _worst(residuals) if enough else math.inf, tolerance,
                        len(residuals), _claim_seed(seed, cid), extra=extra)
 
 
-def _sampled_claim(cid, seed, cases, residual, tolerance, row_id=None, batch=None):
+def _sampled_claim(cid, seed, cases, residuals, tolerance, row_id=None):
     """One result row per case: the worst residual over its completed points.
 
-    ``cases`` yields ``(surface, params, [(entry, point), ...])``;
-    ``residual(entry, point)`` evaluates one point.  A point whose frame or
-    projection fails is skipped (``_completed``); see ``_row``.  With
-    ``batch(entry, points)``, which gives the residuals of a sequence of
-    points of one entry, a case whose points share one entry runs as one
-    batch first; if the batch raises, the case runs point by point, so
-    exactly the points the one-point path skips are skipped.
+    ``cases`` yields ``(surface, params, [(entry, point), ...])``, and
+    ``residuals(entry, points)`` gives one residual per point of a sequence
+    of points of one entry.  Each run of consecutive points of one entry is
+    one batch.  If a batch raises, its points rerun as batches of one: a
+    point whose frame or projection fails alone is skipped (``_completed``)
+    and any other failure raises; see ``_row``.
     """
     rows = []
     for name, params, items in cases:
-        residuals, skipped = None, {}
-        if batch is not None and len({id(entry) for entry, _ in items}) == 1:
+        values, skipped = [], Counter()
+        for _, run in itertools.groupby(items, key=lambda item: id(item[0])):
+            run = list(run)
+            entry, points = run[0][0], [p for _, p in run]
             try:
-                residuals = list(batch(items[0][0], [p for _, p in items]))
+                values += _floats(residuals(entry, points))
             except Exception:  # rerun point by point, where a failure not skipped raises
-                pass
-        if residuals is None:
-            residuals, skipped = _completed(residual, items)
-        rows.append(_row(cid, seed, name, params, residuals, tolerance, row_id,
+                done, more = _completed(lambda p: _floats(residuals(entry, [p]))[0], points)
+                values += done
+                skipped += more
+        rows.append(_row(cid, seed, name, params, values, tolerance, row_id,
                          skipped=skipped))
     return rows
 
 
 def _report_claim(cid, seed, cases, residual, tolerance, row_id=None, report_fn=None):
-    """One result row per case, from batched reports.
+    """``_sampled_claim`` with ``residual(entry, batch)`` over the
+    ``surface.report_many`` batch (or ``report_fn(surface, points)``) of
+    each run of points.  Reports force no pivots, so no point is skipped:
+    a failing report raises."""
+    report_fn = report_fn or surface.report_many
+    return _sampled_claim(cid, seed, cases,
+                          lambda entry, points: residual(entry, report_fn(entry.surface, points)),
+                          tolerance, row_id)
 
-    ``cases`` are as for ``_sampled_claim``.  Each run of consecutive points
-    of one catalog entry is evaluated as one ``surface.report_many`` call
-    (or ``report_fn(surface, points)``), and ``residual(entry, batch)`` gives
-    one residual per point.  A point whose report fails fails the claim, as
-    the report of a catalog point must not fail; see ``_row``.
-    """
-    rows = []
-    for name, params, points in cases:
-        residuals = []
-        for _, run in itertools.groupby(points, key=lambda item: id(item[0])):
-            run = list(run)
-            entry = run[0][0]
-            batch = (report_fn or surface.report_many)(entry.surface, [p for _, p in run])
-            residuals.extend(np.asarray(residual(entry, batch), dtype=float).tolist())
-        rows.append(_row(cid, seed, name, params, residuals, tolerance, row_id))
-    return rows
+
+def _floats(values):
+    """Residuals as a list of Python floats."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _zabs(coords):
@@ -344,11 +348,7 @@ def claim_profile_ode(seed):
     for lam in (0.5, 1.0, 2.0):
         grid, vals = flows.profile_ode(lam)
         closed = np.array([_height_squared(lam, r) for r in grid])
-        worst = float(np.max(np.abs(vals - closed)))
-        out.append(
-            ClaimResult(cid, "pansu", {"lam": lam}, worst, 1e-6, grid.size,
-                        _claim_seed(seed, cid))
-        )
+        out.append(_row(cid, seed, "pansu", {"lam": lam}, _floats(np.abs(vals - closed)), 1e-6))
     return out
 
 
@@ -382,10 +382,7 @@ def claim_det_u(seed):
             _, det = surface.singular_jacobian(grad, hess)
             target = (4.0 * B * B + 1.0) ** n
             gaps.append(abs(det - target) / target)
-        out.append(
-            ClaimResult(cid, "quadratic-graph", {"n": n}, _worst(gaps), 1e-12, 3,
-                        _claim_seed(seed, cid))
-        )
+        out.append(_row(cid, seed, "quadratic-graph", {"n": n}, gaps, 1e-12))
     return out
 
 
@@ -427,33 +424,30 @@ def claim_interior_identities(seed, h_fd=1e-4, points=3):
     )
     return _sampled_claim(
         cid, seed, cases,
-        lambda entry, p: flows.identity_check(entry.surface, p, h_fd=h_fd).max(),
-        1e-5,
-        batch=lambda entry, pts: [r.max() for r in
-                                  flows.identity_check_many(entry.surface, pts, h_fd=h_fd)])
+        lambda entry, pts: [r.max() for r in
+                            flows.identity_check_many(entry.surface, pts, h_fd=h_fd)],
+        1e-5)
 
 
 def claim_foliation_rank(seed, points=10):
     cid = "prop4.3-foliation-rank"
     rng = _rng(seed, cid)
 
-    def residual(entry, p):
-        rank, proj = flows.bracket_span(entry.surface, p)
-        return proj if rank == 2 * entry.params["n"] - 1 else math.inf
+    def residuals(entry, points):
+        spans = [flows.bracket_span(entry.surface, p) for p in points]
+        return [proj if rank == 2 * entry.params["n"] - 1 else math.inf for rank, proj in spans]
 
     cases = (_case(entry.name, dict(entry.params), entry, rng, points)
              for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2),
                            catalog.pansu(1.0, 3)))
-    return _sampled_claim(cid, seed, cases, residual, 1.0 - 1e-6)
+    return _sampled_claim(cid, seed, cases, residuals, 1.0 - 1e-6)
 
 
 def claim_leaf_constancy(seed, points=4):
     cid = "prop4.4-leaf-constancy"
     cases = _catalog_cases(_rng(seed, cid), points, ns=(2,))
     return _sampled_claim(
-        cid, seed, cases,
-        lambda entry, p: flows.leaf_constancy(entry.surface, p), 1e-6,
-        batch=lambda entry, pts: flows.leaf_constancy_many(entry.surface, pts))
+        cid, seed, cases, lambda entry, pts: flows.leaf_constancy_many(entry.surface, pts), 1e-6)
 
 
 def confinement_starts(lam, n, rng, count, s_needed=3.05):
@@ -480,10 +474,6 @@ def confinement_starts(lam, n, rng, count, s_needed=3.05):
     return starts
 
 
-def _characteristic_start(entry, p):
-    return flows.CurveState(p, build_frame(entry.surface, p).en)
-
-
 def claim_geodesic_confinement(seed, count=20, s_max=3.0):
     """Characteristic flows of matching curvature stay on the Pansu sphere.
 
@@ -497,7 +487,8 @@ def claim_geodesic_confinement(seed, count=20, s_max=3.0):
     for lam in (0.5, 1.0):
         entry = catalog.pansu(lam, 2)
         starts, skipped = _completed(
-            _characteristic_start, [(entry, p) for p in confinement_starts(lam, 2, rng, count)])
+            lambda p: flows.CurveState(p, build_frame(entry.surface, p).en),
+            confinement_starts(lam, 2, rng, count))
         cases.append((lam, entry, starts, skipped))
     traces = iter(flows.geodesic_flows([st for _, _, starts, _ in cases for st in starts],
                                        [lam for lam, _, starts, _ in cases for _ in starts],
@@ -591,19 +582,11 @@ def claim_axis_solution(seed, count=200):
     out = []
     for n in (2, 3):
         for c in (0.5, 1.0, 2.0):
-            pp = PhaseParams(n, c)
-            gaps = []
-            for _ in range(count):
-                a = rng.uniform(-3.0 * c, 3.0 * c)
-                da, db = phaseplane.vector_field(pp, PhasePoint(a, 0.0))
-                if db != 0.0 or da >= 0.0:
-                    gaps.append(math.inf)
-                scale = 1.0 + a * a + c * c
-                gaps.append(abs(da + a * a + c * c / (4.0 * n * n)) / scale)
-            out.append(
-                ClaimResult(cid, "phase", {"n": n, "c": c}, _worst(gaps), 2e-15,
-                            count, _claim_seed(seed, cid))
-            )
+            a = rng.uniform(-3.0 * c, 3.0 * c, size=count)
+            da, db = phaseplane.vector_field(PhaseParams(n, c), PhasePoint(a, 0.0))
+            gaps = np.abs(da + a * a + c * c / (4.0 * n * n)) / (1.0 + a * a + c * c)
+            gaps = np.where((db != 0.0) | (da >= 0.0), math.inf, gaps)
+            out.append(_row(cid, seed, "phase", {"n": n, "c": c}, _floats(gaps), 2e-15))
     return out
 
 
@@ -709,11 +692,8 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
         k += len(grid)
     # golden period: frozen after halved-step certification
     frozen = golden()["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]
-    out.append(
-        ClaimResult(cid + "-golden", "phase", {"n": 2, "c": 1.0},
-                    abs(period - frozen) / frozen, 1e-6, 1, _claim_seed(seed, cid),
-                    extra={"period": period, "golden": frozen})
-    )
+    out.append(_row(cid, seed, "phase", {"n": 2, "c": 1.0}, [abs(period - frozen) / frozen],
+                    1e-6, row_id=cid + "-golden", extra={"period": period, "golden": frozen}))
     return out
 
 
@@ -733,12 +713,10 @@ def claim_orbit_symmetry(seed, count=6):
     out = []
     for k, (pp, _) in enumerate(cases):
         mine = traces[2 * count * k:2 * count * (k + 1)]
-        worst = _worst([abs(t1.period - t2.period) / t1.period
-                        for t1, t2 in zip(mine[:count], mine[count:])])
-        out.append(
-            ClaimResult(cid, "phase", {"n": pp.n, "c": pp.c}, worst, 1e-9, count,
-                        _claim_seed(seed, cid))
-        )
+        out.append(_row(cid, seed, "phase", {"n": pp.n, "c": pp.c},
+                        [abs(t1.period - t2.period) / t1.period
+                         for t1, t2 in zip(mine[:count], mine[count:])], 1e-9,
+                        extra={"accepted_steps": sum(tr.accepted for tr in mine)}))
     return out
 
 

@@ -1,6 +1,7 @@
 """Adapted frame, second fundamental form, curvature scalars, umbilicity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,6 +281,38 @@ def test_report_many_raises_the_first_failing_point():
     off = Point(p.coords + np.array([0.1, 0.0, 0.0, 0.0, 0.0]))
     assert _raised(lambda: report(h.surface, off))[0] is OffSurface
     assert _raised(lambda: report_many(h.surface, [p, off], pivots=(0,))) == want
+
+
+def test_batch_with_per_point_pivots_raises_the_collapsing_point_alone():
+    """Of one forced pivot row per point, only the second point's collapses;
+    every batch raises that point's error under its own pivots."""
+    h = catalog.hyperplane([1.0, 0.0, 0.0, 0.0], 2)  # e_1 is the normal: pivot 0 collapses
+    pts = h.sample(np.random.default_rng(4), 3)
+    pivots = [(1,), (0,), (1,)]
+    want = _raised(lambda: report(h.surface, pts[1], pivots=pivots[1]))
+    assert want[0] is PivotDegenerate
+    assert report_many(h.surface, pts[::2], pivots=pivots[::2]).umbilic.all()
+    assert _raised(lambda: report_many(h.surface, pts, pivots=pivots)) == want
+    assert _raised(lambda: frame_many(h.surface, pts, pivots=pivots)) == want
+    coords = np.array([p.coords for p in pts])
+    assert _raised(lambda: surface._frame_stack(h.surface, coords, pivots)) == want
+
+
+def test_successful_batch_evaluates_once():
+    """A batch that raises nothing takes its derivatives from one
+    ``grad_hess`` call: the one-point reruns are for failures only."""
+    e = catalog.pansu(1.0, 3)
+    calls = []
+
+    def counted(coords):
+        calls.append(len(coords))
+        return e.surface.grad_hess(coords)
+
+    s = replace(e.surface, grad_hess=counted)
+    pts = e.sample(np.random.default_rng(8), 12)
+    report_many(s, pts)
+    frame_many(s, pts)
+    assert calls == [12, 12]
 
 
 def test_report_many_of_no_points_is_empty():

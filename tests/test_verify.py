@@ -281,13 +281,41 @@ def test_skipped_samples_are_counted_by_type():
     cases = [("cylinder", {}, [(entry, p) for p in pts[:2] + [degenerate] + pts[2:]]),
              ("cylinder", {}, [(entry, p) for p in pts])]
 
-    def residual(e, p):
-        return surface.report(e.surface, p, pivots=(0,)).spread
+    def residuals(e, ps):
+        return surface.report_many(e.surface, ps, pivots=(0,)).spread
 
-    with_skip, without = verify._sampled_claim("x", 0, cases, residual, 1e-6)
+    with_skip, without = verify._sampled_claim("x", 0, cases, residuals, 1e-6)
     assert with_skip.samples == 3 and with_skip.extra == {"skipped": {"PivotDegenerate": 1}}
     assert without.samples == 3 and without.extra == {}
     assert with_skip.residual == without.residual
+
+
+@pytest.mark.parametrize("skips, passed", [(1, True), (2, True), (3, False)])
+def test_rows_need_half_of_their_attempted_samples(skips, passed):
+    entry = catalog.pansu(1.0, 2)
+    pts = entry.sample(np.random.default_rng(1), 4)
+
+    def residuals(e, ps):
+        if any(p is q for p in ps for q in pts[:skips]):
+            raise PivotDegenerate("forced")
+        return [1e-9] * len(ps)
+
+    (row,) = verify._sampled_claim("x", 0, [("pansu", {}, [(entry, p) for p in pts])],
+                                   residuals, 1e-8)
+    assert row.samples == 4 - skips and row.extra == {"skipped": {"PivotDegenerate": skips}}
+    assert row.passed is passed
+
+
+def test_only_rows_equal_the_full_run_rows():
+    """``--only`` runs each claim by itself with the rows of the full run."""
+    rows = run_all(VerifyConfig(seed=7)).claims
+    for cid in verify.CLAIMS:
+        alone = run_all(VerifyConfig(seed=7, only=cid)).claims
+        assert alone, cid
+        assert (verify.Report(seed=7, claims=alone).to_json()
+                == verify.Report(seed=7, claims=rows[:len(alone)]).to_json()), cid
+        rows = rows[len(alone):]
+    assert rows == []
 
 
 def _projection_fails_near(monkeypatch, bad):
@@ -315,8 +343,8 @@ def test_batch_fallback_skips_what_the_one_point_path_skips(monkeypatch, claim):
         one = lambda e, p: flows.leaf_constancy(e.surface, p)
         batch = lambda e, ps: flows.leaf_constancy_many(e.surface, ps)
     cases = [("heisenberg-sphere", {}, [(entry, p) for p in pts])]
-    (batched,) = verify._sampled_claim("x", 0, cases, one, 1e-5, batch=batch)
-    (alone,) = verify._sampled_claim("x", 0, cases, one, 1e-5)
+    (batched,) = verify._sampled_claim("x", 0, cases, batch, 1e-5)
+    (alone,) = verify._sampled_claim("x", 0, cases, lambda e, ps: [one(e, p) for p in ps], 1e-5)
     assert batched.to_dict() == alone.to_dict()
     assert batched.samples == 3 and batched.extra == {"skipped": {"ProjectionFailure": 1}}
     assert batched.residual == verify._worst([one(entry, p) for i, p in enumerate(pts) if i != 2])
@@ -379,7 +407,8 @@ def test_det_u_nan_fails_its_row(monkeypatch):
 
 
 def test_axis_solution_nan_fails_its_row(monkeypatch):
-    _nan_on_call(monkeypatch, phaseplane, "vector_field", {1}, (math.nan, 0.0))
+    # one call per (n, c): every tilt of the case at once
+    _nan_on_call(monkeypatch, phaseplane, "vector_field", {0}, (math.nan, 0.0))
     rows = verify.claim_axis_solution(0, count=5)
     assert math.isnan(rows[0].residual) and not rows[0].passed
     assert all(r.passed for r in rows[1:])
