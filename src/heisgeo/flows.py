@@ -170,8 +170,10 @@ def profile_ode(lam, r_span=None):
     """Integrate the squared-height radial equation of the umbilic sphere.
 
     Starts just inside the outer radius with the analytic local expansion of
-    the profile as the initial value and integrates inward; returns the
-    profile on a 200-point grid as ``(r, f)`` arrays.
+    the profile as the initial value and integrates inward straight onto a
+    200-point grid, one ``rk45.solve_lanes`` lane per radius; returns the
+    profile as ``(r, f)`` arrays.  An underflowing lane raises
+    ``StepUnderflow``.
     """
     lam = float(lam)
     if not (lam > 0 and math.isfinite(lam)):
@@ -182,21 +184,21 @@ def profile_ode(lam, r_span=None):
     r_lo, r_hi = r_span
     if not 0.0 < r_lo < r_hi < r_out:
         raise DomainError("profile grid must sit inside (0, 1/lam^2)")
-    # keep steps below the grid scale: values come off the interpolant
     num = 200
-    control = StepControl(rtol=1e-10, atol=1e-12, max_step=(r_hi - r_lo) / (4.0 * num))
     lam2 = lam * lam
 
     def f(r, y):
-        fv = max(float(y[0]), 0.0)
-        return np.array([-math.sqrt(lam2 * r * fv / (1.0 - lam2 * r))])
+        fv = np.maximum(y[:, 0], 0.0)  # not fmax: a NaN state propagates
+        return -np.sqrt(lam2 * r * fv / (1.0 - lam2 * r))[:, None]
 
     f0 = _psi(1.0 - lam2 * r_hi) / lam**4  # local expansion at the start
-    sol = rk45.solve(f, r_hi, np.array([f0]), r_lo, control)
-    grid = np.linspace(r_lo, r_hi, num)
-    vals = np.array([float(sol(r)[0]) for r in grid])
-    vals[-1] = f0
-    return grid, vals
+    grid = np.linspace(r_lo, r_hi, num)  # ends at r_hi, a lane of zero span
+    sols = rk45.solve_lanes(f, r_hi, np.full((num, 1), f0), grid,
+                            StepControl(rtol=1e-10, atol=1e-12))
+    for sol in sols:
+        if sol.status == "underflow":
+            raise rk45.StepUnderflow.at(sol.ss[-1])
+    return grid, np.array([sol.ys[-1, 0] for sol in sols])
 
 
 # ---------------------------------------------------------------------------

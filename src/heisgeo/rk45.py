@@ -1,4 +1,4 @@
-"""Embedded Dormand-Prince 5(4) integration with dense output and events.
+"""Embedded Dormand-Prince 5(4) integration with events.
 
 Deliberately dependency-free: the verification suite runs step-size
 experiments (order checks, halved-step certification) that need direct
@@ -6,11 +6,11 @@ control over the error controller, and event times are polished by taking a
 single fresh Runge-Kutta step onto each bisection candidate, which keeps the
 located crossing as accurate as the trajectory itself.
 
-``solve`` integrates one trajectory, locates no events and keeps the
-derivative at every node for dense output.  ``solve_lanes`` integrates a set
-of independent trajectories as lanes of one vectorised sweep under the same
-controller, which is much cheaper per trajectory than looping ``solve``,
-locates the sign changes of at most one ``Event`` and keeps mesh values only.
+``solve`` integrates one trajectory and locates no events.  ``solve_lanes``
+integrates a set of independent trajectories as lanes of one vectorised
+sweep under the same controller, which is much cheaper per trajectory than
+looping ``solve``, and locates the sign changes of at most one ``Event``.
+Both keep mesh values only: to get a value at some time, integrate to it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ _ERR = _B5 - _B4
 # the same rows as Python floats, for the lanes' ordered stage sums
 _A_ROWS = [tuple(float(a) for a in row) for row in _A]
 _ERR_ROW = tuple(float(e) for e in _ERR)
+# attempted steps per trajectory before giving up
+_MAX_STEPS = 2_000_000
+# bisection bracket width at which an event crossing counts as located
+_TIME_TOL = 1e-13
 
 
 class StepUnderflow(RuntimeError):
@@ -58,7 +62,6 @@ class StepControl:
     atol: float = 1e-10
     max_step: float = math.inf
     first_step: Optional[float] = None
-    max_steps: int = 2_000_000
 
 
 @dataclass
@@ -68,53 +71,29 @@ class Event:
 
     ``fn(s, Y)`` takes ``s`` of shape (N,) and ``Y`` of shape (N, d) and
     returns one value per lane.  ``value_tol`` bounds |fn| at the reported
-    crossing and ``time_tol`` the remaining bisection bracket (both must be
-    met: a small value alone is not enough at slow, near-tangent crossings).
+    crossing and ``_TIME_TOL`` (1e-13) the remaining bisection bracket
+    (both must be met: a small value alone is not enough at slow,
+    near-tangent crossings).
     ``terminal_count`` stops a lane after that many crossings; it is one
     count for all lanes or one per lane.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     value_tol: float = 1e-12
-    time_tol: float = 1e-13
     terminal_count: Optional[int] = None
 
 
 @dataclass
 class Solution:
+    """A trajectory's accepted mesh (times ``ss``, states ``ys``), events and counts."""
+
     ss: np.ndarray
     ys: np.ndarray
-    fs: Optional[np.ndarray]  # f(s, y) at the nodes; None for a lane (mesh values only)
     events: list = field(default_factory=list)  # (s, y) crossings, in order
     status: str = "done"
     nfev: int = 0      # right-hand-side evaluations, event location included
     accepted: int = 0  # accepted steps
     rejected: int = 0  # steps rejected by the error test or for a non-finite state
-
-    def __call__(self, s):
-        """Cubic Hermite interpolation on the accepted mesh (``solve`` only)."""
-        if self.fs is None:
-            raise ValueError("a lane solution keeps mesh values only; "
-                             "dense output needs rk45.solve")
-        ss = self.ss
-        if ss[0] <= ss[-1]:
-            i = int(np.clip(np.searchsorted(ss, s) - 1, 0, ss.size - 2))
-        else:
-            i = int(np.clip(np.searchsorted(-ss, -s) - 1, 0, ss.size - 2))
-        h = ss[i + 1] - ss[i]
-        if h == 0.0:
-            return self.ys[i].copy()
-        th = (s - ss[i]) / h
-        h00 = (1 + 2 * th) * (1 - th) ** 2
-        h10 = th * (1 - th) ** 2
-        h01 = th * th * (3 - 2 * th)
-        h11 = th * th * (th - 1)
-        return (
-            h00 * self.ys[i]
-            + h10 * h * self.fs[i]
-            + h01 * self.ys[i + 1]
-            + h11 * h * self.fs[i + 1]
-        )
 
 
 def _rk_step(f, s, y, fy, h):
@@ -158,11 +137,11 @@ def solve(f, s0, y0, s1, control=None):
     span = abs(s1 - s0)
     fy = np.asarray(f(s, y), dtype=float)
     nfev, accepted, rejected = 1, 0, 0
-    ss, ys, fs = [s], [y.copy()], [fy.copy()]
+    ss, ys = [s], [y.copy()]
     if span == 0.0:
-        return Solution(np.array(ss), np.array(ys), np.array(fs), nfev=nfev)
+        return Solution(np.array(ss), np.array(ys), nfev=nfev)
     h = _initial_step(y, fy, control, span)
-    for _ in range(control.max_steps):
+    for _ in range(_MAX_STEPS):
         h = min(h, abs(s1 - s))
         if not h > 4.0 * np.finfo(float).eps * max(1.0, abs(s)):  # NaN too
             raise StepUnderflow.at(s)
@@ -183,14 +162,13 @@ def solve(f, s0, y0, s1, control=None):
         s, y, fy = s + direction * h, ynew, fnew
         ss.append(s)
         ys.append(y.copy())
-        fs.append(fy.copy())
         if abs(s1 - s) <= 1e-14 * max(1.0, abs(s1)):
             break
         factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
         h = min(h * factor, control.max_step)
     else:
         raise RuntimeError("maximum number of steps exceeded")
-    return Solution(np.array(ss), np.array(ys), np.array(fs), nfev=nfev,
+    return Solution(np.array(ss), np.array(ys), nfev=nfev,
                     accepted=accepted, rejected=rejected)
 
 
@@ -262,9 +240,8 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
     gets status ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the
     error ``solve`` raises) and the other lanes go on.
 
-    A lane's ``Solution`` keeps mesh values only (``fs`` is None, so it has
-    no dense output) in arrays of its own, so releasing one lane frees its
-    nodes.
+    A lane's ``Solution`` keeps its mesh in arrays of its own, so releasing
+    one lane frees its nodes.
     """
     control = control or StepControl()
     y = np.array(y0, dtype=float)
@@ -292,7 +269,7 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
         tiny = 4.0 * np.finfo(float).eps
         while not done.all():
             live = ~done
-            if np.any(live & (accepted + rejected >= control.max_steps)):
+            if np.any(live & (accepted + rejected >= _MAX_STEPS)):
                 raise RuntimeError("maximum number of steps exceeded")
             h = np.where(live, np.fmin(h, np.abs(s1 - s)), h)
             under = live & ~(h > tiny * np.fmax(1.0, np.abs(s)))  # NaN too
@@ -365,7 +342,7 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
     out = []
     for i in range(n):
         rows = table[cuts[i]:cuts[i + 1]].copy()  # the lane's own block
-        out.append(Solution(rows[:, 0], rows[:, 1:], None, found[i],
+        out.append(Solution(rows[:, 0], rows[:, 1:], found[i],
                             _STATUS[status[i]], int(nfev[i]), int(accepted[i]),
                             int(rejected[i])))
     return out
@@ -390,7 +367,7 @@ def _locate_lanes(f, event, round_, direction, s, y, fy):
 
     Candidate states are produced by taking a fresh Runge-Kutta step of the
     candidate size from the bracket's left node, so the located state
-    carries the trajectory's own accuracy rather than the interpolant's.
+    carries the trajectory's own accuracy rather than an interpolant's.
     Lanes without a bracket in this round take zero steps from their final
     state.  Returns the located times and states (per lane) and the
     right-hand-side evaluations each lane spent.
@@ -403,7 +380,7 @@ def _locate_lanes(f, event, round_, direction, s, y, fy):
         s_left[lane], y_left[lane], f_left[lane] = s_l, y_l, f_l
         width[lane], ga[lane], active[lane] = h, g0, True
     floor = 4e-16 * np.fmax(1.0, np.abs(s_left))
-    bracket_tol = np.fmax(event.time_tol, floor)
+    bracket_tol = np.fmax(_TIME_TOL, floor)
     a, b = np.zeros(n), width
     s_ev, y_ev = np.zeros(n), np.zeros_like(y)
     evals = np.zeros(n, dtype=np.int64)

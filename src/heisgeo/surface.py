@@ -667,20 +667,25 @@ def sublaplacian(s: SurfaceDef, coords):
     """Sum of repeated frame derivatives of the defining function.
 
     Needs only the coordinate gradient and Hessian: the vertical coefficients
-    of the frame fields contribute first-order cross terms.
+    of the frame fields contribute first-order cross terms.  A batch of one
+    of :func:`_sublaplacians`.
     """
     coords = np.asarray(coords, dtype=float)
-    n = (coords.size - 1) // 2
-    _, grad, hess = s.evaluate(coords)
-    x = coords[:n]
-    y = coords[n : 2 * n]
-    utt = hess[2 * n, 2 * n]
+    _, _, hess = s.evaluate(coords)
+    return float(_sublaplacians(coords[None], hess[None])[0])
+
+
+def _sublaplacians(coords, hess):
+    """Sublaplacians at stacked evaluated points (:func:`sublaplacian` row by
+    row), each summed over j left to right."""
+    n = coords.shape[-1] // 2
+    utt = hess[..., 2 * n, 2 * n]
     acc = 0.0
     for j in range(n):
-        acc += hess[j, j] + 2.0 * y[j] * hess[j, 2 * n] + y[j] * y[j] * utt
-        a = n + j
-        acc += hess[a, a] - 2.0 * x[j] * hess[a, 2 * n] + x[j] * x[j] * utt
-    return float(acc)
+        x, y, a = coords[..., j], coords[..., n + j], n + j
+        acc = acc + (hess[..., j, j] + 2.0 * y * hess[..., j, 2 * n] + y * y * utt)
+        acc = acc + (hess[..., a, a] - 2.0 * x * hess[..., a, 2 * n] + x * x * utt)
+    return acc
 
 
 def alpha_directional(s: SurfaceDef, coords, w):

@@ -289,26 +289,18 @@ def claim_xn_shape_equivalence(seed, count=60):
         for n in (2, 3)
     )
     out = _report_claim(cid, seed, cases, residual, 1e-8)
-    # nontrivial direction: a surface with a genuinely nonzero obstruction;
-    # points whose report fails are skipped
+    # nontrivial direction: a surface with a genuinely nonzero obstruction
     n = 2
     gen, height = _generic_test_surface(n)
-    forms = []
-    for _ in range(count):
-        x = rng.normal(size=2 * n) * 0.6
-        p = Point(np.concatenate([x, [height(x)]]))
-        try:
-            forms.append(report(gen, p).h)
-        except surface.GeometryError:
-            continue
+    xs = rng.normal(size=(count, 2 * n)) * 0.6
+    forms, skipped = _completed(lambda x: report(gen, Point(np.append(x, height(x)))).h, xs)
     asym, lead = xn_entries(np.array(forms).reshape(-1, 2 * n - 1, 2 * n - 1), n)
     largest = float(lead.max(initial=0.0))
-    res = float(asym.max(initial=0.0)) if largest > 1e-3 else math.inf  # need a nonzero witness
-    out.append(
-        ClaimResult(cid, "generic-graph", {"n": n}, res, 1e-8, len(forms),
-                    _claim_seed(seed, cid), extra={"witness": largest})
-    )
-    return out
+    row = _row(cid, seed, "generic-graph", {"n": n}, _floats(asym), 1e-8,
+               extra={"witness": largest}, skipped=skipped)
+    if not largest > 1e-3:  # need a nonzero witness
+        row.residual = math.inf
+    return out + [row]
 
 
 def claim_umbilic_pattern(seed, count=60):
@@ -744,13 +736,11 @@ def yamabe_check(lam, n, count=200, seed=0, mode="exact"):
     cid = "eq7.2-yamabe-sigma"
     rng = _rng(seed, f"{cid}:{n}:{lam}")
     sfd = _extremal(lam, n, mode)
-    sigmas = []
-    for _ in range(count):
-        coords = rng.normal(size=2 * n + 1)
-        u = sfd.value(coords)
-        lap = surface.sublaplacian(sfd, coords)
-        sigmas.append(lap / u ** (1.0 + 2.0 / n))
-    sigmas = np.array(sigmas)
+    coords = rng.normal(size=(count, 2 * n + 1))
+    u, _, hess = sfd.evaluate_many(coords)
+    laps = surface._sublaplacians(coords, hess)
+    # Python floats: numpy's array power rounds differently from libm pow
+    sigmas = np.array([lap / v ** (1.0 + 2.0 / n) for lap, v in zip(_floats(laps), _floats(u))])
     mean = float(np.mean(sigmas))
     rel_std = float(np.std(sigmas) / abs(mean))
     return ClaimResult(

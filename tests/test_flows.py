@@ -8,6 +8,7 @@ import pytest
 
 from heisgeo import catalog, flows, verify
 from heisgeo.core import HorizontalVector, Point, _J, frame_lift, theta
+from heisgeo.rk45 import StepControl, solve_lanes
 from heisgeo.flows import (
     CurveState,
     geodesic_flow,
@@ -204,6 +205,25 @@ def test_profile_matches_closed_form():
                 2 * lam * lam
             )
             assert abs(f - h * h) <= 1e-6
+
+
+def test_profile_values_are_integrated_states():
+    """Each grid value is bitwise the end state of a lone lane from the outer
+    grid radius to its own radius: integrated there, never interpolated."""
+    for lam in (0.5, 2.0):
+        grid, vals = profile_ode(lam)
+        lam2 = lam * lam
+        r_hi = grid[-1]
+        f0 = catalog._psi(1.0 - lam2 * r_hi) / lam**4
+
+        def f(r, y):
+            return -np.sqrt(lam2 * r * np.maximum(y[:, 0], 0.0) / (1.0 - lam2 * r))[:, None]
+
+        for i in (0, 97, 198, 199):
+            lane, = solve_lanes(f, r_hi, np.array([[f0]]), grid[i],
+                                StepControl(rtol=1e-10, atol=1e-12))
+            assert lane.status == "done" and lane.ys[-1, 0] == vals[i]
+        assert vals[-1] == f0
 
 
 def test_profile_pole_limit():

@@ -1,4 +1,4 @@
-"""Integrator accuracy, dense output, events and step-size behavior."""
+"""Integrator accuracy, events and step-size behavior."""
 
 import math
 import time
@@ -20,11 +20,11 @@ def test_backward_integration():
     assert sol.ss[-1] == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_dense_output_on_circle():
+def test_mesh_on_circle():
     f = lambda s, y: np.array([-y[1], y[0]])
     sol = solve(f, 0.0, np.array([1.0, 0.0]), 6.0)
-    for s in np.linspace(0.1, 5.9, 37):
-        y = sol(s)
+    assert sol.ss.size > 2 and sol.ys.shape == (sol.ss.size, 2)
+    for s, y in zip(sol.ss, sol.ys):
         assert y[0] == pytest.approx(math.cos(s), abs=5e-8)
         assert y[1] == pytest.approx(math.sin(s), abs=5e-8)
 
@@ -134,10 +134,6 @@ def test_lanes_mixed_directions_and_end_times():
         assert lane.ys[-1][0] == pytest.approx(math.exp(end), rel=1e-9)
         assert (lane.nfev, lane.accepted, lane.rejected) == (
             alone.nfev, alone.accepted, alone.rejected)
-        # a lane keeps mesh values only: dense output is the scalar solve's
-        assert lane.fs is None
-        with pytest.raises(ValueError, match="mesh values only"):
-            lane(0.5 * end)
     assert lanes[3].ss.size == 1 and lanes[3].nfev == 1  # zero span
     # per-lane start times, and a lane that ends where another starts
     lanes = solve_lanes(lambda s, y: np.ones_like(y), [0.0, 1.0], np.zeros((2, 1)),
@@ -154,7 +150,7 @@ def test_lanes_own_their_nodes():
     for a, b in ((0, 1), (1, 0)):
         assert not np.shares_memory(lanes[a].ys, lanes[b].ys)
         assert not np.shares_memory(lanes[a].ss, lanes[b].ys)
-    assert all(lane.fs is None and lane.ys.shape == (lane.ss.size, 2) for lane in lanes)
+    assert all(lane.ys.shape == (lane.ss.size, 2) for lane in lanes)
 
 
 def test_lane_underflow_does_not_stop_the_others():

@@ -219,6 +219,49 @@ def test_samples_count_completed_points():
     assert all(0 < r.samples <= 60 for r in results if r.surface == "generic-graph")
 
 
+def _report_failing_at(monkeypatch, exc, bad):
+    """Patch ``verify.report`` to raise ``exc`` on the calls numbered in ``bad``."""
+    calls = iter(range(10**6))
+
+    def patched(surface_def, p, pivots=None):
+        if next(calls) in bad:
+            raise exc("forced")
+        return surface.report(surface_def, p, pivots)
+
+    monkeypatch.setattr(verify, "report", patched)
+
+
+@pytest.mark.parametrize("skips, passed", [(30, True), (31, False)])
+def test_generic_graph_row_needs_half_of_its_points(monkeypatch, skips, passed):
+    """The ``prop2.3`` generic-graph row counts a point whose frame
+    degenerates as skipped and fails when fewer than half completed."""
+    _report_failing_at(monkeypatch, PivotDegenerate, range(skips))
+    *_, row = verify.claim_xn_shape_equivalence(42)
+    assert row.surface == "generic-graph" and row.samples == 60 - skips
+    assert row.extra == {"witness": row.extra["witness"],
+                         "skipped": {"PivotDegenerate": skips}}
+    assert row.extra["witness"] > 1e-3 and row.passed is passed
+
+
+def test_generic_graph_row_raises_other_failures(monkeypatch):
+    """Only degenerate frames and failed projections are skipped: any other
+    failed report fails the claim."""
+    _report_failing_at(monkeypatch, surface.OffSurface, range(1, 60))
+    with pytest.raises(surface.OffSurface):
+        verify.claim_xn_shape_equivalence(42)
+
+
+def test_generic_graph_row_needs_a_nonzero_witness(monkeypatch):
+    """On a surface whose e_n row vanishes the row proves nothing, so it fails."""
+    def plane(n):
+        return surface.SurfaceDef(func=lambda c: c[2 * n], n=n, name="plane"), lambda x: 0.0
+
+    monkeypatch.setattr(verify, "_generic_test_surface", plane)
+    *_, row = verify.claim_xn_shape_equivalence(42)
+    assert row.samples == 60 and list(row.extra) == ["witness"]
+    assert row.extra["witness"] < 1e-12 and row.residual == math.inf and not row.passed
+
+
 def test_yamabe_sigma_matches_golden_and_fd():
     gold = verify.golden()["yamabe_sigma"]
     for n, lam in ((2, 1.0), (3, 0.5)):
