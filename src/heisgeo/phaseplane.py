@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rk45
 from ._io import fmt
-from .rk45 import Event, StepControl, StepUnderflow
+from .rk45 import StepControl, StepUnderflow
 
 __all__ = [
     "PhaseParams",
@@ -48,7 +48,7 @@ __all__ = [
     "AXIS_EPS",
 ]
 
-AXIS_EPS = 1e-12  # tilt tolerance of located axis crossings; stationary radius
+AXIS_EPS = 1e-12  # seeds this close to a stationary point have no orbit
 
 
 class OnSeparatrix(RuntimeError):
@@ -209,11 +209,6 @@ def upsilon_polyline(pp: PhaseParams, beta_lo, beta_hi, num=200):
     return np.array(rows) if rows else np.empty((0, 2))
 
 
-def _axis_event(max_count):
-    return Event(fn=lambda s, y: y[:, 0], value_tol=AXIS_EPS,
-                 terminal_count=max_count)
-
-
 def _default_control():
     # closure certificates need clear headroom below the orbit tolerance
     return StepControl(rtol=2e-11, atol=2e-11, max_step=0.1)
@@ -223,15 +218,15 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
     """Trajectory through ``q0`` in both time directions.
 
     The two directions are two lanes of one sweep; each runs until ``s_max``
-    or until two axis crossings have been located.  Crossings are found by
-    sign-change bracketing plus bisection.
+    or until its second axis crossing.  Each crossing is landed on the axis
+    by one integration in ``alpha`` (``rk45.solve_lanes``' Henon landing).
     """
     if s_max <= 0:
         raise ValueError("s_max must be positive")
     control = control or _default_control()
     sign, y0 = _to_log(q0)
     back, fwd = rk45.solve_lanes(_rhs_log(pp.n, pp.c, sign), 0.0, np.array([y0, y0]),
-                                 np.array([-s_max, s_max]), control, _axis_event(2))
+                                 np.array([-s_max, s_max]), control, crossings=2)
     for sol in (back, fwd):
         if sol.status == "underflow":
             raise StepUnderflow.at(sol.ss[-1])
@@ -303,7 +298,7 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
     turns = np.array([1 if q0.alpha == 0.0 else 2 for q0 in seeds])
     arcs = rk45.solve_lanes(_rhs_log(ns, cs, np.array(signs)), 0.0,
                             np.array([y0 for _, y0 in starts]).reshape(-1, 2), s_cap,
-                            control, _axis_event(turns))
+                            control, crossings=turns)
     errors = [None] * len(seeds)
     events, periods = {}, {}
     for i, (q0, arc) in enumerate(zip(seeds, arcs)):

@@ -1,27 +1,29 @@
-"""Embedded Dormand-Prince 5(4) integration with events.
+"""Embedded Dormand-Prince 5(4) integration with axis crossings.
 
 Deliberately dependency-free: the verification suite runs step-size
 experiments (order checks, halved-step certification) that need direct
-control over the error controller, and event times are polished by taking a
-single fresh Runge-Kutta step onto each bisection candidate, which keeps the
-located crossing as accurate as the trajectory itself.
+control over the error controller, and crossings are landed by Henon's
+method (Physica D 5 (1982) 412-414): the same system is integrated onto the
+axis with the crossing coordinate as the independent variable, which keeps
+the located crossing as accurate as the trajectory itself.
 
-``solve`` integrates one trajectory and locates no events.  ``solve_lanes``
-integrates a set of independent trajectories as lanes of one vectorised
-sweep under the same controller, which is much cheaper per trajectory than
-looping ``solve``, and locates the sign changes of at most one ``Event``.
-Both keep mesh values only: to get a value at some time, integrate to it.
+``solve`` integrates one trajectory and locates no crossings.
+``solve_lanes`` integrates a set of independent trajectories as lanes of one
+vectorised sweep under the same controller, which is much cheaper per
+trajectory than looping ``solve``, and can stop each lane at a given sign
+change of its first state component.  Both keep mesh values only: to get a
+value at some time, integrate to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["StepControl", "Event", "Solution", "StepUnderflow", "solve", "solve_lanes"]
+__all__ = ["StepControl", "Solution", "StepUnderflow", "solve", "solve_lanes"]
 
 # Dormand-Prince tableau; the fifth-order solution is propagated.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -44,8 +46,6 @@ _A_ROWS = [tuple(float(a) for a in row) for row in _A]
 _ERR_ROW = tuple(float(e) for e in _ERR)
 # attempted steps per trajectory before giving up
 _MAX_STEPS = 2_000_000
-# bisection bracket width at which an event crossing counts as located
-_TIME_TOL = 1e-13
 
 
 class StepUnderflow(RuntimeError):
@@ -65,33 +65,14 @@ class StepControl:
 
 
 @dataclass
-class Event:
-    """Event function of ``solve_lanes``; a lane's crossings are located
-    where its value changes sign.
-
-    ``fn(s, Y)`` takes ``s`` of shape (N,) and ``Y`` of shape (N, d) and
-    returns one value per lane.  ``value_tol`` bounds |fn| at the reported
-    crossing and ``_TIME_TOL`` (1e-13) the remaining bisection bracket
-    (both must be met: a small value alone is not enough at slow,
-    near-tangent crossings).
-    ``terminal_count`` stops a lane after that many crossings; it is one
-    count for all lanes or one per lane.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value_tol: float = 1e-12
-    terminal_count: Optional[int] = None
-
-
-@dataclass
 class Solution:
-    """A trajectory's accepted mesh (times ``ss``, states ``ys``), events and counts."""
+    """A trajectory's accepted mesh (times ``ss``, states ``ys``), crossings and counts."""
 
     ss: np.ndarray
     ys: np.ndarray
     events: list = field(default_factory=list)  # (s, y) crossings, in order
     status: str = "done"
-    nfev: int = 0      # right-hand-side evaluations, event location included
+    nfev: int = 0      # right-hand-side evaluations, crossing landings included
     accepted: int = 0  # accepted steps
     rejected: int = 0  # steps rejected by the error test or for a non-finite state
 
@@ -223,22 +204,27 @@ def _initial_steps(y0, f0, control, span):
     return np.fmin(np.fmin(h0, span), control.max_step)
 
 
-def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
+def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
     """Integrate N independent problems ``y' = f(s, y)`` as lanes of one sweep.
 
     ``y0`` has shape (N, d); ``s0`` and ``s1`` are scalars or (N,) arrays, so
-    lanes may run in either direction and to their own end.  ``f(s, Y)`` and
-    ``event.fn(s, Y)`` take ``s`` of shape (N,) and ``Y`` of shape (N, d)
-    and are called on all lanes every sweep; a finished lane is frozen by a
-    zero step.  Each lane keeps its own ``s``, step size, counters and event
-    state, and follows ``solve``'s controller: lane i's ``Solution`` has the
-    steps and counts ``solve`` gives for problem i alone, up to rounding.
-    During the sweep a sign change only records its bracket; the brackets
-    are located afterwards, one vectorised bisection per crossing ordinal
-    (``_locate_lanes``), and a lane stopped by ``event.terminal_count`` ends
-    at its last crossing with status ``"event"``.  A lane that underflows
-    gets status ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the
-    error ``solve`` raises) and the other lanes go on.
+    lanes may run in either direction and to their own end.  ``f(s, Y)``
+    takes ``s`` of shape (N,) and ``Y`` of shape (N, d) and is called on all
+    lanes every sweep; a finished lane is frozen by a zero step.  Each lane
+    keeps its own ``s``, step size and counters, and follows ``solve``'s
+    controller: lane i's ``Solution`` has the steps and counts ``solve``
+    gives for problem i alone, up to rounding.  A lane that underflows gets
+    status ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the error
+    ``solve`` raises) and the other lanes go on.
+
+    ``crossings`` (one count for all lanes or one per lane; ``None`` locates
+    nothing) stops each lane at that sign change of ``Y[:, 0]``, with status
+    ``"event"``, and its ``events`` list the crossings ``(s, y)`` up to it,
+    with ``y[0] == 0``.  During the sweep a sign change only records the
+    step's left node; the crossings are landed afterwards, one
+    ``_locate_lanes`` batch per crossing ordinal.  A lane whose crossing
+    cannot be landed ends at that step's left node with status
+    ``"underflow"`` and only the crossings before it.
 
     A lane's ``Solution`` keeps its mesh in arrays of its own, so releasing
     one lane frees its nodes.
@@ -250,8 +236,6 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
     s1 = np.array(np.broadcast_to(np.asarray(s1, dtype=float), (n,)))
     _finite_span(s, s1)
     direction = np.where(s1 >= s, 1.0, -1.0)
-    terminal = None if event is None else event.terminal_count
-    terminal = np.inf if terminal is None else np.asarray(terminal)
     # non-finite trial states are rejected below; their warnings are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fy = np.asarray(f(s, y), dtype=float)
@@ -261,9 +245,8 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
         status = np.full(n, _DONE)
         done = s1 == s
         h = _initial_steps(y, fy, control, np.abs(s1 - s))
-        g_prev = None if event is None else np.asarray(event.fn(s, y), dtype=float)
         count = np.zeros(n, dtype=np.int64)
-        brackets = []  # (lane, s, y, fy, h, g0), in sweep order
+        brackets = []  # (lane, s, y) left nodes of sign changes, in sweep order
         # accepted nodes per sweep: (lane mask, rows (s, y))
         nodes = [(np.ones(n, dtype=bool), np.column_stack((s, y)))]
         tiny = 4.0 * np.finfo(float).eps
@@ -292,18 +275,14 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
             accepted += ok
             snew = s + step
             stop = np.zeros(n, dtype=bool)
-            if event is not None:
-                g1 = np.asarray(event.fn(np.where(ok, snew, s),
-                                         np.where(ok[:, None], ynew, y)), dtype=float)
-                cross = ok & ~((g_prev == 0.0) | (g_prev * g1 > 0.0))
+            if crossings is not None:
+                cross = ok & ~((y[:, 0] == 0.0) | (y[:, 0] * ynew[:, 0] > 0.0))
                 # row copies: a view would keep this sweep's whole (N, d)
                 # arrays alive, so bracket memory would grow as N**2
                 for lane in np.flatnonzero(cross):
-                    brackets.append((lane, s[lane], y[lane].copy(), fy[lane].copy(),
-                                     h[lane], g_prev[lane]))
-                g_prev = np.where(ok, g1, g_prev)
+                    brackets.append((lane, s[lane], y[lane].copy()))
                 count += cross
-                stop = cross & (count >= terminal)
+                stop = cross & (count >= crossings)
                 status[stop] = _EVENT
                 done |= stop
             moved = ok & ~stop
@@ -317,21 +296,27 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
             h = np.where(moved, np.fmin(h * factor, control.max_step), h)
 
         found = [[] for _ in range(n)]  # (s, y), in step order
+        lost = {}  # lane -> left node time of the crossing it could not land
         for round_ in _by_ordinal(brackets):
-            s_ev, y_ev, evals = _locate_lanes(f, event, round_, direction, s, y, fy)
-            nfev += evals
-            for lane, *_ in round_:
-                found[lane].append((s_ev[lane], y_ev[lane].copy()))
+            round_ = [br for br in round_ if br[0] not in lost]
+            for (lane, s_l, _), sol in zip(round_, _locate_lanes(f, control, round_, s, y)):
+                nfev[lane] += sol.nfev
+                if sol.status == "underflow":
+                    status[lane], lost[lane] = _UNDERFLOW, s_l
+                    continue
+                y_ev = sol.ys[-1, 1:].copy()
+                y_ev[0] = 0.0
+                found[lane].append((s_l + sol.ys[-1, 0], y_ev))
         term = status == _EVENT
-        if term.any():  # a terminal lane ends at its last event
+        if term.any():  # a terminal lane ends at its last crossing
             s_end, y_end = s.copy(), y.copy()
             for lane in np.flatnonzero(term):
                 s_end[lane], y_end[lane] = found[lane][-1]
             nodes.append((term, np.column_stack((s_end, y_end))[term]))
 
-    # every lane has 1 + accepted nodes (a terminal step's node is its event);
-    # gather them lane by lane, in step order, into one table, releasing each
-    # sweep's chunk once it is copied
+    # every lane has 1 + accepted nodes (a terminal step's node is its
+    # crossing); gather them lane by lane, in step order, into one table,
+    # releasing each sweep's chunk once it is copied
     cuts = np.concatenate(([0], np.cumsum(1 + accepted)))
     table = np.empty((cuts[-1], 1 + d))
     fill = cuts[:-1].copy()
@@ -341,7 +326,11 @@ def solve_lanes(f, s0, y0, s1, control=None, event: Optional[Event] = None):
         fill[lanes] += 1
     out = []
     for i in range(n):
-        rows = table[cuts[i]:cuts[i + 1]].copy()  # the lane's own block
+        rows = table[cuts[i]:cuts[i + 1]]
+        if i in lost:  # it ends at that crossing's left node (a lane stopped
+            # there has no crossing node, so its block's last row is unset)
+            rows = rows[:np.flatnonzero(rows[:, 0] == lost[i])[0] + 1]
+        rows = rows.copy()  # the lane's own block
         out.append(Solution(rows[:, 0], rows[:, 1:], found[i],
                             _STATUS[status[i]], int(nfev[i]), int(accepted[i]),
                             int(rejected[i])))
@@ -362,48 +351,30 @@ def _by_ordinal(brackets):
     return rounds
 
 
-def _locate_lanes(f, event, round_, direction, s, y, fy):
-    """Bisect one sign-change bracket per lane, all lanes together.
+def _locate_lanes(f, control, round_, s, y):
+    """Land one sign change of ``y[:, 0]`` per lane, all lanes in one sweep.
 
-    Candidate states are produced by taking a fresh Runge-Kutta step of the
-    candidate size from the bracket's left node, so the located state
-    carries the trajectory's own accuracy rather than an interpolant's.
-    Lanes without a bracket in this round take zero steps from their final
-    state.  Returns the located times and states (per lane) and the
-    right-hand-side evaluations each lane spent.
+    Henon's method: from each bracket's left node the same system is
+    integrated with ``sigma = y[:, 0]`` as the independent variable, state
+    ``z = (time since the left node, y)`` and right-hand side
+    ``(1, f) / f[:, 0]``, to ``sigma = 0``, under the caller's tolerances.
+    The first step tries the whole bracket, so the crossing carries the
+    trajectory's own accuracy with no iteration.  The time offset, not the
+    absolute time, is integrated, so its tolerance does not grow with |s|.
+    Lanes without a bracket in this round get zero span at ``sigma = 0``
+    from their final state (not a span of their own final ``y[:, 0]``, which
+    may be NaN).  Returns the landing ``Solution`` of each bracket in
+    ``round_``, in order; its last state is ``(time offset, y)``.
     """
-    n = s.size
-    s_left, y_left, f_left = s.copy(), y.copy(), fy.copy()
-    width, ga = np.zeros(n), np.zeros(n)
-    active = np.zeros(n, dtype=bool)
-    for lane, s_l, y_l, f_l, h, g0 in round_:
-        s_left[lane], y_left[lane], f_left[lane] = s_l, y_l, f_l
-        width[lane], ga[lane], active[lane] = h, g0, True
-    floor = 4e-16 * np.fmax(1.0, np.abs(s_left))
-    bracket_tol = np.fmax(_TIME_TOL, floor)
-    a, b = np.zeros(n), width
-    s_ev, y_ev = np.zeros(n), np.zeros_like(y)
-    evals = np.zeros(n, dtype=np.int64)
-    ymid = y_left
-    for _ in range(200):
-        if not active.any():
-            break
-        mid = 0.5 * (a + b)
-        sigma = np.where(active, direction * mid, 0.0)
-        ymid, _ = _lane_step(f, s_left, y_left, f_left, sigma)
-        evals += 6 * active
-        smid = s_left + sigma
-        gm = np.asarray(event.fn(smid, ymid), dtype=float)
-        span = b - a
-        hit = active & (((np.abs(gm) <= event.value_tol) & (span <= bracket_tol))
-                        | (span <= floor))
-        s_ev[hit] = smid[hit]
-        y_ev[hit] = ymid[hit]
-        active &= ~hit
-        left = ga * gm <= 0.0
-        b = np.where(active & left, mid, b)
-        a = np.where(active & ~left, mid, a)
-        ga = np.where(active & ~left, gm, ga)
-    s_ev[active] = (s_left + direction * 0.5 * (a + b))[active]
-    y_ev[active] = ymid[active]
-    return s_ev, y_ev, evals
+    s_left, y_left = s.copy(), y.copy()
+    sigma0 = np.zeros(s.size)
+    for lane, s_l, y_l in round_:
+        s_left[lane], y_left[lane], sigma0[lane] = s_l, y_l, y_l[0]
+
+    def g(sigma, z):
+        fz = np.asarray(f(s_left + z[:, 0], z[:, 1:]), dtype=float)
+        return np.column_stack((np.ones(s.size), fz)) / fz[:, :1]
+
+    whole = StepControl(control.rtol, control.atol, max_step=math.inf, first_step=math.inf)
+    sols = solve_lanes(g, sigma0, np.column_stack((np.zeros(s.size), y_left)), 0.0, whole)
+    return [sols[lane] for lane, *_ in round_]

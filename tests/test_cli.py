@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heisgeo import flows
+from heisgeo import flows, surface
 from heisgeo.cli import main
 
 HEIS_T = 0.38418745424597092  # sqrt(1 - 0.8^4)/2
@@ -261,6 +261,35 @@ def test_identities_max_residuals_keep_nan(tmp_path, capsys, monkeypatch):
     data = json.loads(out_file.read_text())
     assert data["max_residuals"]["e2n_l"] is None
     assert data["max_residuals"]["en_k"] is not None
+
+
+@pytest.mark.parametrize("exc, code, skipped", [
+    (surface.NonSymmetric("Hessian asymmetry 1"), 2, None),
+    (surface.PivotDegenerate("forced pivot 0 degenerated"), 0, 1),
+], ids=["NonSymmetric", "PivotDegenerate"])
+def test_identities_skips_only_degenerate_samples(capsys, monkeypatch, exc, code, skipped):
+    """A failed frame or projection skips its sample; any other geometry error,
+    such as the asymmetry that signals a derivative bug, is one ``error:`` line
+    with exit 2."""
+    original = flows.identity_check
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise exc
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "identity_check", fail_second)
+    got, out, err = run(capsys, "identities", "--surface", "cylinder", "--c", "2",
+                        "--points", "3")
+    assert got == code
+    if skipped is None:
+        assert out == "" and err.startswith("error: NonSymmetric")
+        assert len(err.splitlines()) == 1
+    else:
+        data = json.loads(out)
+        assert data["skipped"] == skipped and len(data["points"]) == 2
 
 
 def test_python_dash_m_runs_the_cli():

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from heisgeo.rk45 import Event, StepControl, StepUnderflow, solve, solve_lanes
+from heisgeo import rk45
+from heisgeo.rk45 import StepControl, StepUnderflow, solve, solve_lanes
 
 
 def test_exponential_accuracy():
@@ -62,40 +63,47 @@ def test_zero_span():
     assert sol.ss.size == 1 and sol.ys[0][0] == 2.0
 
 
-def test_counters_match_rhs_calls():
-    calls = 0
+def _count_calls(monkeypatch):
+    """A circle field for lanes or one state that counts its calls, split into
+    the sweep's and the crossing landings' (``_locate_lanes``) calls."""
+    calls = {"sweep": 0, "landing": 0}
+    phase = ["sweep"]
+    locate = rk45._locate_lanes
+
+    def landing(*args):
+        phase[0] = "landing"
+        try:
+            return locate(*args)
+        finally:
+            phase[0] = "sweep"
 
     def f(s, y):
-        nonlocal calls
-        calls += 1
+        calls[phase[0]] += 1
         return np.stack((-y[..., 1], y[..., 0]), axis=-1)  # one state or (N, 2)
 
-    gcalls = 0
+    monkeypatch.setattr(rk45, "_locate_lanes", landing)
+    return f, calls
 
-    def g(s, y):
-        nonlocal gcalls
-        gcalls += 1
-        return y[:, 0]
 
-    ev = Event(fn=g, terminal_count=2)
+def test_counters_match_rhs_calls(monkeypatch):
+    f, calls = _count_calls(monkeypatch)
     ctrl = StepControl(rtol=1e-10, atol=1e-10)
-    sol, = solve_lanes(f, 0.0, np.array([[1.0, 0.0]]), 10.0, ctrl, ev)
+    sol, = solve_lanes(f, 0.0, np.array([[1.0, 0.0]]), 10.0, ctrl, crossings=2)
     assert sol.status == "event" and len(sol.events) == 2
-    assert sol.nfev == calls
-    assert sol.accepted == sol.ss.size - 1  # the last step ends at the event
-    # the event function runs once at the start and once per step, accepted
-    # or rejected; every further call is one bisection candidate, one fresh
-    # step each (the terminal event's node is mesh values only, so it costs
-    # no further evaluation)
-    bisections = gcalls - 1 - sol.accepted - sol.rejected
-    assert bisections == 80  # what the scalar event locator spent here
-    assert sol.nfev == 1 + 6 * (sol.accepted + sol.rejected) + 6 * bisections
+    assert sol.accepted == sol.ss.size - 1  # the last step ends at the crossing
+    # a lane of one evaluates f once per call: once at the start and six
+    # times per step, accepted or rejected, plus each crossing's landing
+    # (the terminal crossing's node is mesh values only, so it costs no
+    # further evaluation)
+    assert calls["sweep"] == 1 + 6 * (sol.accepted + sol.rejected)
+    assert calls["landing"] == 2 * (1 + 6)  # one whole-bracket step per crossing
+    assert sol.nfev == 1 + 6 * (sol.accepted + sol.rejected) + calls["landing"]
     # a step rejected by the error test is counted, and costs six evaluations
-    calls = 0
+    calls["sweep"] = 0
     coarse = StepControl(rtol=1e-10, atol=1e-10, first_step=1.0)
     sol = solve(f, 0.0, np.array([1.0, 0.0]), 3.0, coarse)
     assert sol.rejected >= 1
-    assert sol.nfev == calls == 1 + 6 * (sol.accepted + sol.rejected)
+    assert sol.nfev == calls["sweep"] == 1 + 6 * (sol.accepted + sol.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +119,13 @@ def test_lanes_match_solve_on_circle():
     and counts it takes as a lane of one."""
     radii = (1.0, 0.5, 2.0, 3.0)
     y0 = np.array([[r, 0.0] for r in radii])
-    ev = Event(fn=lambda s, y: y[:, 0], value_tol=1e-13, terminal_count=1)
-    lanes = solve_lanes(_circle_lanes, 0.0, y0, 10.0, event=ev)
+    lanes = solve_lanes(_circle_lanes, 0.0, y0, 10.0, crossings=1)
     for r, lane in zip(radii, lanes):
-        alone, = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0]]), 10.0, event=ev)
+        alone, = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0]]), 10.0, crossings=1)
         assert lane.status == alone.status == "event"
         (s_ev, y_ev), = lane.events
         assert s_ev == pytest.approx(math.pi / 2, abs=5e-10)
-        assert abs(y_ev[0]) <= 1e-13
+        assert y_ev[0] == 0.0
         assert lane.ss[-1] == s_ev and np.array_equal(lane.ys[-1], y_ev)
         assert (lane.nfev, lane.accepted, lane.rejected) == (
             alone.nfev, alone.accepted, alone.rejected)
@@ -144,9 +151,8 @@ def test_lanes_mixed_directions_and_end_times():
 def test_lanes_own_their_nodes():
     """Each lane's mesh is an array of its own, so releasing a lane frees its
     nodes while the other lanes live on."""
-    ev = Event(fn=lambda s, y: y[:, 0], terminal_count=1)
     lanes = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0], [2.0, 0.0]]), 10.0,
-                        event=ev)
+                        crossings=1)
     for a, b in ((0, 1), (1, 0)):
         assert not np.shares_memory(lanes[a].ys, lanes[b].ys)
         assert not np.shares_memory(lanes[a].ss, lanes[b].ys)
@@ -163,36 +169,57 @@ def test_lane_underflow_does_not_stop_the_others():
     assert lanes[1].ys[-1][0] == pytest.approx(0.1 / (1 - 0.5), rel=1e-9)
 
 
-def test_lane_counters_match_rhs_calls():
+def test_lane_counters_match_rhs_calls(monkeypatch):
     """Per lane, ``nfev`` is what that problem counts as a lane of one: the
-    identity of ``test_counters_match_rhs_calls``, with the bisection
-    candidates counted by the lane of one's event-function calls."""
+    identity of ``test_counters_match_rhs_calls``, with the landing
+    evaluations counted by the lane of one's right-hand-side calls."""
     radii = (1.0, 0.7, 1.9)
     ctrl = StepControl(rtol=1e-10, atol=1e-10)
     lanes = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0] for r in radii]), 10.0,
-                        ctrl, Event(fn=lambda s, y: y[:, 0], terminal_count=2))
+                        ctrl, crossings=2)
+    f, calls = _count_calls(monkeypatch)
     for r, lane in zip(radii, lanes):
-        gcalls = 0
-
-        def g(s, y):
-            nonlocal gcalls
-            gcalls += 1
-            return y[:, 0]
-
-        alone, = solve_lanes(_circle_lanes, 0.0, np.array([[r, 0.0]]), 10.0, ctrl,
-                             Event(fn=g, terminal_count=2))
-        bisections = gcalls - 1 - alone.accepted - alone.rejected
+        calls["landing"] = 0
+        alone, = solve_lanes(f, 0.0, np.array([[r, 0.0]]), 10.0, ctrl, crossings=2)
         assert (lane.nfev, lane.accepted, lane.rejected) == (
             alone.nfev, alone.accepted, alone.rejected)
         assert lane.status == "event" and len(lane.events) == 2
         assert lane.accepted == lane.ss.size - 1
-        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected) + 6 * bisections
+        assert calls["landing"] > 0
+        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected) + calls["landing"]
     # rejected steps are counted per lane
     lanes = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0], [0.1, 0.0]]), 3.0,
                         StepControl(rtol=1e-10, atol=1e-10, first_step=1.0))
     for lane in lanes:
         assert lane.rejected >= 1
         assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected)
+
+
+def test_landing_that_cannot_be_made_underflows():
+    """A fixed step of 2 from (1, 0) brackets the crossing at pi/2 from a left
+    node where y0' = 0, so the landing in y0 has no finite right-hand side
+    there: the lane underflows at that node and gets no crossing, never a
+    non-finite one."""
+    fixed = StepControl(rtol=1e30, atol=1e30, max_step=2.0, first_step=2.0)
+    lane, = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0]]), 10.0, fixed,
+                        crossings=1)
+    assert lane.status == "underflow" and lane.events == []
+    assert lane.ss.tolist() == [0.0] and lane.ys.tolist() == [[1.0, 0.0]]
+    assert str(StepUnderflow.at(lane.ss[-1])) == "step size underflow at s=0.0"
+    # a non-terminal crossing that cannot be landed ends the lane there too
+    lane, = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0]]), 10.0, fixed,
+                        crossings=3)
+    assert lane.status == "underflow" and lane.events == []
+    assert lane.ss.tolist() == [0.0] and lane.accepted >= 2
+
+
+def test_nan_lane_does_not_spoil_the_others_landings():
+    lanes = solve_lanes(_circle_lanes, 0.0, np.array([[math.nan, 0.0], [1.0, 0.0]]), 10.0,
+                        crossings=1)
+    assert [lane.status for lane in lanes] == ["underflow", "event"]
+    (s_ev, y_ev), = lanes[1].events
+    assert s_ev == pytest.approx(math.pi / 2, abs=5e-10) and y_ev[0] == 0.0
+    assert lanes[0].events == [] and lanes[0].ss.size == 1
 
 
 # ---------------------------------------------------------------------------
