@@ -186,15 +186,15 @@ def levi(v: HorizontalVector, w: HorizontalVector):
     return float(np.dot(v.coeffs, w.coeffs))
 
 
-def covariant_derivative(field, direction, p: Point, mode="dual", step=None):
+def covariant_derivative(field, direction, p: Point, mode="dual"):
     """Covariant derivative of a horizontal field along ``direction`` at ``p``.
 
     The frame is parallel, so this is the componentwise directional
     derivative of the frame-coefficient functions, the direction first
     converted to coordinate components.  ``field`` maps a coordinate array
     to 2n frame coefficients; in ``"dual"`` mode it must evaluate on dual
-    numbers, in ``"fd"`` mode plain central differences of size ``step``
-    (default ``cbrt(eps)*(1+|p|)``) are used.
+    numbers, in ``"fd"`` mode plain central differences of size
+    ``cbrt(eps)*(1+|p|)`` are used.
     """
     if isinstance(direction, TangentVector):
         w = tangent_coords(direction, p)
@@ -210,7 +210,7 @@ def covariant_derivative(field, direction, p: Point, mode="dual", step=None):
         vals = field(duals)
         out = np.array([v.g[0] if isinstance(v, Dual2) else 0.0 for v in vals])
     elif mode == "fd":
-        h = step if step is not None else GRAD_STEP * (1.0 + float(np.max(np.abs(coords))))
+        h = GRAD_STEP * (1.0 + float(np.max(np.abs(coords))))
         plus = np.asarray(field(coords + h * w), dtype=float)
         minus = np.asarray(field(coords - h * w), dtype=float)
         out = (plus - minus) / (2.0 * h)

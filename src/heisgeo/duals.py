@@ -183,16 +183,16 @@ def gradient_hessian(func, coords):
     return out.f, out.g.copy(), out.h.copy()
 
 
-def fd_gradient_hessian(func, coords, grad_step=None, hess_step=None):
+def fd_gradient_hessian(func, coords):
     """Central finite-difference ``(value, gradient, Hessian)`` oracle.
 
-    Steps default to ``cbrt(eps)*(1+|x_c|)`` for the gradient and
+    Steps are ``cbrt(eps)*(1+|x_c|)`` for the gradient and
     ``eps**0.25*(1+|x_c|)`` per coordinate for the Hessian.
     """
     x = np.asarray(coords, dtype=float)
     m = x.size
-    h1 = (grad_step if grad_step is not None else GRAD_STEP) * (1.0 + np.abs(x))
-    h2 = (hess_step if hess_step is not None else HESS_STEP) * (1.0 + np.abs(x))
+    h1 = GRAD_STEP * (1.0 + np.abs(x))
+    h2 = HESS_STEP * (1.0 + np.abs(x))
 
     def ev(delta):
         return float(func(x + delta))

@@ -16,7 +16,7 @@ import numpy as np
 from . import rk45
 from ._stats import worst
 from .catalog import _psi  # squared-height profile of the reference sphere
-from .core import HorizontalVector, Point, _J, frame_lift
+from .core import HorizontalVector, Point, _J
 from .rk45 import StepControl, _row_sum  # per-row sums, independent of the batch
 from .surface import (
     DomainError,
@@ -24,9 +24,7 @@ from .surface import (
     SurfaceDef,
     _alpha_rates,
     _dots,
-    _frame_stack,
     _lifts,
-    build_frame,
     frame_many,
     report_many,
 )
@@ -235,34 +233,34 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
     except Exception:
         if len(c) == 1:
             raise
-        return [_newton_project(s, row[None], maxit)[0] for row in np.asarray(coords)]
+        return np.concatenate([_newton_project(s, row[None], maxit) for row in coords])
     failed[live] = True  # still off the level set after maxit steps
     if failed.any():
         i = int(failed.argmax())
         raise ProjectionFailure(f"|u| stuck at {abs(last_u[i]):g} after {maxit} iterations")
-    return list(c)
+    return c
 
 
-def surface_offset(s: SurfaceDef, coords, dirfn, h, nsub=4):
+def surface_offset(s: SurfaceDef, coords, dirfn, h):
     """Flow distance ``h`` along the unit field ``dirfn`` and project back.
 
     The fields used here annihilate the defining function, so the Newton
     correction only removes integration drift.
     """
-    (c,) = _surface_offsets(s, coords, lambda cs: np.array([dirfn(c) for c in cs]), (h,), nsub)
+    (c,) = _surface_offsets(s, coords, lambda cs: np.array([dirfn(c) for c in cs]), (h,))
     return c
 
 
-def _surface_offsets(s: SurfaceDef, coords, field, hs, nsub=4):
+def _surface_offsets(s: SurfaceDef, coords, field, hs):
     """``surface_offset`` for each distance in ``hs``, from ``coords`` (one
-    start for all, or one per distance).  The flows run in lockstep, so
-    ``field`` maps an (N, 2n+1) stack of coordinates to the field's values
-    there, and each row's arithmetic is its own."""
+    start for all, or one per distance), as an (N, 2n+1) stack.  The flows
+    run in lockstep, so ``field`` maps an (N, 2n+1) stack of coordinates to
+    the field's values there, and each row's arithmetic is its own."""
     hs = np.asarray(hs, dtype=float)
     coords = np.asarray(coords, dtype=float)
     c = np.broadcast_to(coords, (len(hs), coords.shape[-1])).copy()
-    step = hs[:, None] / nsub
-    for _ in range(nsub):
+    step = hs[:, None] / 4
+    for _ in range(4):  # classical Runge-Kutta substeps
         k1 = field(c)
         k2 = field(c + 0.5 * step * k1)
         k3 = field(c + 0.5 * step * k2)
@@ -287,7 +285,7 @@ def _fields(s: SurfaceDef, pivots, kinds):
     xi_at, xi_kind = np.flatnonzero(xi_rows), kinds[xi_rows]
 
     def field(cs):
-        fb = _frame_stack(s, cs, pivots)
+        fb = frame_many(s, cs, pivots)
         v = np.empty((len(cs), 2 * n))
         v[en_rows] = fb.en[en_rows]
         v[e2n_rows] = fb.e2n[e2n_rows]
@@ -307,14 +305,15 @@ def _offset_reports(s: SurfaceDef, base, kinds, h_fd):
     """Reports at the offsets ``+h_fd`` and ``-h_fd`` (rows 2i and 2i+1)
     along field ``kinds[i]`` from the base point of row i, one per point of
     the ``base`` report batch and kind; every offset flows in one lockstep
-    stack under its base point's pivots, and all are reported as one batch."""
+    stack under its base point's pivots, and all are reported as one batch;
+    an offset the projection leaves non-finite raises ``ValueError``."""
     m = len(kinds)
     kinds = np.repeat(np.tile(kinds, len(base)), 2)
     pivots = np.repeat(base.frame.pivots, 2 * m, axis=0)
     starts = np.repeat(base.frame.coords, 2 * m, axis=0)
     hs = np.tile((h_fd, -h_fd), m * len(base))
     offsets = _surface_offsets(s, starts, _fields(s, pivots, kinds), hs)
-    return report_many(s, [Point(c) for c in offsets], pivots=pivots)
+    return report_many(s, offsets, pivots=pivots)
 
 
 def _en_alpha_rates(fb):
@@ -433,28 +432,29 @@ def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
     characteristic direction; the foliation statement needs rank 2n-1 with
     that projection bounded away from one.
     """
-    fr = build_frame(s, p)
-    mat = _bracket_rows(s, p, fr.pivots, h_fd)
+    base = frame_many(s, (p,))
+    mat = _bracket_rows(s, base, h_fd)
     _, svals, vt = np.linalg.svd(mat)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     # orthonormal basis of the span, then project the characteristic direction
-    en_full = np.concatenate([fr.en.coeffs, [0.0]])
+    en_full = np.concatenate([base.en[0], [0.0]])
     proj = float(np.linalg.norm(vt[:rank] @ en_full))
     return rank, proj
 
 
-def _bracket_rows(s: SurfaceDef, p: Point, pivots, h_fd):
-    """The complement fields at ``p`` and their brackets, one row each with
-    the vertical component last.  A bracket's horizontal part is a central
-    difference of the fields at ``p +- h_fd X``; the fields come from two
-    ``frame_many`` batches under ``pivots``, one at ``p`` and one at every
-    offset, and each row of a batch is the point's frame alone."""
-    n = p.n
+def _bracket_rows(s: SurfaceDef, base, h_fd):
+    """The complement fields of the one-point frame batch ``base`` and their
+    brackets, one row each with the vertical component last.  A bracket's
+    horizontal part is a central difference of the fields at ``p +- h_fd X``,
+    all from one ``frame_many`` batch under ``base``'s pivots; each row of
+    it is that offset's frame alone."""
+    n = s.n
     m = 2 * n - 2
-    vals = frame_many(s, (p,), pivots=pivots).xi_prime[0]
-    lifts = [frame_lift(HorizontalVector(v), p) for v in vals]
-    offsets = [c for w in lifts for c in (p.coords + h_fd * w, p.coords - h_fd * w)]
-    xi = _frame_stack(s, np.array(offsets), pivots).xi_prime
+    vals = base.xi_prime[0]
+    step = h_fd * _lifts(base.coords, vals)
+    offsets = np.empty((2 * m, 2 * n + 1))
+    offsets[0::2], offsets[1::2] = base.coords + step, base.coords - step
+    xi = frame_many(s, offsets, base.pivots).xi_prime
     rows = [np.concatenate([v, [0.0]]) for v in vals]
     for i in range(m):
         for j in range(i + 1, m):

@@ -189,20 +189,20 @@ def upsilon_beta(pp: PhaseParams, beta):
     return (root, -root)
 
 
-def upsilon_polyline(pp: PhaseParams, beta_lo, beta_hi, num=200):
-    """Sampled zero-tilt-rate curve inside a defect window, as (alpha, beta)
-    rows ordered into a plottable polyline per hyperbola component."""
+def upsilon_polyline(pp: PhaseParams, beta_lo, beta_hi):
+    """Zero-tilt-rate curve inside a defect window, 200 samples a branch, as
+    (alpha, beta) rows ordered into a plottable polyline per component."""
     n, c = pp.n, pp.c
     b_plus = max(beta_lo, c)
     b_minus = min(beta_hi, -c / (2 * n - 1))
     rows = []
     if beta_hi > c:
-        grid = np.linspace(beta_hi, b_plus, num)
+        grid = np.linspace(beta_hi, b_plus, 200)
         branch = [(upsilon_beta(pp, b)[0], b) for b in grid]
         rows.extend(branch)
         rows.extend((-a, b) for a, b in reversed(branch))
     if beta_lo < -c / (2 * n - 1):
-        grid = np.linspace(b_minus, beta_lo, num)
+        grid = np.linspace(b_minus, beta_lo, 200)
         branch = [(upsilon_beta(pp, b)[0], b) for b in grid]
         rows.extend(branch)
         rows.extend((-a, b) for a, b in reversed(branch))

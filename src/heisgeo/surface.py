@@ -6,8 +6,9 @@ direction, the complex-structure-invariant complement), the horizontal
 second fundamental form, the symmetric shape operator with its curvature
 scalars ``k``, ``l``, ``H``, and decides umbilicity.
 
-One array kernel does this over an (N, 2n+1) stack of points
-(:func:`report_many`): the derivatives come from one
+One array kernel does this over an (N, 2n+1) stack of coordinates
+(:func:`report_many`), given as the stack itself or as a sequence of
+:class:`~heisgeo.core.Point`: the derivatives come from one
 :meth:`SurfaceDef.evaluate_many` call, and the frame, the form and the
 eigenvalues are stacked array operations.  The per-point
 functions (:func:`build_frame`, :func:`shape_matrix`, :func:`report`,
@@ -219,20 +220,11 @@ def _hgrad_jacobian(n, coords, grad, hess):
     jac = np.empty(hess.shape[:-2] + (2 * n, 2 * n + 1))
     jac[..., :n, :] = hess[..., :n, :] + y * ht
     jac[..., n:, :] = hess[..., n : 2 * n, :] - x * ht
-    plus, minus = _pairs(n, n, 2 * n + 1)
-    flat = jac.reshape(jac.shape[:-2] + (2 * n * (2 * n + 1),))
+    j = np.arange(n)
     ut = grad[..., 2 * n, None]
-    flat[..., plus] += ut
-    flat[..., minus] -= ut
+    jac[..., j, n + j] += ut
+    jac[..., n + j, j] -= ut
     return jac
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(count, shift, width):
-    """Flat positions of the entries ``(j, shift+j)`` and ``(shift+j, j)``,
-    ``j < count``, of a matrix with ``width`` columns."""
-    j = np.arange(count)
-    return _read_only(j * width + shift + j), _read_only((shift + j) * width + j)
 
 
 def _read_only(a):
@@ -284,8 +276,6 @@ class FrameBundle:
     alpha: float
     grad_norm: float
     pivots: tuple
-    _grad: np.ndarray = None
-    _hess: np.ndarray = None
 
     @property
     def n(self):
@@ -304,11 +294,10 @@ class FrameBundle:
 class FrameBatch:
     """Adapted frames of N points on one surface as stacked arrays.
 
-    Row i belongs to ``points[i]`` and holds what :class:`FrameBundle` holds
-    for it.  ``grad``/``hess`` are None for closed-form frames.
+    Row i holds what :class:`FrameBundle` holds for the point
+    ``coords[i]``.  ``grad``/``hess`` are None for closed-form frames.
     """
 
-    points: Optional[tuple]  # None for a bare coordinate stack
     coords: np.ndarray     # (N, 2n+1)
     e2n: np.ndarray        # (N, 2n)
     en: np.ndarray         # (N, 2n)
@@ -324,15 +313,13 @@ class FrameBatch:
 
     def bundle(self, i) -> FrameBundle:
         return FrameBundle(
-            p=self.points[i],
+            p=Point(self.coords[i]),
             e2n=HorizontalVector(self.e2n[i]),
             en=HorizontalVector(self.en[i]),
             xi_prime=tuple(HorizontalVector(v) for v in self.xi_prime[i]),
             alpha=float(self.alpha[i]),
             grad_norm=float(self.grad_norm[i]),
             pivots=tuple(self.pivots[i].tolist()),
-            _grad=None if self.grad is None else self.grad[i],
-            _hess=None if self.hess is None else self.hess[i],
         )
 
 
@@ -351,44 +338,41 @@ def build_frame(s: SurfaceDef, p: Point, pivots=None) -> FrameBundle:
 
 
 def frame_many(s: SurfaceDef, points, pivots=None) -> FrameBatch:
-    """Adapted frames of a sequence of points on one surface, as one batch:
-    the frame stage of :func:`report_many`, with its failures."""
-    return _kernel(s, points, pivots, None)
+    """Adapted frames of points or an (N, 2n+1) coordinate stack on one
+    surface, as one batch: the frame stage of :func:`report_many`."""
+    return _run(s, _stack(points, s.n), pivots, None)
 
 
-def _kernel(s, points, pivots, finish):
-    """Evaluate the points as one stack, then run the frame stage and
-    ``finish`` (the shape stage, or None) over the stacks."""
-    points = tuple(points)
-    coords = np.empty((len(points), 2 * s.n + 1))
-    for i, p in enumerate(points):
-        if p.n != s.n:
-            raise ValueError("surface and point dimensions disagree")
-        coords[i] = p.coords
-    return _run(s, points, coords, pivots, finish)
+def _stack(points, n=None):
+    """``points`` (:class:`Point` objects or array rows) as the batch's own
+    (N, 2n+1) float stack, ``n`` by default the first row's.  A row of
+    another width or a non-finite coordinate raises ``ValueError``."""
+    if isinstance(points, np.ndarray):
+        if not np.isfinite(points).all():
+            raise ValueError("coordinates must be finite")  # as Point raises
+    else:
+        points = [p.coords for p in points]  # a Point checks itself
+    n = len(points[0]) // 2 if n is None else n
+    if any(len(row) != 2 * n + 1 for row in points):
+        raise ValueError("surface and point dimensions disagree")
+    return np.array(points, dtype=float).reshape(len(points), 2 * n + 1)
 
 
-def _frame_stack(s, coords, pivots=None) -> FrameBatch:
-    """:func:`frame_many` over an (N, 2n+1) stack of coordinates, for
-    callers that hold no :class:`Point` objects; the batch's ``points`` is
-    None."""
-    return _run(s, None, coords, pivots, None)
-
-
-def _run(s, points, coords, pivots, finish):
-    """The kernel over a coordinate stack (``points`` is None or holds the
-    stack's points).  If the stack raises, each row reruns alone under its
-    own pivots, and the first row that raises alone raises."""
+def _run(s, coords, pivots, finish):
+    """The kernel over a coordinate stack: one evaluation, then the frame
+    stage and ``finish`` (the shape stage, or None).  If the stack raises,
+    each row reruns alone under its own pivots, and the first row that
+    raises alone raises."""
     pivots = _pivot_rows(s.n, len(coords), pivots)
     try:
         u, grad, hess = s.evaluate_many(coords)
-        fb = _frames(s.n, points, coords, u, grad, hess, pivots)
+        fb = _frames(s.n, coords, u, grad, hess, pivots)
         return fb if finish is None else finish(s, fb)
     except Exception:
         if len(coords) > 1:
             for i in range(len(coords)):
-                _run(s, None if points is None else points[i : i + 1], coords[i : i + 1],
-                     None if pivots is None else pivots[i : i + 1], finish)
+                _run(s, coords[i : i + 1], None if pivots is None else pivots[i : i + 1],
+                     finish)
         raise
 
 
@@ -401,7 +385,7 @@ def _pivot_rows(n, count, pivots):
     return rows if len(rows) == count else np.broadcast_to(rows, (count, n - 1))
 
 
-def _frames(n, points, coords, u, grad, hess, pivots):
+def _frames(n, coords, u, grad, hess, pivots):
     """Frame stage of the kernel over evaluated points.
 
     A point whose horizontal gradient vanishes, that lies off the surface, or
@@ -420,8 +404,7 @@ def _frames(n, points, coords, u, grad, hess, pivots):
     e2n = b / gnorm[:, None]
     en = -_J(e2n)
     xi, chosen = _complement(en, e2n, pivots)
-    return FrameBatch(points, coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, gnorm, chosen,
-                      grad, hess)
+    return FrameBatch(coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, gnorm, chosen, grad, hess)
 
 
 def _complement(en, e2n, pivots=None):
@@ -514,8 +497,8 @@ class SurfaceReport:
 class ReportBatch:
     """Reports of N points on one surface as stacked arrays.
 
-    Row i holds what :class:`SurfaceReport` holds for ``frame.points[i]``;
-    ``batch[i]`` is that report.
+    Row i holds what :class:`SurfaceReport` holds for the point
+    ``frame.coords[i]``; ``batch[i]`` is that report.
     """
 
     frame: FrameBatch
@@ -553,7 +536,8 @@ class ReportBatch:
 
 
 def report_many(s: SurfaceDef, points, pivots=None) -> ReportBatch:
-    """Reports of a sequence of points on one surface, as one batch.
+    """Reports of a sequence of points or an (N, 2n+1) coordinate stack on
+    one surface, as one batch.
 
     The points are evaluated as one stack (:meth:`SurfaceDef.evaluate_many`);
     the frames, second fundamental forms and eigenvalues are then computed as
@@ -562,7 +546,7 @@ def report_many(s: SurfaceDef, points, pivots=None) -> ReportBatch:
     point or one per point.  A failing point raises what :func:`report`
     raises for it; of several, the first in input order.
     """
-    return _kernel(s, points, pivots, _shapes)
+    return _run(s, _stack(points, s.n), pivots, _shapes)
 
 
 def _shapes(s, fb: FrameBatch) -> ReportBatch:
@@ -613,15 +597,9 @@ def _shapes(s, fb: FrameBatch) -> ReportBatch:
 
 def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
     """Second fundamental form and shape operator in the adapted basis of
-    ``f``: a batch of one of the shape stage of :func:`report_many`."""
-    grad, hess = f._grad, f._hess
-    if grad is None or hess is None:
-        _, grad, hess = s.evaluate(f.p.coords)
-    fb = FrameBatch((f.p,), f.p.coords[None], f.e2n.coeffs[None], f.en.coeffs[None],
-                    np.array([[v.coeffs for v in f.xi_prime]]), np.array([f.alpha]),
-                    np.array([f.grad_norm]), np.array([f.pivots], dtype=np.intp),
-                    grad[None], hess[None])
-    return _shapes(s, fb)._report(0, f)
+    ``f``: a batch of one of :func:`report_many` under ``f``'s pivots, which
+    rebuild ``f``'s frame bit for bit."""
+    return report_many(s, (f.p,), f.pivots)._report(0, f)
 
 
 def report(s: SurfaceDef, p: Point, pivots=None) -> SurfaceReport:
@@ -641,11 +619,10 @@ def _shape_operator(h, alpha):
     m = h.shape[-1]
     n = (m + 1) // 2
     S = h.copy()
-    upper, lower = _pairs(n - 1, n, m)  # (beta, n+beta) and (n+beta, beta)
-    flat = S.reshape(S.shape[:-2] + (m * m,))
+    beta = np.arange(n - 1)
     alpha = np.asarray(alpha)[..., None]
-    flat[..., lower] += alpha      # <J' v_beta, Jv_beta> = 1
-    flat[..., upper] -= alpha      # <J' Jv_beta, v_beta> = -1
+    S[..., n + beta, beta] += alpha  # <J' v_beta, Jv_beta> = 1
+    S[..., beta, n + beta] -= alpha  # <J' Jv_beta, v_beta> = -1
     return S
 
 
@@ -730,21 +707,22 @@ class RadialProfile:
 
 
 def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
-    """Closed-form reports of points on a rotationally symmetric surface.
+    """Closed-form reports of a sequence of points or an (N, 2n+1) coordinate
+    stack on a rotationally symmetric surface.
 
     All scalars come from the radial profile alone; the surface is umbilic
     by symmetry, so the form matrices are filled with the umbilic pattern.
     The frames take their complement from the kernel's Gram-Schmidt.  The
     first point off the profile's domain or off the surface raises.
     """
-    points = tuple(points)
-    if not points:
+    if not len(points):
         raise ValueError("need at least one point")
-    n = points[0].n
-    coords = np.array([p.coords for p in points])
-    vals = np.empty((len(points), 5))
-    for i, p in enumerate(points):
-        r = float(np.dot(p.x, p.x) + np.dot(p.y, p.y))
+    coords = _stack(points)
+    n = coords.shape[1] // 2
+    vals = np.empty((len(coords), 5))
+    for i, c in enumerate(coords):
+        x, y, height = c[:n], c[n : 2 * n], float(c[2 * n])
+        r = float(np.dot(x, x) + np.dot(y, y))
         z = math.sqrt(r)
         if z <= 0.0:
             raise DegenerateProfile("profile formulas need |z| > 0")
@@ -752,11 +730,11 @@ def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
         disc = fp * fp + fv
         if disc <= 0.0:
             raise DegenerateProfile(f"(f')^2 + f = {disc:g} <= 0")
-        if abs(p.t * p.t - fv) > 1e-9 * (1.0 + abs(fv) + p.t * p.t):
+        if abs(height * height - fv) > 1e-9 * (1.0 + abs(fv) + height * height):
             raise OffSurface("point does not satisfy t^2 = f(|z|^2)")
         zroot = z * math.sqrt(disc)
         l = (r - fp) / zroot - (1.0 + 2.0 * fpp) * fv * z / disc**1.5
-        vals[i] = -fp / zroot, l, p.t / zroot, fp, zroot
+        vals[i] = -fp / zroot, l, height / zroot, fp, zroot
     k, l, alpha, fp, zroot = vals.T
     x, y, t = coords[:, :n], coords[:, n : 2 * n], coords[:, 2 * n]
     fp, t, zroot = fp[:, None], t[:, None], zroot[:, None]
@@ -764,8 +742,8 @@ def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
     e2n /= _norms(e2n)[:, None]
     en = -_J(e2n)
     xi, chosen = _complement(en, e2n)
-    frame = FrameBatch(points, coords, e2n, en, xi, alpha, 2.0 * zroot[:, 0], chosen)
-    zeros = np.zeros(len(points))
+    frame = FrameBatch(coords, e2n, en, xi, alpha, 2.0 * zroot[:, 0], chosen)
+    zeros = np.zeros(len(coords))
     return ReportBatch(
         frame=frame,
         h=_umbilic_form(n, k, l, alpha),
@@ -775,7 +753,7 @@ def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
         eigenvalues=np.repeat(k[:, None], 2 * n - 2, axis=1),
         xn_residual=zeros,
         spread=zeros,
-        umbilic=np.ones(len(points), dtype=bool),
+        umbilic=np.ones(len(coords), dtype=bool),
     )
 
 
@@ -820,7 +798,7 @@ def graph_derivatives(func, n):
 # reference eigensolver
 
 
-def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
+def jacobi_eigenvalues(mat):
     """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
 
     Reference only: the kernel takes its eigenvalues from
@@ -831,9 +809,9 @@ def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
     if m == 1:
         return a.diagonal().copy()
     scale = 1.0 + float(np.max(np.abs(a)))
-    for _ in range(max_sweeps):
+    for _ in range(60):  # at most 60 sweeps
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
+        if off <= 1e-14 * scale:
             break
         for p in range(m - 1):
             for q in range(p + 1, m):

@@ -323,7 +323,7 @@ def claim_rotsym(seed, count=60):
     rng = _rng(seed, cid)
 
     def residual(entry, batch):
-        rs = surface.rotsym_many(entry.profile, batch.frame.points)
+        rs = surface.rotsym_many(entry.profile, batch.frame.coords)
         gap = np.maximum.reduce([np.abs(rs.k - batch.k), np.abs(rs.l - batch.l),
                                  np.abs(rs.alpha - batch.alpha), np.abs(rs.H - batch.H)])
         return np.where(rs.umbilic & batch.umbilic, gap, math.inf)
@@ -378,19 +378,19 @@ def claim_det_u(seed):
     return out
 
 
-def moderate_points(entry, rng, count, alpha_cap=2.0, tries=400):
-    """Sample regular points with bounded tilt.
+def moderate_points(entry, rng, count):
+    """Sample regular points with tilt at most 2, in at most 400 draws.
 
     Finite-difference residual constants grow like powers of the tilt (it
     blows up toward singular radii), so derivative checks at a fixed step are
     meaningful on the bounded-tilt part of a surface.
     """
     pts = []
-    for _ in range(tries):
+    for _ in range(400):
         if len(pts) >= count:
             break
         (p,) = entry.sample(rng, 1)
-        if abs(entry.expected["alpha"](p)) <= alpha_cap:
+        if abs(entry.expected["alpha"](p)) <= 2.0:
             pts.append(p)
     if len(pts) < count:
         raise RuntimeError(f"could not find {count} bounded-tilt points")
@@ -406,7 +406,7 @@ def identity_suite_entries(n=2):
     ]
 
 
-def claim_interior_identities(seed, h_fd=1e-4, points=3):
+def claim_interior_identities(seed, points=3):
     cid = "prop4.2-identities"
     rng = _rng(seed, cid)
     cases = (
@@ -417,7 +417,7 @@ def claim_interior_identities(seed, h_fd=1e-4, points=3):
     return _sampled_claim(
         cid, seed, cases,
         lambda entry, pts: [r.max() for r in
-                            flows.identity_check_many(entry.surface, pts, h_fd=h_fd)],
+                            flows.identity_check_many(entry.surface, pts)],
         1e-5)
 
 
@@ -442,15 +442,15 @@ def claim_leaf_constancy(seed, points=4):
         cid, seed, cases, lambda entry, pts: flows.leaf_constancy_many(entry.surface, pts), 1e-6)
 
 
-def confinement_starts(lam, n, rng, count, s_needed=3.05):
+def confinement_starts(lam, n, rng, count):
     """Sample sphere points whose forward characteristic flow keeps at least
-    ``s_needed`` of arc before reaching a pole.
+    3.05 of arc before reaching a pole.
 
     The flow heads for the pole at negative heights; latitude is measured by
     the angle along the meridian arc, so admissible starts satisfy
-    ``(pi - theta)/(2 lam) >= s_needed``.
+    ``(pi - theta)/(2 lam) >= 3.05``.
     """
-    theta_max = math.pi - 2.0 * lam * s_needed
+    theta_max = math.pi - 2.0 * lam * 3.05
     if theta_max <= -math.pi * 0.995:
         raise ValueError("no launch window of that length exists")
     lo = -math.pi * 0.995
@@ -466,11 +466,11 @@ def confinement_starts(lam, n, rng, count, s_needed=3.05):
     return starts
 
 
-def claim_geodesic_confinement(seed, count=20, s_max=3.0):
+def claim_geodesic_confinement(seed, count=20):
     """Characteristic flows of matching curvature stay on the Pansu sphere.
 
-    The flows of both curvatures run as lanes of one ``geodesic_flows``
-    sweep; a start whose frame fails is skipped.  A trace's residual is the
+    The flows of both curvatures run for an arc of 3 as lanes of one
+    ``geodesic_flows`` sweep; a start whose frame fails is skipped.  A trace's residual is the
     largest defining-function value over its nodes.
     """
     cid = "prop4.5-geodesic-confinement"
@@ -484,7 +484,7 @@ def claim_geodesic_confinement(seed, count=20, s_max=3.0):
         cases.append((lam, entry, starts, skipped))
     traces = iter(flows.geodesic_flows([st for _, _, starts, _ in cases for st in starts],
                                        [lam for lam, _, starts, _ in cases for _ in starts],
-                                       s_max))
+                                       3.0))
     out = []
     for lam, entry, starts, skipped in cases:
         mine = [next(traces) for _ in starts]
@@ -676,7 +676,7 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
              (PhaseParams(n, c) for n in ns for c in cs)]
     params = [pp for pp, grid in grids for _ in grid] + [PhaseParams(2, 1.0)]
     seeds = [q0 for _, grid in grids for q0 in grid] + [PhasePoint(0.0, 2.0)]
-    traces = phaseplane.periodic_orbits(params, seeds)
+    traces = phaseplane.periodic_orbits(params, seeds, orbit_tol=math.inf)
     period = traces[-1].period
     out, k = [], 0
     for pp, grid in grids:

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,39 @@ def test_bracket_span_rank_n3():
         assert proj <= 1 - 1e-6
 
 
+def test_bracket_span_evaluates_the_kernel_twice():
+    """``bracket_span`` takes its base frame from one kernel batch and every
+    offset's frame from one more: two ``grad_hess`` calls per point."""
+    e = catalog.pansu(1.0, 3)
+    calls = []
+
+    def counted(coords):
+        calls.append(len(coords))
+        return e.surface.grad_hess(coords)
+
+    p = e.sample(np.random.default_rng(12), 1)[0]
+    assert flows.bracket_span(replace(e.surface, grad_hess=counted), p) == \
+        flows.bracket_span(e.surface, p)
+    assert calls == [1, 2 * (2 * 3 - 2)]
+
+
+def test_non_finite_offset_raises_as_a_point_does(monkeypatch):
+    """An offset the projection leaves non-finite (``NaN > tol`` is false, so
+    Newton lets it through) raises the ``ValueError`` a ``Point`` raises."""
+    e = catalog.pansu(1.0, 2)
+    p = e.sample(np.random.default_rng(13), 1)[0]
+    project = flows._newton_project
+
+    def leaky(s, coords, *args):
+        c = project(s, coords, *args)
+        c[-1] = math.nan
+        return c
+
+    monkeypatch.setattr(flows, "_newton_project", leaky)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        flows.leaf_constancy(e.surface, p)
+
+
 def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
     """The bracket rows from one-point ``frame_many`` calls, one per field
     value, as ``bracket_span`` took them before it batched its offsets."""
@@ -344,7 +378,7 @@ def test_bracket_rows_batched_match_one_point_frames(entry):
     row is bitwise what one-point frames give."""
     for p in entry.sample(np.random.default_rng(11), 3):
         pivots = build_frame(entry.surface, p).pivots
-        batched = flows._bracket_rows(entry.surface, p, pivots, 1e-5)
+        batched = flows._bracket_rows(entry.surface, frame_many(entry.surface, (p,)), 1e-5)
         assert np.array_equal(batched,
                               _bracket_rows_one_point_at_a_time(entry.surface, p, pivots, 1e-5))
 

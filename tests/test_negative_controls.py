@@ -33,10 +33,19 @@ def _drifted(monkeypatch, eps):
 @pytest.mark.parametrize("cid", ["lemma6.1-closure", "lemma6.1-symmetry"])
 def test_irreversible_drift_fails_the_orbit_claims(monkeypatch, cid):
     """At seed 42 the drift is caught from eps = 1e-10 on (1e-11 passes).
-    It is caught by ``periodic_orbits``' own closure certificate, which
-    raises ``NotPeriodic``, so the claim reports one failed error row."""
+
+    ``lemma6.1-closure`` lifts ``periodic_orbits``' closure certificate, so
+    its per-(n, c) grid rows see the closure error themselves: at 1e-9
+    every grid row fails on its own residual and no row is an error row.
+    ``lemma6.1-symmetry`` keeps the certificate, which raises
+    ``NotPeriodic``, so that claim reports one failed error row."""
     assert verify.run_all(verify.VerifyConfig(seed=42, only=cid)).passed
     _drifted(monkeypatch, 1e-9)
     rep = verify.run_all(verify.VerifyConfig(seed=42, only=cid))
     assert not rep.passed
-    assert any(row.extra.get("error", "").startswith("NotPeriodic") for row in rep.claims)
+    if cid == "lemma6.1-closure":
+        grid = [row for row in rep.claims if row.claim_id == cid]
+        assert len(grid) == 6 and not any(row.passed for row in grid)
+        assert not any("error" in row.extra for row in rep.claims)
+    else:
+        assert any(row.extra.get("error", "").startswith("NotPeriodic") for row in rep.claims)

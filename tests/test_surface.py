@@ -1,7 +1,7 @@
 """Adapted frame, second fundamental form, curvature scalars, umbilicity."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -295,7 +295,7 @@ def test_batch_with_per_point_pivots_raises_the_collapsing_point_alone():
     assert _raised(lambda: report_many(h.surface, pts, pivots=pivots)) == want
     assert _raised(lambda: frame_many(h.surface, pts, pivots=pivots)) == want
     coords = np.array([p.coords for p in pts])
-    assert _raised(lambda: surface._frame_stack(h.surface, coords, pivots)) == want
+    assert _raised(lambda: frame_many(h.surface, coords, pivots)) == want
 
 
 def test_successful_batch_evaluates_once():
@@ -322,6 +322,56 @@ def test_report_many_of_no_points_is_empty():
     assert batch.h.shape == (0, 5, 5) and batch.eigenvalues.shape == (0, 4)
     assert batch.k.shape == batch.alpha.shape == batch.umbilic.shape == (0,)
     assert frame_many(e.surface, []).xi_prime.shape == (0, 4, 6)
+
+
+def _same_stacks(a, b):
+    """Every stacked field of two report or frame batches is equal, bit for
+    bit."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if is_dataclass(x):
+            same = _same_stacks(x, y)
+        else:
+            same = y is None if x is None else np.array_equal(x, y)
+        if not same:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_takes_a_coordinate_stack(n):
+    """An (N, 2n+1) array and the same points as ``Point`` objects give the
+    same batch, field for field; a report's point is built from its row."""
+    rng = np.random.default_rng(30 + n)
+    for entry in catalog.standard_entries(n):
+        pts = entry.sample(rng, 5)
+        coords = np.array([p.coords for p in pts])
+        batch = report_many(entry.surface, coords)
+        assert _same_stacks(batch, report_many(entry.surface, pts)), entry.name
+        assert _same_stacks(frame_many(entry.surface, coords), frame_many(entry.surface, pts))
+        if entry.profile is not None:
+            assert _same_stacks(rotsym_many(entry.profile, coords),
+                                rotsym_many(entry.profile, pts)), entry.name
+        for i, p in enumerate(pts):
+            assert np.array_equal(batch[i].frame.p.coords, p.coords)
+        coords[:] = 0.0  # the batch holds its own copy
+        assert _same_stacks(batch, report_many(entry.surface, pts))
+
+
+def test_kernel_rejects_non_finite_and_misshapen_rows():
+    e = catalog.pansu(1.0, 2)
+    pts = e.sample(np.random.default_rng(6), 3)
+    coords = np.array([p.coords for p in pts])
+    nan = coords.copy()
+    nan[1, 2] = math.nan
+    wide = np.hstack([coords, np.zeros((3, 2))])
+    finite = (ValueError, "coordinates must be finite")
+    width = (ValueError, "surface and point dimensions disagree")
+    for fn in (report_many, frame_many):
+        assert _raised(lambda: fn(e.surface, nan)) == finite
+        assert _raised(lambda: fn(e.surface, wide)) == width
+        assert _raised(lambda: fn(e.surface, [pts[0], Point(np.zeros(7))])) == width
+    assert _raised(lambda: rotsym_many(e.profile, nan)) == finite
 
 
 def test_rotsym_many_matches_rotsym_report():

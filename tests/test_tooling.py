@@ -1,10 +1,12 @@
-"""Every heisgeo name the benchmark tracer wraps still exists."""
+"""Every heisgeo name the benchmark tracer wraps still exists, and the
+package source keeps its line length."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 TABLES = ("FUNCTIONS", "METHODS", "CATALOG_FACTORIES")
 
 
@@ -32,3 +34,9 @@ def test_tracer_targets_exist():
         assert callable(getattr(catalog, attr, None)), attr
     # the claim registry the tracer wraps claim by claim
     assert isinstance(importlib.import_module("heisgeo.verify").CLAIMS, dict)
+
+
+def test_source_lines_fit_98_columns():
+    long = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "heisgeo").glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 98]
+    assert not long, long
