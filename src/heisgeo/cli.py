@@ -2,12 +2,14 @@
 
 Subcommands: ``report`` (pointwise surface geometry as JSON), ``catalog``
 (list/show the example surfaces), ``phase`` (portrait CSV), ``geodesic``
-(curve CSV), ``identities`` (interior-identity residuals as JSON) and
-``verify run`` (the claim suite).  Exit status: 0 success, 1 claim failure,
-2 usage error (bad arguments or parameter values, NaN included, or a
-``verify run --only`` prefix that matches no claim; reported as one
-``error:`` line).  Output floats carry 17 significant digits and runs are
-byte-reproducible for fixed arguments and seed.
+(curve CSV), ``identities`` (interior-identity residuals as JSON: the
+sampled points run as one ``identity_check_many`` batch under the resample
+rule of ``flows.resampled``) and ``verify run`` (the claim suite).  Exit
+status: 0 success, 1 claim failure, 2 usage error (bad arguments or
+parameter values, NaN included, or a ``verify run --only`` prefix that
+matches no claim; reported as one ``error:`` line).  Output floats carry 17
+significant digits and runs are byte-reproducible for fixed arguments and
+seed.
 """
 
 from __future__ import annotations
@@ -167,30 +169,21 @@ def _cmd_identities(args):
     if not (args.step > 0 and math.isfinite(args.step)):
         raise _CliError("--step must be finite and positive")
     entry = _entry_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    pts = entry.sample(rng, args.points)
-    rows = []
-    residuals = {}
-    skipped = 0
-    for p in pts:
-        try:
-            res = flows.identity_check(entry.surface, p, h_fd=args.step)
-        # the failures verify skips too: the sample drifted into a singular
-        # neighborhood; any other GeometryError (a derivative bug) reaches main
-        except verify._SKIPPED:
-            skipped += 1
-            continue
-        d = res.as_dict()
-        rows.append({"point": list(p.coords), "residuals": d})
-        for key, val in d.items():
-            residuals.setdefault(key, []).append(val)
+    pts = entry.sample(np.random.default_rng(args.seed), args.points)
+    # verify's resample rule: a point whose frame or projection fails is
+    # skipped; any other GeometryError (a derivative bug) reaches main
+    done, skipped = flows.resampled(
+        lambda batch: zip(batch, flows.identity_check_many(entry.surface, batch, h_fd=args.step)),
+        pts)
+    rows = [{"point": list(p.coords), "residuals": res.as_dict()} for p, res in done]
+    keys = rows[0]["residuals"] if rows else ()
     payload = {
         "surface": entry.name,
         "params": {k: v for k, v in entry.params.items()},
         "step": args.step,
         "seed": args.seed,
-        "skipped": skipped,
-        "max_residuals": {key: worst(vals) for key, vals in residuals.items()},
+        "skipped": sum(skipped.values()),
+        "max_residuals": {key: worst(row["residuals"][key] for row in rows) for key in keys},
         "points": rows,
     }
     _write(args.out, json_dumps(payload) + "\n")

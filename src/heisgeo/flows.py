@@ -4,12 +4,14 @@ Covers unit-speed horizontal curves of constant curvature (the frame
 formulation keeps the velocity equation linear), the radial profile equation
 recovering the constant-curvature sphere, and finite-difference directional
 derivatives of the curvature scalars along surface vector fields, with
-offsets Newton-projected back onto the level set.
+offsets Newton-projected back onto the level set.  The resample rule of
+every sampled check is here too (:func:`resampled`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 import numpy as np
 
@@ -21,6 +23,7 @@ from .rk45 import StepControl, _row_sum  # per-row sums, independent of the batc
 from .surface import (
     DomainError,
     GeometryError,
+    PivotDegenerate,
     SurfaceDef,
     _alpha_rates,
     _dots,
@@ -33,6 +36,8 @@ __all__ = [
     "CurveState",
     "GeodesicTrace",
     "ProjectionFailure",
+    "RESAMPLE",
+    "resampled",
     "IdentityResiduals",
     "geodesic_flow",
     "geodesic_flows",
@@ -48,6 +53,31 @@ __all__ = [
 
 class ProjectionFailure(GeometryError):
     """Newton correction back to the level set did not converge."""
+
+
+# the failures that mean "resample the point": the sample drifted into a
+# singular neighborhood; any other failure signals a bug and raises
+RESAMPLE = (PivotDegenerate, ProjectionFailure)
+
+
+def resampled(fn, items):
+    """``(results, skipped)``: ``fn(items)``, one result per item, run as
+    one batch.  If the batch raises, each item reruns as a batch of one: an
+    item that raises a :data:`RESAMPLE` failure alone is skipped and counted
+    by exception type name in ``skipped``, and any other failure raises."""
+    items = list(items)
+    if len(items) > 1:
+        try:
+            return list(fn(items)), Counter()
+        except Exception:  # rerun item by item, where a failure not resampled raises
+            pass
+    out, skipped = [], Counter()
+    for item in items:
+        try:
+            out.extend(fn([item]))
+        except RESAMPLE as exc:
+            skipped[type(exc).__name__] += 1
+    return out, skipped
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +98,6 @@ class GeodesicTrace:
     nfev: int = 0      # counters of the rk45 solution
     accepted: int = 0
     rejected: int = 0
-
-    def state(self, i) -> CurveState:
-        return CurveState(Point(self.coords[i]), HorizontalVector(self.velocities[i]))
 
 
 def _geodesic_y0(start: CurveState):
@@ -157,10 +184,7 @@ def geodesic_flows(starts, lams, s_max) -> list:
         out[:, 3 * n + 1 :] = v[:, :n] * omega
         return out
 
-    sols = rk45.solve_lanes(f, 0.0, y0, float(s_max), _geodesic_control())
-    for sol in sols:
-        if sol.status == "underflow":
-            raise rk45.StepUnderflow.at(sol.ss[-1])
+    sols = rk45.raise_underflow(rk45.solve_lanes(f, 0.0, y0, float(s_max), _geodesic_control()))
     return [_geodesic_trace(float(lam), sol, n) for lam, sol in zip(lams, sols)]
 
 
@@ -191,11 +215,8 @@ def profile_ode(lam, r_span=None):
 
     f0 = _psi(1.0 - lam2 * r_hi) / lam**4  # local expansion at the start
     grid = np.linspace(r_lo, r_hi, num)  # ends at r_hi, a lane of zero span
-    sols = rk45.solve_lanes(f, r_hi, np.full((num, 1), f0), grid,
-                            StepControl(rtol=1e-10, atol=1e-12))
-    for sol in sols:
-        if sol.status == "underflow":
-            raise rk45.StepUnderflow.at(sol.ss[-1])
+    sols = rk45.raise_underflow(rk45.solve_lanes(f, r_hi, np.full((num, 1), f0), grid,
+                                                 StepControl(rtol=1e-10, atol=1e-12)))
     return grid, np.array([sol.ys[-1, 0] for sol in sols])
 
 
@@ -373,8 +394,8 @@ def identity_check_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
     lockstep stack and is reported in one batch; entry i is bitwise what
     ``identity_check(s, points[i], h_fd)`` gives.  Any point's failure
     raises, but the stages run over all points at once, so the error need
-    not be the first failing point's; a caller that skips failed points
-    reruns them as batches of one.
+    not be the first failing point's; :func:`resampled` reruns them as
+    batches of one and skips only the points that must be resampled.
     """
     base = report_many(s, points)
     if np.any(base.spread > 10.0 * s.umbilic_tol):

@@ -225,11 +225,9 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
         raise ValueError("s_max must be positive")
     control = control or _default_control()
     sign, y0 = _to_log(q0)
-    back, fwd = rk45.solve_lanes(_rhs_log(pp.n, pp.c, sign), 0.0, np.array([y0, y0]),
-                                 np.array([-s_max, s_max]), control, crossings=2)
-    for sol in (back, fwd):
-        if sol.status == "underflow":
-            raise StepUnderflow.at(sol.ss[-1])
+    back, fwd = rk45.raise_underflow(rk45.solve_lanes(
+        _rhs_log(pp.n, pp.c, sign), 0.0, np.array([y0, y0]), np.array([-s_max, s_max]),
+        control, crossings=2))
     ss = np.concatenate((back.ss[::-1], fwd.ss[1:]))
     ys = np.concatenate((back.ys[::-1], fwd.ys[1:]))
     events = sorted(_crossings(back, sign) + _crossings(fwd, sign))

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["StepControl", "Solution", "StepUnderflow", "solve", "solve_lanes"]
+__all__ = ["StepControl", "Solution", "StepUnderflow", "solve", "solve_lanes",
+           "raise_underflow"]
 
 # Dormand-Prince tableau; the fifth-order solution is propagated.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -93,16 +94,6 @@ def _rk_step(f, s, y, fy, h):
     return ynew, err, stages[6]
 
 
-def _initial_step(y0, f0, control, span):
-    if control.first_step is not None:
-        return min(control.first_step, span, control.max_step)
-    scale = control.atol + control.rtol * np.linalg.norm(y0)
-    d0 = np.linalg.norm(y0) / scale if scale > 0 else 0.0
-    d1 = np.linalg.norm(f0) / scale if scale > 0 else 0.0
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return min(h0, span, control.max_step)
-
-
 def _finite_span(s0, s1):
     if not (np.isfinite(s0).all() and np.isfinite(s1).all()):
         raise ValueError("s0 and s1 must be finite")
@@ -121,7 +112,7 @@ def solve(f, s0, y0, s1, control=None):
     ss, ys = [s], [y.copy()]
     if span == 0.0:
         return Solution(np.array(ss), np.array(ys), nfev=nfev)
-    h = _initial_step(y, fy, control, span)
+    h = float(_initial_steps(y[None], fy[None], control, np.array([span]))[0])  # a lane of one
     for _ in range(_MAX_STEPS):
         h = min(h, abs(s1 - s))
         if not h > 4.0 * np.finfo(float).eps * max(1.0, abs(s)):  # NaN too
@@ -195,13 +186,13 @@ def _lane_step(f, s, y, fy, h):
 
 def _initial_steps(y0, f0, control, span):
     if control.first_step is not None:
-        return np.fmin(np.fmin(control.first_step, span), control.max_step)
+        return np.minimum(np.minimum(control.first_step, span), control.max_step)
     ny = np.sqrt(_row_sum(y0 * y0))
     scale = control.atol + control.rtol * ny
     d0 = np.where(scale > 0, ny / scale, 0.0)
     d1 = np.where(scale > 0, np.sqrt(_row_sum(f0 * f0)) / scale, 0.0)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    return np.fmin(np.fmin(h0, span), control.max_step)
+    return np.minimum(np.minimum(h0, span), control.max_step)  # a NaN step stays NaN
 
 
 def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
@@ -254,7 +245,7 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
             live = ~done
             if np.any(live & (accepted + rejected >= _MAX_STEPS)):
                 raise RuntimeError("maximum number of steps exceeded")
-            h = np.where(live, np.fmin(h, np.abs(s1 - s)), h)
+            h = np.where(live, np.minimum(h, np.abs(s1 - s)), h)
             under = live & ~(h > tiny * np.fmax(1.0, np.abs(s)))  # NaN too
             status[under] = _UNDERFLOW
             done |= under
@@ -335,6 +326,15 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
                             _STATUS[status[i]], int(nfev[i]), int(accepted[i]),
                             int(rejected[i])))
     return out
+
+
+def raise_underflow(sols):
+    """``sols``, the lane solutions of ``solve_lanes``; the first lane whose
+    step size underflowed raises the ``StepUnderflow`` that ``solve`` raises."""
+    for sol in sols:
+        if sol.status == "underflow":
+            raise StepUnderflow.at(sol.ss[-1])
+    return sols
 
 
 def _by_ordinal(brackets):

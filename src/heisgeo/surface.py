@@ -59,7 +59,6 @@ __all__ = [
     "singular_jacobian",
     "graph_derivatives",
     "horizontal_gradient",
-    "sublaplacian",
     "alpha_directional",
     "jacobi_eigenvalues",
     "UMBILIC_TOL",
@@ -388,9 +387,16 @@ def _pivot_rows(n, count, pivots):
 def _frames(n, coords, u, grad, hess, pivots):
     """Frame stage of the kernel over evaluated points.
 
-    A point whose horizontal gradient vanishes, that lies off the surface, or
-    whose forced pivot collapses raises (the first such point of each check).
+    A point whose value or derivatives are not finite raises
+    :class:`DomainError`; one whose horizontal gradient vanishes, that lies
+    off the surface, or whose forced pivot collapses raises its own error
+    (the first such point of each check).
     """
+    finite = np.isfinite(u) & np.isfinite(grad).all(axis=-1)
+    finite &= np.isfinite(hess).all(axis=(-2, -1))
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DomainError(f"non-finite value or derivatives at {coords[i]!r}")
     b = horizontal_gradient(n, coords, grad)
     gnorm = _norms(b)
     gscale = 1.0 + np.abs(grad).max(axis=-1)
@@ -640,21 +646,12 @@ def _umbilic_form(n, k, l, alpha):
     return h
 
 
-def sublaplacian(s: SurfaceDef, coords):
-    """Sum of repeated frame derivatives of the defining function.
-
-    Needs only the coordinate gradient and Hessian: the vertical coefficients
-    of the frame fields contribute first-order cross terms.  A batch of one
-    of :func:`_sublaplacians`.
-    """
-    coords = np.asarray(coords, dtype=float)
-    _, _, hess = s.evaluate(coords)
-    return float(_sublaplacians(coords[None], hess[None])[0])
-
-
 def _sublaplacians(coords, hess):
-    """Sublaplacians at stacked evaluated points (:func:`sublaplacian` row by
-    row), each summed over j left to right."""
+    """Sublaplacians (sums of repeated frame derivatives of the defining
+    function) at stacked evaluated points, each summed over j left to right.
+
+    They need only the coordinate Hessian: the vertical coefficients of the
+    frame fields contribute first-order cross terms."""
     n = coords.shape[-1] // 2
     utt = hess[..., 2 * n, 2 * n]
     acc = 0.0

@@ -4,7 +4,8 @@ Every numerically checkable statement the toolkit implements is registered
 here as a claim with a pinned tolerance; :func:`run_all` executes them with
 seeded sampling and aggregates a machine-readable report.  Golden derived
 constants live in ``data/golden.json`` and recomputation must stay within
-1e-6 relative of the frozen values.
+1e-6 relative of the frozen values.  Every sampled claim runs its points
+as batches under the resample rule of :func:`flows.resampled`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from . import catalog, flows, phaseplane, surface
 from ._io import json_dumps
 from ._stats import worst as _worst
-from .core import Point
+from .core import HorizontalVector, Point
 from .phaseplane import PhaseParams, PhasePoint
-from .surface import SurfaceDef, build_frame, report
+from .surface import SurfaceDef
 
 __all__ = [
     "ClaimResult",
@@ -111,23 +112,8 @@ def _rng(base_seed, claim_id):
     return np.random.default_rng(_claim_seed(base_seed, claim_id))
 
 
-_SKIPPED = (surface.PivotDegenerate, flows.ProjectionFailure)
-
 # a row fails when fewer than this share of its attempted samples completed
 MIN_COMPLETED_SHARE = 0.5
-
-
-def _completed(fn, items):
-    """``(results, skipped)``: ``fn(item)`` for every item whose frame or
-    projection does not fail (``PivotDegenerate``, ``ProjectionFailure``),
-    and the failed ones counted by exception type name."""
-    out, skipped = [], Counter()
-    for item in items:
-        try:
-            out.append(fn(item))
-        except _SKIPPED as exc:
-            skipped[type(exc).__name__] += 1
-    return out, skipped
 
 
 def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None,
@@ -158,22 +144,20 @@ def _sampled_claim(cid, seed, cases, residuals, tolerance, row_id=None):
     ``cases`` yields ``(surface, params, [(entry, point), ...])``, and
     ``residuals(entry, points)`` gives one residual per point of a sequence
     of points of one entry.  Each run of consecutive points of one entry is
-    one batch.  If a batch raises, its points rerun as batches of one: a
-    point whose frame or projection fails alone is skipped (``_completed``)
-    and any other failure raises; see ``_row``.
+    one batch under ``flows.resampled``: if it raises, its points rerun as
+    batches of one, a point whose frame or projection fails alone is
+    skipped, and any other failure raises; see ``_row``.
     """
     rows = []
     for name, params, items in cases:
         values, skipped = [], Counter()
         for _, run in itertools.groupby(items, key=lambda item: id(item[0])):
             run = list(run)
-            entry, points = run[0][0], [p for _, p in run]
-            try:
-                values += _floats(residuals(entry, points))
-            except Exception:  # rerun point by point, where a failure not skipped raises
-                done, more = _completed(lambda p: _floats(residuals(entry, [p]))[0], points)
-                values += done
-                skipped += more
+            entry = run[0][0]
+            done, more = flows.resampled(lambda pts: _floats(residuals(entry, pts)),
+                                         [p for _, p in run])
+            values += done
+            skipped += more
         rows.append(_row(cid, seed, name, params, values, tolerance, row_id,
                          skipped=skipped))
     return rows
@@ -269,35 +253,37 @@ def _generic_test_surface(n):
 def claim_xn_shape_equivalence(seed, count=60):
     """The shape operator leaks into the characteristic direction exactly as
     much as the obstruction field does, and the leak vanishes on the
-    catalog."""
+    catalog.  The last row's generic graph has a nonzero e_n row, whose
+    largest entry (``extra.witness``) must be nonzero."""
     cid = "prop2.3-xn-equivalence"
     rng = _rng(seed, cid)
+    gen, height = _generic_test_surface(2)
 
-    def xn_entries(h, n):
-        """Largest asymmetry and largest entry of the e_n row of each ``h``."""
-        keep = surface._complement_rows(n)
-        row = h[:, n - 1, keep]
-        return np.abs(row - h[:, keep, n - 1]).max(axis=1), np.abs(row).max(axis=1)
+    def sample(rng, count):
+        return [Point(np.append(x, height(x))) for x in rng.normal(size=(count, 4)) * 0.6]
+
+    generic = catalog.CatalogEntry("generic-graph", gen, {"n": 2}, {}, sample)
+    leads = []
 
     def residual(entry, batch):
-        return np.maximum(batch.xn_residual, np.maximum(*xn_entries(batch.h, entry.params["n"])))
+        """The e_n row's asymmetry, and on the catalog also its entries."""
+        n = entry.params["n"]
+        keep = surface._complement_rows(n)
+        row = batch.h[:, n - 1, keep]
+        asym = np.abs(row - batch.h[:, keep, n - 1]).max(axis=1)
+        lead = np.abs(row).max(axis=1)
+        if entry is generic:
+            leads.append(lead)
+            return asym
+        return np.maximum(batch.xn_residual, np.maximum(asym, lead))
 
-    cases = (
-        ("catalog", {"n": n},
-         [(entry, p) for entry in catalog.standard_entries(n)
-          for p in entry.sample(rng, 30)])
-        for n in (2, 3)
-    )
-    out = _report_claim(cid, seed, cases, residual, 1e-8)
-    # nontrivial direction: a surface with a genuinely nonzero obstruction
-    n = 2
-    gen, height = _generic_test_surface(n)
-    xs = rng.normal(size=(count, 2 * n)) * 0.6
-    forms, skipped = _completed(lambda x: report(gen, Point(np.append(x, height(x)))).h, xs)
-    asym, lead = xn_entries(np.array(forms).reshape(-1, 2 * n - 1, 2 * n - 1), n)
-    largest = float(lead.max(initial=0.0))
-    row = _row(cid, seed, "generic-graph", {"n": n}, _floats(asym), 1e-8,
-               extra={"witness": largest}, skipped=skipped)
+    cases = [("catalog", {"n": n}, [(entry, p) for entry in catalog.standard_entries(n)
+                                    for p in entry.sample(rng, 30)])
+             for n in (2, 3)]
+    cases.append(_case("generic-graph", {"n": 2}, generic, rng, count))
+    *out, row = _report_claim(cid, seed, cases, residual, 1e-8)
+    largest = float(np.concatenate([np.zeros(0), *leads]).max(initial=0.0))
+    row.extra = {"witness": largest, **row.extra}
     if not largest > 1e-3:  # need a nonzero witness
         row.residual = math.inf
     return out + [row]
@@ -469,29 +455,31 @@ def confinement_starts(lam, n, rng, count):
 def claim_geodesic_confinement(seed, count=20):
     """Characteristic flows of matching curvature stay on the Pansu sphere.
 
-    The flows of both curvatures run for an arc of 3 as lanes of one
-    ``geodesic_flows`` sweep; a start whose frame fails is skipped.  A trace's residual is the
-    largest defining-function value over its nodes.
+    The starts of each curvature take their characteristic directions from
+    one ``frame_many`` batch, whose frames force no pivots and project
+    nothing, so no start is resampled: a failing frame fails the claim.  The
+    flows of both curvatures run for an arc of 3 as lanes of one
+    ``geodesic_flows`` sweep.  A trace's residual is the largest
+    defining-function value over its nodes.
     """
     cid = "prop4.5-geodesic-confinement"
     rng = _rng(seed, cid)
     cases = []
     for lam in (0.5, 1.0):
         entry = catalog.pansu(lam, 2)
-        starts, skipped = _completed(
-            lambda p: flows.CurveState(p, build_frame(entry.surface, p).en),
-            confinement_starts(lam, 2, rng, count))
-        cases.append((lam, entry, starts, skipped))
-    traces = iter(flows.geodesic_flows([st for _, _, starts, _ in cases for st in starts],
-                                       [lam for lam, _, starts, _ in cases for _ in starts],
+        points = confinement_starts(lam, 2, rng, count)
+        en = surface.frame_many(entry.surface, points).en
+        cases.append((lam, entry, [flows.CurveState(p, HorizontalVector(v))
+                                   for p, v in zip(points, en)]))
+    traces = iter(flows.geodesic_flows([st for _, _, starts in cases for st in starts],
+                                       [lam for lam, _, starts in cases for _ in starts],
                                        3.0))
     out = []
-    for lam, entry, starts, skipped in cases:
+    for lam, entry, starts in cases:
         mine = [next(traces) for _ in starts]
         residuals = [_worst(np.abs(_profile_values(entry, tr.coords)).tolist()) for tr in mine]
         out.append(_row(cid, seed, "pansu", {"lam": lam}, residuals, 1e-7,
-                        extra={"accepted_steps": sum(tr.accepted for tr in mine)},
-                        skipped=skipped))
+                        extra={"accepted_steps": sum(tr.accepted for tr in mine)}))
     return out
 
 

@@ -7,9 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heisgeo import flows, surface
+from heisgeo import catalog, flows, surface
+from heisgeo._io import json_dumps
+from heisgeo._stats import worst
 from heisgeo.cli import main
 
 HEIS_T = 0.38418745424597092  # sqrt(1 - 0.8^4)/2
@@ -243,17 +246,14 @@ def test_output_directory_env_var(tmp_path, capsys, monkeypatch):
 
 def test_identities_max_residuals_keep_nan(tmp_path, capsys, monkeypatch):
     """A NaN residual after a finite one shows in ``max_residuals``."""
-    original = flows.identity_check
-    calls = []
+    original = flows.identity_check_many
 
     def second_nan(*args, **kwargs):
-        res = original(*args, **kwargs)
-        calls.append(res)
-        if len(calls) == 2:
-            res.e2n_l = float("nan")
-        return res
+        out = original(*args, **kwargs)
+        out[1].e2n_l = float("nan")
+        return out
 
-    monkeypatch.setattr(flows, "identity_check", second_nan)
+    monkeypatch.setattr(flows, "identity_check_many", second_nan)
     out_file = tmp_path / "res.json"
     code, _, _ = run(capsys, "identities", "--surface", "cylinder", "--c", "2",
                      "--points", "3", "--out", str(out_file))
@@ -261,6 +261,25 @@ def test_identities_max_residuals_keep_nan(tmp_path, capsys, monkeypatch):
     data = json.loads(out_file.read_text())
     assert data["max_residuals"]["e2n_l"] is None
     assert data["max_residuals"]["en_k"] is not None
+
+
+def _cylinder_points():
+    """The points ``identities --surface cylinder --c 2 --points 3`` samples."""
+    return catalog.cylinder(2.0, 2).sample(np.random.default_rng(42), 3)
+
+
+def _fail_second_cylinder_point(monkeypatch, exc):
+    """Patch ``flows.identity_check_many`` to raise ``exc`` on every batch
+    that holds the second of ``_cylinder_points``."""
+    original = flows.identity_check_many
+    second = _cylinder_points()[1].coords
+
+    def fail_second(s, points, *args, **kwargs):
+        if any(np.array_equal(p.coords, second) for p in points):
+            raise exc
+        return original(s, points, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "identity_check_many", fail_second)
 
 
 @pytest.mark.parametrize("exc, code, skipped", [
@@ -271,16 +290,7 @@ def test_identities_skips_only_degenerate_samples(capsys, monkeypatch, exc, code
     """A failed frame or projection skips its sample; any other geometry error,
     such as the asymmetry that signals a derivative bug, is one ``error:`` line
     with exit 2."""
-    original = flows.identity_check
-    calls = []
-
-    def fail_second(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise exc
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(flows, "identity_check", fail_second)
+    _fail_second_cylinder_point(monkeypatch, exc)
     got, out, err = run(capsys, "identities", "--surface", "cylinder", "--c", "2",
                         "--points", "3")
     assert got == code
@@ -290,6 +300,25 @@ def test_identities_skips_only_degenerate_samples(capsys, monkeypatch, exc, code
     else:
         data = json.loads(out)
         assert data["skipped"] == skipped and len(data["points"]) == 2
+
+
+def test_identities_with_a_skip_match_per_point_checks(capsys, monkeypatch):
+    """With its second point resampled, ``identities`` writes byte for byte
+    the rows of per-point ``identity_check`` calls on the other two."""
+    s = catalog.cylinder(2.0, 2).surface
+    rows = [{"point": list(p.coords), "residuals": flows.identity_check(s, p).as_dict()}
+            for i, p in enumerate(_cylinder_points()) if i != 1]
+    expected = json_dumps({
+        "surface": "cylinder", "params": {"c": 2.0, "n": 2}, "step": 1e-4, "seed": 42,
+        "skipped": 1,
+        "max_residuals": {key: worst([r["residuals"][key] for r in rows])
+                          for key in rows[0]["residuals"]},
+        "points": rows,
+    }) + "\n"
+    _fail_second_cylinder_point(monkeypatch, surface.PivotDegenerate("forced"))
+    code, out, _ = run(capsys, "identities", "--surface", "cylinder", "--c", "2",
+                       "--points", "3")
+    assert code == 0 and out == expected
 
 
 def test_python_dash_m_runs_the_cli():

@@ -19,6 +19,8 @@ from heisgeo.flows import (
 )
 from heisgeo.surface import (
     DomainError,
+    OffSurface,
+    PivotDegenerate,
     alpha_directional,
     build_frame,
     frame_many,
@@ -330,6 +332,33 @@ def test_bracket_span_evaluates_the_kernel_twice():
     assert flows.bracket_span(replace(e.surface, grad_hess=counted), p) == \
         flows.bracket_span(e.surface, p)
     assert calls == [1, 2 * (2 * 3 - 2)]
+
+
+def test_resampled_reruns_a_failed_batch_one_item_at_a_time():
+    """A batch that succeeds runs once; one that raises reruns item by item,
+    skips and counts by type only the failures that mean resample, and
+    raises any other failure."""
+    fails = {1: PivotDegenerate, 3: flows.ProjectionFailure, 4: PivotDegenerate,
+             5: OffSurface}
+    calls = []
+
+    def double(items):
+        calls.append(list(items))
+        for i in items:
+            if i in fails:
+                raise fails[i]("forced")
+        return [2 * i for i in items]
+
+    assert flows.resampled(double, (0, 2)) == ([0, 4], {}) and calls == [[0, 2]]
+    calls.clear()
+    done, skipped = flows.resampled(double, range(5))
+    assert done == [0, 4] and calls == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
+    assert skipped == {"PivotDegenerate": 2, "ProjectionFailure": 1}
+    calls.clear()
+    assert flows.resampled(double, [1]) == ([], {"PivotDegenerate": 1}) and calls == [[1]]
+    assert flows.resampled(double, []) == ([], {}) and calls == [[1]]
+    with pytest.raises(OffSurface):
+        flows.resampled(double, [0, 1, 5])
 
 
 def test_non_finite_offset_raises_as_a_point_does(monkeypatch):

@@ -114,6 +114,20 @@ def _circle_lanes(s, y):
     return np.column_stack((-y[:, 1], y[:, 0]))
 
 
+def test_solve_takes_a_lane_of_ones_first_step():
+    """The scalar solver's first step is the lanes' initial-step rule on a
+    stack of one row, so its first node is bitwise a lane of one's."""
+    rng = np.random.default_rng(11)
+    rates = rng.uniform(0.5, 2.0, size=9)
+    for _ in range(40):  # a BLAS norm differs from the ordered sum in about 1 in 7
+        y0 = rng.normal(size=9) * rng.uniform(0.1, 10.0)
+        alone = solve(lambda s, y: -rates * y, 0.0, y0, 0.5)
+        lane, = solve_lanes(lambda s, y: -rates * y, 0.0, y0[None], 0.5)
+        assert alone.ss[1] == lane.ss[1]
+        assert (alone.nfev, alone.accepted, alone.rejected) == (
+            lane.nfev, lane.accepted, lane.rejected)
+
+
 def test_lanes_match_solve_on_circle():
     """Each lane of a batch stops at its first axis crossing with the steps
     and counts it takes as a lane of one."""
@@ -247,4 +261,5 @@ def test_nan_field_underflows_at_once():
         solve(lambda s, y: y * math.nan, 0.0, np.array([1.0]), 1.0)
     lane, = solve_lanes(lambda s, y: y * math.nan, 0.0, np.ones((1, 1)), 1.0)
     assert lane.status == "underflow" and lane.ss.size == 1
+    assert (lane.nfev, lane.rejected) == (1, 0)  # no step is tried
     assert time.perf_counter() - start < 1.0

@@ -283,6 +283,29 @@ def test_report_many_raises_the_first_failing_point():
     assert _raised(lambda: report_many(h.surface, [p, off], pivots=(0,))) == want
 
 
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["u", "gradient", "hessian"])
+def test_non_finite_derivatives_raise_alone_and_in_a_batch(which):
+    """A row whose value, gradient or Hessian is NaN raises ``DomainError``
+    alone and in a batch of two, in either order: the kernel never returns
+    its NaN row."""
+    e = catalog.pansu(1.0, 2)
+    good, bad = e.sample(np.random.default_rng(8), 2)
+    grad_hess = e.surface.grad_hess
+
+    def nan_at_bad(coords):
+        out = [np.array(a, dtype=float) for a in grad_hess(coords)]
+        out[which][np.all(coords == bad.coords, axis=-1)] = math.nan
+        return tuple(out)
+
+    s = replace(e.surface, grad_hess=nan_at_bad)
+    want = _raised(lambda: report(s, bad))
+    assert want[0] is DomainError
+    for pts in ([bad, good], [good, bad]):
+        assert _raised(lambda: report_many(s, pts)) == want
+        assert _raised(lambda: frame_many(s, pts)) == want
+    assert report_many(s, [good]).umbilic.all()
+
+
 def test_batch_with_per_point_pivots_raises_the_collapsing_point_alone():
     """Of one forced pivot row per point, only the second point's collapses;
     every batch raises that point's error under its own pivots."""

@@ -40,3 +40,58 @@ def test_source_lines_fit_98_columns():
     long = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "heisgeo").glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 98]
     assert not long, long
+
+
+
+def _definitions(tree):
+    """``(name, line, is_method)`` of a module's public functions and of the
+    public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.lineno, False
+        elif isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno, True) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _references(tree):
+    """``(names, attributes)`` a module uses.  Names are read variables and
+    imported names; attributes are attribute accesses.  Identifier strings
+    count as both (the benchmark tracer names its targets as strings), except
+    in ``__all__``, which lists a name without using it."""
+    names, attrs = set(), set()
+    body = [node for node in tree.body if not (
+        isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__")]
+    for node in (sub for top in body for sub in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+            attrs.add(node.value)
+    return names, attrs
+
+
+def test_every_public_function_is_used():
+    """A public function or method of ``src/heisgeo`` that nothing in
+    ``src``, ``tests`` or ``perfbench`` uses is dead code.  A function counts
+    as used when its name is read, imported or accessed as an attribute (the
+    claim functions are read by the ``CLAIMS`` registry); a method only when
+    it is accessed as an attribute.  Dunders and private names are exempt."""
+    files = [*(ROOT / "src" / "heisgeo").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        more_names, more_attrs = _references(tree)
+        names |= more_names
+        attrs |= more_attrs
+    unused = [f"{path.name}:{line} {name}" for path, tree in sorted(trees.items())
+              if path.parent.name == "heisgeo"
+              for name, line, is_method in _definitions(tree)
+              if not name.startswith("_")
+              and name not in attrs and (is_method or name not in names)]
+    assert not unused, unused

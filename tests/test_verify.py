@@ -189,28 +189,20 @@ def test_geodesic_confinement_lanes_report_scalar_steps():
         assert row.extra == {"accepted_steps": steps}
 
 
-def test_geodesic_confinement_skips_failed_frames(monkeypatch):
-    """A start whose frame degenerates is skipped, not flowed; a row left
-    with no start fails."""
-    calls = []
+def test_geodesic_confinement_failing_start_frame_is_one_error_row(monkeypatch):
+    """The starts' frames force no pivots and project nothing, so none is
+    resampled: a failing start frame turns the claim into one error row."""
+    original = surface.frame_many
 
-    def every_other(surface_def, p):
-        calls.append(p)
-        if len(calls) % 2:
+    def degenerate(surface_def, points, pivots=None):
+        if surface_def.name == "pansu":
             raise PivotDegenerate("forced")
-        return build_frame(surface_def, p)
+        return original(surface_def, points, pivots)
 
-    def degenerate(surface_def, p):
-        raise PivotDegenerate("forced")
-
-    monkeypatch.setattr(verify, "build_frame", every_other)
-    rows = verify.claim_geodesic_confinement(0, count=4)
-    assert [r.samples for r in rows] == [2, 2] and all(r.passed for r in rows)
-    monkeypatch.setattr(verify, "build_frame", degenerate)
-    rows = verify.claim_geodesic_confinement(0, count=4)
-    assert all(r.samples == 0 and not r.passed for r in rows)
-    assert all(r.extra == {"accepted_steps": 0, "skipped": {"PivotDegenerate": 4}}
-               for r in rows)
+    monkeypatch.setattr(surface, "frame_many", degenerate)
+    (row,) = run_all(VerifyConfig(seed=0, only="prop4.5")).claims
+    assert row.claim_id == "prop4.5-geodesic-confinement" and row.surface == "<error>"
+    assert row.extra == {"error": "PivotDegenerate: forced"} and not row.passed
 
 
 def test_samples_count_completed_points():
@@ -220,15 +212,21 @@ def test_samples_count_completed_points():
 
 
 def _report_failing_at(monkeypatch, exc, bad):
-    """Patch ``verify.report`` to raise ``exc`` on the calls numbered in ``bad``."""
-    calls = iter(range(10**6))
+    """Patch ``surface.report_many`` to raise ``exc`` on every generic-graph
+    batch that holds a point numbered in ``bad`` (in sampling order, which is
+    the order of the first generic-graph batch)."""
+    original = surface.report_many
+    order = {}
 
-    def patched(surface_def, p, pivots=None):
-        if next(calls) in bad:
-            raise exc("forced")
-        return surface.report(surface_def, p, pivots)
+    def patched(surface_def, points, pivots=None):
+        if surface_def.name == "generic-graph":
+            if not order:
+                order.update((id(p), i) for i, p in enumerate(points))
+            if any(order[id(p)] in bad for p in points):
+                raise exc("forced")
+        return original(surface_def, points, pivots)
 
-    monkeypatch.setattr(verify, "report", patched)
+    monkeypatch.setattr(surface, "report_many", patched)
 
 
 @pytest.mark.parametrize("skips, passed", [(30, True), (31, False)])
