@@ -6,10 +6,10 @@ Subcommands: ``report`` (pointwise surface geometry as JSON), ``catalog``
 sampled points run as one ``identity_check_many`` batch under the resample
 rule of ``flows.resampled``) and ``verify run`` (the claim suite).  Exit
 status: 0 success, 1 claim failure, 2 usage error (bad arguments or
-parameter values, NaN included, or a ``verify run --only`` prefix that
-matches no claim; reported as one ``error:`` line).  Output floats carry 17
-significant digits and runs are byte-reproducible for fixed arguments and
-seed.
+parameter values, NaN included, an ``identities --points`` count below 1,
+or a ``verify run --only`` prefix that matches no claim; reported as one
+``error:`` line).  Output floats carry 17 significant digits and runs are
+byte-reproducible for fixed arguments and seed.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ def _cmd_geodesic(args):
 def _cmd_identities(args):
     if not (args.step > 0 and math.isfinite(args.step)):
         raise _CliError("--step must be finite and positive")
+    if args.points <= 0:  # a check of no points would pass vacuously
+        raise _CliError("--points must be positive")
     entry = _entry_from_args(args)
     pts = entry.sample(np.random.default_rng(args.seed), args.points)
     # verify's resample rule: a point whose frame or projection fails is

@@ -188,36 +188,44 @@ def geodesic_flows(starts, lams, s_max) -> list:
     return [_geodesic_trace(float(lam), sol, n) for lam, sol in zip(lams, sols)]
 
 
-def profile_ode(lam, r_span=None):
-    """Integrate the squared-height radial equation of the umbilic sphere.
+def profile_ode(lams, r_span=None):
+    """Integrate the squared-height radial equation of the umbilic sphere of
+    each curvature in ``lams``.
 
-    Starts just inside the outer radius with the analytic local expansion of
-    the profile as the initial value and integrates inward straight onto a
-    200-point grid, one ``rk45.solve_lanes`` lane per radius; returns the
-    profile as ``(r, f)`` arrays.  An underflowing lane raises
-    ``StepUnderflow``.
+    Each profile starts just inside its outer radius ``1/lam^2`` with the
+    analytic local expansion of the profile as the initial value and is
+    integrated inward straight onto a 200-point grid (``r_span``, by default
+    ``(0.01, 1 - 1e-6)`` times the outer radius), one lane per radius.  The
+    lanes of all curvatures run as one ``rk45.solve_lanes`` sweep, each with
+    its own ``lam^2`` in the right-hand side, so a profile is bitwise the
+    one it gets alone.  Returns one ``(r, f)`` pair of arrays per curvature.
+    An underflowing lane raises ``StepUnderflow``.
     """
-    lam = float(lam)
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError("curvature parameter must be finite and positive")
-    r_out = 1.0 / (lam * lam)
-    if r_span is None:
-        r_span = (0.01 * r_out, (1.0 - 1e-6) * r_out)
-    r_lo, r_hi = r_span
-    if not 0.0 < r_lo < r_hi < r_out:
-        raise DomainError("profile grid must sit inside (0, 1/lam^2)")
+    lams = [float(lam) for lam in lams]
     num = 200
-    lam2 = lam * lam
+    grids = []
+    for lam in lams:
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError("curvature parameter must be finite and positive")
+        r_out = 1.0 / (lam * lam)
+        r_lo, r_hi = (0.01 * r_out, (1.0 - 1e-6) * r_out) if r_span is None else r_span
+        if not 0.0 < r_lo < r_hi < r_out:
+            raise DomainError("profile grid must sit inside (0, 1/lam^2)")
+        grids.append(np.linspace(r_lo, r_hi, num))  # ends at r_hi, a lane of zero span
+    lam2 = np.repeat([lam * lam for lam in lams], num)
 
     def f(r, y):
         fv = np.maximum(y[:, 0], 0.0)  # not fmax: a NaN state propagates
         return -np.sqrt(lam2 * r * fv / (1.0 - lam2 * r))[:, None]
 
-    f0 = _psi(1.0 - lam2 * r_hi) / lam**4  # local expansion at the start
-    grid = np.linspace(r_lo, r_hi, num)  # ends at r_hi, a lane of zero span
-    sols = rk45.raise_underflow(rk45.solve_lanes(f, r_hi, np.full((num, 1), f0), grid,
-                                                 StepControl(rtol=1e-10, atol=1e-12)))
-    return grid, np.array([sol.ys[-1, 0] for sol in sols])
+    # local expansion at each profile's start
+    f0 = [_psi(1.0 - lam * lam * grid[-1]) / lam**4 for lam, grid in zip(lams, grids)]
+    r_hi = np.repeat([grid[-1] for grid in grids], num)
+    sols = rk45.raise_underflow(rk45.solve_lanes(
+        f, r_hi, np.repeat(f0, num)[:, None], np.concatenate(grids),
+        StepControl(rtol=1e-10, atol=1e-12)))
+    values = np.array([sol.ys[-1, 0] for sol in sols])
+    return [(grid, values[k * num:(k + 1) * num]) for k, grid in enumerate(grids)]
 
 
 # ---------------------------------------------------------------------------

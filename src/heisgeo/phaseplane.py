@@ -41,6 +41,7 @@ __all__ = [
     "integrate",
     "periodic_orbit",
     "periodic_orbits",
+    "closure_failure",
     "first_integral",
     "portrait",
     "Portrait",
@@ -271,8 +272,9 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
     A bad seed raises what it raises alone, the first in input order:
     ``OnSeparatrix`` on the line ``beta = 0``, ``ValueError`` at a stationary
     point, ``NotPeriodic`` when the closure error exceeds ``orbit_tol``
-    (default ``1e-8 (1 + |q0|)``), no crossing comes within ``s_cap``
-    (default ``1000 / c`` per seed) or the step size underflows.
+    (``closure_failure``; default ``1e-8 (1 + |q0|)``), no crossing comes
+    within ``s_cap`` (default ``1000 / c`` per seed) or the step size
+    underflows.
     """
     seeds = list(seeds)
     params = [pp] * len(seeds) if isinstance(pp, PhaseParams) else list(pp)
@@ -326,14 +328,22 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
                     np.concatenate((arc.ys, rest.ys[1:])), signs[i], events=events[i],
                     period=float(periods[i]), **_counts(arc, rest))
         tr.closure_error = math.hypot(tr.alpha[-1] - q0.alpha, tr.beta[-1] - q0.beta)
-        tol = 1e-8 * (1.0 + math.hypot(q0.alpha, q0.beta)) if orbit_tol is None else orbit_tol
-        if not tr.closure_error <= tol:  # a NaN error does not close either
-            errors[i] = NotPeriodic(f"closure error {tr.closure_error:g} exceeds {tol:g}")
+        errors[i] = closure_failure(q0, tr, orbit_tol)
         traces.append(tr)
     for exc in errors + [pending]:
         if exc is not None:
             raise exc
     return traces
+
+
+def closure_failure(q0: PhasePoint, tr: OrbitTrace, orbit_tol=None):
+    """The ``NotPeriodic`` error of a trace from ``q0`` whose closure error
+    exceeds ``orbit_tol`` (default ``1e-8 (1 + |q0|)``), or ``None`` if it
+    closes.  A NaN closure error does not close."""
+    tol = 1e-8 * (1.0 + math.hypot(q0.alpha, q0.beta)) if orbit_tol is None else orbit_tol
+    if tr.closure_error <= tol:
+        return None
+    return NotPeriodic(f"closure error {tr.closure_error:g} exceeds {tol:g}")
 
 
 def _blow_up(sol):

@@ -15,6 +15,7 @@ import json
 import math
 import zlib
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from importlib import resources
 from time import perf_counter
@@ -321,10 +322,12 @@ def claim_rotsym(seed, count=60):
 
 
 def claim_profile_ode(seed):
+    """The profile equation integrates to the closed-form squared height; the
+    profiles of all three curvatures run as one ``flows.profile_ode`` sweep."""
     cid = "prop3.1-profile-ode"
     out = []
-    for lam in (0.5, 1.0, 2.0):
-        grid, vals = flows.profile_ode(lam)
+    lams = (0.5, 1.0, 2.0)
+    for lam, (grid, vals) in zip(lams, flows.profile_ode(lams)):
         closed = np.array([_height_squared(lam, r) for r in grid])
         out.append(_row(cid, seed, "pansu", {"lam": lam}, _floats(np.abs(vals - closed)), 1e-6))
     return out
@@ -648,26 +651,94 @@ def _closure_row(cid, seed, pp, seeds, traces):
                               "first_integral_drift": _worst(drifts)})
 
 
+def _closure_cases(ns=(2, 3), cs=(0.5, 1.0, 2.0)):
+    """``lemma6.1-closure``'s ``(params, seeds)`` cases: each ``(n, c)`` grid
+    in row order, and the golden orbit last."""
+    grids = [(pp, sum(_seed_grid(pp), [])) for pp in
+             (PhaseParams(n, c) for n in ns for c in cs)]
+    return grids + [(PhaseParams(2, 1.0), [PhasePoint(0.0, 2.0)])]
+
+
+def _symmetry_cases(seed, count=6):
+    """``lemma6.1-symmetry``'s ``(params, seeds)`` cases: ``count`` seeds
+    ``(a, b)`` of each ``(n, c)``, then their mirrors ``(-a, b)``."""
+    rng = _rng(seed, "lemma6.1-symmetry")
+    cases = []
+    for n, c in ((2, 1.0), (3, 0.5)):
+        # (alpha, beta) drawn in that order
+        pairs = [(rng.uniform(0.2, 1.2) * c, rng.uniform(1.2, 2.5) * c) for _ in range(count)]
+        seeds = [PhasePoint(a, b) for a, b in pairs] + [PhasePoint(-a, b) for a, b in pairs]
+        cases.append((PhaseParams(n, c), seeds))
+    return cases
+
+
+def _flat(cases):
+    """The params and the seeds of ``(params, seeds)`` cases, one entry per
+    seed, in order."""
+    return ([pp for pp, seeds in cases for _ in seeds],
+            [q0 for _, seeds in cases for q0 in seeds])
+
+
+class _OrbitPool:
+    """The lemma 6.1 orbits of one ``run_all`` call as one batch.
+
+    ``cases`` maps each claim id to its ``(params, seeds)`` cases.  On the
+    first request all their seeds run as one ``periodic_orbits`` batch
+    without the closure certificate (``orbit_tol=inf``), and each claim gets
+    the traces of its own seeds, cut by position.  A lane's trace is bitwise
+    the same in any batch, so these are the traces of the claim's own batch.
+    A request for other cases, or any request after the batch raised, gets
+    ``None``: the claim then runs its own batch, so its rows are the rows it
+    gives alone.
+    """
+
+    def __init__(self, cases):
+        self.cases = cases
+        self.traces = None  # claim id -> traces, once the batch has run
+
+    def take(self, cid, cases):
+        if self.cases.get(cid) != cases:
+            return None
+        if self.traces is None:
+            self.traces = {}
+            try:
+                batch = phaseplane.periodic_orbits(*_flat(sum(self.cases.values(), [])),
+                                                   orbit_tol=math.inf)
+            except Exception:  # a batch that raises reruns smaller: claim by claim
+                return None
+            for key, mine in self.cases.items():
+                size = sum(len(seeds) for _, seeds in mine)
+                self.traces[key], batch = batch[:size], batch[size:]
+        return self.traces.get(cid)
+
+
+# the shared orbit batch of the running ``run_all`` call, if it runs both
+# lemma 6.1 claims
+_orbit_pool: ContextVar[Optional[_OrbitPool]] = ContextVar("orbit_pool", default=None)
+
+
 def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
     """Every grid seed closes, stays in its half-plane and turns on both
     sides of the stationary defect; the reference period matches its golden
     value.
 
-    The whole grid runs as one ``periodic_orbits`` batch, every ``(n, c)``
-    grid in row order with the golden orbit last, and each row takes its
-    traces from the batch by position.  A lane sweep runs as many sweeps as
-    its slowest lane needs, so one batch costs about as much as its slowest
-    grid.
+    The whole grid runs as one ``periodic_orbits`` batch without the closure
+    certificate, every ``(n, c)`` grid in row order with the golden orbit
+    last, and each row takes its traces from the batch by position.  A lane
+    sweep runs as many sweeps as its slowest lane needs, so one batch costs
+    about as much as its slowest grid.  Inside ``run_all`` with
+    ``lemma6.1-symmetry`` the batch also carries that claim's seeds
+    (``_OrbitPool``), and its time counts under this claim.
     """
     cid = "lemma6.1-closure"
-    grids = [(pp, sum(_seed_grid(pp), [])) for pp in
-             (PhaseParams(n, c) for n in ns for c in cs)]
-    params = [pp for pp, grid in grids for _ in grid] + [PhaseParams(2, 1.0)]
-    seeds = [q0 for _, grid in grids for q0 in grid] + [PhasePoint(0.0, 2.0)]
-    traces = phaseplane.periodic_orbits(params, seeds, orbit_tol=math.inf)
+    cases = _closure_cases(ns, cs)
+    pool = _orbit_pool.get()
+    traces = pool and pool.take(cid, cases)
+    if traces is None:
+        traces = phaseplane.periodic_orbits(*_flat(cases), orbit_tol=math.inf)
     period = traces[-1].period
     out, k = [], 0
-    for pp, grid in grids:
+    for pp, grid in cases[:-1]:
         out.append(_closure_row(cid, seed, pp, grid, traces[k:k + len(grid)]))
         k += len(grid)
     # golden period: frozen after halved-step certification
@@ -678,18 +749,25 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
 
 
 def claim_orbit_symmetry(seed, count=6):
-    """Mirrored seeds ``(a, b)`` and ``(-a, b)`` have equal periods; both
-    ``(n, c)`` cases run as one ``periodic_orbits`` batch."""
+    """Mirrored seeds ``(a, b)`` and ``(-a, b)`` have equal periods.
+
+    Both ``(n, c)`` cases run as one certified ``periodic_orbits`` batch.
+    Inside ``run_all`` with ``lemma6.1-closure`` the traces come from the
+    run's shared orbit batch instead (``_OrbitPool``), and the same closure
+    certificate (``phaseplane.closure_failure``) is applied to them in seed
+    order, so the rows are the rows of the claim's own batch.
+    """
     cid = "lemma6.1-symmetry"
-    rng = _rng(seed, cid)
-    cases = []
-    for n, c in ((2, 1.0), (3, 0.5)):
-        # (alpha, beta) drawn in that order
-        pairs = [(rng.uniform(0.2, 1.2) * c, rng.uniform(1.2, 2.5) * c) for _ in range(count)]
-        seeds = [PhasePoint(a, b) for a, b in pairs] + [PhasePoint(-a, b) for a, b in pairs]
-        cases.append((PhaseParams(n, c), seeds))
-    traces = phaseplane.periodic_orbits([pp for pp, seeds in cases for _ in seeds],
-                                        [q0 for _, seeds in cases for q0 in seeds])
+    cases = _symmetry_cases(seed, count)
+    params, seeds = _flat(cases)
+    pool = _orbit_pool.get()
+    traces = pool and pool.take(cid, cases)
+    if traces is None:
+        traces = phaseplane.periodic_orbits(params, seeds)
+    for q0, tr in zip(seeds, traces):
+        exc = phaseplane.closure_failure(q0, tr)
+        if exc is not None:
+            raise exc
     out = []
     for k, (pp, _) in enumerate(cases):
         mine = traces[2 * count * k:2 * count * (k + 1)]
@@ -862,22 +940,33 @@ def run_all(config: VerifyConfig = None) -> Report:
     A filter that matches no claim id raises ``ValueError``: a run of no
     claims would pass vacuously.  The report's ``timings`` hold each claim's
     wall seconds, which stay out of its JSON so that stays reproducible.
+    When both ``lemma6.1`` claims run, their orbits share one batch for the
+    length of this call (``_OrbitPool``); every row is the one the claim
+    gives alone.
     """
     config = config or VerifyConfig()
     chosen = [(cid, producer) for cid, producer in CLAIMS.items()
               if not config.only or cid.startswith(config.only)]
     if not chosen:
         raise ValueError(f"no claim id starts with {config.only!r}")
+    pool = None
+    if {"lemma6.1-closure", "lemma6.1-symmetry"} <= {cid for cid, _ in chosen}:
+        pool = _OrbitPool({"lemma6.1-closure": _closure_cases(),
+                           "lemma6.1-symmetry": _symmetry_cases(config.seed)})
+    token = _orbit_pool.set(pool)
     results, timings = [], {}
-    for cid, producer in chosen:
-        start = perf_counter()
-        try:
-            results.extend(producer(config.seed))
-        except Exception as exc:  # a crashed claim is a failed claim
-            results.append(
-                ClaimResult(cid, "<error>", {}, math.inf, 0.0, 0,
-                            _claim_seed(config.seed, cid),
-                            extra={"error": f"{type(exc).__name__}: {exc}"})
-            )
-        timings[cid] = perf_counter() - start
+    try:
+        for cid, producer in chosen:
+            start = perf_counter()
+            try:
+                results.extend(producer(config.seed))
+            except Exception as exc:  # a crashed claim is a failed claim
+                results.append(
+                    ClaimResult(cid, "<error>", {}, math.inf, 0.0, 0,
+                                _claim_seed(config.seed, cid),
+                                extra={"error": f"{type(exc).__name__}: {exc}"})
+                )
+            timings[cid] = perf_counter() - start
+    finally:
+        _orbit_pool.reset(token)  # the shared orbit batch lives for this call only
     return Report(seed=config.seed, claims=results, timings=timings)

@@ -91,26 +91,32 @@ def test_criterion_4_interior_identity_suite():
 
 
 def test_criterion_5_orbit_closure():
+    """The six grids and the mirrors of their off-axis seeds run as one
+    ``periodic_orbits`` batch: a lane's trace is bitwise the same in any
+    batch."""
     t0 = time.perf_counter()
     worst_closure = 0.0
     worst_period = 0.0
+    params, seeds = [], []
     for n in (2, 3):
         for c in (0.5, 1.0, 2.0):
             pp = PhaseParams(n, c)
             upper, lower = verify._seed_grid(pp)
             assert len(upper) == 25 and len(lower) == 25
-            seeds = upper + lower
-            traces = periodic_orbits(pp, seeds)
-            for q0, tr in zip(seeds, traces):
-                scale = 1 + math.hypot(q0.alpha, q0.beta)
-                worst_closure = max(worst_closure, tr.closure_error / scale)
-                assert np.all(np.sign(tr.beta) == np.sign(q0.beta))
-            off_axis = [(q0, tr) for q0, tr in zip(seeds, traces) if q0.alpha != 0.0]
-            mirrored = periodic_orbits(
-                pp, [PhasePoint(-q0.alpha, q0.beta) for q0, _ in off_axis])
-            for (_, tr), mirror in zip(off_axis, mirrored):
-                worst_period = max(worst_period,
-                                   abs(tr.period - mirror.period) / tr.period)
+            params += [pp] * 50
+            seeds += upper + lower
+    off_axis = [i for i, q0 in enumerate(seeds) if q0.alpha != 0.0]
+    traces = periodic_orbits(params + [params[i] for i in off_axis],
+                             seeds + [PhasePoint(-seeds[i].alpha, seeds[i].beta)
+                                      for i in off_axis])
+    traces, mirrored = traces[:len(seeds)], traces[len(seeds):]
+    for q0, tr in zip(seeds, traces):
+        scale = 1 + math.hypot(q0.alpha, q0.beta)
+        worst_closure = max(worst_closure, tr.closure_error / scale)
+        assert np.all(np.sign(tr.beta) == np.sign(q0.beta))
+    for i, mirror in zip(off_axis, mirrored, strict=True):
+        worst_period = max(worst_period,
+                           abs(traces[i].period - mirror.period) / traces[i].period)
     elapsed = time.perf_counter() - t0
     assert worst_period <= 1e-9
     announce("5-orbit-closure", worst_closure, 1e-8, elapsed, 60.0)

@@ -231,6 +231,14 @@ def test_verify_only_matching_no_claim_is_a_usage_error(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_identities_needs_a_positive_point_count(capsys, points):
+    """A check of no points would pass vacuously, so it is a usage error."""
+    code, out, err = run(capsys, "identities", "--surface", "pansu", "--points", points)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "report", "--surface", "pansu")[0] == 2  # missing point
     assert run(capsys, "nonsense")[0] == 2

@@ -200,8 +200,8 @@ def test_geodesic_non_finite_input_fails_at_once(lam, s_max):
 
 
 def test_profile_matches_closed_form():
-    for lam in (0.5, 1.0, 2.0):
-        grid, vals = profile_ode(lam)
+    lams = (0.5, 1.0, 2.0)
+    for lam, (grid, vals) in zip(lams, profile_ode(lams)):
         for r, f in zip(grid, vals):
             z = math.sqrt(r)
             h = (lam * z * math.sqrt(1 - lam * lam * r) + math.acos(lam * z)) / (
@@ -212,9 +212,12 @@ def test_profile_matches_closed_form():
 
 def test_profile_values_are_integrated_states():
     """Each grid value is bitwise the end state of a lone lane from the outer
-    grid radius to its own radius: integrated there, never interpolated."""
-    for lam in (0.5, 2.0):
-        grid, vals = profile_ode(lam)
+    grid radius to its own radius: integrated there, never interpolated, and
+    the same whichever other curvatures share the sweep."""
+    lams = (0.5, 1.0, 2.0)
+    for lam, (grid, vals) in zip(lams, profile_ode(lams)):
+        (alone_grid, alone), = profile_ode([lam])
+        assert np.array_equal(alone_grid, grid) and np.array_equal(alone, vals)
         lam2 = lam * lam
         r_hi = grid[-1]
         f0 = catalog._psi(1.0 - lam2 * r_hi) / lam**4
@@ -230,7 +233,7 @@ def test_profile_values_are_integrated_states():
 
 
 def test_profile_pole_limit():
-    grid, vals = profile_ode(1.0, r_span=(1e-3, 1 - 1e-6))
+    (grid, vals), = profile_ode([1.0], r_span=(1e-3, 1 - 1e-6))
     target = (math.pi / 4) ** 2
     # the height-squared approaches the pole value like r^(3/2)
     assert abs(vals[0] - target) <= 2 * (math.pi / 4) * grid[0] ** 1.5
@@ -238,7 +241,7 @@ def test_profile_pole_limit():
 
 def test_profile_reconstructs_curvature():
     lam = 1.0
-    grid, vals = profile_ode(lam)
+    (grid, vals), = profile_ode([lam])
     for r, f in zip(grid[:-1], vals[:-1]):
         fp = -math.sqrt(lam * lam * r * max(f, 0.0) / (1 - lam * lam * r))
         k = -fp / (math.sqrt(r) * math.sqrt(fp * fp + f))
@@ -247,7 +250,9 @@ def test_profile_reconstructs_curvature():
 
 def test_profile_domain_error():
     with pytest.raises(DomainError):
-        profile_ode(1.0, r_span=(0.5, 1.5))
+        profile_ode([1.0], r_span=(0.5, 1.5))
+    with pytest.raises(DomainError):  # inside the first profile's range only
+        profile_ode([1.0, 2.0], r_span=(0.1, 0.5))
 
 
 # ---------------------------------------------------------------------------

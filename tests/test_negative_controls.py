@@ -1,8 +1,10 @@
-"""Negative controls: a broken planar system must make its lemma 6.1 claims fail."""
+"""Negative controls: a broken planar system must make its lemma 6.1 claims
+fail, and a broken profile sweep its ``prop3.1-profile-ode`` row."""
 
+import numpy as np
 import pytest
 
-from heisgeo import phaseplane, verify
+from heisgeo import phaseplane, rk45, verify
 
 
 def _drifted(monkeypatch, eps):
@@ -30,22 +32,61 @@ def _drifted(monkeypatch, eps):
     monkeypatch.setattr(phaseplane, "_rhs_log", mutant)
 
 
-@pytest.mark.parametrize("cid", ["lemma6.1-closure", "lemma6.1-symmetry"])
-def test_irreversible_drift_fails_the_orbit_claims(monkeypatch, cid):
-    """At seed 42 the drift is caught from eps = 1e-10 on (1e-11 passes).
+@pytest.mark.parametrize("only", ["lemma6.1-closure", "lemma6.1-symmetry", "lemma6.1"])
+def test_irreversible_drift_fails_the_orbit_claims(monkeypatch, only):
+    """At seed 42 the drift is caught from eps = 1e-10 on (3e-11 passes),
+    alone and on the shared batch alike.
 
     ``lemma6.1-closure`` lifts ``periodic_orbits``' closure certificate, so
     its per-(n, c) grid rows see the closure error themselves: at 1e-9
     every grid row fails on its own residual and no row is an error row.
     ``lemma6.1-symmetry`` keeps the certificate, which raises
-    ``NotPeriodic``, so that claim reports one failed error row."""
-    assert verify.run_all(verify.VerifyConfig(seed=42, only=cid)).passed
+    ``NotPeriodic``, so that claim reports one failed error row.  With
+    both claims (``only="lemma6.1"``) the orbits run as one shared batch,
+    and each claim's rows are still the rows it gives alone."""
+    config = verify.VerifyConfig(seed=42, only=only)
+    assert verify.run_all(config).passed
     _drifted(monkeypatch, 1e-9)
-    rep = verify.run_all(verify.VerifyConfig(seed=42, only=cid))
+    rep = verify.run_all(config)
     assert not rep.passed
-    if cid == "lemma6.1-closure":
-        grid = [row for row in rep.claims if row.claim_id == cid]
+    closure = [row for row in rep.claims if row.claim_id.startswith("lemma6.1-closure")]
+    symmetry = [row for row in rep.claims if row.claim_id == "lemma6.1-symmetry"]
+    if "lemma6.1-closure".startswith(only):
+        grid = [row for row in closure if row.claim_id == "lemma6.1-closure"]
         assert len(grid) == 6 and not any(row.passed for row in grid)
-        assert not any("error" in row.extra for row in rep.claims)
-    else:
-        assert any(row.extra.get("error", "").startswith("NotPeriodic") for row in rep.claims)
+        assert not any("error" in row.extra for row in closure)
+    if "lemma6.1-symmetry".startswith(only):
+        assert len(symmetry) == 1
+        assert symmetry[0].extra.get("error", "").startswith("NotPeriodic")
+    if only == "lemma6.1":
+        alone = [row.to_dict() for cid in ("lemma6.1-closure", "lemma6.1-symmetry")
+                 for row in verify.run_all(verify.VerifyConfig(seed=42, only=cid)).claims]
+        assert [row.to_dict() for row in rep.claims] == alone
+
+
+def test_one_profile_perturbed_fails_its_row_only(monkeypatch):
+    """Scaling the right-hand side of the lam = 2 lanes of the one profile
+    sweep by 1 + eps fails the lam = 2 row and leaves the other rows bitwise
+    as they were: each row is cut from its own lanes.  At seed 42 the
+    perturbation is caught from eps = 2e-5 on (1e-5 passes): the lam = 2
+    residual grows as about 0.077 eps against the tolerance 1e-6."""
+    cid = "prop3.1-profile-ode"
+    clean = verify.run_all(verify.VerifyConfig(seed=42, only=cid)).claims
+    assert [row.params["lam"] for row in clean] == [0.5, 1.0, 2.0]
+    assert all(row.passed for row in clean)
+    original = rk45.solve_lanes
+
+    def mutant(f, s0, y0, s1, control=None, crossings=None):
+        assert len(y0) == 600  # the three profiles, 200 lanes each, in one sweep
+        hit = (np.arange(600) >= 400)[:, None]  # the lam = 2 profile's lanes
+
+        def g(r, y):
+            out = f(r, y)
+            return np.where(hit, out * (1.0 + 2e-5), out)
+
+        return original(g, s0, y0, s1, control, crossings)
+
+    monkeypatch.setattr(rk45, "solve_lanes", mutant)
+    rows = verify.run_all(verify.VerifyConfig(seed=42, only=cid)).claims
+    assert [row.to_dict() for row in rows[:2]] == [row.to_dict() for row in clean[:2]]
+    assert not rows[2].passed and rows[2].params == {"lam": 2.0}

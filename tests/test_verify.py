@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heisgeo import catalog, flows, phaseplane, surface, verify
+from heisgeo import catalog, flows, phaseplane, rk45, surface, verify
 from heisgeo.core import Point
 from heisgeo.phaseplane import PhaseParams, PhasePoint
 from heisgeo.surface import PivotDegenerate, build_frame, report_many
@@ -357,6 +357,59 @@ def test_only_rows_equal_the_full_run_rows():
                 == verify.Report(seed=7, claims=rows[:len(alone)]).to_json()), cid
         rows = rows[len(alone):]
     assert rows == []
+
+
+def test_full_run_lane_sweep_count(monkeypatch):
+    """A full run at seed 42 makes 1,188 lane sweeps, crossing landings
+    included: both lemma 6.1 claims take their orbits from one shared batch
+    and the three profiles run as one sweep (2,086 with a batch per claim
+    and a sweep per profile)."""
+    sweeps = []
+    original = rk45._lane_step
+
+    def counted(*args):
+        sweeps.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(rk45, "_lane_step", counted)
+    rep = run_all(VerifyConfig(seed=42))
+    assert rep.passed and len(rep.claims) == 100
+    assert len(sweeps) <= 1188
+    assert verify._orbit_pool.get() is None  # the shared batch does not outlive the run
+
+
+@pytest.mark.parametrize("bad", ["lemma6.1-closure", "lemma6.1-symmetry"])
+def test_failing_shared_orbit_batch_reruns_each_claim_alone(monkeypatch, bad):
+    """A seed whose lane underflows at once (a NaN tilt), in either claim's
+    part, makes the shared lemma 6.1 batch raise; each claim then reruns its
+    own batch, so the rows of both claims are their rows under ``--only``:
+    only the claim with the bad seed is an error row."""
+    if bad == "lemma6.1-closure":
+        grid = verify._seed_grid
+
+        def with_nan_seed(pp):
+            upper, lower = grid(pp)
+            return upper + [PhasePoint(math.nan, pp.c)], lower
+
+        monkeypatch.setattr(verify, "_seed_grid", with_nan_seed)
+    else:
+        cases = verify._symmetry_cases
+
+        def with_nan_seed(seed, count=6):
+            (pp, seeds), *rest = cases(seed, count)
+            return [(pp, seeds + [PhasePoint(math.nan, pp.c)]), *rest]
+
+        monkeypatch.setattr(verify, "_symmetry_cases", with_nan_seed)
+    both = run_all(VerifyConfig(seed=42, only="lemma6.1")).claims
+    alone = {cid: run_all(VerifyConfig(seed=42, only=cid)).claims
+             for cid in ("lemma6.1-closure", "lemma6.1-symmetry")}
+    assert ([row.to_dict() for row in both]
+            == [row.to_dict() for rows in alone.values() for row in rows])
+    for cid, rows in alone.items():
+        if cid == bad:
+            assert len(rows) == 1 and rows[0].extra["error"].startswith("NotPeriodic: blow-up")
+        else:
+            assert all(row.passed for row in rows)
 
 
 def _projection_fails_near(monkeypatch, bad):
