@@ -54,7 +54,6 @@ class CatalogEntry:
     charts: dict = field(default_factory=dict)
 
     def sample(self, rng, count):
-        rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
         return self.sampler(rng, count)
 
     def describe(self):

@@ -452,7 +452,7 @@ def leaf_constancy_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
             for j in range(len(base))]
 
 
-def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
+def bracket_span(s: SurfaceDef, p: Point):
     """Span of the invariant-complement fields together with their brackets.
 
     Returns ``(rank, en_projection)`` where the rank counts dimensions of the
@@ -462,7 +462,7 @@ def bracket_span(s: SurfaceDef, p: Point, h_fd=1e-5):
     that projection bounded away from one.
     """
     base = frame_many(s, (p,))
-    mat = _bracket_rows(s, base, h_fd)
+    mat = _bracket_rows(s, base, 1e-5)
     _, svals, vt = np.linalg.svd(mat)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     # orthonormal basis of the span, then project the characteristic direction

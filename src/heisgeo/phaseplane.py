@@ -236,9 +236,9 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
 
 
 def periodic_orbit(pp: PhaseParams, q0: PhasePoint, control=None,
-                   orbit_tol=None, s_cap=None) -> OrbitTrace:
+                   orbit_tol=None) -> OrbitTrace:
     """Closed orbit through ``q0``: ``periodic_orbits`` of one seed."""
-    return periodic_orbits(pp, [q0], control, orbit_tol, s_cap)[0]
+    return periodic_orbits(pp, [q0], control, orbit_tol)[0]
 
 
 def _check_seed(pp, q0):

@@ -172,24 +172,6 @@ class SurfaceDef:
     def with_derivatives(self, mode) -> "SurfaceDef":
         return replace(self, derivatives=mode)
 
-    def negated(self) -> "SurfaceDef":
-        """Same locus, opposite orientation of the horizontal normal."""
-        f = self.func
-        gh = self.grad_hess
-
-        def neg_func(c):
-            return -f(c)
-
-        neg_gh = None
-        if gh is not None:
-
-            def neg_gh(c):
-                u, g, h = gh(c)
-                return -u, -np.asarray(g), -np.asarray(h)
-
-        return replace(self, func=neg_func, grad_hess=neg_gh,
-                       name=self.name + "-flipped")
-
     @property
     def umbilic_tol(self):
         return UMBILIC_TOL if self.derivatives == "exact" else UMBILIC_TOL_FD
@@ -279,14 +261,6 @@ class FrameBundle:
     @property
     def n(self):
         return self.p.n
-
-    def basis(self):
-        """Ordered tangent-plane basis as a (2n-1, 2n) coefficient matrix."""
-        n = self.n
-        rows = [v.coeffs for v in self.xi_prime[: n - 1]]
-        rows.append(self.en.coeffs)
-        rows.extend(v.coeffs for v in self.xi_prime[n - 1 :])
-        return np.array(rows)
 
 
 @dataclass(frozen=True, eq=False)

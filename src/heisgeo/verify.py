@@ -116,6 +116,9 @@ def _rng(base_seed, claim_id):
 # a row fails when fewer than this share of its attempted samples completed
 MIN_COMPLETED_SHARE = 0.5
 
+# the dimensions n that the claims stated for every n >= 2 run at
+NS = (2, 3)
+
 
 def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None,
          skipped=None):
@@ -164,15 +167,14 @@ def _sampled_claim(cid, seed, cases, residuals, tolerance, row_id=None):
     return rows
 
 
-def _report_claim(cid, seed, cases, residual, tolerance, row_id=None, report_fn=None):
+def _report_claim(cid, seed, cases, residual, tolerance, row_id=None):
     """``_sampled_claim`` with ``residual(entry, batch)`` over the
-    ``surface.report_many`` batch (or ``report_fn(surface, points)``) of
-    each run of points.  Reports force no pivots, so no point is skipped:
-    a failing report raises."""
-    report_fn = report_fn or surface.report_many
-    return _sampled_claim(cid, seed, cases,
-                          lambda entry, points: residual(entry, report_fn(entry.surface, points)),
-                          tolerance, row_id)
+    ``surface.report_many`` batch of each run of points.  Reports force no
+    pivots, so no point is skipped: a failing report raises."""
+    return _sampled_claim(
+        cid, seed, cases,
+        lambda entry, points: residual(entry, surface.report_many(entry.surface, points)),
+        tolerance, row_id)
 
 
 def _floats(values):
@@ -192,22 +194,19 @@ def _case(name, params, entry, rng, count):
     return name, params, [(entry, p) for p in entry.sample(rng, count)]
 
 
-def _catalog_cases(rng, count, ns=(2, 3)):
-    """One case per standard catalog entry and dimension."""
+def _catalog_cases(rng, count, ns=None):
+    """One case per standard catalog entry and dimension in ``ns`` (default
+    ``NS``)."""
     return (_case(entry.name, {"n": n}, entry, rng, count)
-            for n in ns for entry in catalog.standard_entries(n))
+            for n in ns or NS for entry in catalog.standard_entries(n))
 
 
 # ---------------------------------------------------------------------------
 # second-fundamental-form claims
 
 
-def claim_partial_symmetry(seed, count=100, report_fn=None):
-    """Partial symmetry of the form matrix and the paired-entry tilt gap.
-
-    ``report_fn(surface, points)`` stands in for ``surface.report_many``;
-    it needs to give ``h`` and ``alpha`` stacks.
-    """
+def claim_partial_symmetry(seed):
+    """Partial symmetry of the form matrix and the paired-entry tilt gap."""
     cid = "prop2.1-symmetry"
 
     def residual(entry, batch):
@@ -219,18 +218,18 @@ def claim_partial_symmetry(seed, count=100, report_fn=None):
         paired = np.abs(h[:, b, n + b] - h[:, n + b, b] - 2.0 * a[:, None]).max(axis=1)
         return np.maximum(asym, paired)
 
-    cases = _catalog_cases(_rng(seed, cid), count)
-    return _report_claim(cid, seed, cases, residual, 1e-8, report_fn=report_fn)
+    cases = _catalog_cases(_rng(seed, cid), 100)
+    return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
-def claim_shape_symmetric(seed, count=60):
+def claim_shape_symmetric(seed):
     cid = "prop2.2-shape-symmetric"
 
     def residual(entry, batch):
         S = surface._shape_operator(batch.h, batch.alpha)
         return np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2))
 
-    cases = _catalog_cases(_rng(seed, cid), count)
+    cases = _catalog_cases(_rng(seed, cid), 60)
     return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
@@ -251,7 +250,7 @@ def _generic_test_surface(n):
     return SurfaceDef(func=func, n=n, name="generic-graph"), height
 
 
-def claim_xn_shape_equivalence(seed, count=60):
+def claim_xn_shape_equivalence(seed):
     """The shape operator leaks into the characteristic direction exactly as
     much as the obstruction field does, and the leak vanishes on the
     catalog.  The last row's generic graph has a nonzero e_n row, whose
@@ -280,8 +279,8 @@ def claim_xn_shape_equivalence(seed, count=60):
 
     cases = [("catalog", {"n": n}, [(entry, p) for entry in catalog.standard_entries(n)
                                     for p in entry.sample(rng, 30)])
-             for n in (2, 3)]
-    cases.append(_case("generic-graph", {"n": 2}, generic, rng, count))
+             for n in NS]
+    cases.append(_case("generic-graph", {"n": 2}, generic, rng, 60))
     *out, row = _report_claim(cid, seed, cases, residual, 1e-8)
     largest = float(np.concatenate([np.zeros(0), *leads]).max(initial=0.0))
     row.extra = {"witness": largest, **row.extra}
@@ -290,14 +289,14 @@ def claim_xn_shape_equivalence(seed, count=60):
     return out + [row]
 
 
-def claim_umbilic_pattern(seed, count=60):
+def claim_umbilic_pattern(seed):
     cid = "prop2.4-umbilic-pattern"
 
     def residual(entry, batch):
         pattern = surface._umbilic_form(entry.params["n"], batch.k, batch.l, batch.alpha)
         return np.abs(batch.h - pattern).max(axis=(1, 2))
 
-    cases = _catalog_cases(_rng(seed, cid), count)
+    cases = _catalog_cases(_rng(seed, cid), 60)
     return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
@@ -305,7 +304,7 @@ def claim_umbilic_pattern(seed, count=60):
 # rotational symmetry claims
 
 
-def claim_rotsym(seed, count=60):
+def claim_rotsym(seed):
     cid = "prop3.1-rotsym-umbilic"
     rng = _rng(seed, cid)
 
@@ -315,21 +314,24 @@ def claim_rotsym(seed, count=60):
                                  np.abs(rs.alpha - batch.alpha), np.abs(rs.H - batch.H)])
         return np.where(rs.umbilic & batch.umbilic, gap, math.inf)
 
-    cases = (_case(entry.name, {"n": n}, entry, rng, count)
-             for n in (2, 3) for entry in catalog.standard_entries(n)
+    cases = (_case(entry.name, {"n": n}, entry, rng, 60)
+             for n in NS for entry in catalog.standard_entries(n)
              if entry.profile is not None)
     return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
 def claim_profile_ode(seed):
     """The profile equation integrates to the closed-form squared height; the
-    profiles of all three curvatures run as one ``flows.profile_ode`` sweep."""
+    profiles of all three curvatures run as one ``flows.profile_ode`` sweep.
+    A row's residuals are relative to the largest closed-form value on its
+    grid, since the profile's size scales as ``lam**-4``."""
     cid = "prop3.1-profile-ode"
     out = []
     lams = (0.5, 1.0, 2.0)
     for lam, (grid, vals) in zip(lams, flows.profile_ode(lams)):
         closed = np.array([_height_squared(lam, r) for r in grid])
-        out.append(_row(cid, seed, "pansu", {"lam": lam}, _floats(np.abs(vals - closed)), 1e-6))
+        out.append(_row(cid, seed, "pansu", {"lam": lam},
+                        _floats(np.abs(vals - closed) / closed.max()), 1e-8))
     return out
 
 
@@ -349,7 +351,7 @@ def _height_squared(lam, r):
 def claim_det_u(seed):
     cid = "prop4.1-detU"
     out = []
-    for n in (2, 3):
+    for n in NS:
         gaps = []
         for B in (0.0, 0.5, 2.0):
 
@@ -395,12 +397,12 @@ def identity_suite_entries(n=2):
     ]
 
 
-def claim_interior_identities(seed, points=3):
+def claim_interior_identities(seed):
     cid = "prop4.2-identities"
     rng = _rng(seed, cid)
     cases = (
         (entry.name, dict(entry.params),
-         [(entry, p) for p in moderate_points(entry, rng, points)])
+         [(entry, p) for p in moderate_points(entry, rng, 3)])
         for entry in identity_suite_entries()
     )
     return _sampled_claim(
@@ -410,7 +412,7 @@ def claim_interior_identities(seed, points=3):
         1e-5)
 
 
-def claim_foliation_rank(seed, points=10):
+def claim_foliation_rank(seed):
     cid = "prop4.3-foliation-rank"
     rng = _rng(seed, cid)
 
@@ -418,15 +420,15 @@ def claim_foliation_rank(seed, points=10):
         spans = [flows.bracket_span(entry.surface, p) for p in points]
         return [proj if rank == 2 * entry.params["n"] - 1 else math.inf for rank, proj in spans]
 
-    cases = (_case(entry.name, dict(entry.params), entry, rng, points)
+    cases = (_case(entry.name, dict(entry.params), entry, rng, 10)
              for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2),
                            catalog.pansu(1.0, 3)))
     return _sampled_claim(cid, seed, cases, residuals, 1.0 - 1e-6)
 
 
-def claim_leaf_constancy(seed, points=4):
+def claim_leaf_constancy(seed):
     cid = "prop4.4-leaf-constancy"
-    cases = _catalog_cases(_rng(seed, cid), points, ns=(2,))
+    cases = _catalog_cases(_rng(seed, cid), 4, ns=(2,))
     return _sampled_claim(
         cid, seed, cases, lambda entry, pts: flows.leaf_constancy_many(entry.surface, pts), 1e-6)
 
@@ -455,7 +457,7 @@ def confinement_starts(lam, n, rng, count):
     return starts
 
 
-def claim_geodesic_confinement(seed, count=20):
+def claim_geodesic_confinement(seed):
     """Characteristic flows of matching curvature stay on the Pansu sphere.
 
     The starts of each curvature take their characteristic directions from
@@ -470,7 +472,7 @@ def claim_geodesic_confinement(seed, count=20):
     cases = []
     for lam in (0.5, 1.0):
         entry = catalog.pansu(lam, 2)
-        points = confinement_starts(lam, 2, rng, count)
+        points = confinement_starts(lam, 2, rng, 20)
         en = surface.frame_many(entry.surface, points).en
         cases.append((lam, entry, [flows.CurveState(p, HorizontalVector(v))
                                    for p, v in zip(points, en)]))
@@ -501,7 +503,7 @@ def _profile_values(entry, coords):
 # example tables
 
 
-def claim_pansu_table(seed, count=100):
+def claim_pansu_table(seed):
     cid = "ex3.2-pansu-table"
     rng = _rng(seed, cid)
 
@@ -511,12 +513,12 @@ def claim_pansu_table(seed, count=100):
                                  np.abs(batch.H - 2.0 * n * lam), batch.xn_residual])
         return np.where(batch.umbilic, gap, math.inf)
 
-    cases = (_case("pansu", {"n": n, "lam": lam}, catalog.pansu(lam, n), rng, count)
-             for n in (2, 3) for lam in (0.5, 1.0, 2.0))
+    cases = (_case("pansu", {"n": n, "lam": lam}, catalog.pansu(lam, n), rng, 100)
+             for n in NS for lam in (0.5, 1.0, 2.0))
     return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
-def claim_heisenberg_table(seed, count=100):
+def claim_heisenberg_table(seed):
     cid = "ex3.3-l-eq-3k"
     rng = _rng(seed, cid)
 
@@ -527,12 +529,12 @@ def claim_heisenberg_table(seed, count=100):
                           np.abs(batch.alpha - 2.0 * coords[:, -1] / (rho * rho * _zabs(coords))))
 
     cases = (_case("heisenberg-sphere", {"rho": rho},
-                   catalog.heisenberg_sphere(rho, 2), rng, count)
+                   catalog.heisenberg_sphere(rho, 2), rng, 100)
              for rho in (1.0, 1.3))
     return _report_claim(cid, seed, cases, residual, 1e-8)
 
 
-def claim_flat_examples(seed, count=100):
+def claim_flat_examples(seed):
     cid = "ex3.4-cylinder-hyperplane"
     rng = _rng(seed, cid)
 
@@ -545,11 +547,11 @@ def claim_flat_examples(seed, count=100):
         return np.maximum.reduce([np.abs(batch.k), np.abs(batch.l), np.abs(batch.alpha),
                                   np.abs(batch.H), batch.xn_residual])
 
-    cylinders = (_case("cylinder", {"c": c}, catalog.cylinder(c, 2), rng, count)
+    cylinders = (_case("cylinder", {"c": c}, catalog.cylinder(c, 2), rng, 100)
                  for c in (1.0, 2.0))
     out = _report_claim(cid, seed, cylinders, cylinder_residual, 1e-10)
     hyperplane = [_case("hyperplane", {}, catalog.hyperplane(np.eye(4)[0], 2),
-                        rng, count)]
+                        rng, 100)]
     return out + _report_claim(cid, seed, hyperplane, hyperplane_residual, 1e-12)
 
 
@@ -557,15 +559,15 @@ def claim_flat_examples(seed, count=100):
 # phase-plane claims
 
 
-def claim_axis_solution(seed, count=200):
+def claim_axis_solution(seed):
     """On the invariant axis the defect rate vanishes identically and the
     tilt rate is strictly negative with the closed quadratic value."""
     cid = "eq5.4-alpha-axis"
     rng = _rng(seed, cid)
     out = []
-    for n in (2, 3):
+    for n in NS:
         for c in (0.5, 1.0, 2.0):
-            a = rng.uniform(-3.0 * c, 3.0 * c, size=count)
+            a = rng.uniform(-3.0 * c, 3.0 * c, size=200)
             da, db = phaseplane.vector_field(PhaseParams(n, c), PhasePoint(a, 0.0))
             gaps = np.abs(da + a * a + c * c / (4.0 * n * n)) / (1.0 + a * a + c * c)
             gaps = np.where((db != 0.0) | (da >= 0.0), math.inf, gaps)
@@ -573,7 +575,7 @@ def claim_axis_solution(seed, count=200):
     return out
 
 
-def claim_stationary(seed, count=10000):
+def claim_stationary(seed):
     """The field vanishes at both stationary points and nowhere else nearby.
 
     At the first point vanishing is exact; the second point's defect value is
@@ -581,8 +583,9 @@ def claim_stationary(seed, count=10000):
     """
     cid = "eq5.5-stationary"
     rng = _rng(seed, cid)
+    count = 10000
     out = []
-    for n in (2, 3):
+    for n in NS:
         for c in (0.5, 1.0, 2.0):
             pp = PhaseParams(n, c)
             p1, p2 = phaseplane.stationary_points(pp)
@@ -651,22 +654,22 @@ def _closure_row(cid, seed, pp, seeds, traces):
                               "first_integral_drift": _worst(drifts)})
 
 
-def _closure_cases(ns=(2, 3), cs=(0.5, 1.0, 2.0)):
+def _closure_cases():
     """``lemma6.1-closure``'s ``(params, seeds)`` cases: each ``(n, c)`` grid
     in row order, and the golden orbit last."""
     grids = [(pp, sum(_seed_grid(pp), [])) for pp in
-             (PhaseParams(n, c) for n in ns for c in cs)]
+             (PhaseParams(n, c) for n in NS for c in (0.5, 1.0, 2.0))]
     return grids + [(PhaseParams(2, 1.0), [PhasePoint(0.0, 2.0)])]
 
 
-def _symmetry_cases(seed, count=6):
-    """``lemma6.1-symmetry``'s ``(params, seeds)`` cases: ``count`` seeds
-    ``(a, b)`` of each ``(n, c)``, then their mirrors ``(-a, b)``."""
+def _symmetry_cases(seed):
+    """``lemma6.1-symmetry``'s ``(params, seeds)`` cases: six seeds ``(a, b)``
+    of each ``(n, c)``, then their mirrors ``(-a, b)``."""
     rng = _rng(seed, "lemma6.1-symmetry")
     cases = []
     for n, c in ((2, 1.0), (3, 0.5)):
         # (alpha, beta) drawn in that order
-        pairs = [(rng.uniform(0.2, 1.2) * c, rng.uniform(1.2, 2.5) * c) for _ in range(count)]
+        pairs = [(rng.uniform(0.2, 1.2) * c, rng.uniform(1.2, 2.5) * c) for _ in range(6)]
         seeds = [PhasePoint(a, b) for a, b in pairs] + [PhasePoint(-a, b) for a, b in pairs]
         cases.append((PhaseParams(n, c), seeds))
     return cases
@@ -680,25 +683,23 @@ def _flat(cases):
 
 
 class _OrbitPool:
-    """The lemma 6.1 orbits of one ``run_all`` call as one batch.
+    """The lemma 6.1 orbits of one ``run_all`` call at ``seed`` as one batch.
 
-    ``cases`` maps each claim id to its ``(params, seeds)`` cases.  On the
-    first request all their seeds run as one ``periodic_orbits`` batch
-    without the closure certificate (``orbit_tol=inf``), and each claim gets
-    the traces of its own seeds, cut by position.  A lane's trace is bitwise
-    the same in any batch, so these are the traces of the claim's own batch.
-    A request for other cases, or any request after the batch raised, gets
-    ``None``: the claim then runs its own batch, so its rows are the rows it
-    gives alone.
+    On the first request the ``(params, seeds)`` cases of both claims run as
+    one ``periodic_orbits`` batch without the closure certificate
+    (``orbit_tol=inf``), and each claim gets the traces of its own seeds,
+    cut by position.  A lane's trace is bitwise the same in any batch, so
+    these are the traces of the claim's own batch.  Any request after the
+    batch raised gets ``None``: the claim then runs its own batch, so its
+    rows are the rows it gives alone.
     """
 
-    def __init__(self, cases):
-        self.cases = cases
+    def __init__(self, seed):
+        self.cases = {"lemma6.1-closure": _closure_cases(),
+                      "lemma6.1-symmetry": _symmetry_cases(seed)}
         self.traces = None  # claim id -> traces, once the batch has run
 
-    def take(self, cid, cases):
-        if self.cases.get(cid) != cases:
-            return None
+    def take(self, cid):
         if self.traces is None:
             self.traces = {}
             try:
@@ -717,7 +718,7 @@ class _OrbitPool:
 _orbit_pool: ContextVar[Optional[_OrbitPool]] = ContextVar("orbit_pool", default=None)
 
 
-def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
+def claim_orbit_closure(seed):
     """Every grid seed closes, stays in its half-plane and turns on both
     sides of the stationary defect; the reference period matches its golden
     value.
@@ -731,9 +732,9 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
     (``_OrbitPool``), and its time counts under this claim.
     """
     cid = "lemma6.1-closure"
-    cases = _closure_cases(ns, cs)
+    cases = _closure_cases()
     pool = _orbit_pool.get()
-    traces = pool and pool.take(cid, cases)
+    traces = pool and pool.take(cid)
     if traces is None:
         traces = phaseplane.periodic_orbits(*_flat(cases), orbit_tol=math.inf)
     period = traces[-1].period
@@ -748,7 +749,7 @@ def claim_orbit_closure(seed, ns=(2, 3), cs=(0.5, 1.0, 2.0)):
     return out
 
 
-def claim_orbit_symmetry(seed, count=6):
+def claim_orbit_symmetry(seed):
     """Mirrored seeds ``(a, b)`` and ``(-a, b)`` have equal periods.
 
     Both ``(n, c)`` cases run as one certified ``periodic_orbits`` batch.
@@ -758,22 +759,23 @@ def claim_orbit_symmetry(seed, count=6):
     order, so the rows are the rows of the claim's own batch.
     """
     cid = "lemma6.1-symmetry"
-    cases = _symmetry_cases(seed, count)
+    cases = _symmetry_cases(seed)
     params, seeds = _flat(cases)
     pool = _orbit_pool.get()
-    traces = pool and pool.take(cid, cases)
+    traces = pool and pool.take(cid)
     if traces is None:
         traces = phaseplane.periodic_orbits(params, seeds)
     for q0, tr in zip(seeds, traces):
         exc = phaseplane.closure_failure(q0, tr)
         if exc is not None:
             raise exc
-    out = []
-    for k, (pp, _) in enumerate(cases):
-        mine = traces[2 * count * k:2 * count * (k + 1)]
+    out, k = [], 0
+    for pp, mirrored in cases:
+        mine, half = traces[k:k + len(mirrored)], len(mirrored) // 2
+        k += len(mirrored)
         out.append(_row(cid, seed, "phase", {"n": pp.n, "c": pp.c},
                         [abs(t1.period - t2.period) / t1.period
-                         for t1, t2 in zip(mine[:count], mine[count:])], 1e-9,
+                         for t1, t2 in zip(mine[:half], mine[half:])], 1e-9,
                         extra={"accepted_steps": sum(tr.accepted for tr in mine)}))
     return out
 
@@ -818,7 +820,7 @@ def yamabe_check(lam, n, count=200, seed=0, mode="exact"):
 def claim_yamabe(seed):
     out = []
     gold = golden()["yamabe_sigma"]
-    for n in (2, 3):
+    for n in (2, 3):  # not NS: golden.json holds sigma for n = 2 and 3 only
         for lam in (0.5, 1.0):
             res = yamabe_check(lam, n, seed=seed)
             key = f"n={n},lam={lam:g}"
@@ -840,7 +842,7 @@ def claim_yamabe(seed):
     return out
 
 
-def claim_shifted_spheres(seed, count=100):
+def claim_shifted_spheres(seed):
     """The shifted family satisfies l <= 3k strictly, with the algebraic gap
     formula 3k - l = 2*lam/(rho0^2 |z|), and equality exactly at zero shift."""
     cid = "eq7.3-shifted-l-3k"
@@ -850,7 +852,7 @@ def claim_shifted_spheres(seed, count=100):
     def cases():
         for lam, rho0 in ((0.5, 1.2), (1.0, 1.5)):
             entry = catalog.shifted_sphere(lam, rho0, 2)
-            pts = entry.sample(rng, count)
+            pts = entry.sample(rng, 100)
             floors[lam] = lam / (rho0**2 * max(catalog._zabs(p) for p in pts))
             yield ("shifted-sphere", {"lam": lam, "rho0": rho0},
                    [(entry, p) for p in pts])
@@ -870,7 +872,7 @@ def claim_shifted_spheres(seed, count=100):
 
     # equality at zero shift
     equality = [_case("shifted-sphere", {"lam": 0.0},
-                      catalog.shifted_sphere(0.0, 1.0, 2), rng, count)]
+                      catalog.shifted_sphere(0.0, 1.0, 2), rng, 100)]
     return out + _report_claim(cid, seed, equality, equality_residual, 1e-10,
                                row_id=cid + "-equality")
 
@@ -951,8 +953,7 @@ def run_all(config: VerifyConfig = None) -> Report:
         raise ValueError(f"no claim id starts with {config.only!r}")
     pool = None
     if {"lemma6.1-closure", "lemma6.1-symmetry"} <= {cid for cid, _ in chosen}:
-        pool = _OrbitPool({"lemma6.1-closure": _closure_cases(),
-                           "lemma6.1-symmetry": _symmetry_cases(config.seed)})
+        pool = _OrbitPool(config.seed)
     token = _orbit_pool.set(pool)
     results, timings = [], {}
     try:

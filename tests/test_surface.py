@@ -156,8 +156,16 @@ def test_partial_symmetry_pattern():
 
 
 def test_orientation_flip_negates_scalars():
+    """The same locus cut out by -u has the opposite horizontal normal."""
     for entry in entries_n2():
-        flipped = entry.surface.negated()
+        gh = entry.surface.grad_hess
+
+        def neg_gh(c, gh=gh):
+            u, g, h = gh(c)
+            return -u, -np.asarray(g), -np.asarray(h)
+
+        flipped = replace(entry.surface, func=lambda c, f=entry.surface.func: -f(c),
+                          grad_hess=gh and neg_gh)
         for p in entry.sample(RNG, 10):
             rep = report(entry.surface, p)
             ref = report(flipped, p)
@@ -215,7 +223,9 @@ def _same_report(one, batch, i):
             and one.xn_residual == batch.xn_residual[i]
             and one.spread == batch.spread[i] and one.umbilic == batch.umbilic[i]
             and f.pivots == tuple(batch.frame.pivots[i])
-            and np.array_equal(f.basis(), batch[i].frame.basis())
+            and np.array_equal(f.en.coeffs, batch[i].frame.en.coeffs)
+            and all(np.array_equal(v.coeffs, w.coeffs)
+                    for v, w in zip(f.xi_prime, batch[i].frame.xi_prime, strict=True))
             and np.array_equal(f.e2n.coeffs, batch.frame.e2n[i]))
 
 
@@ -421,7 +431,9 @@ def test_rotsym_matches_shape_matrix():
             assert rs.umbilic
             # both frames come from the same pivoted Gram-Schmidt complement
             assert rs.frame.pivots == sm.frame.pivots
-            assert np.max(np.abs(rs.frame.basis() - sm.frame.basis())) <= 1e-10
+            for v, w in zip((rs.frame.en, *rs.frame.xi_prime),
+                            (sm.frame.en, *sm.frame.xi_prime), strict=True):
+                assert np.max(np.abs(v.coeffs - w.coeffs)) <= 1e-10
 
 
 def test_rotsym_values():

@@ -1,8 +1,10 @@
-"""Every heisgeo name the benchmark tracer wraps still exists, and the
-package source keeps its line length."""
+"""Every heisgeo name the benchmark tracer wraps still exists, the package
+source keeps its line length, every public function is used and every
+option of one is set."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +45,13 @@ def test_source_lines_fit_98_columns():
 
 
 
+def _trees():
+    """The parsed modules of ``src/heisgeo``, ``tests`` and ``perfbench``."""
+    files = [*(ROOT / "src" / "heisgeo").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    return {path: ast.parse(path.read_text()) for path in files}
+
+
 def _definitions(tree):
     """``(name, line, is_method)`` of a module's public functions and of the
     public methods of its classes."""
@@ -81,9 +90,7 @@ def test_every_public_function_is_used():
     as used when its name is read, imported or accessed as an attribute (the
     claim functions are read by the ``CLAIMS`` registry); a method only when
     it is accessed as an attribute.  Dunders and private names are exempt."""
-    files = [*(ROOT / "src" / "heisgeo").glob("*.py"), *(ROOT / "tests").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
-    trees = {path: ast.parse(path.read_text()) for path in files}
+    trees = _trees()
     names, attrs = set(), set()
     for tree in trees.values():
         more_names, more_attrs = _references(tree)
@@ -95,3 +102,72 @@ def test_every_public_function_is_used():
               if not name.startswith("_")
               and name not in attrs and (is_method or name not in names)]
     assert not unused, unused
+
+
+def _defaulted_parameters(tree):
+    """``(name, line, parameter, position)`` of every defaulted parameter of a
+    module's public functions and of the public methods of its classes.  A
+    method's positions do not count ``self`` (or ``cls``); a keyword-only
+    parameter has position None."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs, skip = [node], 0
+        elif isinstance(node, ast.ClassDef):
+            funcs, skip = [item for item in node.body if isinstance(item, ast.FunctionDef)], 1
+        else:
+            continue
+        for fn in (fn for fn in funcs if not fn.name.startswith("_")):
+            positional = [*fn.args.posonlyargs, *fn.args.args]
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield fn.name, fn.lineno, arg.arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield fn.name, fn.lineno, arg.arg, None
+
+
+def _passed(trees):
+    """``{name: (positions, keywords)}`` that the calls of ``trees`` pass to
+    a callee of that name, called as ``name(...)`` or ``obj.name(...)``: the
+    most positional arguments of any call, and every keyword.  A call with
+    ``*args`` or ``**kwargs`` passes everything (``None``)."""
+    passed = {}
+    for node in (sub for tree in trees for sub in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name is None or passed.get(name, ()) is None:
+            continue
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            passed[name] = None
+        else:
+            positions, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(positions, len(node.args)),
+                            keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def test_every_option_is_set():
+    """A defaulted parameter of a public function or method of
+    ``src/heisgeo`` that no call in ``src``, ``tests`` or ``perfbench``
+    passes, by keyword or by position, is an option nothing sets: it should
+    be a constant.  Calls match by the callee's name; a call with ``*args``
+    or ``**kwargs`` counts as passing everything.  Every claim producer is a
+    fixed statement of one seed."""
+    trees = _trees()
+    passed = _passed(trees.values())
+    unset = []
+    for path, tree in sorted(trees.items()):
+        if path.parent.name != "heisgeo":
+            continue
+        for name, line, param, position in _defaulted_parameters(tree):
+            got = passed.get(name, (0, set()))
+            if got is not None and param not in got[1] and (position is None
+                                                            or position >= got[0]):
+                unset.append(f"{path.name}:{line} {name}.{param}")
+    assert not unset, unset
+    verify = importlib.import_module("heisgeo.verify")
+    many = [cid for cid, producer in verify.CLAIMS.items()
+            if len(inspect.signature(producer).parameters) != 1]
+    assert not many, many

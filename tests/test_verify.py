@@ -121,15 +121,34 @@ def test_closure_batch_rows_match_one_batch_per_grid():
     assert rows[-1].extra["period"] == golden.period
 
 
-@pytest.mark.parametrize("claim, small, bound_mb", [
-    # measured peaks 5.15 and 1.86 MB (seed 42), plus 25%
-    (verify.claim_orbit_closure, {"ns": (2,), "cs": (1.0,)}, 6.45),
-    (verify.claim_geodesic_confinement, {"count": 1}, 2.35),
+@pytest.mark.parametrize("cid", [
+    "prop2.1-symmetry", "prop2.2-shape-symmetric", "prop2.3-xn-equivalence",
+    "prop2.4-umbilic-pattern", "prop3.1-rotsym-umbilic", "prop4.1-detU",
+    "ex3.2-pansu-table", "eq5.4-alpha-axis", "eq5.5-stationary", "lemma6.1-closure",
 ])
-def test_lane_batches_stay_within_their_memory(claim, small, bound_mb):
+def test_claims_hold_over_the_dimension_range(monkeypatch, cid):
+    """The paper's statements hold for every n >= 2, and ``verify.NS`` is the
+    one range the claims stated for each n run over: at ``NS = (5,)`` each
+    such claim gives n = 5 rows only, all passing, except prop2.3's generic
+    graph and the golden orbit row, which are stated at n = 2."""
+    monkeypatch.setattr(verify, "NS", (5,))
+    rows = verify.CLAIMS[cid](42)
+    assert rows and all(row.passed for row in rows)
+    assert any(row.params["n"] == 5 for row in rows)
+    for row in rows:
+        at_two = row.surface == "generic-graph" or row.claim_id.endswith("-golden")
+        assert row.params["n"] == (2 if at_two else 5), row.to_dict()
+
+
+@pytest.mark.parametrize("claim, bound_mb", [
+    # measured peaks 5.15 and 1.86 MB (seed 42), plus 25%
+    (verify.claim_orbit_closure, 6.45),
+    (verify.claim_geodesic_confinement, 2.35),
+])
+def test_lane_batches_stay_within_their_memory(claim, bound_mb):
     """Lanes keep mesh values only and are released as they are reduced, so
     the peak traced memory of a lane-batched claim stays bounded."""
-    claim(42, **small)  # a small run first, so one-time caches are not counted
+    claim(42)  # a first run, so one-time caches are not counted
     tracemalloc.start()
     try:
         claim(42)
@@ -139,7 +158,7 @@ def test_lane_batches_stay_within_their_memory(claim, small, bound_mb):
     assert peak <= bound_mb * 1e6
 
 
-def test_mutation_is_detected():
+def test_mutation_is_detected(monkeypatch):
     """A sign error in the tilt must break the paired-entry symmetry claim."""
 
     class Corrupted:
@@ -150,7 +169,8 @@ def test_mutation_is_detected():
     def bad_report(surface_def, points):
         return Corrupted(report_many(surface_def, points))
 
-    results = verify.claim_partial_symmetry(0, count=4, report_fn=bad_report)
+    monkeypatch.setattr(surface, "report_many", bad_report)
+    results = verify.claim_partial_symmetry(0)
     assert any(not r.passed for r in results)
 
 
@@ -178,14 +198,14 @@ def test_claims_without_completed_samples_fail(monkeypatch):
 def test_geodesic_confinement_lanes_report_scalar_steps():
     """The batched claim reports, per curvature, the accepted steps that
     scalar flows from the same starts take."""
-    rows = verify.claim_geodesic_confinement(5, count=3)
+    rows = verify.claim_geodesic_confinement(5)
     rng = verify._rng(5, "prop4.5-geodesic-confinement")
     for row, lam in zip(rows, (0.5, 1.0)):
         entry = catalog.pansu(lam, 2)
         steps = sum(flows.geodesic_flow(flows.CurveState(p, build_frame(entry.surface, p).en),
                                         lam, 3.0).accepted
-                    for p in verify.confinement_starts(lam, 2, rng, 3))
-        assert row.passed and row.samples == 3 and row.params == {"lam": lam}
+                    for p in verify.confinement_starts(lam, 2, rng, 20))
+        assert row.passed and row.samples == 20 and row.params == {"lam": lam}
         assert row.extra == {"accepted_steps": steps}
 
 
@@ -300,13 +320,13 @@ def test_crashed_claim_reports_failure():
 
 
 def test_stationary_claim():
-    results = verify.claim_stationary(0, count=2000)
+    results = verify.claim_stationary(0)
     assert all(r.passed for r in results)
     assert all(r.extra["min_off_stationary"] > 0 for r in results)
 
 
 def test_axis_claim():
-    assert all(r.passed for r in verify.claim_axis_solution(0, count=100))
+    assert all(r.passed for r in verify.claim_axis_solution(0))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +415,8 @@ def test_failing_shared_orbit_batch_reruns_each_claim_alone(monkeypatch, bad):
     else:
         cases = verify._symmetry_cases
 
-        def with_nan_seed(seed, count=6):
-            (pp, seeds), *rest = cases(seed, count)
+        def with_nan_seed(seed):
+            (pp, seeds), *rest = cases(seed)
             return [(pp, seeds + [PhasePoint(math.nan, pp.c)]), *rest]
 
         monkeypatch.setattr(verify, "_symmetry_cases", with_nan_seed)
@@ -503,7 +523,7 @@ def test_det_u_nan_fails_its_row(monkeypatch):
 def test_axis_solution_nan_fails_its_row(monkeypatch):
     # one call per (n, c): every tilt of the case at once
     _nan_on_call(monkeypatch, phaseplane, "vector_field", {0}, (math.nan, 0.0))
-    rows = verify.claim_axis_solution(0, count=5)
+    rows = verify.claim_axis_solution(0)
     assert math.isnan(rows[0].residual) and not rows[0].passed
     assert all(r.passed for r in rows[1:])
 
@@ -511,7 +531,7 @@ def test_axis_solution_nan_fails_its_row(monkeypatch):
 def test_stationary_nan_fails_its_row(monkeypatch):
     # calls per (n, c): the first stationary point, the second, the sample grid
     _nan_on_call(monkeypatch, phaseplane, "vector_field", {1}, (math.nan, math.nan))
-    rows = verify.claim_stationary(0, count=100)
+    rows = verify.claim_stationary(0)
     assert math.isnan(rows[0].residual) and not rows[0].passed
     assert all(r.passed for r in rows[1:])
 
