@@ -104,12 +104,13 @@ def _psi(s):
     """Squared height of the constant-curvature radial profile.
 
     Analytic across s = 0 (the equator); a Taylor branch below the cut keeps
-    the closed form's 0/0 cancellations out of floating point.
+    the closed form's 0/0 cancellations out of floating point.  On a dual
+    stack each row takes its own branch: ``duals.gradient_hessian`` splits a
+    stack that straddles the cut.
     """
-    sv = duals.value(s)
-    if sv < -_SERIES_CUT:
+    if s < -_SERIES_CUT:
         raise DomainError("outside the constant-curvature profile domain")
-    if sv < _SERIES_CUT:
+    if s < _SERIES_CUT:
         acc = 0.0
         for c in reversed(_PSI_SERIES):
             acc = acc * s + c
@@ -212,7 +213,7 @@ def pansu(lam, n) -> CatalogEntry:
         r = _radius2(coords, n)
         w = duals.sqrt(r)
         arg = lam * w
-        if duals.value(arg) > 1.0:
+        if arg > 1.0:
             raise DomainError("outside the chart domain |z| <= 1/lam")
         return (arg * duals.sqrt(1.0 - arg * arg) + duals.arccos(arg)) / (2.0 * lam2)
 

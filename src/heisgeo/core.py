@@ -96,6 +96,16 @@ class HorizontalVector:
         return float(np.linalg.norm(self.coeffs))
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, without rerunning its
+    ``__post_init__`` checks: for arrays that are already checked, such as
+    the geometry kernel's finite rows of the right width."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class TangentVector:
     """Horizontal part plus a coefficient along the vertical field."""
@@ -204,10 +214,7 @@ def covariant_derivative(field, direction, p: Point, mode="dual"):
         w = np.asarray(direction, dtype=float)
     coords = p.coords
     if mode == "dual":
-        duals = [
-            Dual2(c, np.array([wc]), np.zeros((1, 1))) for c, wc in zip(coords, w)
-        ]
-        vals = field(duals)
+        vals = field([Dual2(c, [wc]) for c, wc in zip(coords, w)])
         out = np.array([v.g[0] if isinstance(v, Dual2) else 0.0 for v in vals])
     elif mode == "fd":
         h = GRAD_STEP * (1.0 + float(np.max(np.abs(coords))))

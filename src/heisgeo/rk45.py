@@ -160,7 +160,10 @@ def _ordered_sum(coeffs, arrays):
     acc = None
     for c, a in zip(coeffs, arrays):
         if c != 0.0:
-            acc = c * a if acc is None else acc + c * a
+            if acc is None:
+                acc = c * a
+            else:
+                acc += c * a  # acc is this call's own array
     return acc
 
 
@@ -217,74 +220,88 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
     cannot be landed ends at that step's left node with status
     ``"underflow"`` and only the crossings before it.
 
+    The lanes' state is held lane-major: an (N, d) array in Fortran order,
+    so each component is one contiguous column and every per-lane broadcast
+    runs along the lanes.  ``f`` gets ``Y`` in that order and keeps it by
+    building its result with ``np.empty_like(Y)``; the order changes no bit,
+    so ``y0`` may come in either order.
+
     A lane's ``Solution`` keeps its mesh in arrays of its own, so releasing
     one lane frees its nodes.
     """
     control = control or StepControl()
-    y = np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float, order="F")  # lane-major: each column is contiguous
     n, d = y.shape
     s = np.array(np.broadcast_to(np.asarray(s0, dtype=float), (n,)))
     s1 = np.array(np.broadcast_to(np.asarray(s1, dtype=float), (n,)))
     _finite_span(s, s1)
     direction = np.where(s1 >= s, 1.0, -1.0)
+    end_tol = 1e-14 * np.fmax(1.0, np.abs(s1))
+    tiny = 4.0 * np.finfo(float).eps
     # non-finite trial states are rejected below; their warnings are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fy = np.asarray(f(s, y), dtype=float)
-        nfev = np.ones(n, dtype=np.int64)
+        attempts = np.zeros(n, dtype=np.int64)
         accepted = np.zeros(n, dtype=np.int64)
-        rejected = np.zeros(n, dtype=np.int64)
         status = np.full(n, _DONE)
         done = s1 == s
-        h = _initial_steps(y, fy, control, np.abs(s1 - s))
+        rem = np.abs(s1 - s)  # span left, updated as lanes move
+        h = _initial_steps(y, fy, control, rem)
         count = np.zeros(n, dtype=np.int64)
         brackets = []  # (lane, s, y) left nodes of sign changes, in sweep order
-        # accepted nodes per sweep: (lane mask, rows (s, y))
-        nodes = [(np.ones(n, dtype=bool), np.column_stack((s, y)))]
-        tiny = 4.0 * np.finfo(float).eps
+        # accepted nodes per sweep: (lane mask, s rows, y rows); the state
+        # arrays are replaced each sweep, never written to, so a sweep where
+        # every lane moved keeps them as they are
+        nodes = [(np.ones(n, dtype=bool), s, y)]
+        sweeps = 0  # a live lane attempts one step per sweep
         while not done.all():
-            live = ~done
-            if np.any(live & (accepted + rejected >= _MAX_STEPS)):
+            if sweeps == _MAX_STEPS:
                 raise RuntimeError("maximum number of steps exceeded")
-            h = np.where(live, np.minimum(h, np.abs(s1 - s)), h)
+            sweeps += 1
+            live = ~done
+            h = np.minimum(h, rem)  # a finished lane's h is never used
             under = live & ~(h > tiny * np.fmax(1.0, np.abs(s)))  # NaN too
-            status[under] = _UNDERFLOW
-            done |= under
-            live &= ~under
+            if under.any():
+                status[under] = _UNDERFLOW
+                done |= under
+                live &= ~under
             step = np.where(live, direction * h, 0.0)
             ynew, stages = _lane_step(f, s, y, fy, step)
-            nfev += 6 * live
             finite = np.isfinite(_row_sum(ynew))
-            blown = live & ~finite
             scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(ynew))
             ratios = step[:, None] * _ordered_sum(_ERR_ROW, stages) / scale
             errnorm = np.sqrt(_row_sum(ratios * ratios) / d)
-            too_big = live & finite & (errnorm > 1.0)
-            rejected += blown | too_big
-            shrink = np.fmax(0.2, 0.9 * errnorm ** -0.2)
-            h = np.where(blown, h * 0.25, np.where(too_big, h * shrink, h))
-            ok = live & finite & ~too_big
+            ok = live & finite & ~(errnorm > 1.0)
+            attempts += live
             accepted += ok
-            snew = s + step
-            stop = np.zeros(n, dtype=bool)
+            moved = ok
             if crossings is not None:
                 cross = ok & ~((y[:, 0] == 0.0) | (y[:, 0] * ynew[:, 0] > 0.0))
-                # row copies: a view would keep this sweep's whole (N, d)
-                # arrays alive, so bracket memory would grow as N**2
-                for lane in np.flatnonzero(cross):
-                    brackets.append((lane, s[lane], y[lane].copy()))
-                count += cross
-                stop = cross & (count >= crossings)
-                status[stop] = _EVENT
-                done |= stop
-            moved = ok & ~stop
-            s = np.where(moved, snew, s)
-            y = np.where(moved[:, None], ynew, y)
-            fy = np.where(moved[:, None], stages[6], fy)
+                if cross.any():
+                    # row copies: a view would keep this sweep's whole (N, d)
+                    # arrays alive, so bracket memory would grow as N**2
+                    for lane in np.flatnonzero(cross):
+                        brackets.append((lane, s[lane], y[lane].copy()))
+                    count += cross
+                    stop = cross & (count >= crossings)
+                    status[stop] = _EVENT
+                    done |= stop
+                    moved = ok & ~stop
             if moved.any():
-                nodes.append((moved, np.column_stack((s, y))[moved]))
-            done |= moved & (np.abs(s1 - s) <= 1e-14 * np.fmax(1.0, np.abs(s1)))
-            factor = np.where(errnorm == 0.0, 5.0, np.fmin(5.0, shrink))
-            h = np.where(moved, np.fmin(h * factor, control.max_step), h)
+                s = np.where(moved, s + step, s)
+                y = np.where(moved[:, None], ynew, y)
+                fy = np.where(moved[:, None], stages[6], fy)
+                nodes.append((moved, s, y) if moved.all() else (moved, s[moved], y[moved]))
+                rem = np.abs(s1 - s)
+                done |= moved & (rem <= end_tol)
+            # the step factor: an accepted step grows by at most 5 (also at a
+            # zero error, where the shrink rule reads inf), a rejected one
+            # shrinks by that rule, a non-finite one by 4; h never passes
+            # max_step, so only growth can meet the cap
+            shrink = np.fmax(0.2, 0.9 * errnorm ** -0.2)
+            h = np.fmin(h * np.where(finite, np.fmin(5.0, shrink), 0.25), control.max_step)
+        rejected = attempts - accepted
+        nfev = 1 + 6 * attempts
 
         found = [[] for _ in range(n)]  # (s, y), in step order
         lost = {}  # lane -> left node time of the crossing it could not land
@@ -303,7 +320,7 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
             s_end, y_end = s.copy(), y.copy()
             for lane in np.flatnonzero(term):
                 s_end[lane], y_end[lane] = found[lane][-1]
-            nodes.append((term, np.column_stack((s_end, y_end))[term]))
+            nodes.append((term, s_end[term], y_end[term]))
 
     # every lane has 1 + accepted nodes (a terminal step's node is its
     # crossing); gather them lane by lane, in step order, into one table,
@@ -311,9 +328,11 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
     cuts = np.concatenate(([0], np.cumsum(1 + accepted)))
     table = np.empty((cuts[-1], 1 + d))
     fill = cuts[:-1].copy()
-    for k, (lanes, rows) in enumerate(nodes):
+    for k, (lanes, s_rows, y_rows) in enumerate(nodes):
         nodes[k] = None
-        table[fill[lanes]] = rows
+        at = fill[lanes]
+        table[at, 0] = s_rows
+        table[at, 1:] = y_rows
         fill[lanes] += 1
     out = []
     for i in range(n):
@@ -373,7 +392,10 @@ def _locate_lanes(f, control, round_, s, y):
 
     def g(sigma, z):
         fz = np.asarray(f(s_left + z[:, 0], z[:, 1:]), dtype=float)
-        return np.column_stack((np.ones(s.size), fz)) / fz[:, :1]
+        out = np.empty_like(z)
+        out[:, 0] = 1.0
+        out[:, 1:] = fz
+        return out / fz[:, :1]
 
     whole = StepControl(control.rtol, control.atol, max_step=math.inf, first_step=math.inf)
     sols = solve_lanes(g, sigma0, np.column_stack((np.zeros(s.size), y_left)), 0.0, whole)

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import duals
-from .core import HorizontalVector, Point, _J
+from .core import HorizontalVector, Point, _J, _unchecked
 
 __all__ = [
     "GeometryError",
@@ -142,20 +142,21 @@ class SurfaceDef:
         (N, d, d), over an (N, d) stack of coordinates.
 
         A closed-form ``grad_hess`` takes the whole stack (it acts on the
-        trailing axis); duals and the finite-difference oracle run row by
-        row.  Rows are independent, so a row gives the same bits in any
-        stack.  A row whose Hessian is not symmetric raises
-        :class:`NonSymmetric`, the first such row.
+        trailing axis), and so do duals (one ``duals.gradient_hessian``
+        call); the finite-difference oracle runs row by row.  Rows are
+        independent, so a row gives the same bits in any stack.  A row whose
+        Hessian is not symmetric raises :class:`NonSymmetric`, the first
+        such row.
         """
         coords = np.asarray(coords, dtype=float)
-        if self.derivatives == "fd" or self.grad_hess is None:
-            fn = (duals.fd_gradient_hessian if self.derivatives == "fd"
-                  else duals.gradient_hessian)
-            rows = [fn(self.func, c) for c in coords]
+        if self.derivatives == "fd":
+            rows = [duals.fd_gradient_hessian(self.func, c) for c in coords]
             u = np.array([r[0] for r in rows], dtype=float)
             g = np.array([r[1] for r in rows], dtype=float).reshape(coords.shape)
             h = np.array([r[2] for r in rows], dtype=float).reshape(
                 coords.shape + coords.shape[-1:])
+        elif self.grad_hess is None:
+            u, g, h = duals.gradient_hessian(self.func, coords)
         else:
             u, g, h = self.grad_hess(coords)
             u = np.asarray(u, dtype=float)
@@ -285,11 +286,13 @@ class FrameBatch:
         return len(self.coords)
 
     def bundle(self, i) -> FrameBundle:
+        """Row i as a :class:`FrameBundle`.  Its point and vectors skip their
+        constructors' checks: the kernel's rows are finite and well shaped."""
         return FrameBundle(
-            p=Point(self.coords[i]),
-            e2n=HorizontalVector(self.e2n[i]),
-            en=HorizontalVector(self.en[i]),
-            xi_prime=tuple(HorizontalVector(v) for v in self.xi_prime[i]),
+            p=_unchecked(Point, coords=self.coords[i]),
+            e2n=_unchecked(HorizontalVector, coeffs=self.e2n[i]),
+            en=_unchecked(HorizontalVector, coeffs=self.en[i]),
+            xi_prime=tuple(_unchecked(HorizontalVector, coeffs=v) for v in self.xi_prime[i]),
             alpha=float(self.alpha[i]),
             grad_norm=float(self.grad_norm[i]),
             pivots=tuple(self.pivots[i].tolist()),

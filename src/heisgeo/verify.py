@@ -420,9 +420,13 @@ def claim_foliation_rank(seed):
         spans = [flows.bracket_span(entry.surface, p) for p in points]
         return [proj if rank == 2 * entry.params["n"] - 1 else math.inf for rank, proj in spans]
 
-    cases = (_case(entry.name, dict(entry.params), entry, rng, 10)
-             for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2),
-                           catalog.pansu(1.0, 3)))
+    def entries():
+        for n in NS:
+            yield catalog.pansu(1.0, n)
+            if n == NS[0]:  # one flat control, the cylinder, at the smallest n
+                yield catalog.cylinder(1.0, n)
+
+    cases = (_case(entry.name, dict(entry.params), entry, rng, 10) for entry in entries())
     return _sampled_claim(cid, seed, cases, residuals, 1.0 - 1e-6)
 
 
@@ -899,10 +903,9 @@ def pmc_level_set_check(lams, sigma, n, count=20, seed=0):
 
 
 def claim_pmc_level_set(seed):
-    return [
-        pmc_level_set_check((0.5, 1.0, 2.0), 1.0, 2, seed=seed),
-        pmc_level_set_check((0.5, 1.0), 1.0, 3, count=10, seed=seed),
-    ]
+    # three curvatures at the smallest n, two at a sparser sample above it
+    return [pmc_level_set_check((0.5, 1.0, 2.0), 1.0, n, seed=seed) if n == NS[0]
+            else pmc_level_set_check((0.5, 1.0), 1.0, n, count=10, seed=seed) for n in NS]
 
 
 # ---------------------------------------------------------------------------

@@ -80,3 +80,73 @@ def test_constant_function_returns_zero_derivatives():
     f, g, h = duals.gradient_hessian(lambda c: 7.0, np.zeros(3))
     assert f == 7.0
     assert not g.any() and not h.any()
+
+
+# ---------------------------------------------------------------------------
+# stacks
+
+
+def _rows(func, stack):
+    return [duals.gradient_hessian(func, row) for row in stack]
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("func", [poly, trig])
+def test_stack_matches_its_rows_and_the_oracle(func):
+    """A stack's values, gradients and Hessians are bitwise each row's as a
+    point, and agree with the finite-difference oracle within the one-point
+    tolerances."""
+    stack = np.random.default_rng(5).uniform(-0.9, 0.9, size=(6, 2))
+    u, g, h = duals.gradient_hessian(func, stack)
+    assert u.shape == (6,) and g.shape == (6, 2) and h.shape == (6, 2, 2)
+    for i, row in enumerate(stack):
+        assert _same((u[i], g[i], h[i]), duals.gradient_hessian(func, row))
+        f2, g2, h2 = duals.fd_gradient_hessian(func, row)
+        assert u[i] == pytest.approx(f2, abs=0)
+        assert np.max(np.abs(g[i] - g2)) < 1e-9
+        assert np.max(np.abs(h[i] - h2)) < 1e-6
+
+
+def test_a_point_is_a_stack_of_one():
+    """Seeds act on the trailing axis and carry no Hessian; a product or a
+    chain rule creates one.  A stack of one row gives the point's bits."""
+    stack = np.array([[1.3, -0.7], [0.2, 0.4], [-1.1, 0.9]])
+    x, y = duals.seed(stack)
+    assert x.f.shape == (3,) and x.g.shape == (3, 2) and x.h is None
+    assert (2.0 * x + y - 1.0).h is None
+    assert (x * y).h.shape == (3, 2, 2) and duals.sqrt(y * y + 1.0).h.shape == (3, 2, 2)
+    point = duals.seed(stack[0])
+    assert point[0].f.shape == () and point[0].g.shape == (2,)
+    one = duals.gradient_hessian(trig, stack[:1])
+    assert _same([a[0] for a in one], duals.gradient_hessian(trig, stack[0]))
+    u, g, h = duals.gradient_hessian(lambda c: 7.0, stack)  # a constant
+    assert u.tolist() == [7.0] * 3 and not g.any() and not h.any()
+
+
+def _branchy(c):
+    """Different expressions on either side of x0 = 0, with a nested branch
+    on the right."""
+    if c[0] < 0.0:
+        return c[0] * c[0] * c[1]
+    if c[1] >= 0.5:
+        return duals.exp(c[1]) * c[0]
+    return duals.log(c[0] + 2.0) - c[1] ** 3
+
+
+def test_each_row_takes_its_own_branch():
+    """A comparison whose rows disagree splits the stack: every row gets the
+    branch, and so the bits, it gets alone, and the right derivatives."""
+    stack = np.array([[-0.5, 0.3], [0.4, 0.9], [0.7, 0.1], [-1.2, 0.8], [0.3, 0.6]])
+    u, g, h = duals.gradient_hessian(_branchy, stack)
+    for i, row in enumerate(stack):
+        assert _same((u[i], g[i], h[i]), duals.gradient_hessian(_branchy, row)), i
+    x, y = stack[0]
+    assert g[0] == pytest.approx([2 * x * y, x * x], rel=1e-15)
+    x, y = stack[1]
+    assert h[1] == pytest.approx(np.array([[0.0, math.exp(y)], [math.exp(y), x * math.exp(y)]]),
+                                 rel=1e-15)
+    x, y = stack[2]
+    assert g[2] == pytest.approx([1 / (x + 2), -3 * y * y], rel=1e-15)

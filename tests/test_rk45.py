@@ -263,3 +263,68 @@ def test_nan_field_underflows_at_once():
     assert lane.status == "underflow" and lane.ss.size == 1
     assert (lane.nfev, lane.rejected) == (1, 0)  # no step is tried
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# lane-major state
+
+
+def _same_solution(a, b):
+    return (np.array_equal(a.ss, b.ss) and np.array_equal(a.ys, b.ys)
+            and (a.status, a.nfev, a.accepted, a.rejected) == (
+                b.status, b.nfev, b.accepted, b.rejected)
+            and len(a.events) == len(b.events)
+            and all(sa == sb and np.array_equal(ya, yb)
+                    for (sa, ya), (sb, yb) in zip(a.events, b.events)))
+
+
+def _damped_lanes(s, y):
+    """A damped rotation in the first two components, a decay in the third;
+    the result is built lane-major from ``Y``'s own layout."""
+    out = np.empty_like(y)
+    out[:, 0] = -y[:, 1] - 0.1 * y[:, 0]
+    out[:, 1] = y[:, 0] - 0.1 * y[:, 1]
+    out[:, 2] = -0.5 * y[:, 2] * s
+    return out
+
+
+@pytest.mark.parametrize("crossings", [None, 3])
+def test_lanes_give_the_same_bits_for_either_memory_order(crossings):
+    """The lanes hold their state lane-major, whatever the order of ``y0``:
+    C- and Fortran-ordered starts give bitwise the same solutions, with a
+    right-hand side that keeps ``Y``'s layout and one that builds C-order
+    rows."""
+    rng = np.random.default_rng(19)
+    y0 = rng.normal(size=(7, 3))
+    s1 = rng.uniform(4.0, 9.0, size=7) * np.where(rng.random(7) < 0.5, 1.0, -1.0)
+    for f in (_damped_lanes, lambda s, y: np.column_stack(
+            (-y[:, 1], y[:, 0], -y[:, 2]))):
+        c = solve_lanes(f, 0.0, np.ascontiguousarray(y0), s1, crossings=crossings)
+        fortran = solve_lanes(f, 0.0, np.asfortranarray(y0), s1, crossings=crossings)
+        assert all(_same_solution(a, b) for a, b in zip(c, fortran, strict=True))
+        if crossings is not None:
+            assert any(sol.status == "event" for sol in c)
+
+
+def test_lane_nfev_counts_every_attempted_step():
+    """Without crossings a lane evaluates its field once at the start and six
+    times per attempted step, whether the step is accepted, rejected by the
+    error test or rejected for a non-finite state; an underflowing lane
+    tries no more steps.  Each lane's counts are the ones it gets alone."""
+
+    def f(s, y):  # y' = y^2 blows up at s = 1/y0; the second column rotates
+        out = np.empty_like(y)
+        out[:, 0] = y[:, 0] * y[:, 0]
+        out[:, 1] = -y[:, 1]
+        return out
+
+    y0 = np.array([[0.1, 1.0], [0.5, 2.0], [1.0, -1.0], [0.2, 0.0]])
+    s1 = [5.0, 3.0, 3.0, -4.0]
+    coarse = StepControl(rtol=1e-9, atol=1e-9, first_step=1.0)
+    lanes = solve_lanes(f, 0.0, y0, s1, coarse)
+    assert [lane.status for lane in lanes] == ["done", "underflow", "underflow", "done"]
+    assert all(lane.rejected >= 1 for lane in lanes)
+    for k, lane in enumerate(lanes):
+        assert lane.nfev == 1 + 6 * (lane.accepted + lane.rejected)
+        alone, = solve_lanes(f, 0.0, y0[k:k + 1], s1[k], coarse)
+        assert _same_solution(lane, alone), k

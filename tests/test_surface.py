@@ -607,6 +607,73 @@ def test_evaluate_many_rows_match_one_point_calls(n):
                 assert _same_triple(one, _radial_grad_hess_one_point(entry, c)), (s.name, i)
 
 
+def _dual_stacks(rng):
+    """``(surface, stack)`` pairs that take the dual path: the eq. (7.2)
+    extremal, prop2.3's generic graph, and Pansu's ``func`` on a stack that
+    straddles ``catalog._psi``'s series cut (|s| < 1e-3, s = 1 - lam^2 |z|^2)."""
+    from heisgeo.verify import _extremal, _generic_test_surface
+
+    out = [(_extremal(lam, n), rng.normal(size=(9, 2 * n + 1)))
+           for n in (2, 3) for lam in (0.5, 1.0)]
+    gen, height = _generic_test_surface(2)
+    xs = rng.normal(size=(9, 4)) * 0.6
+    out.append((gen, np.array([np.append(x, height(x)) for x in xs])))
+    for n in (2, 3):
+        e = catalog.pansu(1.0, n)
+        s_values = np.array([0.5, 5e-4, -5e-4, 2e-3, 0.999, -9e-4, 1e-3, 0.0])
+        d = rng.normal(size=(len(s_values), 2 * n))
+        z = d * np.sqrt(1.0 - s_values)[:, None] / np.linalg.norm(d, axis=1)[:, None]
+        out.append((replace(e.surface, grad_hess=None),
+                    np.column_stack((z, rng.uniform(-0.5, 0.5, len(s_values))))))
+    return out
+
+
+def test_dual_rows_are_their_batch_of_one_rows(monkeypatch):
+    """``evaluate_many`` takes a dual surface's stack in one
+    ``duals.gradient_hessian`` call, and each row is bitwise the row it
+    gives alone: a stack whose rows straddle a value-dependent branch gives
+    every row the branch it takes alone."""
+    from heisgeo import duals
+
+    calls = []
+    stacked = duals.gradient_hessian
+    monkeypatch.setattr(duals, "gradient_hessian",
+                        lambda func, coords: calls.append(len(coords)) or stacked(func, coords))
+    for s, coords in _dual_stacks(np.random.default_rng(40)):
+        calls.clear()
+        u, g, h = s.evaluate_many(coords)
+        assert calls == [len(coords)], s.name
+        for i, c in enumerate(coords):
+            assert _same_triple(s.evaluate(c), (u[i], g[i], h[i])), (s.name, i)
+    # the Pansu rows match the closed form, on both sides of the cut
+    e = catalog.pansu(1.0, 3)
+    coords = _dual_stacks(np.random.default_rng(40))[-1][1]
+    for a, b in zip(e.surface.evaluate_many(coords),
+                    replace(e.surface, grad_hess=None).evaluate_many(coords)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
+
+
+def test_dual_chart_domain_check_is_per_row():
+    """Pansu's hemisphere chart raises ``DomainError`` outside |z| <= 1/lam.
+    A stack mixing rows on both sides raises it, as its outside row does
+    alone; the inside rows give their own bits; a batch raises what its
+    first failing point raises alone."""
+    e = catalog.pansu(1.0, 2)
+    chart = e.charts["upper"]
+    inside = np.array([p.coords for p in e.sample(np.random.default_rng(41), 4)
+                       if p.t > 0.05][:2])
+    outside = np.array([1.2, 0.3, 0.0, 0.1, 0.0])
+    mixed = np.vstack([inside[:1], outside, inside[1:]])
+    want = _raised(lambda: chart.evaluate(outside))
+    assert want[0] is DomainError
+    assert _raised(lambda: chart.evaluate_many(mixed)) == want
+    u, g, h = chart.evaluate_many(inside)
+    for i, c in enumerate(inside):
+        assert _same_triple(chart.evaluate(c), (u[i], g[i], h[i]))
+    pts = [Point(c) for c in mixed]
+    assert _raised(lambda: report_many(chart, pts)) == _raised(lambda: report(chart, pts[1]))
+
+
 def test_evaluate_many_of_no_rows_is_empty():
     for entry in catalog.standard_entries(3):
         u, g, h = entry.surface.evaluate_many(np.empty((0, 7)))

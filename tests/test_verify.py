@@ -124,7 +124,8 @@ def test_closure_batch_rows_match_one_batch_per_grid():
 @pytest.mark.parametrize("cid", [
     "prop2.1-symmetry", "prop2.2-shape-symmetric", "prop2.3-xn-equivalence",
     "prop2.4-umbilic-pattern", "prop3.1-rotsym-umbilic", "prop4.1-detU",
-    "ex3.2-pansu-table", "eq5.4-alpha-axis", "eq5.5-stationary", "lemma6.1-closure",
+    "prop4.3-foliation-rank", "ex3.2-pansu-table", "eq5.4-alpha-axis", "eq5.5-stationary",
+    "lemma6.1-closure", "eq7.4-pmc-level-set",
 ])
 def test_claims_hold_over_the_dimension_range(monkeypatch, cid):
     """The paper's statements hold for every n >= 2, and ``verify.NS`` is the
