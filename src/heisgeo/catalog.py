@@ -402,6 +402,8 @@ def hyperplane(A, n) -> CatalogEntry:
 
 def standard_entries(n=2):
     """Default-parameter instances of every catalog family."""
+    if n < 2:
+        raise ValueError("ambient dimension parameter n must be >= 2")
     A = np.zeros(2 * n)
     A[0] = 1.0
     return [

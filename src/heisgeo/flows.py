@@ -188,17 +188,20 @@ def geodesic_flows(starts, lams, s_max) -> list:
     return [_geodesic_trace(float(lam), sol, n) for lam, sol in zip(lams, sols)]
 
 
-def profile_ode(lams, r_span=None):
+_PROFILE_SPAN = (0.01, 1.0 - 1e-6)  # profile grid ends, as fractions of 1/lam^2
+
+
+def profile_ode(lams):
     """Integrate the squared-height radial equation of the umbilic sphere of
     each curvature in ``lams``.
 
     Each profile starts just inside its outer radius ``1/lam^2`` with the
     analytic local expansion of the profile as the initial value and is
-    integrated inward straight onto a 200-point grid (``r_span``, by default
-    ``(0.01, 1 - 1e-6)`` times the outer radius), one lane per radius.  The
-    lanes of all curvatures run as one ``rk45.solve_lanes`` sweep, each with
-    its own ``lam^2`` in the right-hand side, so a profile is bitwise the
-    one it gets alone.  Returns one ``(r, f)`` pair of arrays per curvature.
+    integrated inward straight onto a 200-point grid from 0.01 to 1 - 1e-6
+    times the outer radius, one lane per radius.  The lanes of all
+    curvatures run as one ``rk45.solve_lanes`` sweep, each with its own
+    ``lam^2`` in the right-hand side, so a profile is bitwise the one it
+    gets alone.  Returns one ``(r, f)`` pair of arrays per curvature.
     An underflowing lane raises ``StepUnderflow``.
     """
     lams = [float(lam) for lam in lams]
@@ -208,7 +211,7 @@ def profile_ode(lams, r_span=None):
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError("curvature parameter must be finite and positive")
         r_out = 1.0 / (lam * lam)
-        r_lo, r_hi = (0.01 * r_out, (1.0 - 1e-6) * r_out) if r_span is None else r_span
+        r_lo, r_hi = (frac * r_out for frac in _PROFILE_SPAN)
         if not 0.0 < r_lo < r_hi < r_out:
             raise DomainError("profile grid must sit inside (0, 1/lam^2)")
         grids.append(np.linspace(r_lo, r_hi, num))  # ends at r_hi, a lane of zero span
@@ -381,7 +384,7 @@ class IdentityResiduals:
         return worst(self.as_dict().values())
 
 
-def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
+def identity_check(s: SurfaceDef, p: Point) -> IdentityResiduals:
     """Residuals of the six interior identities at an umbilic point.
 
     First derivatives of ``k``, ``l`` and the tilt are central differences
@@ -392,17 +395,17 @@ def identity_check(s: SurfaceDef, p: Point, h_fd=1e-4) -> IdentityResiduals:
     Every residual is expected to scale quadratically with the step.
     A batch of one of :func:`identity_check_many`.
     """
-    return identity_check_many(s, (p,), h_fd)[0]
+    return identity_check_many(s, (p,))[0]
 
 
 def identity_check_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
     """:func:`identity_check` at each of a sequence of points on one surface.
 
     Every offset of every point (both signs of the 2n fields) flows in one
-    lockstep stack and is reported in one batch; entry i is bitwise what
-    ``identity_check(s, points[i], h_fd)`` gives.  Any point's failure
-    raises, but the stages run over all points at once, so the error need
-    not be the first failing point's; :func:`resampled` reruns them as
+    lockstep stack and is reported in one batch; at the default ``h_fd``
+    entry i is bitwise what ``identity_check(s, points[i])`` gives.  Any
+    point's failure raises, but the stages run over all points at once, so
+    the error need not be the first failing point's; :func:`resampled` reruns them as
     batches of one and skips only the points that must be resampled.
     """
     base = report_many(s, points)
@@ -434,19 +437,19 @@ def identity_check_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
     return out
 
 
-def leaf_constancy(s: SurfaceDef, p: Point, h_fd=1e-4):
+def leaf_constancy(s: SurfaceDef, p: Point):
     """Largest change of k, l, alpha along the invariant-complement fields.
     A batch of one of :func:`leaf_constancy_many`."""
-    return leaf_constancy_many(s, (p,), h_fd)[0]
+    return leaf_constancy_many(s, (p,))[0]
 
 
-def leaf_constancy_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
+def leaf_constancy_many(s: SurfaceDef, points) -> list:
     """:func:`leaf_constancy` at each of a sequence of points on one
     surface, with every offset in one lockstep stack and one report batch;
     entry i is bitwise the one-point result."""
     base = report_many(s, points)
     m = 2 * s.n - 2
-    rep = _offset_reports(s, base, np.arange(m), h_fd)
+    rep = _offset_reports(s, base, np.arange(m), 1e-4)
     diffs = [np.abs(g[0::2] - g[1::2]) for g in (rep.k, rep.l, rep.alpha)]
     return [worst(float(d[i]) for i in range(j * m, (j + 1) * m) for d in diffs)
             for j in range(len(base))]

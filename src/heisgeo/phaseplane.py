@@ -92,15 +92,6 @@ class OrbitTrace:
     accepted: int = 0
     rejected: int = 0
 
-    @property
-    def samples(self):
-        """The samples as a list of ``(s, PhasePoint)``."""
-        return [(s, PhasePoint(a, b)) for s, a, b in
-                zip(self.s.tolist(), self.alpha.tolist(), self.beta.tolist())]
-
-    def sample_array(self):
-        return np.column_stack((self.s, self.alpha, self.beta))
-
     def first_integral_drift(self):
         """Largest change of ``first_integral`` over the samples, relative to
         its value at the first sample."""
@@ -148,6 +139,8 @@ def _rhs_log(n, c, signs):
 
 
 def _to_log(q: PhasePoint):
+    if not (math.isfinite(q.alpha) and math.isfinite(q.beta)):
+        raise ValueError("seed must be finite")
     if q.beta == 0.0:
         raise OnSeparatrix("the solution on the line beta = 0 is never periodic")
     sign = math.copysign(1.0, q.beta)
@@ -235,10 +228,9 @@ def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrac
     return _trace(pp, ss, ys, sign, events=events, **_counts(back, fwd))
 
 
-def periodic_orbit(pp: PhaseParams, q0: PhasePoint, control=None,
-                   orbit_tol=None) -> OrbitTrace:
+def periodic_orbit(pp: PhaseParams, q0: PhasePoint) -> OrbitTrace:
     """Closed orbit through ``q0``: ``periodic_orbits`` of one seed."""
-    return periodic_orbits(pp, [q0], control, orbit_tol)[0]
+    return periodic_orbits(pp, [q0])[0]
 
 
 def _check_seed(pp, q0):
@@ -249,7 +241,10 @@ def _check_seed(pp, q0):
     return sign, y0
 
 
-def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list:
+_S_CAP = 1000.0  # a seed of curvature c with no axis crossing by s = _S_CAP / c is not periodic
+
+
+def periodic_orbits(pp, seeds, orbit_tol=None) -> list:
     """Closed orbits through ``seeds``, each certified by one forward pass.
 
     ``pp`` is one ``PhaseParams`` for all seeds or a sequence with one per
@@ -273,8 +268,7 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
     ``OnSeparatrix`` on the line ``beta = 0``, ``ValueError`` at a stationary
     point, ``NotPeriodic`` when the closure error exceeds ``orbit_tol``
     (``closure_failure``; default ``1e-8 (1 + |q0|)``), no crossing comes
-    within ``s_cap`` (default ``1000 / c`` per seed) or the step size
-    underflows.
+    within ``1000 / c`` or the step size underflows.
     """
     seeds = list(seeds)
     params = [pp] * len(seeds) if isinstance(pp, PhaseParams) else list(pp)
@@ -291,13 +285,11 @@ def periodic_orbits(pp, seeds, control=None, orbit_tol=None, s_cap=None) -> list
     params = params[:len(starts)]
     ns = np.array([pq.n for pq in params], dtype=np.int64)
     cs = np.array([pq.c for pq in params], dtype=float)
-    control = control or _default_control()
-    if s_cap is None:
-        s_cap = 1000.0 / cs
+    control = _default_control()
     signs = [sign for sign, _ in starts]
     turns = np.array([1 if q0.alpha == 0.0 else 2 for q0 in seeds])
     arcs = rk45.solve_lanes(_rhs_log(ns, cs, np.array(signs)), 0.0,
-                            np.array([y0 for _, y0 in starts]).reshape(-1, 2), s_cap,
+                            np.array([y0 for _, y0 in starts]).reshape(-1, 2), _S_CAP / cs,
                             control, crossings=turns)
     errors = [None] * len(seeds)
     events, periods = {}, {}
@@ -371,16 +363,17 @@ class Portrait:
             fh.write(f"{kind},{fmt(s)},{fmt(a)},{fmt(b)}\n")
 
 
-def portrait(pp: PhaseParams, grid=21, seeds=None) -> Portrait:
+def portrait(pp: PhaseParams, seeds=None) -> Portrait:
     """Data set sufficient to re-plot the phase picture.
 
-    Emits the vector field on a rectangular grid over ``|alpha| <= 2c``,
+    Emits the vector field on a 21 x 21 grid over ``|alpha| <= 2c``,
     ``-2c <= beta <= 4c`` (two rows per grid point: base at s=0, tip at
     s=1; the tip equals the base where the field vanishes), the
     zero-tilt-rate polyline, a family of periodic orbits and the stationary
     points.
     """
     c = pp.c
+    grid = 21
     alpha_range = (-2.0 * c, 2.0 * c)
     beta_range = (-2.0 * c, 4.0 * c)
     rows = []

@@ -299,18 +299,18 @@ class FrameBatch:
         )
 
 
-def build_frame(s: SurfaceDef, p: Point, pivots=None) -> FrameBundle:
+def build_frame(s: SurfaceDef, p: Point) -> FrameBundle:
     """Construct the adapted frame at ``p``.
 
     The horizontal normal is the normalized horizontal gradient, the
     characteristic direction its negative rotation, and the invariant
     complement is produced by pivoted Gram-Schmidt over the standard frame,
     pairing each accepted pivot with its rotation so the basis respects the
-    complex structure.  ``pivots`` forces a previously chosen pivot sequence,
-    which extends the basis smoothly to nearby points.  A batch of one of
-    :func:`frame_many`.
+    complex structure.  A batch of one of :func:`frame_many`, whose
+    ``pivots`` force a previously chosen pivot sequence, which extends the
+    basis smoothly to nearby points.
     """
-    return frame_many(s, (p,), pivots).bundle(0)
+    return frame_many(s, (p,)).bundle(0)
 
 
 def frame_many(s: SurfaceDef, points, pivots=None) -> FrameBatch:
@@ -585,9 +585,9 @@ def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
     return report_many(s, (f.p,), f.pivots)._report(0, f)
 
 
-def report(s: SurfaceDef, p: Point, pivots=None) -> SurfaceReport:
+def report(s: SurfaceDef, p: Point) -> SurfaceReport:
     """Pointwise report at ``p``: a batch of one of :func:`report_many`."""
-    return report_many(s, (p,), pivots)[0]
+    return report_many(s, (p,))[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ import pytest
 
 from heisgeo import catalog, verify
 from heisgeo.cli import main
-from heisgeo.flows import identity_check
+from heisgeo.flows import identity_check, identity_check_many
 from heisgeo.phaseplane import PhaseParams, PhasePoint, periodic_orbit, periodic_orbits
 from heisgeo.surface import report
 
@@ -81,8 +81,8 @@ def test_criterion_4_interior_identity_suite():
     floor = 1e-9  # below this the residual is rounding, not truncation
     for entry in verify.identity_suite_entries():
         for p in verify.moderate_points(entry, rng, 3):
-            res_h = identity_check(entry.surface, p, h_fd=1e-4).as_dict()
-            res_h2 = identity_check(entry.surface, p, h_fd=5e-5).as_dict()
+            res_h = identity_check(entry.surface, p).as_dict()  # h_fd = 1e-4
+            res_h2 = identity_check_many(entry.surface, [p], h_fd=5e-5)[0].as_dict()
             for key, r1 in res_h.items():
                 worst = max(worst, r1)
                 if r1 > floor:
@@ -177,7 +177,7 @@ def test_criterion_10_extremal_level_sets():
     announce_claims("10-extremal-level-sets", results, 1e-8, t0, 10.0)
 
 
-def test_criterion_11_oracle_cross_check():
+def test_criterion_11_oracle_cross_check(monkeypatch):
     """Derivative-path agreement gates the frozen golden values.
 
     Second differences need bounded higher derivatives, so the agreement is
@@ -210,11 +210,15 @@ def test_criterion_11_oracle_cross_check():
             taken += 1
     # gate passed: frozen golden values must still recompute
     gold = verify.golden()
+    exact_extremal = verify._extremal
     for n, lam in ((2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0)):
         res = verify.yamabe_check(lam, n, count=50, seed=SEED)
         frozen = gold["yamabe_sigma"][f"n={n},lam={lam:g}"]
         assert res.extra["sigma"] == pytest.approx(frozen, rel=1e-6)
-        fd_res = verify.yamabe_check(lam, n, count=50, seed=SEED, mode="fd")
+        with monkeypatch.context() as m:  # the extremal under FD derivatives
+            m.setattr(verify, "_extremal",
+                      lambda lam, n: exact_extremal(lam, n).with_derivatives("fd"))
+            fd_res = verify.yamabe_check(lam, n, count=50, seed=SEED)
         assert fd_res.extra["sigma"] == pytest.approx(frozen, rel=1e-6)
     tr = periodic_orbit(PhaseParams(2, 1.0), PhasePoint(0.0, 2.0))
     frozen = gold["orbit_period"]["n=2,c=1,alpha0=0,beta0=2"]

@@ -129,6 +129,16 @@ def test_phase_seed_on_separatrix(tmp_path, capsys):
     assert err.startswith("error: OnSeparatrix: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("row", ["nan,1", "0,inf", "-inf,0.5"])
+def test_phase_non_finite_seed_is_a_usage_error(tmp_path, capsys, row):
+    """A NaN or infinite seed is bad input, not a blow-up of its orbit."""
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text(f"alpha,beta\n0,1.5\n{row}\n")
+    code, out, err = run(capsys, "phase", "--seeds", str(seeds))
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: seed must be finite\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("report", "--surface", "pansu", "--n", "1", "--point", "0,0,0"),
     ("report", "--surface", "pansu", "--lam", "-1", "--point", "0,0,0,0,0"),
@@ -145,6 +155,8 @@ def test_phase_seed_on_separatrix(tmp_path, capsys):
     ("phase", "--c", "nan"),
     ("phase", "--c", "inf"),
     ("identities", "--surface", "pansu", "--step", "0"),
+    ("catalog", "list", "--n", "0"),
+    ("catalog", "list", "--n", "-1"),
 ])
 def test_bad_parameter_values_are_usage_errors(capsys, argv):
     start = time.perf_counter()

@@ -26,6 +26,7 @@ from heisgeo.surface import (
     frame_many,
     horizontal_gradient,
     report,
+    report_many,
 )
 
 RNG = np.random.default_rng(90210)
@@ -232,8 +233,9 @@ def test_profile_values_are_integrated_states():
         assert vals[-1] == f0
 
 
-def test_profile_pole_limit():
-    (grid, vals), = profile_ode([1.0], r_span=(1e-3, 1 - 1e-6))
+def test_profile_pole_limit(monkeypatch):
+    monkeypatch.setattr(flows, "_PROFILE_SPAN", (1e-3, 1 - 1e-6))  # lam = 1: r_out = 1
+    (grid, vals), = profile_ode([1.0])
     target = (math.pi / 4) ** 2
     # the height-squared approaches the pole value like r^(3/2)
     assert abs(vals[0] - target) <= 2 * (math.pi / 4) * grid[0] ** 1.5
@@ -249,10 +251,11 @@ def test_profile_reconstructs_curvature():
 
 
 def test_profile_domain_error():
+    # lam^2 overflows, so the outer radius 1/lam^2 is 0 and no grid fits
     with pytest.raises(DomainError):
-        profile_ode([1.0], r_span=(0.5, 1.5))
-    with pytest.raises(DomainError):  # inside the first profile's range only
-        profile_ode([1.0, 2.0], r_span=(0.1, 0.5))
+        profile_ode([1e200])
+    with pytest.raises(DomainError):  # the second curvature's grid only
+        profile_ode([1.0, 1e200])
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +269,8 @@ def moderate(entry, count):
 def test_identity_residuals_small_and_quadratic():
     for entry in verify.identity_suite_entries():
         p = moderate(entry, 1)[0]
-        res1 = identity_check(entry.surface, p, h_fd=1e-4)
-        res2 = identity_check(entry.surface, p, h_fd=5e-5)
+        res1 = identity_check(entry.surface, p)  # h_fd = 1e-4
+        res2 = flows.identity_check_many(entry.surface, [p], h_fd=5e-5)[0]
         for key, r1 in res1.as_dict().items():
             r2 = res2.as_dict()[key]
             assert r1 <= 1e-5, (entry.name, key)
@@ -278,7 +281,7 @@ def test_identity_residuals_small_and_quadratic():
 def test_identity_cylinder_all_vanish():
     entry = catalog.cylinder(2.0, 2)
     p = entry.sample(RNG, 1)[0]
-    res = identity_check(entry.surface, p, h_fd=1e-4)
+    res = identity_check(entry.surface, p)
     assert res.max() <= 1e-8
 
 
@@ -304,7 +307,7 @@ def test_identity_pansu_rate_oracle():
 def test_leaf_constancy():
     for entry in verify.identity_suite_entries():
         p = moderate(entry, 1)[0]
-        assert flows.leaf_constancy(entry.surface, p, h_fd=1e-4) <= 1e-6
+        assert flows.leaf_constancy(entry.surface, p) <= 1e-6
 
 
 def test_bracket_span_rank():
@@ -461,7 +464,8 @@ def _reference_fields(s, pivots):
         return w / math.sqrt(1.0 + alpha * alpha)
 
     def xi(i):
-        return lambda c: frame_lift(build_frame(s, Point(c), pivots).xi_prime[i], Point(c))
+        return lambda c: frame_lift(frame_many(s, (Point(c),), pivots).bundle(0).xi_prime[i],
+                                    Point(c))
 
     return en, e2nhat, [xi(i) for i in range(2 * n - 2)]
 
@@ -470,7 +474,7 @@ def _reference_changes(s, p, dirfn, pivots, h_fd):
     """Offsets along one field, each flowed alone, and the changes of k, l
     and alpha between them."""
     cp, cm = (flows.surface_offset(s, p.coords, dirfn, h) for h in (h_fd, -h_fd))
-    rp, rm = report(s, Point(cp), pivots), report(s, Point(cm), pivots)
+    rp, rm = (report_many(s, [Point(c)], pivots)[0] for c in (cp, cm))
     return cp, cm, [a - b for a, b in ((rp.k, rm.k), (rp.l, rm.l), (rp.alpha, rm.alpha))]
 
 

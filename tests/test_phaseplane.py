@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heisgeo import verify
+from heisgeo import phaseplane, verify
 from heisgeo.phaseplane import (
     NotPeriodic,
     OnSeparatrix,
@@ -62,24 +62,20 @@ def test_upsilon():
 
 def test_integrate_stationary_is_constant():
     tr = integrate(PP, PhasePoint(0.0, 1.0), 2.0)
-    arr = tr.sample_array()
-    assert np.max(np.abs(arr[:, 1] - 0.0)) == 0.0
-    assert np.max(np.abs(arr[:, 2] - 1.0)) == 0.0
+    assert np.max(np.abs(tr.alpha - 0.0)) == 0.0
+    assert np.max(np.abs(tr.beta - 1.0)) == 0.0
 
 
 def test_integrate_enters_positive_tilt():
     # from the axis above the stationary defect the tilt initially grows
     tr = integrate(PP, PhasePoint(0.0, 2.0), 0.5)
-    arr = tr.sample_array()
-    fwd = arr[arr[:, 0] > 1e-12]
-    assert np.all(fwd[:, 1] > 0)
+    assert np.all(tr.alpha[tr.s > 1e-12] > 0)
 
 
 def test_integrate_sample_spacing_and_events():
     ctrl = StepControl(rtol=1e-10, atol=1e-10, max_step=0.05)
     tr = integrate(PP, PhasePoint(0.5, 2.0), 6.0, control=ctrl)
-    arr = tr.sample_array()
-    assert np.max(np.diff(arr[:, 0])) <= 0.05 + 1e-12
+    assert np.max(np.diff(tr.s)) <= 0.05 + 1e-12
     assert len(tr.events) >= 2
     assert all(abs(b) > 1e-12 for _, b in tr.events)
 
@@ -107,8 +103,7 @@ def test_integrate_crossing_golden():
 def test_derivative_consistency_along_orbit():
     ctrl = StepControl(rtol=1e-10, atol=1e-10, max_step=5e-4)
     tr = integrate(PP, PhasePoint(0.0, 2.0), 2.0, control=ctrl)
-    arr = tr.sample_array()
-    s, a, b = arr[:, 0], arr[:, 1], arr[:, 2]
+    s, a, b = tr.s, tr.alpha, tr.beta
     # second-order three-point derivative on the (nonuniform) sample grid;
     # skip stencils with a near-degenerate step (endpoint landing nodes),
     # where dividing by the tiny step only amplifies state rounding
@@ -146,8 +141,7 @@ def test_periodic_orbit_off_axis_and_crossings():
 def test_periodic_orbit_negative_defect():
     tr = periodic_orbit(PP, PhasePoint(0.0, -0.6))
     assert tr.closure_error <= 1e-8
-    arr = tr.sample_array()
-    assert np.all(arr[:, 2] < 0)  # stays in the lower half-plane
+    assert np.all(tr.beta < 0)  # stays in the lower half-plane
 
 
 def test_mirrored_seeds_equal_periods():
@@ -158,8 +152,7 @@ def test_mirrored_seeds_equal_periods():
 def test_orbit_never_crosses_axis():
     seeds = [PhasePoint(0.3, 0.4), PhasePoint(-1.0, 2.5), PhasePoint(0.0, -0.5)]
     for seed, tr in zip(seeds, periodic_orbits(PP, seeds)):
-        arr = tr.sample_array()
-        assert np.all(np.sign(arr[:, 2]) == np.sign(seed.beta))
+        assert np.all(np.sign(tr.beta) == np.sign(seed.beta))
 
 
 def test_on_separatrix_raises():
@@ -171,11 +164,12 @@ def test_on_separatrix_raises():
         periodic_orbit(PP, PhasePoint(0.0, 1.0))
 
 
-def test_closure_convergence_order():
+def test_closure_convergence_order(monkeypatch):
     errs = []
     for hmax in (0.2, 0.1):
         ctrl = StepControl(rtol=1e30, atol=1e30, max_step=hmax, first_step=hmax)
-        tr = periodic_orbit(PP, PhasePoint(0.0, 2.0), control=ctrl, orbit_tol=10.0)
+        monkeypatch.setattr(phaseplane, "_default_control", lambda: ctrl)
+        tr, = periodic_orbits(PP, [PhasePoint(0.0, 2.0)], orbit_tol=10.0)
         errs.append(tr.closure_error)
     assert errs[0] / errs[1] >= 16.0
 
@@ -199,19 +193,17 @@ def test_high_dimension_orbits_close(n, c, alpha, beta):
     tr = periodic_orbit(PhaseParams(n, c), PhasePoint(alpha, beta))
     assert tr.closure_error <= 1e-8 * (1 + math.hypot(alpha, beta))
     assert tr.first_integral_drift() <= 1e-9
-    arr = tr.sample_array()
-    assert np.all(np.sign(arr[:, 2]) == np.sign(beta))
+    assert np.all(np.sign(tr.beta) == np.sign(beta))
 
 
 def test_orbit_is_one_forward_pass():
     tr = periodic_orbit(PP, PhasePoint(0.5, 2.0))
-    arr = tr.sample_array()
-    assert arr[0, 0] == 0.0 and np.all(np.diff(arr[:, 0]) > 0)
-    assert arr[-1, 0] == pytest.approx(tr.period, abs=1e-12)
+    assert tr.s[0] == 0.0 and np.all(np.diff(tr.s) > 0)
+    assert tr.s[-1] == pytest.approx(tr.period, abs=1e-12)
     (s1, _), (s2, _) = tr.events
     assert 0.0 < s1 < s2 < tr.period
     assert tr.period == pytest.approx(2 * (s2 - s1), rel=1e-15)
-    assert tr.accepted == arr.shape[0] - 1
+    assert tr.accepted == len(tr.s) - 1
     assert tr.nfev >= 6 * (tr.accepted + tr.rejected)
 
 
@@ -233,10 +225,9 @@ def test_batch_equals_each_seed_alone():
             assert tb.params == ta.params == pq
             assert (tb.period, tb.closure_error) == (ta.period, ta.closure_error)
             assert (tb.nfev, tb.accepted, tb.rejected) == (ta.nfev, ta.accepted, ta.rejected)
-            assert np.array_equal(tb.sample_array(), ta.sample_array())
+            for key in ("s", "alpha", "beta"):
+                assert np.array_equal(getattr(tb, key), getattr(ta, key))
             assert tb.events == ta.events
-    s, q = batch[0].samples[-1]
-    assert (s, q) == (batch[0].s[-1], PhasePoint(batch[0].alpha[-1], batch[0].beta[-1]))
 
 
 def test_trace_arrays_own_their_data():
@@ -248,7 +239,7 @@ def test_trace_arrays_own_their_data():
         assert not np.shares_memory(tr.alpha, tr.s)
 
 
-def test_batch_raises_for_the_first_bad_seed():
+def test_batch_raises_for_the_first_bad_seed(monkeypatch):
     good = PhasePoint(0.5, 2.0)
     on_line, stationary = PhasePoint(0.5, 0.0), PhasePoint(0.0, 1.0)
     with pytest.raises(OnSeparatrix):
@@ -260,10 +251,12 @@ def test_batch_raises_for_the_first_bad_seed():
     with pytest.raises(NotPeriodic) as batch:
         periodic_orbits(PP, [good, on_line], orbit_tol=1e-20)
     with pytest.raises(NotPeriodic) as alone:
-        periodic_orbit(PP, good, orbit_tol=1e-20)
+        periodic_orbits(PP, [good], orbit_tol=1e-20)
     assert str(batch.value) == str(alone.value)
-    with pytest.raises(NotPeriodic, match="time cap"):
-        periodic_orbits(PP, [good, PhasePoint(0.0, 2.0)], s_cap=0.1)
+    with monkeypatch.context() as m:
+        m.setattr(phaseplane, "_S_CAP", 0.1)  # c = 1: no crossing before s = 0.1
+        with pytest.raises(NotPeriodic, match="time cap"):
+            periodic_orbits(PP, [good, PhasePoint(0.0, 2.0)])
     assert periodic_orbits(PP, []) == []
     assert periodic_orbits([], []) == []
     with pytest.raises(ValueError, match="one per seed"):
@@ -272,6 +265,43 @@ def test_batch_raises_for_the_first_bad_seed():
     periodic_orbits([PhaseParams(2, 2.0)], [stationary])
     with pytest.raises(ValueError, match="stationary"):
         periodic_orbits([PhaseParams(2, 2.0), PP], [stationary, stationary])
+
+
+def test_non_finite_seed_is_a_value_error():
+    """A NaN or infinite seed is bad input, not a blow-up of its orbit; in a
+    batch the first bad seed in input order raises."""
+    good, on_line = PhasePoint(0.5, 2.0), PhasePoint(0.5, 0.0)
+    for bad in (PhasePoint(math.nan, 1.0), PhasePoint(0.0, math.inf),
+                PhasePoint(-math.inf, -0.5), PhasePoint(0.0, math.nan)):
+        with pytest.raises(ValueError, match="seed must be finite"):
+            periodic_orbits(PP, [bad])
+        with pytest.raises(ValueError, match="seed must be finite"):
+            integrate(PP, bad, 1.0)
+        with pytest.raises(ValueError, match="seed must be finite"):
+            periodic_orbits(PP, [good, bad, on_line])
+        with pytest.raises(OnSeparatrix):
+            periodic_orbits(PP, [good, on_line, bad])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lane_whose_steps_underflow_is_a_blow_up(monkeypatch):
+    """A lane with a NaN derivative at its start rejects every step until
+    the step size underflows: that orbit blew up, and the batch says so."""
+    original = phaseplane._rhs_log
+
+    def nan_at_start(n, c, signs):
+        f = original(n, c, signs)
+
+        def g(s, y):
+            out = f(s, y)
+            out[y[:, 0] == 0.25] = math.nan
+            return out
+
+        return g
+
+    monkeypatch.setattr(phaseplane, "_rhs_log", nan_at_start)
+    with pytest.raises(NotPeriodic, match="blow-up before the orbit closed: step size underflow"):
+        periodic_orbits(PP, [PhasePoint(0.5, 2.0), PhasePoint(0.25, 2.0)])
 
 
 def test_first_integral_is_conserved():
@@ -328,7 +358,7 @@ def test_portrait_two_field_rows_per_grid_point(n, c):
 
 def test_portrait_csv_format():
     buf = io.StringIO()
-    portrait(PP, grid=5, seeds=[PhasePoint(0.0, 1.5)]).write_csv(buf)
+    portrait(PP, seeds=[PhasePoint(0.0, 1.5)]).write_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "kind,s,alpha,beta"
     parts = lines[1].split(",")

@@ -245,7 +245,7 @@ def test_report_many_is_batch_invariant(n):
         kept = []
         for p in pts:
             try:
-                kept.append((p, report(entry.surface, p, pivots=tuple(pivots))))
+                kept.append((p, report_many(entry.surface, [p], pivots=tuple(pivots))[0]))
             except PivotDegenerate:
                 continue
         assert kept
@@ -283,7 +283,7 @@ def test_report_many_raises_the_first_failing_point():
     # a collapsing forced pivot
     h = catalog.hyperplane([1.0, 0.0, 0.0, 0.0], 2)
     p = h.sample(np.random.default_rng(4), 1)[0]
-    want = _raised(lambda: report(h.surface, p, pivots=(0,)))
+    want = _raised(lambda: report_many(h.surface, [p], pivots=(0,))[0])
     assert want[0] is PivotDegenerate
     assert _raised(lambda: report_many(h.surface, [p, p], pivots=(0,))) == want
     # ... which comes first even though the off-surface point after it fails
@@ -322,7 +322,7 @@ def test_batch_with_per_point_pivots_raises_the_collapsing_point_alone():
     h = catalog.hyperplane([1.0, 0.0, 0.0, 0.0], 2)  # e_1 is the normal: pivot 0 collapses
     pts = h.sample(np.random.default_rng(4), 3)
     pivots = [(1,), (0,), (1,)]
-    want = _raised(lambda: report(h.surface, pts[1], pivots=pivots[1]))
+    want = _raised(lambda: report_many(h.surface, [pts[1]], pivots=pivots[1])[0])
     assert want[0] is PivotDegenerate
     assert report_many(h.surface, pts[::2], pivots=pivots[::2]).umbilic.all()
     assert _raised(lambda: report_many(h.surface, pts, pivots=pivots)) == want

@@ -1,6 +1,7 @@
 """Every heisgeo name the benchmark tracer wraps still exists, the package
-source keeps its line length, every public function is used and every
-option of one is set."""
+source keeps its line length, and the program (``src`` and ``perfbench``,
+not the tests) uses every public function and sets every option of one,
+apart from a short list of documented library API."""
 
 import ast
 import importlib
@@ -44,12 +45,41 @@ def test_source_lines_fit_98_columns():
     assert not long, long
 
 
+# Library API that no command or claim calls: the group and frame
+# operations of ``core``, a free phase-plane integration, and the tilt
+# derivative that the main theorem's end-to-end check will need.
+LIBRARY_FUNCTIONS = (
+    "core.from_xyt", "core.identity", "core.group_mul", "core.inverse",
+    "core.frame_vector", "core.apply_J", "core.dtheta", "core.levi",
+    "core.covariant_derivative", "phaseplane.integrate", "surface.alpha_directional",
+)
+LIBRARY_OPTIONS = ("core.covariant_derivative.mode", "phaseplane.integrate.control")
+
 
 def _trees():
-    """The parsed modules of ``src/heisgeo``, ``tests`` and ``perfbench``."""
-    files = [*(ROOT / "src" / "heisgeo").glob("*.py"), *(ROOT / "tests").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
+    """The parsed modules of the program: ``src/heisgeo`` and ``perfbench``.
+    The tests are not callers: an option or function only they reach is
+    kept alive by its tests alone."""
+    files = [*(ROOT / "src" / "heisgeo").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     return {path: ast.parse(path.read_text()) for path in files}
+
+
+def _package(trees):
+    """``(module, tree)`` of each ``src/heisgeo`` module, by name."""
+    return [(path.stem, tree) for path, tree in sorted(trees.items())
+            if path.parent.name == "heisgeo"]
+
+
+def _check_allowlist(found, defined, allowlist):
+    """``found`` (``{key: where}``) must be exactly ``allowlist``: every
+    other key is a failure, and so is a listed key that is no longer
+    defined or that the program now reaches."""
+    listed = set(allowlist)
+    assert not listed - defined, f"allowlisted but no longer defined: {sorted(listed - defined)}"
+    reached = sorted(listed - set(found))
+    assert not reached, f"the program reaches these now; drop them from the allowlist: {reached}"
+    extra = [where for key, where in sorted(found.items()) if key not in listed]
+    assert not extra, extra
 
 
 def _definitions(tree):
@@ -86,22 +116,27 @@ def _references(tree):
 
 def test_every_public_function_is_used():
     """A public function or method of ``src/heisgeo`` that nothing in
-    ``src``, ``tests`` or ``perfbench`` uses is dead code.  A function counts
-    as used when its name is read, imported or accessed as an attribute (the
-    claim functions are read by the ``CLAIMS`` registry); a method only when
-    it is accessed as an attribute.  Dunders and private names are exempt."""
+    ``src`` or ``perfbench`` uses is dead code, unless it is listed library
+    API.  A function counts as used when its name is read, imported or
+    accessed as an attribute (the claim functions are read by the
+    ``CLAIMS`` registry); a method only when it is accessed as an
+    attribute.  Dunders and private names are exempt."""
     trees = _trees()
     names, attrs = set(), set()
     for tree in trees.values():
         more_names, more_attrs = _references(tree)
         names |= more_names
         attrs |= more_attrs
-    unused = [f"{path.name}:{line} {name}" for path, tree in sorted(trees.items())
-              if path.parent.name == "heisgeo"
-              for name, line, is_method in _definitions(tree)
-              if not name.startswith("_")
-              and name not in attrs and (is_method or name not in names)]
-    assert not unused, unused
+    defined, unused = set(), {}
+    for module, tree in _package(trees):
+        for name, line, is_method in _definitions(tree):
+            if name.startswith("_"):
+                continue
+            key = f"{module}.{name}"
+            defined.add(key)
+            if name not in attrs and (is_method or name not in names):
+                unused[key] = f"{module}.py:{line} {name}"
+    _check_allowlist(unused, defined, LIBRARY_FUNCTIONS)
 
 
 def _defaulted_parameters(tree):
@@ -129,44 +164,44 @@ def _defaulted_parameters(tree):
 def _passed(trees):
     """``{name: (positions, keywords)}`` that the calls of ``trees`` pass to
     a callee of that name, called as ``name(...)`` or ``obj.name(...)``: the
-    most positional arguments of any call, and every keyword.  A call with
-    ``*args`` or ``**kwargs`` passes everything (``None``)."""
+    most positional arguments of any call, and every keyword.  A starred
+    argument (``*args``, ``**kwargs``) passes nothing, and no positional
+    argument after a ``*args`` counts, since its position is unknown."""
     passed = {}
     for node in (sub for tree in trees for sub in ast.walk(tree)):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name is None or passed.get(name, ()) is None:
+        if name is None:
             continue
-        if (any(isinstance(a, ast.Starred) for a in node.args)
-                or any(k.arg is None for k in node.keywords)):
-            passed[name] = None
-        else:
-            positions, keywords = passed.get(name, (0, set()))
-            passed[name] = (max(positions, len(node.args)),
-                            keywords | {k.arg for k in node.keywords})
+        leading = 0
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                break
+            leading += 1
+        positions, keywords = passed.get(name, (0, set()))
+        passed[name] = (max(positions, leading),
+                        keywords | {k.arg for k in node.keywords if k.arg is not None})
     return passed
 
 
 def test_every_option_is_set():
     """A defaulted parameter of a public function or method of
-    ``src/heisgeo`` that no call in ``src``, ``tests`` or ``perfbench``
-    passes, by keyword or by position, is an option nothing sets: it should
-    be a constant.  Calls match by the callee's name; a call with ``*args``
-    or ``**kwargs`` counts as passing everything.  Every claim producer is a
-    fixed statement of one seed."""
+    ``src/heisgeo`` that no call in ``src`` or ``perfbench`` passes, by
+    keyword or by position, is an option nothing sets: it should be a
+    constant, unless it is listed library API.  Calls match by the callee's
+    name.  Every claim producer is a fixed statement of one seed."""
     trees = _trees()
     passed = _passed(trees.values())
-    unset = []
-    for path, tree in sorted(trees.items()):
-        if path.parent.name != "heisgeo":
-            continue
+    defined, unset = set(), {}
+    for module, tree in _package(trees):
         for name, line, param, position in _defaulted_parameters(tree):
-            got = passed.get(name, (0, set()))
-            if got is not None and param not in got[1] and (position is None
-                                                            or position >= got[0]):
-                unset.append(f"{path.name}:{line} {name}.{param}")
-    assert not unset, unset
+            key = f"{module}.{name}.{param}"
+            defined.add(key)
+            positions, keywords = passed.get(name, (0, set()))
+            if param not in keywords and (position is None or position >= positions):
+                unset[key] = f"{module}.py:{line} {name}.{param}"
+    _check_allowlist(unset, defined, LIBRARY_OPTIONS)
     verify = importlib.import_module("heisgeo.verify")
     many = [cid for cid, producer in verify.CLAIMS.items()
             if len(inspect.signature(producer).parameters) != 1]

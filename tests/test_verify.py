@@ -2,7 +2,9 @@
 
 import json
 import math
+import platform
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,14 +283,18 @@ def test_generic_graph_row_needs_a_nonzero_witness(monkeypatch):
     assert row.extra["witness"] < 1e-12 and row.residual == math.inf and not row.passed
 
 
-def test_yamabe_sigma_matches_golden_and_fd():
+def test_yamabe_sigma_matches_golden_and_fd(monkeypatch):
     gold = verify.golden()["yamabe_sigma"]
+    exact_extremal = verify._extremal
     for n, lam in ((2, 1.0), (3, 0.5)):
         exact = verify.yamabe_check(lam, n, count=40, seed=5)
         assert exact.residual <= 1e-8  # the quotient is a single constant
         key = f"n={n},lam={lam:g}"
         assert exact.extra["sigma"] == pytest.approx(gold[key], rel=1e-6)
-        fd = verify.yamabe_check(lam, n, count=40, seed=5, mode="fd")
+        with monkeypatch.context() as m:  # the extremal under FD derivatives
+            m.setattr(verify, "_extremal",
+                      lambda lam, n: exact_extremal(lam, n).with_derivatives("fd"))
+            fd = verify.yamabe_check(lam, n, count=40, seed=5)
         assert fd.extra["sigma"] == pytest.approx(exact.extra["sigma"], rel=1e-6)
 
 
@@ -368,9 +374,9 @@ def test_rows_need_half_of_their_attempted_samples(skips, passed):
     assert row.passed is passed
 
 
-def test_only_rows_equal_the_full_run_rows():
+def test_only_rows_equal_the_full_run_rows(full_run):
     """``--only`` runs each claim by itself with the rows of the full run."""
-    rows = run_all(VerifyConfig(seed=7)).claims
+    rows = full_run(7).claims
     for cid in verify.CLAIMS:
         alone = run_all(VerifyConfig(seed=7, only=cid)).claims
         assert alone, cid
@@ -378,6 +384,46 @@ def test_only_rows_equal_the_full_run_rows():
                 == verify.Report(seed=7, claims=rows[:len(alone)]).to_json()), cid
         rows = rows[len(alone):]
     assert rows == []
+
+
+REFERENCE_DIR = Path(__file__).resolve().parent / "data"
+# what wrote the reference reports: their last digits follow numpy's and
+# libm's rounding, so another numpy or platform may move them
+REFERENCE_MADE_WITH = "numpy 2.4.6, Python 3.11.7 (Linux x86_64)"
+
+
+def _moved_rows(old, new):
+    """One line per row whose bytes differ between two ``--json`` reports,
+    with its old and its new residual."""
+    old_rows, new_rows = json.loads(old)["claims"], json.loads(new)["claims"]
+
+    def residual(rows, i):
+        return repr(rows[i]["residual"]) if i < len(rows) else "absent"
+
+    lines = []
+    for i in range(max(len(old_rows), len(new_rows))):
+        a, b = old_rows[i:i + 1], new_rows[i:i + 1]
+        if a != b:
+            row = (b or a)[0]
+            lines.append(f"row {i} {row['claim_id']} [{row['surface']}] {row['params']}: "
+                         f"residual {residual(old_rows, i)} -> {residual(new_rows, i)}")
+    return lines
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_run_matches_the_reference_report(full_run, seed):
+    """A full run gives the committed ``verify run --json`` bytes.  A change
+    that moves bytes on purpose rewrites the file and names the moved rows
+    and their cause in CHANGES.md."""
+    path = REFERENCE_DIR / f"verify-seed{seed}.json"
+    got = full_run(seed).to_json() + "\n"
+    want = path.read_text()
+    if got != want:
+        moved = _moved_rows(want, got) or ["no row moved: the report's header or layout did"]
+        pytest.fail(f"verify run --seed {seed} differs from {path.name}:\n" + "\n".join(moved)
+                    + f"\nthe reference was made with {REFERENCE_MADE_WITH}; this run uses "
+                    f"numpy {np.__version__}, Python {platform.python_version()} "
+                    f"({platform.system()} {platform.machine()})", pytrace=False)
 
 
 def test_full_run_lane_sweep_count(monkeypatch):
@@ -401,8 +447,8 @@ def test_full_run_lane_sweep_count(monkeypatch):
 
 @pytest.mark.parametrize("bad", ["lemma6.1-closure", "lemma6.1-symmetry"])
 def test_failing_shared_orbit_batch_reruns_each_claim_alone(monkeypatch, bad):
-    """A seed whose lane underflows at once (a NaN tilt), in either claim's
-    part, makes the shared lemma 6.1 batch raise; each claim then reruns its
+    """A bad seed (a NaN tilt), in either claim's part, makes the shared
+    lemma 6.1 batch raise; each claim then reruns its
     own batch, so the rows of both claims are their rows under ``--only``:
     only the claim with the bad seed is an error row."""
     if bad == "lemma6.1-closure":
@@ -428,7 +474,7 @@ def test_failing_shared_orbit_batch_reruns_each_claim_alone(monkeypatch, bad):
             == [row.to_dict() for rows in alone.values() for row in rows])
     for cid, rows in alone.items():
         if cid == bad:
-            assert len(rows) == 1 and rows[0].extra["error"].startswith("NotPeriodic: blow-up")
+            assert len(rows) == 1 and rows[0].extra["error"] == "ValueError: seed must be finite"
         else:
             assert all(row.passed for row in rows)
 
@@ -544,6 +590,23 @@ def test_closure_row_keeps_a_nan_drift():
     traces[1].first_integral_drift = lambda: math.nan
     row = verify._closure_row("lemma6.1-closure", 0, pp, seeds, traces)
     assert math.isnan(row.extra["first_integral_drift"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first integral at beta = 0
+@pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+def test_closure_row_fails_a_trace_off_its_half_plane(bad):
+    """The half-plane check guards against a defect that underflowed to 0
+    or is NaN: one such sample fails the row with an infinite residual."""
+    pp = PhaseParams(2, 1.0)
+    upper, lower = verify._seed_grid(pp)
+    seeds = upper[:2] + lower[:2]
+    assert verify._closure_row("lemma6.1-closure", 0, pp, seeds,
+                               phaseplane.periodic_orbits(pp, seeds)).passed
+    for k in range(len(seeds)):
+        traces = phaseplane.periodic_orbits(pp, seeds)
+        traces[k].beta[len(traces[k].beta) // 2] = bad
+        row = verify._closure_row("lemma6.1-closure", 0, pp, seeds, traces)
+        assert row.residual == math.inf and not row.passed, k
 
 
 def test_periodic_orbits_reject_a_nan_closure_error(monkeypatch):
