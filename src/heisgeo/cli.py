@@ -127,6 +127,8 @@ def _cmd_phase(args):
             for line in rows
             if line.strip()
         ]
+        if not seeds:
+            raise _CliError(f"no seed rows in {args.seeds}")
     try:
         data = phaseplane.portrait(pp, seeds=seeds)
     except (ValueError, OnSeparatrix, NotPeriodic) as exc:

@@ -204,8 +204,10 @@ def upsilon_polyline(pp: PhaseParams, beta_lo, beta_hi):
 
 
 def _default_control():
-    # closure certificates need clear headroom below the orbit tolerance
-    return StepControl(rtol=2e-11, atol=2e-11, max_step=0.1)
+    # closure certificates need clear headroom below the orbit tolerance; the
+    # step cap keeps a step well inside a half-period, so that no step spans
+    # two axis crossings
+    return StepControl(rtol=2e-11, atol=2e-11, max_step=1.0)
 
 
 def integrate(pp: PhaseParams, q0: PhasePoint, s_max, control=None) -> OrbitTrace:
@@ -369,7 +371,8 @@ def portrait(pp: PhaseParams, seeds=None) -> Portrait:
     Emits the vector field on a 21 x 21 grid over ``|alpha| <= 2c``,
     ``-2c <= beta <= 4c`` (two rows per grid point: base at s=0, tip at
     s=1; the tip equals the base where the field vanishes), the
-    zero-tilt-rate polyline, a family of periodic orbits and the stationary
+    zero-tilt-rate polyline, the periodic orbits through ``seeds`` (by
+    default ``default_seeds``; an empty list gives none) and the stationary
     points.
     """
     c = pp.c
@@ -391,7 +394,7 @@ def portrait(pp: PhaseParams, seeds=None) -> Portrait:
     poly = upsilon_polyline(pp, beta_range[0], beta_range[1])
     for i, (a, b) in enumerate(poly):
         rows.append(("upsilon", float(i), a, b))
-    orbits = periodic_orbits(pp, seeds or default_seeds(pp))
+    orbits = periodic_orbits(pp, default_seeds(pp) if seeds is None else seeds)
     for i, tr in enumerate(orbits):
         kind = f"orbit:{i}"
         rows.extend((kind, s, a, b) for s, a, b in

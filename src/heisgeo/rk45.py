@@ -1,4 +1,4 @@
-"""Embedded Dormand-Prince 5(4) integration with axis crossings.
+"""Embedded Dormand-Prince 8(5,3) integration with axis crossings.
 
 Deliberately dependency-free: the verification suite runs step-size
 experiments (order checks, halved-step certification) that need direct
@@ -7,12 +7,15 @@ method (Physica D 5 (1982) 412-414): the same system is integrated onto the
 axis with the crossing coordinate as the independent variable, which keeps
 the located crossing as accurate as the trajectory itself.
 
-``solve`` integrates one trajectory and locates no crossings.
-``solve_lanes`` integrates a set of independent trajectories as lanes of one
-vectorised sweep under the same controller, which is much cheaper per
-trajectory than looping ``solve``, and can stop each lane at a given sign
-change of its first state component.  Both keep mesh values only: to get a
-value at some time, integrate to it.
+The one tableau is the eighth-order pair DOP853 (Hairer, Norsett & Wanner,
+*Solving Ordinary Differential Equations I*, 2nd ed., section II.10): twelve
+new right-hand-side evaluations per step, the thirteenth stage (f at the new
+state) reused as the next step's first, and a local error estimate that
+blends the fifth- and third-order differences.  ``solve_lanes`` integrates a
+set of independent trajectories as lanes of one vectorised sweep, with one
+step controller per lane, and can stop each lane at a given sign change of
+its first state component.  ``solve`` is a lane of one of it.  Both keep
+mesh values only: to get a value at some time, integrate to it.
 """
 
 from __future__ import annotations
@@ -26,25 +29,59 @@ import numpy as np
 __all__ = ["StepControl", "Solution", "StepUnderflow", "solve", "solve_lanes",
            "raise_underflow"]
 
-# Dormand-Prince tableau; the fifth-order solution is propagated.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# DOP853 tableau as Python floats, for the lanes' ordered stage sums.  _C[i]
+# is stage i's node; stage 12 is f at the eighth-order result (FSAL).
+_C = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0)
+# _A_ROWS[i - 1] holds stage i's weights on stages 0 .. i - 1
+_A_ROWS = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-_ERR = _B5 - _B4
-# the same rows as Python floats, for the lanes' ordered stage sums
-_A_ROWS = [tuple(float(a) for a in row) for row in _A]
-_ERR_ROW = tuple(float(e) for e in _ERR)
+# eighth-order weights on stages 0 .. 11
+_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+      4.45031289275240888144113950566, 1.89151789931450038304281599044,
+      -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+      -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+      4.47106157277725905176885569043e-2)
+# error weights: eighth order less fifth order, and less third order (whose
+# weights differ from _B at stages 0, 8 and 11 only)
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+_E3 = tuple(b - b3 for b, b3 in zip(_B, (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)))
 # attempted steps per trajectory before giving up
 _MAX_STEPS = 2_000_000
 
@@ -78,70 +115,22 @@ class Solution:
     rejected: int = 0  # steps rejected by the error test or for a non-finite state
 
 
-def _rk_step(f, s, y, fy, h):
-    """One Dormand-Prince step of (signed) size h; returns (y5, err_vec, f_new).
-
-    The last stage evaluates f at the fifth-order result (FSAL), so its value
-    is returned for reuse as the next step's first stage.
-    """
-    stages = np.empty((7, y.size))
-    stages[0] = fy
-    for i in range(1, 7):
-        yi = y + h * (_A[i] @ stages[:i])
-        stages[i] = f(s + _C[i] * h, yi)
-    ynew = y + h * (_B5 @ stages)
-    err = h * (_ERR @ stages)
-    return ynew, err, stages[6]
-
-
 def _finite_span(s0, s1):
     if not (np.isfinite(s0).all() and np.isfinite(s1).all()):
         raise ValueError("s0 and s1 must be finite")
 
 
 def solve(f, s0, y0, s1, control=None):
-    """Integrate ``y' = f(s, y)`` from ``s0`` to ``s1`` (either direction)."""
-    _finite_span(s0, s1)
-    control = control or StepControl()
-    y = np.asarray(y0, dtype=float).copy()
-    s = float(s0)
-    direction = 1.0 if s1 >= s0 else -1.0
-    span = abs(s1 - s0)
-    fy = np.asarray(f(s, y), dtype=float)
-    nfev, accepted, rejected = 1, 0, 0
-    ss, ys = [s], [y.copy()]
-    if span == 0.0:
-        return Solution(np.array(ss), np.array(ys), nfev=nfev)
-    h = float(_initial_steps(y[None], fy[None], control, np.array([span]))[0])  # a lane of one
-    for _ in range(_MAX_STEPS):
-        h = min(h, abs(s1 - s))
-        if not h > 4.0 * np.finfo(float).eps * max(1.0, abs(s)):  # NaN too
-            raise StepUnderflow.at(s)
-        ynew, errvec, fnew = _rk_step(f, s, y, fy, direction * h)
-        nfev += 6
-        if not math.isfinite(float(ynew.sum())):
-            rejected += 1
-            h *= 0.25
-            continue
-        scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(ynew))
-        ratios = errvec / scale
-        errnorm = math.sqrt(float(ratios @ ratios) / ratios.size)
-        if errnorm > 1.0:
-            rejected += 1
-            h *= max(0.2, 0.9 * errnorm ** -0.2)
-            continue
-        accepted += 1
-        s, y, fy = s + direction * h, ynew, fnew
-        ss.append(s)
-        ys.append(y.copy())
-        if abs(s1 - s) <= 1e-14 * max(1.0, abs(s1)):
-            break
-        factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
-        h = min(h * factor, control.max_step)
-    else:
-        raise RuntimeError("maximum number of steps exceeded")
-    return Solution(np.array(ss), np.array(ys), nfev=nfev,
-                    accepted=accepted, rejected=rejected)
+    """Integrate ``y' = f(s, y)`` from ``s0`` to ``s1`` (either direction).
+
+    A lane of one of ``solve_lanes``: ``f`` takes a scalar ``s`` and one
+    state, and a step size underflow raises ``StepUnderflow``.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    sol, = raise_underflow(solve_lanes(
+        lambda s, y: np.asarray(f(s[0], y[0]), dtype=float)[None],
+        float(s0), y0[None], float(s1), control))
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +165,27 @@ def _row_sum(x):
 
 
 def _lane_step(f, s, y, fy, h):
-    """One Dormand-Prince step per lane of signed sizes ``h`` (N,); returns
-    ``(y5, stages)``.  The last stage is taken at the fifth-order result
-    (FSAL), so a lane with ``h == 0`` keeps its state exactly."""
+    """One DOP853 step per lane of signed sizes ``h`` (N,); returns ``(y8,
+    stages)``.  The last stage is taken at the eighth-order result (FSAL),
+    so a lane with ``h == 0`` keeps its state exactly."""
     hc = h[:, None]
     stages = [fy]
-    for i in range(1, 7):
-        yi = y + hc * _ordered_sum(_A_ROWS[i], stages)
-        stages.append(np.asarray(f(s + _C[i] * h, yi), dtype=float))
-    return yi, stages
+    for c, row in zip(_C[1:], _A_ROWS):
+        stages.append(np.asarray(f(s + c * h, y + hc * _ordered_sum(row, stages)), dtype=float))
+    ynew = y + hc * _ordered_sum(_B, stages)
+    stages.append(np.asarray(f(s + h, ynew), dtype=float))
+    return ynew, stages
+
+
+def _error_norms(h, stages, scale):
+    """Per-lane DOP853 error norm ``|h| e5^2 / sqrt((e5^2 + e3^2 / 100) d)``,
+    with ``e5`` and ``e3`` the scaled fifth- and third-order error
+    estimates' 2-norms; 0 where both vanish."""
+    e5 = _ordered_sum(_E5, stages) / scale
+    e3 = _ordered_sum(_E3, stages) / scale
+    sq5, sq3 = _row_sum(e5 * e5), _row_sum(e3 * e3)
+    deno = sq5 + 0.01 * sq3
+    return np.abs(h) * sq5 / np.sqrt(np.where(deno > 0.0, deno, 1.0) * scale.shape[1])
 
 
 def _initial_steps(y0, f0, control, span):
@@ -205,11 +206,12 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
     lanes may run in either direction and to their own end.  ``f(s, Y)``
     takes ``s`` of shape (N,) and ``Y`` of shape (N, d) and is called on all
     lanes every sweep; a finished lane is frozen by a zero step.  Each lane
-    keeps its own ``s``, step size and counters, and follows ``solve``'s
-    controller: lane i's ``Solution`` has the steps and counts ``solve``
-    gives for problem i alone, up to rounding.  A lane that underflows gets
-    status ``"underflow"`` (``StepUnderflow.at(sol.ss[-1])`` is the error
-    ``solve`` raises) and the other lanes go on.
+    keeps its own ``s``, step size and counters, and its stage sums are
+    added term by term, so lane i's ``Solution`` is bitwise the one problem
+    i gets as a lane of one, given an ``f`` whose rows do not depend on the
+    other lanes.  A lane that underflows gets status ``"underflow"``
+    (``StepUnderflow.at(sol.ss[-1])`` is the error ``solve`` raises) and
+    the other lanes go on.
 
     ``crossings`` (one count for all lanes or one per lane; ``None`` locates
     nothing) stops each lane at that sign change of ``Y[:, 0]``, with status
@@ -269,8 +271,7 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
             ynew, stages = _lane_step(f, s, y, fy, step)
             finite = np.isfinite(_row_sum(ynew))
             scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(ynew))
-            ratios = step[:, None] * _ordered_sum(_ERR_ROW, stages) / scale
-            errnorm = np.sqrt(_row_sum(ratios * ratios) / d)
+            errnorm = _error_norms(step, stages, scale)
             ok = live & finite & ~(errnorm > 1.0)
             attempts += live
             accepted += ok
@@ -290,7 +291,7 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
             if moved.any():
                 s = np.where(moved, s + step, s)
                 y = np.where(moved[:, None], ynew, y)
-                fy = np.where(moved[:, None], stages[6], fy)
+                fy = np.where(moved[:, None], stages[-1], fy)
                 nodes.append((moved, s, y) if moved.all() else (moved, s[moved], y[moved]))
                 rem = np.abs(s1 - s)
                 done |= moved & (rem <= end_tol)
@@ -298,10 +299,10 @@ def solve_lanes(f, s0, y0, s1, control=None, crossings=None):
             # zero error, where the shrink rule reads inf), a rejected one
             # shrinks by that rule, a non-finite one by 4; h never passes
             # max_step, so only growth can meet the cap
-            shrink = np.fmax(0.2, 0.9 * errnorm ** -0.2)
+            shrink = np.fmax(0.2, 0.9 * errnorm ** -0.125)
             h = np.fmin(h * np.where(finite, np.fmin(5.0, shrink), 0.25), control.max_step)
         rejected = attempts - accepted
-        nfev = 1 + 6 * attempts
+        nfev = 1 + 12 * attempts
 
         found = [[] for _ in range(n)]  # (s, y), in step order
         lost = {}  # lane -> left node time of the crossing it could not land

@@ -113,6 +113,16 @@ def test_phase_seed_file(tmp_path, capsys):
     assert "orbit:0" in kinds and "orbit:1" in kinds and "orbit:2" not in kinds
 
 
+@pytest.mark.parametrize("text", ["alpha,beta\n", "alpha,beta\n\n", ""])
+def test_phase_seed_file_without_seeds_is_a_usage_error(tmp_path, capsys, text):
+    """A seed file with no seed rows is bad input, not the default seeds."""
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text(text)
+    code, out, err = run(capsys, "phase", "--seeds", str(seeds))
+    assert code == 2 and out == ""
+    assert err == f"error: no seed rows in {seeds}\n"
+
+
 @pytest.mark.parametrize("args", [("--c", "0"), ("--n", "1")])
 def test_phase_bad_parameters(capsys, args):
     code, _, err = run(capsys, "phase", *args)

@@ -410,7 +410,7 @@ def _moved_rows(old, new):
     return lines
 
 
-@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("seed", [42, 7, 3])
 def test_run_matches_the_reference_report(full_run, seed):
     """A full run gives the committed ``verify run --json`` bytes.  A change
     that moves bytes on purpose rewrites the file and names the moved rows
@@ -427,10 +427,12 @@ def test_run_matches_the_reference_report(full_run, seed):
 
 
 def test_full_run_lane_sweep_count(monkeypatch):
-    """A full run at seed 42 makes 1,188 lane sweeps, crossing landings
-    included: both lemma 6.1 claims take their orbits from one shared batch
-    and the three profiles run as one sweep (2,086 with a batch per claim
-    and a sweep per profile)."""
+    """A full run at seed 42 makes 267 lane sweeps, crossing landings
+    included: ``lemma6.1-closure`` 153, ``prop4.5`` 62 and
+    ``prop3.1-profile-ode`` 52.  Both lemma 6.1 claims take their orbits
+    from one shared batch and the three profiles run as one sweep (2,086
+    with a batch per claim and a sweep per profile, 1,188 with the fifth-order
+    pair)."""
     sweeps = []
     original = rk45._lane_step
 
@@ -441,7 +443,7 @@ def test_full_run_lane_sweep_count(monkeypatch):
     monkeypatch.setattr(rk45, "_lane_step", counted)
     rep = run_all(VerifyConfig(seed=42))
     assert rep.passed and len(rep.claims) == 100
-    assert len(sweeps) <= 1188
+    assert len(sweeps) <= 267
     assert verify._orbit_pool.get() is None  # the shared batch does not outlive the run
 
 
