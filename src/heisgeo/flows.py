@@ -46,7 +46,7 @@ __all__ = [
     "identity_check_many",
     "leaf_constancy",
     "leaf_constancy_many",
-    "bracket_span",
+    "bracket_spans",
     "surface_offset",
 ]
 
@@ -455,44 +455,49 @@ def leaf_constancy_many(s: SurfaceDef, points) -> list:
             for j in range(len(base))]
 
 
-def bracket_span(s: SurfaceDef, p: Point):
-    """Span of the invariant-complement fields together with their brackets.
+def bracket_spans(s: SurfaceDef, points) -> list:
+    """Span of the invariant-complement fields together with their brackets,
+    one ``(rank, en_projection)`` per point of a sequence on one surface.
 
-    Returns ``(rank, en_projection)`` where the rank counts dimensions of the
-    span (in the frame-plus-vertical representation) and ``en_projection`` is
-    the largest component of a unit vector of the span along the
-    characteristic direction; the foliation statement needs rank 2n-1 with
-    that projection bounded away from one.
+    The rank counts dimensions of the span (in the frame-plus-vertical
+    representation) and ``en_projection`` is the largest component of a unit
+    vector of the span along the characteristic direction; the foliation
+    statement needs rank 2n-1 with that projection bounded away from one.
+    One stacked SVD gives every span; entry i is bitwise point i's batch of one.
     """
-    base = frame_many(s, (p,))
-    mat = _bracket_rows(s, base, 1e-5)
-    _, svals, vt = np.linalg.svd(mat)
-    rank = int(np.sum(svals > 1e-8 * svals[0]))
-    # orthonormal basis of the span, then project the characteristic direction
-    en_full = np.concatenate([base.en[0], [0.0]])
-    proj = float(np.linalg.norm(vt[:rank] @ en_full))
-    return rank, proj
+    base = frame_many(s, points)
+    _, svals, vt = np.linalg.svd(_bracket_rows(s, base, 1e-5))
+    out = []
+    for sv, v, en in zip(svals, vt, base.en):
+        rank = int(np.sum(sv > 1e-8 * sv[0]))
+        # orthonormal basis of the span, then project the characteristic direction
+        out.append((rank, float(np.linalg.norm(v[:rank] @ np.concatenate([en, [0.0]])))))
+    return out
 
 
 def _bracket_rows(s: SurfaceDef, base, h_fd):
-    """The complement fields of the one-point frame batch ``base`` and their
-    brackets, one row each with the vertical component last.  A bracket's
-    horizontal part is a central difference of the fields at ``p +- h_fd X``,
-    all from one ``frame_many`` batch under ``base``'s pivots; each row of
-    it is that offset's frame alone."""
+    """The complement fields of each point of the frame batch ``base`` and
+    their brackets, an (N, rows, 2n+1) stack with the vertical component
+    last.  A bracket's horizontal part is a central difference of the fields
+    at ``p +- h_fd X``; every offset of every point comes from one
+    ``frame_many`` batch under its point's pivots, and each row of it is that
+    offset's frame alone."""
     n = s.n
     m = 2 * n - 2
-    vals = base.xi_prime[0]
-    step = h_fd * _lifts(base.coords, vals)
-    offsets = np.empty((2 * m, 2 * n + 1))
-    offsets[0::2], offsets[1::2] = base.coords + step, base.coords - step
-    xi = frame_many(s, offsets, base.pivots).xi_prime
-    rows = [np.concatenate([v, [0.0]]) for v in vals]
-    for i in range(m):
-        for j in range(i + 1, m):
-            Xi, Xj = vals[i], vals[j]
-            dji = (xi[2 * i, j] - xi[2 * i + 1, j]) / (2.0 * h_fd)
-            dij = (xi[2 * j, i] - xi[2 * j + 1, i]) / (2.0 * h_fd)
-            tau = -2.0 * float(Xi[:n] @ Xj[n:] - Xi[n:] @ Xj[:n])
-            rows.append(np.concatenate([dji - dij, [tau]]))
-    return np.array(rows)
+    vals, coords = base.xi_prime, base.coords[:, None]  # (N, m, 2n), (N, 1, 2n+1)
+    step = h_fd * _lifts(coords, vals)
+    offsets = np.empty((len(base), 2 * m, 2 * n + 1))
+    offsets[:, 0::2], offsets[:, 1::2] = coords + step, coords - step
+    xi = frame_many(s, offsets.reshape(-1, 2 * n + 1),
+                    np.repeat(base.pivots, 2 * m, axis=0)).xi_prime
+    xi = xi.reshape(len(base), 2 * m, m, 2 * n)
+    i, j = np.triu_indices(m, 1)  # the pairs i < j, in row order
+    dji = (xi[:, 2 * i, j] - xi[:, 2 * i + 1, j]) / (2.0 * h_fd)
+    dij = (xi[:, 2 * j, i] - xi[:, 2 * j + 1, i]) / (2.0 * h_fd)
+    Xi, Xj = vals[:, i], vals[:, j]
+    rows = np.zeros((len(base), m + len(i), 2 * n + 1))
+    rows[:, :m, : 2 * n] = vals
+    rows[:, m:, : 2 * n] = dji - dij
+    rows[:, m:, 2 * n] = -2.0 * (_dots(Xi[..., :n], Xj[..., n:])
+                                 - _dots(Xi[..., n:], Xj[..., :n]))
+    return rows

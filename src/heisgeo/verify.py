@@ -417,7 +417,7 @@ def claim_foliation_rank(seed):
     rng = _rng(seed, cid)
 
     def residuals(entry, points):
-        spans = [flows.bracket_span(entry.surface, p) for p in points]
+        spans = flows.bracket_spans(entry.surface, points)
         return [proj if rank == 2 * entry.params["n"] - 1 else math.inf for rank, proj in spans]
 
     def entries():

@@ -312,23 +312,35 @@ def test_leaf_constancy():
 
 def test_bracket_span_rank():
     for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2)):
-        for p in entry.sample(RNG, 4):
-            rank, proj = flows.bracket_span(entry.surface, p)
+        for rank, proj in flows.bracket_spans(entry.surface, entry.sample(RNG, 4)):
             assert rank == 3  # 2n - 1 for n = 2
             assert proj <= 1 - 1e-6
 
 
 def test_bracket_span_rank_n3():
     entry = catalog.pansu(1.0, 3)
-    for p in entry.sample(RNG, 2):
-        rank, proj = flows.bracket_span(entry.surface, p)
+    for rank, proj in flows.bracket_spans(entry.surface, entry.sample(RNG, 2)):
         assert rank == 5
         assert proj <= 1 - 1e-6
 
 
+@pytest.mark.parametrize("entry", [catalog.pansu(1.0, 3), catalog.shifted_sphere(0.5, 1.2, 3),
+                                   catalog.cylinder(1.0, 2)], ids=["pansu3", "shifted3", "cyl2"])
+def test_bracket_spans_rows_equal_batches_of_one(entry):
+    """Each entry of a batch of points of both hemispheres and different
+    pivots is bitwise that point's batch of one."""
+    points = entry.sample(np.random.default_rng(14), 12)
+    assert len({p.t > 0 for p in points}) == 2
+    if entry.surface.n > 2:
+        assert len({build_frame(entry.surface, p).pivots for p in points}) > 1
+    spans = flows.bracket_spans(entry.surface, points)
+    assert spans == [flows.bracket_spans(entry.surface, [p])[0] for p in points]
+
+
 def test_bracket_span_evaluates_the_kernel_twice():
-    """``bracket_span`` takes its base frame from one kernel batch and every
-    offset's frame from one more: two ``grad_hess`` calls per point."""
+    """``bracket_spans`` takes the base frames of a batch of N points from one
+    kernel batch and every offset's frame from one more: two ``grad_hess``
+    calls whatever N is."""
     e = catalog.pansu(1.0, 3)
     calls = []
 
@@ -336,10 +348,31 @@ def test_bracket_span_evaluates_the_kernel_twice():
         calls.append(len(coords))
         return e.surface.grad_hess(coords)
 
-    p = e.sample(np.random.default_rng(12), 1)[0]
-    assert flows.bracket_span(replace(e.surface, grad_hess=counted), p) == \
-        flows.bracket_span(e.surface, p)
-    assert calls == [1, 2 * (2 * 3 - 2)]
+    points = e.sample(np.random.default_rng(12), 5)
+    assert flows.bracket_spans(replace(e.surface, grad_hess=counted), points) == \
+        flows.bracket_spans(e.surface, points)
+    assert calls == [5, 5 * 2 * (2 * 3 - 2)]
+
+
+def test_degenerate_point_in_a_bracket_batch_is_skipped(monkeypatch):
+    """A point whose offsets' forced pivot collapses raises the whole batch;
+    under ``flows.resampled`` it alone is skipped and counted, and the other
+    points keep their batch results."""
+    e = catalog.pansu(1.0, 3)
+    points = e.sample(np.random.default_rng(15), 5)
+    clean = flows.bracket_spans(e.surface, points)
+    bad = points[2].coords
+    frames = flows.frame_many
+
+    def collapsing(s, pts, pivots=None):
+        if pivots is not None and (np.abs(np.asarray(pts) - bad).max(axis=1) < 1e-4).any():
+            raise PivotDegenerate("forced")
+        return frames(s, pts, pivots)
+
+    monkeypatch.setattr(flows, "frame_many", collapsing)
+    done, skipped = flows.resampled(lambda pts: flows.bracket_spans(e.surface, pts), points)
+    assert done == clean[:2] + clean[3:]
+    assert skipped == {"PivotDegenerate": 1}
 
 
 def test_resampled_reruns_a_failed_batch_one_item_at_a_time():
@@ -388,7 +421,7 @@ def test_non_finite_offset_raises_as_a_point_does(monkeypatch):
 
 def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
     """The bracket rows from one-point ``frame_many`` calls, one per field
-    value, as ``bracket_span`` took them before it batched its offsets."""
+    value, as ``bracket_spans`` took them before it batched its offsets."""
     n = p.n
 
     def field(c, i):
@@ -411,12 +444,13 @@ def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
 @pytest.mark.parametrize("entry", [catalog.pansu(1.0, 2), catalog.pansu(1.0, 3),
                                    catalog.cylinder(1.0, 2)], ids=["pansu2", "pansu3", "cyl2"])
 def test_bracket_rows_batched_match_one_point_frames(entry):
-    """``bracket_span`` takes its fields from two ``frame_many`` batches; each
-    row is bitwise what one-point frames give."""
-    for p in entry.sample(np.random.default_rng(11), 3):
+    """``bracket_spans`` takes its fields from two ``frame_many`` batches;
+    each point's rows are bitwise what one-point frames give."""
+    points = entry.sample(np.random.default_rng(11), 3)
+    batched = flows._bracket_rows(entry.surface, frame_many(entry.surface, points), 1e-5)
+    for rows, p in zip(batched, points):
         pivots = build_frame(entry.surface, p).pivots
-        batched = flows._bracket_rows(entry.surface, frame_many(entry.surface, (p,)), 1e-5)
-        assert np.array_equal(batched,
+        assert np.array_equal(rows,
                               _bracket_rows_one_point_at_a_time(entry.surface, p, pivots, 1e-5))
 
 

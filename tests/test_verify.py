@@ -184,7 +184,7 @@ def test_claims_without_completed_samples_fail(monkeypatch):
         raise PivotDegenerate("forced")
 
     for name in ("identity_check", "identity_check_many", "leaf_constancy",
-                 "leaf_constancy_many", "bracket_span"):
+                 "leaf_constancy_many", "bracket_spans"):
         monkeypatch.setattr(flows, name, degenerate)
     results = (verify.claim_interior_identities(0)
                + verify.claim_foliation_rank(0)
