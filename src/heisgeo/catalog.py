@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import duals
-from .core import Point
+from .core import Point, _unchecked
 from .surface import DomainError, RadialProfile, SurfaceDef, _dots
 
 __all__ = [
@@ -83,13 +83,18 @@ def _positive(value, what):
     return float(value)
 
 
-def _unit_direction(rng, m):
-    v = rng.normal(size=m)
-    return v / np.linalg.norm(v)
+def _unit_rows(rng, count, dim):
+    """A (count, dim) stack of random unit directions, each row normalised as
+    ``np.linalg.norm`` normalises one vector."""
+    v = rng.normal(size=(count, dim))
+    return v / np.sqrt(_dots(v, v))[:, None]
 
 
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _points(coords):
+    """The rows of a sampled stack as :class:`Point`s, checked as one stack."""
+    if not np.isfinite(coords).all():
+        raise ValueError("coordinates must be finite")
+    return [_unchecked(Point, coords=row) for row in coords]
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +183,16 @@ def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
     z_max = math.sqrt(r_max)
 
     def sampler(rng, count):
-        pts = []
         lo, hi = SAMPLER_MARGIN * z_max, (1.0 - SAMPLER_MARGIN) * z_max
-        for _ in range(count):
-            z = _log_uniform(rng, lo, hi)
-            d = _unit_direction(rng, 2 * n)
-            t = math.sqrt(max(f(z * z), 0.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-            pts.append(Point(np.concatenate([z * d, [t]])))
-        return pts
+        # radii (libm's exp, row by row: no SIMD dispatch in the bits), directions, signs
+        z = [math.exp(u) for u in rng.uniform(math.log(lo), math.log(hi), count).tolist()]
+        d = _unit_rows(rng, count, 2 * n)
+        signs = rng.random(count).tolist()
+        coords = np.empty((count, 2 * n + 1))
+        coords[:, : 2 * n] = np.array(z).reshape(count, 1) * d
+        coords[:, 2 * n] = [math.sqrt(max(f(r * r), 0.0)) * (1.0 if u < 0.5 else -1.0)
+                            for r, u in zip(z, signs)]
+        return _points(coords)
 
     return CatalogEntry(
         name=name,
@@ -337,12 +344,10 @@ def cylinder(c, n) -> CatalogEntry:
     }
 
     def sampler(rng, count):
-        pts = []
-        for _ in range(count):
-            d = _unit_direction(rng, 2 * n)
-            t = rng.uniform(-2.0 * c, 2.0 * c)
-            pts.append(Point(np.concatenate([c * d, [t]])))
-        return pts
+        coords = np.empty((count, 2 * n + 1))
+        coords[:, : 2 * n] = c * _unit_rows(rng, count, 2 * n)
+        coords[:, 2 * n] = rng.uniform(-2.0 * c, 2.0 * c, count)
+        return _points(coords)
 
     return CatalogEntry(
         name="cylinder",
@@ -382,13 +387,11 @@ def hyperplane(A, n) -> CatalogEntry:
     unit = A / np.linalg.norm(A)
 
     def sampler(rng, count):
-        pts = []
-        for _ in range(count):
-            w = rng.normal(size=2 * n)
-            w -= (w @ unit) * unit
-            t = rng.uniform(-2.0, 2.0)
-            pts.append(Point(np.concatenate([w, [t]])))
-        return pts
+        coords = np.empty((count, 2 * n + 1))
+        w = rng.normal(size=(count, 2 * n))
+        coords[:, : 2 * n] = w - _dots(w, unit)[:, None] * unit
+        coords[:, 2 * n] = rng.uniform(-2.0, 2.0, count)
+        return _points(coords)
 
     return CatalogEntry(
         name="hyperplane",

@@ -1,5 +1,6 @@
 """Claim registry: coverage, seeding, pass/fail wiring, mutation detection."""
 
+import ctypes
 import json
 import math
 import platform
@@ -387,9 +388,48 @@ def test_only_rows_equal_the_full_run_rows(full_run):
 
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "data"
-# what wrote the reference reports: their last digits follow numpy's and
-# libm's rounding, so another numpy or platform may move them
-REFERENCE_MADE_WITH = "numpy 2.4.6, Python 3.11.7 (Linux x86_64)"
+# what wrote the reference reports.  Their last digits follow the rounding of
+# numpy's SIMD loops, of the BLAS kernels and of libm, so another numpy or
+# platform may move them, and so may the same numpy on this host restricted
+# to AVX2 (NPY_ENABLE_CPU_FEATURES=X86_V3) or another OpenBLAS core
+# (OPENBLAS_CORETYPE=Haswell)
+REFERENCE_MADE_WITH = ("numpy 2.4.6, Python 3.11.7 (Linux x86_64), AVX512F dispatch on, "
+                       "OpenBLAS core SkylakeX")
+
+
+def _avx512f_dispatch():
+    """"on" if the CPU has AVX512F and numpy dispatches its float64 ``exp``
+    loop to an AVX-512 target.  ``__cpu_features__`` reports the CPU alone;
+    ``__cpu_targets_info__`` also shows a restriction such as
+    NPY_ENABLE_CPU_FEATURES."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        if not umath.__cpu_features__.get("AVX512F", False):
+            return "off"
+        target = umath.__cpu_targets_info__["exp"]["dd"]["current"]
+        return "on" if target.startswith(("X86_V4", "AVX512")) else "off"
+    except (ImportError, AttributeError, KeyError):
+        return "unknown"
+
+
+def _openblas_core():
+    """The core numpy's bundled OpenBLAS runs its kernels for, or "unknown"."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def _made_with():
+    """This run's counterpart of ``REFERENCE_MADE_WITH``."""
+    return (f"numpy {np.__version__}, Python {platform.python_version()} "
+            f"({platform.system()} {platform.machine()}), "
+            f"AVX512F dispatch {_avx512f_dispatch()}, OpenBLAS core {_openblas_core()}")
 
 
 def _moved_rows(old, new):
@@ -422,8 +462,7 @@ def test_run_matches_the_reference_report(full_run, seed):
         moved = _moved_rows(want, got) or ["no row moved: the report's header or layout did"]
         pytest.fail(f"verify run --seed {seed} differs from {path.name}:\n" + "\n".join(moved)
                     + f"\nthe reference was made with {REFERENCE_MADE_WITH}; this run uses "
-                    f"numpy {np.__version__}, Python {platform.python_version()} "
-                    f"({platform.system()} {platform.machine()})", pytrace=False)
+                    + _made_with(), pytrace=False)
 
 
 def test_full_run_lane_sweep_count(monkeypatch):
