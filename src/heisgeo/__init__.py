@@ -5,7 +5,7 @@ verification suite over the closed-form example surfaces."""
 
 from . import catalog, core, duals, flows, phaseplane, rk45, surface, verify
 from .core import HorizontalVector, Point, TangentVector
-from .surface import SurfaceDef, build_frame, report, rotsym_report, shape_matrix
+from .surface import SurfaceDef, build_frame, report, shape_matrix
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,4 @@ __all__ = [
     "build_frame",
     "shape_matrix",
     "report",
-    "rotsym_report",
 ]

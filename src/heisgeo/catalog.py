@@ -35,7 +35,6 @@ __all__ = [
     "cylinder",
     "hyperplane",
     "standard_entries",
-    "by_name",
     "SAMPLER_MARGIN",
 ]
 
@@ -102,7 +101,17 @@ def _points(coords):
 
 _PSI_SERIES = (0.0, 1.0, -1.0 / 3.0, -1.0 / 45.0, -1.0 / 105.0,
                -8.0 / 1575.0, -32.0 / 10395.0)
+_PSI_SERIES_D1 = tuple(i * c for i, c in enumerate(_PSI_SERIES))[1:]
+_PSI_SERIES_D2 = tuple(i * (i - 1) * c for i, c in enumerate(_PSI_SERIES))[2:]
 _SERIES_CUT = 1e-3
+
+
+def _horner(coeffs, s):
+    """The polynomial with ascending coefficients ``coeffs`` at ``s``."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
 
 
 def _psi(s):
@@ -116,35 +125,29 @@ def _psi(s):
     if s < -_SERIES_CUT:
         raise DomainError("outside the constant-curvature profile domain")
     if s < _SERIES_CUT:
-        acc = 0.0
-        for c in reversed(_PSI_SERIES):
-            acc = acc * s + c
-        return acc
+        return _horner(_PSI_SERIES, s)
     a = duals.sqrt(s * (1.0 - s)) + duals.arcsin(duals.sqrt(s))
     return a * a * 0.25
 
 
+def _psi_arc(sv):
+    """``(sv, a)``: ``sv`` kept below the singular axis s = 1, so that the
+    derivatives stay finite there, and ``a = sqrt(sv(1-sv)) + asin(sqrt(sv))``."""
+    sv = min(sv, 1.0 - 1e-13)
+    return sv, math.sqrt(sv * (1.0 - sv)) + math.asin(math.sqrt(sv))
+
+
 def _psi_d1(sv):
     if sv < _SERIES_CUT:
-        cs = [i * c for i, c in enumerate(_PSI_SERIES)][1:]
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * sv + c
-        return acc
-    sv = min(sv, 1.0 - 1e-13)  # the axis s=1 is singular; keep finite there
-    a = math.sqrt(sv * (1.0 - sv)) + math.asin(math.sqrt(sv))
+        return _horner(_PSI_SERIES_D1, sv)
+    sv, a = _psi_arc(sv)
     return 0.5 * a * math.sqrt((1.0 - sv) / sv)
 
 
 def _psi_d2(sv):
     if sv < _SERIES_CUT:
-        cs = [i * (i - 1) * c for i, c in enumerate(_PSI_SERIES)][2:]
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * sv + c
-        return acc
-    sv = min(sv, 1.0 - 1e-13)
-    a = math.sqrt(sv * (1.0 - sv)) + math.asin(math.sqrt(sv))
+        return _horner(_PSI_SERIES_D2, sv)
+    sv, a = _psi_arc(sv)
     return (1.0 - sv) / (2.0 * sv) - a / (4.0 * math.sqrt(1.0 - sv) * sv**1.5)
 
 
@@ -179,7 +182,7 @@ def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
         hess[..., 2 * n, 2 * n] = -2.0
         return fv - t * t, grad, hess
 
-    surface = SurfaceDef(func=func, n=n, name=name, params=params, grad_hess=grad_hess)
+    surface = SurfaceDef(func=func, n=n, name=name, grad_hess=grad_hess)
     z_max = math.sqrt(r_max)
 
     def sampler(rng, count):
@@ -255,8 +258,8 @@ def pansu(lam, n) -> CatalogEntry:
         },
     )
     return replace(entry, charts={
-        "upper": SurfaceDef(func=upper, n=n, name="pansu-upper", params={"lam": lam}),
-        "lower": SurfaceDef(func=lower, n=n, name="pansu-lower", params={"lam": lam}),
+        "upper": SurfaceDef(func=upper, n=n, name="pansu-upper"),
+        "lower": SurfaceDef(func=lower, n=n, name="pansu-lower"),
     })
 
 
@@ -334,8 +337,7 @@ def cylinder(c, n) -> CatalogEntry:
         hess[..., : 2 * n, : 2 * n] = flat
         return c * c - _dots(z, z), grad, hess
 
-    surface = SurfaceDef(func=func, n=n, name="cylinder", params={"c": c},
-                         grad_hess=grad_hess)
+    surface = SurfaceDef(func=func, n=n, name="cylinder", grad_hess=grad_hess)
     expected = {
         "k": lambda p: 1.0 / c,
         "l": lambda p: 1.0 / c,
@@ -378,9 +380,7 @@ def hyperplane(A, n) -> CatalogEntry:
         grad[..., : 2 * n] = A
         return _dots(A, z), grad, np.zeros(grad.shape + (2 * n + 1,))
 
-    surface = SurfaceDef(
-        func=func, n=n, name="hyperplane", params={"A": tuple(A)}, grad_hess=grad_hess
-    )
+    surface = SurfaceDef(func=func, n=n, name="hyperplane", grad_hess=grad_hess)
     zero = lambda p: 0.0
     expected = {"k": zero, "l": zero, "H": zero, "alpha": zero}
 
@@ -417,19 +417,3 @@ def standard_entries(n=2):
         hyperplane(A, n),
     ]
 
-
-def by_name(name, n=2, **params) -> CatalogEntry:
-    makers = {
-        "pansu": lambda: pansu(params.get("lam", 1.0), n),
-        "heisenberg-sphere": lambda: heisenberg_sphere(params.get("rho", 1.0), n),
-        "shifted-sphere": lambda: shifted_sphere(
-            params.get("lam", 0.5), params.get("rho0", 1.2), n
-        ),
-        "cylinder": lambda: cylinder(params.get("c", 1.0), n),
-        "hyperplane": lambda: hyperplane(
-            params.get("A", np.eye(2 * n)[0]), n
-        ),
-    }
-    if name not in makers:
-        raise KeyError(f"unknown catalog entry {name!r}")
-    return makers[name]()

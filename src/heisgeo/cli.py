@@ -45,24 +45,16 @@ def _parse_floats(text, expect=None, what="value list"):
     return np.array(vals)
 
 
-def _entry_from_args(args):
-    params = {}
-    if args.surface in ("pansu", "shifted-sphere"):
-        params["lam"] = args.lam
-    if args.surface == "heisenberg-sphere":
-        params["rho"] = args.rho
-    if args.surface == "shifted-sphere":
-        params["rho0"] = args.rho0
-    if args.surface == "cylinder":
-        params["c"] = args.c
-    if args.surface == "hyperplane":
-        if args.coeffs:
-            params["A"] = _parse_floats(args.coeffs, expect=2 * args.n,
-                                        what="hyperplane coefficients")
-    try:
-        return catalog.by_name(args.surface, n=args.n, **params)
-    except KeyError as exc:
-        raise _CliError(str(exc)) from exc
+# each ``--surface`` name and the catalog entry its flags build
+_SURFACES = {
+    "pansu": lambda a: catalog.pansu(a.lam, a.n),
+    "heisenberg-sphere": lambda a: catalog.heisenberg_sphere(a.rho, a.n),
+    "shifted-sphere": lambda a: catalog.shifted_sphere(a.lam, a.rho0, a.n),
+    "cylinder": lambda a: catalog.cylinder(a.c, a.n),
+    "hyperplane": lambda a: catalog.hyperplane(
+        _parse_floats(a.coeffs, expect=2 * a.n, what="hyperplane coefficients")
+        if a.coeffs else np.eye(2 * a.n)[0], a.n),
+}
 
 
 def _resolve_out(path):
@@ -82,7 +74,7 @@ def _write(path, text):
 
 
 def _cmd_report(args):
-    entry = _entry_from_args(args)
+    entry = _SURFACES[args.surface](args)
     coords = _parse_floats(args.point, expect=2 * args.n + 1, what="point")
     s = entry.surface.with_derivatives(args.derivatives)
     u = s.value(coords)
@@ -172,7 +164,7 @@ def _cmd_identities(args):
         raise _CliError("--step must be finite and positive")
     if args.points <= 0:  # a check of no points would pass vacuously
         raise _CliError("--points must be positive")
-    entry = _entry_from_args(args)
+    entry = _SURFACES[args.surface](args)
     pts = entry.sample(np.random.default_rng(args.seed), args.points)
     # verify's resample rule: a point whose frame or projection fails is
     # skipped; any other GeometryError (a derivative bug) reaches main
@@ -220,9 +212,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_surface_flags(p):
-        p.add_argument("--surface", required=True,
-                       choices=["pansu", "heisenberg-sphere", "shifted-sphere",
-                                "cylinder", "hyperplane"])
+        p.add_argument("--surface", required=True, choices=list(_SURFACES))
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
         p.add_argument("--rho", type=float, default=1.0)

@@ -64,19 +64,23 @@ def resampled(fn, items):
     """``(results, skipped)``: ``fn(items)``, one result per item, run as
     one batch.  If the batch raises, each item reruns as a batch of one: an
     item that raises a :data:`RESAMPLE` failure alone is skipped and counted
-    by exception type name in ``skipped``, and any other failure raises."""
+    by exception type name in ``skipped``, and any other failure raises.  If
+    no item fails alone, the batch's own failure raises."""
     items = list(items)
+    failure = None
     if len(items) > 1:
         try:
             return list(fn(items)), Counter()
-        except Exception:  # rerun item by item, where a failure not resampled raises
-            pass
+        except Exception as exc:  # rerun item by item, where a failure not resampled raises
+            failure = exc
     out, skipped = [], Counter()
     for item in items:
         try:
             out.extend(fn([item]))
         except RESAMPLE as exc:
             skipped[type(exc).__name__] += 1
+    if failure is not None and not skipped:
+        raise failure
     return out, skipped
 
 
@@ -242,8 +246,9 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
     step from one ``evaluate_many`` call per sweep, with its own arithmetic,
     so a row gives the same bits in any stack.  Of the rows that do not
     converge, the first raises :class:`ProjectionFailure`.  If an evaluation
-    raises, the rows are projected one at a time instead, so the first
-    failing row raises what it raises alone.
+    raises, the rows are projected one at a time, so the first row that
+    fails alone raises what it raises alone; if none does, the evaluation's
+    own failure raises.
     """
     c = np.array(coords, dtype=float)
     live = np.arange(len(c))  # rows still stepping
@@ -263,9 +268,10 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
             c[live[step]] -= (u[step] / g2[step])[:, None] * grad[step]
             live = live[step]
     except Exception:
-        if len(c) == 1:
-            raise
-        return np.concatenate([_newton_project(s, row[None], maxit) for row in coords])
+        if len(c) > 1:
+            for row in np.asarray(coords, dtype=float):
+                _newton_project(s, row[None], maxit)
+        raise
     failed[live] = True  # still off the level set after maxit steps
     if failed.any():
         i = int(failed.argmax())

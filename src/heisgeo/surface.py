@@ -10,11 +10,11 @@ One array kernel does this over an (N, 2n+1) stack of coordinates
 (:func:`report_many`), given as the stack itself or as a sequence of
 :class:`~heisgeo.core.Point`: the derivatives come from one
 :meth:`SurfaceDef.evaluate_many` call, and the frame, the form and the
-eigenvalues are stacked array operations.  The per-point
-functions (:func:`build_frame`, :func:`shape_matrix`, :func:`report`,
-:func:`rotsym_report`) are batches of one, and a point gives the same bits
-alone and inside a batch.  A batch that raises reruns one point at a time,
-and the first point that raises alone raises its own error.
+eigenvalues are stacked array operations.  The per-point functions
+(:func:`build_frame`, :func:`shape_matrix`, :func:`report`) are batches of
+one, and a point gives the same bits alone and inside a batch.  A batch
+that raises reruns one point at a time, and the first point that raises
+alone raises its own error.
 
 Derivatives of the normalized horizontal normal are exact: the frame is
 parallel, so the normal field's frame coefficients are rational in the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "shape_matrix",
     "report",
     "report_many",
-    "rotsym_report",
     "rotsym_many",
     "singular_jacobian",
     "graph_derivatives",
@@ -118,7 +117,6 @@ class SurfaceDef:
     func: Callable
     n: int
     name: str = ""
-    params: dict = field(default_factory=dict)
     derivatives: str = "exact"
     grad_hess: Optional[Callable] = None
 
@@ -729,11 +727,6 @@ def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
         spread=zeros,
         umbilic=np.ones(len(coords), dtype=bool),
     )
-
-
-def rotsym_report(profile: RadialProfile, p: Point) -> SurfaceReport:
-    """Closed-form report at ``p``: a batch of one of :func:`rotsym_many`."""
-    return rotsym_many(profile, (p,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ as batches under the resample rule of :func:`flows.resampled`.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import zlib
@@ -145,21 +144,18 @@ def _row(cid, seed, name, params, residuals, tolerance, row_id=None, extra=None,
 def _sampled_claim(cid, seed, cases, residuals, tolerance, row_id=None):
     """One result row per case: the worst residual over its completed points.
 
-    ``cases`` yields ``(surface, params, [(entry, point), ...])``, and
+    ``cases`` yields ``(surface, params, [(entry, points), ...])``, and
     ``residuals(entry, points)`` gives one residual per point of a sequence
-    of points of one entry.  Each run of consecutive points of one entry is
-    one batch under ``flows.resampled``: if it raises, its points rerun as
-    batches of one, a point whose frame or projection fails alone is
-    skipped, and any other failure raises; see ``_row``.
+    of points of one entry.  Each group's points are one batch under
+    ``flows.resampled``: if it raises, its points rerun as batches of one, a
+    point whose frame or projection fails alone is skipped, and any other
+    failure raises; see ``_row``.
     """
     rows = []
-    for name, params, items in cases:
+    for name, params, groups in cases:
         values, skipped = [], Counter()
-        for _, run in itertools.groupby(items, key=lambda item: id(item[0])):
-            run = list(run)
-            entry = run[0][0]
-            done, more = flows.resampled(lambda pts: _floats(residuals(entry, pts)),
-                                         [p for _, p in run])
+        for entry, points in groups:
+            done, more = flows.resampled(lambda pts: _floats(residuals(entry, pts)), points)
             values += done
             skipped += more
         rows.append(_row(cid, seed, name, params, values, tolerance, row_id,
@@ -169,7 +165,7 @@ def _sampled_claim(cid, seed, cases, residuals, tolerance, row_id=None):
 
 def _report_claim(cid, seed, cases, residual, tolerance, row_id=None):
     """``_sampled_claim`` with ``residual(entry, batch)`` over the
-    ``surface.report_many`` batch of each run of points.  Reports force no
+    ``surface.report_many`` batch of each group of points.  Reports force no
     pivots, so no point is skipped: a failing report raises."""
     return _sampled_claim(
         cid, seed, cases,
@@ -191,7 +187,7 @@ def _zabs(coords):
 
 def _case(name, params, entry, rng, count):
     """A case of ``count`` points drawn from one catalog entry."""
-    return name, params, [(entry, p) for p in entry.sample(rng, count)]
+    return name, params, [(entry, entry.sample(rng, count))]
 
 
 def _catalog_cases(rng, count, ns=None):
@@ -277,8 +273,8 @@ def claim_xn_shape_equivalence(seed):
             return asym
         return np.maximum(batch.xn_residual, np.maximum(asym, lead))
 
-    cases = [("catalog", {"n": n}, [(entry, p) for entry in catalog.standard_entries(n)
-                                    for p in entry.sample(rng, 30)])
+    cases = [("catalog", {"n": n}, [(entry, entry.sample(rng, 30))
+                                    for entry in catalog.standard_entries(n)])
              for n in NS]
     cases.append(_case("generic-graph", {"n": 2}, generic, rng, 60))
     *out, row = _report_claim(cid, seed, cases, residual, 1e-8)
@@ -401,8 +397,7 @@ def claim_interior_identities(seed):
     cid = "prop4.2-identities"
     rng = _rng(seed, cid)
     cases = (
-        (entry.name, dict(entry.params),
-         [(entry, p) for p in moderate_points(entry, rng, 3)])
+        (entry.name, dict(entry.params), [(entry, moderate_points(entry, rng, 3))])
         for entry in identity_suite_entries()
     )
     return _sampled_claim(
@@ -795,8 +790,7 @@ def _extremal(lam, n):
         g = 4.0 * t * t + (r + lam) * (r + lam)
         return g ** (-0.5 * n)
 
-    return SurfaceDef(func=func, n=n, name="sobolev-extremal",
-                      params={"lam": lam})
+    return SurfaceDef(func=func, n=n, name="sobolev-extremal")
 
 
 def yamabe_check(lam, n, count=200, seed=0):
@@ -858,8 +852,7 @@ def claim_shifted_spheres(seed):
             entry = catalog.shifted_sphere(lam, rho0, 2)
             pts = entry.sample(rng, 100)
             floors[lam] = lam / (rho0**2 * max(catalog._zabs(p) for p in pts))
-            yield ("shifted-sphere", {"lam": lam, "rho0": rho0},
-                   [(entry, p) for p in pts])
+            yield "shifted-sphere", {"lam": lam, "rho0": rho0}, [(entry, pts)]
 
     def residual(entry, batch):
         lam, rho0 = entry.params["lam"], entry.params["rho0"]
@@ -890,7 +883,7 @@ def pmc_level_set_check(lams, sigma, n, count=20, seed=0):
                for lam, u_val in zip(lams, u_values)}
     entries = [catalog.pansu(lam, n) for lam in lams]
     cases = [("pansu-family", {"n": n, "sigma": sigma, "lams": list(lams)},
-              [(entry, p) for entry in entries for p in entry.sample(rng, count)])]
+              [(entry, entry.sample(rng, count)) for entry in entries])]
 
     def residual(entry, batch):
         target = targets[entry.params["lam"]]

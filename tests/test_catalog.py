@@ -317,6 +317,58 @@ def test_pansu_pole_accuracy_of_the_dual_path(n):
     assert np.abs(report_many(e.surface, pts).H - H).max() <= 1e-9
 
 
+def _series_before(coeffs, s):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def _psi_before(s):
+    """``catalog._psi`` as written before the profile shared ``_horner``."""
+    if s < catalog._SERIES_CUT:
+        return _series_before(catalog._PSI_SERIES, s)
+    a = duals.sqrt(s * (1.0 - s)) + duals.arcsin(duals.sqrt(s))
+    return a * a * 0.25
+
+
+def _psi_d1_before(sv):
+    if sv < catalog._SERIES_CUT:
+        return _series_before([i * c for i, c in enumerate(catalog._PSI_SERIES)][1:], sv)
+    sv = min(sv, 1.0 - 1e-13)
+    a = math.sqrt(sv * (1.0 - sv)) + math.asin(math.sqrt(sv))
+    return 0.5 * a * math.sqrt((1.0 - sv) / sv)
+
+
+def _psi_d2_before(sv):
+    if sv < catalog._SERIES_CUT:
+        return _series_before([i * (i - 1) * c for i, c in enumerate(catalog._PSI_SERIES)][2:],
+                              sv)
+    sv = min(sv, 1.0 - 1e-13)
+    a = math.sqrt(sv * (1.0 - sv)) + math.asin(math.sqrt(sv))
+    return (1.0 - sv) / (2.0 * sv) - a / (4.0 * math.sqrt(1.0 - sv) * sv**1.5)
+
+
+def test_psi_profile_is_bitwise_its_written_out_formulas():
+    """The squared Pansu profile and its derivatives give the bits of their
+    written-out Horner loops and closed forms: across the series cut and up
+    to the clamp below the axis s = 1, and on a dual stack for ``_psi``."""
+    cut = catalog._SERIES_CUT
+    grid = np.concatenate([np.linspace(-cut, 3 * cut, 41),
+                           [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)],
+                           np.linspace(0.01, 1.0 - 1e-13, 60),
+                           [1.0 - 1e-12, np.nextafter(1.0 - 1e-13, 0.0)]]).tolist()
+    for new, old in ((catalog._psi, _psi_before), (catalog._psi_d1, _psi_d1_before),
+                     (catalog._psi_d2, _psi_d2_before)):
+        assert np.array([new(s) for s in grid]).tobytes() == \
+            np.array([old(s) for s in grid]).tobytes(), new.__name__
+    for part in (np.linspace(-cut, 0.9 * cut, 7), np.linspace(1.1 * cut, 1.0 - 1e-6, 7)):
+        seeded = duals.Dual2(part, part[:, None] * [1.0, -2.0], np.ones((7, 2, 2)))
+        new, old = catalog._psi(seeded), _psi_before(seeded)
+        for attr in ("f", "g", "h"):
+            assert getattr(new, attr).tobytes() == getattr(old, attr).tobytes(), attr
+
+
 def test_shifted_sphere_empty_raises():
     with pytest.raises(DomainError):
         catalog.shifted_sphere(2.0, 1.0, 2)
@@ -339,10 +391,10 @@ def test_hyperplane_validation():
         catalog.cylinder(-1.0, 2)
 
 
-def test_by_name_and_describe():
-    e = catalog.by_name("pansu", n=2, lam=2.0)
-    assert e.params["lam"] == 2.0
-    with pytest.raises(KeyError):
-        catalog.by_name("torus")
+def test_factory_params_and_describe():
+    e = catalog.pansu(2.0, 2)
+    assert e.params == {"lam": 2.0, "n": 2}
     d = e.describe()
     assert d["name"] == "pansu" and "k" in d["expected"]
+    d = catalog.hyperplane(np.eye(4)[0], 2).describe()
+    assert d["params"] == {"A": [1.0, 0.0, 0.0, 0.0], "n": 2}

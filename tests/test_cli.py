@@ -176,6 +176,11 @@ def test_bad_parameter_values_are_usage_errors(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
+def test_unknown_surface_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "report", "--surface", "torus", "--point", "0,0,0,0,0")
+    assert code == 2 and out == "" and "invalid choice: 'torus'" in err
+
+
 def test_geodesic_csv(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, _, _ = run(

@@ -19,6 +19,7 @@ from heisgeo.flows import (
 )
 from heisgeo.surface import (
     DomainError,
+    NonSymmetric,
     OffSurface,
     PivotDegenerate,
     alpha_directional,
@@ -402,6 +403,25 @@ def test_resampled_reruns_a_failed_batch_one_item_at_a_time():
         flows.resampled(double, [0, 1, 5])
 
 
+def test_resampled_raises_the_batch_failure_when_no_item_fails_alone():
+    """A batch failure that no item repeats alone raises; an item skipped
+    alone counts as failing, so then the batch's failure does not raise."""
+    def batches_fail(items):
+        if len(items) > 1:
+            raise NonSymmetric("batch only")
+        return list(items)
+
+    with pytest.raises(NonSymmetric, match="batch only"):
+        flows.resampled(batches_fail, [0, 1, 2])
+
+    def one_skips(items):
+        if items == [1]:
+            raise PivotDegenerate("forced")
+        return batches_fail(items)
+
+    assert flows.resampled(one_skips, [0, 1, 2]) == ([0, 2], {"PivotDegenerate": 1})
+
+
 def test_non_finite_offset_raises_as_a_point_does(monkeypatch):
     """An offset the projection leaves non-finite (``NaN > tol`` is false, so
     Newton lets it through) raises the ``ValueError`` a ``Point`` raises."""
@@ -600,6 +620,22 @@ def test_newton_projection_rows_match_projected_alone():
         flows._newton_project(e.surface, np.vstack([rows[:1], outside]), maxit=1)
     with pytest.raises(DomainError):
         flows._newton_project(e.surface, np.vstack([outside, rows[:1]]), maxit=1)
+
+
+def test_newton_projection_raises_the_batch_failure_when_every_row_projects_alone():
+    e = catalog.pansu(1.0, 2)
+    rows = np.array([p.coords for p in e.sample(np.random.default_rng(5), 3)]) + 1e-6
+
+    class BatchesFail:
+        def evaluate_many(self, coords):
+            if len(coords) > 1:
+                raise NonSymmetric("batch only")
+            return e.surface.evaluate_many(coords)
+
+    for row in rows:
+        flows._newton_project(BatchesFail(), row[None])
+    with pytest.raises(NonSymmetric, match="batch only"):
+        flows._newton_project(BatchesFail(), rows)
 
 
 def _nan_in_offset_row(monkeypatch, row):

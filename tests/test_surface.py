@@ -23,7 +23,6 @@ from heisgeo.surface import (
     report,
     report_many,
     rotsym_many,
-    rotsym_report,
     singular_jacobian,
 )
 
@@ -407,12 +406,16 @@ def test_kernel_rejects_non_finite_and_misshapen_rows():
     assert _raised(lambda: rotsym_many(e.profile, nan)) == finite
 
 
-def test_rotsym_many_matches_rotsym_report():
+def test_rotsym_many_rows_are_their_batches_of_one():
+    """Each row of a mixed batch, over both hemispheres and the equator, is
+    bit for bit its batch of one."""
     e = catalog.shifted_sphere(0.5, 1.2, 3)
-    pts = e.sample(RNG, 10)
+    equator = Point(np.array([math.sqrt(1.2**2 - 0.5), 0, 0, 0, 0, 0, 0.0]))
+    pts = [*e.sample(RNG, 10), equator]
+    assert {math.copysign(1.0, p.t) for p in pts} == {1.0, -1.0}
     batch = rotsym_many(e.profile, pts)
     for i, p in enumerate(pts):
-        assert _same_report(rotsym_report(e.profile, p), batch, i)
+        assert _same_report(rotsym_many(e.profile, [p])[0], batch, i)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +426,7 @@ def test_rotsym_matches_shape_matrix():
     for entry in (catalog.pansu(1.0, 2), catalog.heisenberg_sphere(1.0, 2),
                   catalog.pansu(0.5, 3), catalog.shifted_sphere(0.5, 1.2, 2)):
         for p in entry.sample(RNG, 40):
-            rs = rotsym_report(entry.profile, p)
+            rs = rotsym_many(entry.profile, [p])[0]
             sm = report(entry.surface, p)
             assert rs.k == pytest.approx(sm.k, abs=1e-8)
             assert rs.l == pytest.approx(sm.l, abs=1e-8)
@@ -441,25 +444,25 @@ def test_rotsym_values():
     e = catalog.pansu(1.0, 2)
     r = 0.25
     t = math.sqrt(e.profile.f(r))
-    rep = rotsym_report(e.profile, Point(np.array([0.5, 0, 0, 0, t])))
+    rep = rotsym_many(e.profile, [Point(np.array([0.5, 0, 0, 0, t]))])[0]
     assert rep.k == pytest.approx(1.0, abs=1e-12)
     assert rep.l == pytest.approx(2.0, abs=1e-12)
     # quartic-sphere profile at |z| = 0.8: k = 0.8, l = 2.4
     e = catalog.heisenberg_sphere(1.0, 2)
     t = 0.5 * math.sqrt(1 - 0.8**4)
-    rep = rotsym_report(e.profile, Point(np.array([0.8, 0, 0, 0, t])))
+    rep = rotsym_many(e.profile, [Point(np.array([0.8, 0, 0, 0, t]))])[0]
     assert rep.k == pytest.approx(0.8, abs=1e-12)
     assert rep.l == pytest.approx(2.4, abs=1e-12)
     # equator: vanishing tilt
     e = catalog.pansu(1.0, 2)
-    rep = rotsym_report(e.profile, Point(np.array([1.0, 0, 0, 0, 0.0])))
+    rep = rotsym_many(e.profile, [Point(np.array([1.0, 0, 0, 0, 0.0]))])[0]
     assert rep.alpha == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotsym_degenerate_errors():
     e = catalog.heisenberg_sphere(1.0, 2)
     with pytest.raises(DegenerateProfile):
-        rotsym_report(e.profile, Point(np.array([0.0, 0, 0, 0, 0.5])))
+        rotsym_many(e.profile, [Point(np.array([0.0, 0, 0, 0, 0.5]))])
 
 
 # ---------------------------------------------------------------------------

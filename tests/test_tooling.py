@@ -46,12 +46,15 @@ def test_source_lines_fit_98_columns():
 
 
 # Library API that no command or claim calls: the group and frame
-# operations of ``core``, a free phase-plane integration, and the tilt
-# derivative that the main theorem's end-to-end check will need.
+# operations of ``core`` and its contact form ``theta``, the elementary
+# functions that ``duals`` offers user-written surfaces (``exp``, ``log``),
+# a free phase-plane integration, and the tilt derivative that the main
+# theorem's end-to-end check will need.
 LIBRARY_FUNCTIONS = (
     "core.from_xyt", "core.identity", "core.group_mul", "core.inverse",
     "core.frame_vector", "core.apply_J", "core.dtheta", "core.levi",
-    "core.covariant_derivative", "phaseplane.integrate", "surface.alpha_directional",
+    "core.covariant_derivative", "core.theta", "duals.exp", "duals.log",
+    "phaseplane.integrate", "surface.alpha_directional",
 )
 LIBRARY_OPTIONS = ("core.covariant_derivative.mode", "phaseplane.integrate.control")
 
@@ -93,40 +96,82 @@ def _definitions(tree):
                         if isinstance(item, ast.FunctionDef))
 
 
-def _references(tree):
-    """``(names, attributes)`` a module uses.  Names are read variables and
-    imported names; attributes are attribute accesses.  Identifier strings
-    count as both (the benchmark tracer names its targets as strings), except
-    in ``__all__``, which lists a name without using it."""
-    names, attrs = set(), set()
+def _dotted(path):
+    """The dotted module name of a program file: ``heisgeo.surface``,
+    ``heisgeo`` for the package's ``__init__``, ``perfbench.tracer``."""
+    package = path.parent.name
+    return package if path.stem == "__init__" else f"{package}.{path.stem}"
+
+
+def _bindings(tree, module):
+    """``{name: dotted target}`` of the names a module's imports bind, at
+    any depth: ``from . import m`` binds ``m`` to ``heisgeo.m``, ``from .m
+    import f as g`` binds ``g`` to ``heisgeo.m.f`` and ``import heisgeo.m``
+    binds ``heisgeo``."""
+    package = module if module == "heisgeo" else module.rsplit(".", 1)[0]
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".", 1)[0]
+                    bound[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [package if node.level else "", node.module]))
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return bound
+
+
+def _resolve(node, bound, module):
+    """The dotted target an expression reads, or None: a bare name is what
+    an import bound it to, else a name of its own module; ``x.a`` is the
+    target of ``x`` followed by ``a``."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id, f"{module}.{node.id}")
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, bound, module)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _references(tree, module):
+    """``(reads, attributes, strings)`` of a module.  Reads are the dotted
+    targets of its read names and attribute chains (a function is used where
+    its own module or an importer reads it, not where its ``__init__``
+    re-exports it); attributes are the names of every attribute access;
+    strings are its string constants (the benchmark tracer names its targets
+    as strings), except in ``__all__``, which lists a name without using
+    it."""
+    bound = _bindings(tree, module)
+    reads, attrs, strings = set(), set(), set()
     body = [node for node in tree.body if not (
         isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__")]
     for node in (sub for top in body for sub in ast.walk(top)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             attrs.add(node.attr)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            reads.add(_resolve(node, bound, module))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-            attrs.add(node.value)
-    return names, attrs
+            strings.add(node.value)
+    return reads, attrs, strings
 
 
 def test_every_public_function_is_used():
     """A public function or method of ``src/heisgeo`` that nothing in
     ``src`` or ``perfbench`` uses is dead code, unless it is listed library
-    API.  A function counts as used when its name is read, imported or
-    accessed as an attribute (the claim functions are read by the
-    ``CLAIMS`` registry); a method only when it is accessed as an
-    attribute.  Dunders and private names are exempt."""
+    API.  A function of module ``m`` counts as used where ``m`` reads its
+    bare name, where another module reads the name it imported from ``m``
+    or reads it as an attribute of ``m`` bound by an import, and where a
+    string names it (the claim functions are read by the ``CLAIMS``
+    registry).  The package's ``__init__`` re-exports are not uses.  A
+    method counts as used where any attribute access or string names it.
+    Dunders and private names are exempt."""
     trees = _trees()
-    names, attrs = set(), set()
-    for tree in trees.values():
-        more_names, more_attrs = _references(tree)
-        names |= more_names
-        attrs |= more_attrs
+    refs = [_references(tree, _dotted(path)) for path, tree in trees.items()]
+    reads, attrs, strings = (set().union(*parts) for parts in zip(*refs))
     defined, unused = set(), {}
     for module, tree in _package(trees):
         for name, line, is_method in _definitions(tree):
@@ -134,7 +179,8 @@ def test_every_public_function_is_used():
                 continue
             key = f"{module}.{name}"
             defined.add(key)
-            if name not in attrs and (is_method or name not in names):
+            used = name in attrs if is_method else f"heisgeo.{key}" in reads
+            if not (used or name in strings):
                 unused[key] = f"{module}.py:{line} {name}"
     _check_allowlist(unused, defined, LIBRARY_FUNCTIONS)
 

@@ -101,7 +101,7 @@ def test_nan_residual_fails_its_row():
         assert data["claims"][0]["residual"] is None and data["passed"] is False
     assert verify._row("x", 0, "s", {}, [1e-9, 2e-9], 1e-8).residual == 2e-9
     entry = catalog.pansu(1.0, 2)
-    cases = [("pansu", {"n": 2}, [(entry, p) for p in entry.sample(np.random.default_rng(3), 4)])]
+    cases = [("pansu", {"n": 2}, [(entry, entry.sample(np.random.default_rng(3), 4))])]
     rows = verify._report_claim("x", 0, cases, lambda e, batch: batch.k * math.nan, 1e-8)
     assert len(rows) == 1 and rows[0].samples == 4
     assert math.isnan(rows[0].residual) and not rows[0].passed
@@ -347,8 +347,8 @@ def test_skipped_samples_are_counted_by_type():
     entry = catalog.cylinder(1.0, 2)
     degenerate = Point(np.array([1.0, 0.0, 0.0, 0.0, 0.3]))  # e_1 lies in span(e_n, e_2n) here
     pts = entry.sample(np.random.default_rng(2), 3)
-    cases = [("cylinder", {}, [(entry, p) for p in pts[:2] + [degenerate] + pts[2:]]),
-             ("cylinder", {}, [(entry, p) for p in pts])]
+    cases = [("cylinder", {}, [(entry, pts[:2] + [degenerate] + pts[2:])]),
+             ("cylinder", {}, [(entry, pts)])]
 
     def residuals(e, ps):
         return surface.report_many(e.surface, ps, pivots=(0,)).spread
@@ -369,8 +369,7 @@ def test_rows_need_half_of_their_attempted_samples(skips, passed):
             raise PivotDegenerate("forced")
         return [1e-9] * len(ps)
 
-    (row,) = verify._sampled_claim("x", 0, [("pansu", {}, [(entry, p) for p in pts])],
-                                   residuals, 1e-8)
+    (row,) = verify._sampled_claim("x", 0, [("pansu", {}, [(entry, pts)])], residuals, 1e-8)
     assert row.samples == 4 - skips and row.extra == {"skipped": {"PivotDegenerate": skips}}
     assert row.passed is passed
 
@@ -544,7 +543,7 @@ def test_batch_fallback_skips_what_the_one_point_path_skips(monkeypatch, claim):
     else:
         one = lambda e, p: flows.leaf_constancy(e.surface, p)
         batch = lambda e, ps: flows.leaf_constancy_many(e.surface, ps)
-    cases = [("heisenberg-sphere", {}, [(entry, p) for p in pts])]
+    cases = [("heisenberg-sphere", {}, [(entry, pts)])]
     (batched,) = verify._sampled_claim("x", 0, cases, batch, 1e-5)
     (alone,) = verify._sampled_claim("x", 0, cases, lambda e, ps: [one(e, p) for p in ps], 1e-5)
     assert batched.to_dict() == alone.to_dict()
@@ -561,9 +560,8 @@ def test_batched_claims_match_one_point_claims():
         original = getattr(flows, name)
 
         def single(s, points, *args, original=original, **kwargs):
-            if len(points) > 1:  # the batch raises: every case runs point by point
-                raise flows.ProjectionFailure("forced")
-            return original(s, points, *args, **kwargs)
+            # every case's batch result is made of one-point checks
+            return [r for p in points for r in original(s, [p], *args, **kwargs)]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flows, name, single)
