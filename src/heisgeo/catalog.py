@@ -315,6 +315,7 @@ def shifted_sphere(lam, rho0, n) -> CatalogEntry:
         formulas={
             "k": "(|z|^2+lam)/(rho0^2 |z|)",
             "l": "(3|z|^2+lam)/(rho0^2 |z|)",
+            "H": "((2n+1)|z|^2+(2n-1)lam)/(rho0^2 |z|)",
             "alpha": "2t/(rho0^2 |z|)",
         },
     )

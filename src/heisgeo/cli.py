@@ -187,8 +187,7 @@ def _cmd_identities(args):
 
 
 def _cmd_verify(args):
-    config = verify.VerifyConfig(seed=args.seed, only=args.only)
-    rep = verify.run_all(config)
+    rep = verify.run_all(args.seed, only=args.only)
     if args.json:
         _write(args.json, rep.to_json() + "\n")
     if args.timings:  # wall clock, so never in the reproducible report

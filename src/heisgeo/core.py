@@ -92,9 +92,6 @@ class HorizontalVector:
     def n(self):
         return self.coeffs.size // 2
 
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
 
 def _unchecked(cls, **fields):
     """A ``cls`` instance holding ``fields`` as given, without rerunning its

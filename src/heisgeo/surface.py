@@ -254,7 +254,6 @@ class FrameBundle:
     en: HorizontalVector
     xi_prime: tuple
     alpha: float
-    grad_norm: float
     pivots: tuple
 
     @property
@@ -275,7 +274,6 @@ class FrameBatch:
     en: np.ndarray         # (N, 2n)
     xi_prime: np.ndarray   # (N, 2n-2, 2n), rows v_1..v_{n-1}, Jv_1..Jv_{n-1}
     alpha: np.ndarray      # (N,)
-    grad_norm: np.ndarray  # (N,)
     pivots: np.ndarray     # (N, n-1) integers
     grad: Optional[np.ndarray] = None
     hess: Optional[np.ndarray] = None
@@ -292,7 +290,6 @@ class FrameBatch:
             en=_unchecked(HorizontalVector, coeffs=self.en[i]),
             xi_prime=tuple(_unchecked(HorizontalVector, coeffs=v) for v in self.xi_prime[i]),
             alpha=float(self.alpha[i]),
-            grad_norm=float(self.grad_norm[i]),
             pivots=tuple(self.pivots[i].tolist()),
         )
 
@@ -385,7 +382,7 @@ def _frames(n, coords, u, grad, hess, pivots):
     e2n = b / gnorm[:, None]
     en = -_J(e2n)
     xi, chosen = _complement(en, e2n, pivots)
-    return FrameBatch(coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, gnorm, chosen, grad, hess)
+    return FrameBatch(coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, chosen, grad, hess)
 
 
 def _complement(en, e2n, pivots=None):
@@ -714,7 +711,7 @@ def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
     e2n /= _norms(e2n)[:, None]
     en = -_J(e2n)
     xi, chosen = _complement(en, e2n)
-    frame = FrameBatch(coords, e2n, en, xi, alpha, 2.0 * zroot[:, 0], chosen)
+    frame = FrameBatch(coords, e2n, en, xi, alpha, chosen)
     zeros = np.zeros(len(coords))
     return ReportBatch(
         frame=frame,

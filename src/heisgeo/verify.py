@@ -31,7 +31,6 @@ from .surface import SurfaceDef
 
 __all__ = [
     "ClaimResult",
-    "VerifyConfig",
     "Report",
     "run_all",
     "yamabe_check",
@@ -71,12 +70,6 @@ class ClaimResult:
         if self.extra:
             out["extra"] = self.extra
         return out
-
-
-@dataclass
-class VerifyConfig:
-    seed: int = 42
-    only: Optional[str] = None
 
 
 @dataclass
@@ -932,8 +925,9 @@ CLAIMS: dict[str, Callable] = {
 REQUIRED_COVERAGE = sorted(CLAIMS.keys())
 
 
-def run_all(config: VerifyConfig = None) -> Report:
-    """Execute the registry (optionally filtered by id prefix).
+def run_all(seed: int, only: Optional[str] = None) -> Report:
+    """Execute the registry at ``seed``, or its claims whose id starts with
+    ``only``.
 
     A filter that matches no claim id raises ``ValueError``: a run of no
     claims would pass vacuously.  The report's ``timings`` hold each claim's
@@ -942,28 +936,27 @@ def run_all(config: VerifyConfig = None) -> Report:
     length of this call (``_OrbitPool``); every row is the one the claim
     gives alone.
     """
-    config = config or VerifyConfig()
     chosen = [(cid, producer) for cid, producer in CLAIMS.items()
-              if not config.only or cid.startswith(config.only)]
+              if not only or cid.startswith(only)]
     if not chosen:
-        raise ValueError(f"no claim id starts with {config.only!r}")
+        raise ValueError(f"no claim id starts with {only!r}")
     pool = None
     if {"lemma6.1-closure", "lemma6.1-symmetry"} <= {cid for cid, _ in chosen}:
-        pool = _OrbitPool(config.seed)
+        pool = _OrbitPool(seed)
     token = _orbit_pool.set(pool)
     results, timings = [], {}
     try:
         for cid, producer in chosen:
             start = perf_counter()
             try:
-                results.extend(producer(config.seed))
+                results.extend(producer(seed))
             except Exception as exc:  # a crashed claim is a failed claim
                 results.append(
                     ClaimResult(cid, "<error>", {}, math.inf, 0.0, 0,
-                                _claim_seed(config.seed, cid),
+                                _claim_seed(seed, cid),
                                 extra={"error": f"{type(exc).__name__}: {exc}"})
                 )
             timings[cid] = perf_counter() - start
     finally:
         _orbit_pool.reset(token)  # the shared orbit batch lives for this call only
-    return Report(seed=config.seed, claims=results, timings=timings)
+    return Report(seed=seed, claims=results, timings=timings)

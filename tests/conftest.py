@@ -14,6 +14,6 @@ except ImportError:  # run from a source checkout without installing
 def full_run():
     """``verify.run_all`` of every claim at a seed, run once per session:
     ``full_run(seed)`` is the ``Report``.  Read it; do not change it."""
-    from heisgeo.verify import VerifyConfig, run_all
+    from heisgeo.verify import run_all
 
-    return functools.cache(lambda seed: run_all(VerifyConfig(seed=seed)))
+    return functools.cache(run_all)

@@ -398,3 +398,11 @@ def test_factory_params_and_describe():
     assert d["name"] == "pansu" and "k" in d["expected"]
     d = catalog.hyperplane(np.eye(4)[0], 2).describe()
     assert d["params"] == {"A": [1.0, 0.0, 0.0, 0.0], "n": 2}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_expected_scalar_has_a_printed_formula(n):
+    """``catalog show`` prints ``formulas``: each family prints a formula for
+    every scalar it checks."""
+    for entry in catalog.standard_entries(n):
+        assert sorted(entry.formulas) == sorted(entry.expected), entry.name

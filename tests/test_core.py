@@ -85,7 +85,8 @@ def test_apply_J():
         w = HorizontalVector(rng.normal(size=6))
         ww = apply_J(apply_J(w))
         assert np.allclose(ww.coeffs, -w.coeffs, atol=0)
-        assert apply_J(w).norm() == pytest.approx(w.norm(), rel=1e-15)
+        norm = np.linalg.norm(w.coeffs)
+        assert np.linalg.norm(apply_J(w).coeffs) == pytest.approx(norm, rel=1e-15)
 
 
 def test_levi_metric_from_dtheta():
@@ -93,9 +94,8 @@ def test_levi_metric_from_dtheta():
     for _ in range(100):
         v = HorizontalVector(rng.normal(size=4))
         w = HorizontalVector(rng.normal(size=4))
-        assert abs(dtheta(v, apply_J(v)) - 2.0 * v.norm() ** 2) <= 1e-12 * (
-            1 + v.norm() ** 2
-        )
+        norm = np.linalg.norm(v.coeffs)
+        assert abs(dtheta(v, apply_J(v)) - 2.0 * norm**2) <= 1e-12 * (1 + norm**2)
         assert abs(0.5 * dtheta(v, apply_J(w)) - levi(v, w)) <= 1e-12
         # skewness of the rotation
         assert abs(levi(apply_J(v), w) + levi(v, apply_J(w))) <= 1e-12

@@ -1,10 +1,13 @@
 """Negative controls: a broken planar system must make its lemma 6.1 claims
-fail, and a broken profile sweep its ``prop3.1-profile-ode`` row."""
+fail, a broken profile sweep its ``prop3.1-profile-ode`` row, and a tilted
+Pansu sphere the umbilic claims that sample it."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heisgeo import phaseplane, rk45, verify
+from heisgeo import catalog, phaseplane, rk45, verify
 
 
 def _drifted(monkeypatch, eps):
@@ -44,10 +47,9 @@ def test_irreversible_drift_fails_the_orbit_claims(monkeypatch, only):
     ``NotPeriodic``, so that claim reports one failed error row.  With
     both claims (``only="lemma6.1"``) the orbits run as one shared batch,
     and each claim's rows are still the rows it gives alone."""
-    config = verify.VerifyConfig(seed=42, only=only)
-    assert verify.run_all(config).passed
+    assert verify.run_all(42, only=only).passed
     _drifted(monkeypatch, 1e-9)
-    rep = verify.run_all(config)
+    rep = verify.run_all(42, only=only)
     assert not rep.passed
     closure = [row for row in rep.claims if row.claim_id.startswith("lemma6.1-closure")]
     symmetry = [row for row in rep.claims if row.claim_id == "lemma6.1-symmetry"]
@@ -60,7 +62,7 @@ def test_irreversible_drift_fails_the_orbit_claims(monkeypatch, only):
         assert symmetry[0].extra.get("error", "").startswith("NotPeriodic")
     if only == "lemma6.1":
         alone = [row.to_dict() for cid in ("lemma6.1-closure", "lemma6.1-symmetry")
-                 for row in verify.run_all(verify.VerifyConfig(seed=42, only=cid)).claims]
+                 for row in verify.run_all(42, only=cid).claims]
         assert [row.to_dict() for row in rep.claims] == alone
 
 
@@ -73,7 +75,7 @@ def test_one_profile_perturbed_fails_its_row_only(monkeypatch):
     about 2.0 eps, on a clean residual of 3.7e-11, against the tolerance
     1e-8.  The test runs eps = 6e-9 (residual 1.2e-8)."""
     cid = "prop3.1-profile-ode"
-    clean = verify.run_all(verify.VerifyConfig(seed=42, only=cid)).claims
+    clean = verify.run_all(42, only=cid).claims
     assert [row.params["lam"] for row in clean] == [0.5, 1.0, 2.0]
     assert all(row.passed for row in clean)
     original = rk45.solve_lanes
@@ -89,6 +91,64 @@ def test_one_profile_perturbed_fails_its_row_only(monkeypatch):
         return original(g, s0, y0, s1, control, crossings)
 
     monkeypatch.setattr(rk45, "solve_lanes", mutant)
-    rows = verify.run_all(verify.VerifyConfig(seed=42, only=cid)).claims
+    rows = verify.run_all(42, only=cid).claims
     assert [row.to_dict() for row in rows[:2]] == [row.to_dict() for row in clean[:2]]
     assert not rows[2].passed and rows[2].params == {"lam": 2.0}
+
+
+def _tilted(monkeypatch, eps):
+    """Patch ``catalog.pansu`` so that its surface's ``grad_hess`` gains the
+    derivatives of ``eps * (x_1^2 - y_1^2 / 2)`` and keeps its value: the
+    point stays on the sphere, but its frame and shape operator see a
+    surface that is not umbilic (at lam = 1 the eigenvalue spread is
+    about 12 eps at n = 2 and 14 eps at n = 3).  The perturbed Hessian
+    stays symmetric."""
+    factory = catalog.pansu
+
+    def pansu(lam, n):
+        entry = factory(lam, n)
+        exact = entry.surface.grad_hess
+
+        def grad_hess(coords):
+            u, grad, hess = exact(coords)
+            c = np.asarray(coords, dtype=float)
+            grad, hess = grad.copy(), hess.copy()
+            grad[..., 0] += 2.0 * eps * c[..., 0]
+            grad[..., n] -= eps * c[..., n]
+            hess[..., 0, 0] += 2.0 * eps
+            hess[..., n, n] -= eps
+            return u, grad, hess
+
+        return replace(entry, surface=replace(entry.surface, grad_hess=grad_hess))
+
+    monkeypatch.setattr(catalog, "pansu", pansu)
+
+
+# rows that sample a Pansu sphere: its own rows, the eq7.4 family and the
+# prop2.3 rows over the whole catalog
+PANSU_ROWS = {"pansu", "pansu-family", "catalog"}
+
+
+@pytest.mark.parametrize("cid, eps", [
+    ("prop2.3-xn-equivalence", 5e-11),
+    ("prop2.4-umbilic-pattern", 2e-11),
+    ("prop3.1-rotsym-umbilic", 2e-11),
+    ("ex3.2-pansu-table", 2e-12),
+    ("eq7.4-pmc-level-set", 2e-11),
+])
+def test_tilted_pansu_fails_the_umbilic_claims(monkeypatch, full_run, cid, eps):
+    """At seed 42 each claim is caught from the ``eps`` it runs, on the
+    1-2-5 grid: the next smaller step (2e-11 for ``prop2.3``, 1e-12 for
+    ``ex3.2``, 1e-11 for the rest) passes.  Rows of other surfaces keep
+    their bytes.  ``prop2.1`` and ``prop2.2`` pass the tilt up to 1e-6:
+    they check identities that every surface with a symmetric Hessian
+    keeps (the form's partial symmetry and paired-entry tilt gap, the
+    shape operator's symmetry), so they need a mutant of their own kind."""
+    clean = [row for row in full_run(42).claims if row.claim_id == cid]
+    _tilted(monkeypatch, eps)
+    rows = verify.run_all(42, only=cid).claims
+    assert len(rows) == len(clean)
+    assert not all(row.passed for row in rows)
+    for before, after in zip(clean, rows):
+        if after.surface not in PANSU_ROWS:
+            assert after.to_dict() == before.to_dict(), after.surface

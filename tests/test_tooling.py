@@ -5,6 +5,7 @@ apart from a short list of documented library API."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -104,25 +105,36 @@ def _dotted(path):
 
 
 def _bindings(tree, module):
-    """``{name: dotted target}`` of the names a module's imports bind, at
-    any depth: ``from . import m`` binds ``m`` to ``heisgeo.m``, ``from .m
-    import f as g`` binds ``g`` to ``heisgeo.m.f`` and ``import heisgeo.m``
-    binds ``heisgeo``."""
+    """``({name: dotted target}, modules)`` of the names a module's imports
+    bind, at any depth: ``from . import m`` binds ``m`` to ``heisgeo.m``,
+    ``from .m import f as g`` binds ``g`` to ``heisgeo.m.f`` and ``import
+    heisgeo.m`` binds ``heisgeo``.  ``modules`` holds the names bound to a
+    module: every name an ``import`` binds, and a ``from`` name that is a
+    submodule (``from . import m``, ``from importlib import resources``)."""
     package = module if module == "heisgeo" else module.rsplit(".", 1)[0]
-    bound = {}
+    bound, modules = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.asname:
-                    bound[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".", 1)[0]
-                    bound[top] = top
+                name = alias.asname or alias.name.split(".", 1)[0]
+                bound[name] = alias.name if alias.asname else name
+                modules.add(name)
         elif isinstance(node, ast.ImportFrom):
             base = ".".join(filter(None, [package if node.level else "", node.module]))
             for alias in node.names:
-                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
-    return bound
+                name = alias.asname or alias.name
+                bound[name] = f"{base}.{alias.name}"
+                if _is_module(bound[name]):
+                    modules.add(name)
+    return bound, modules
+
+
+def _is_module(target):
+    """Whether the dotted ``target`` names a module (or package)."""
+    try:
+        return importlib.util.find_spec(target) is not None
+    except ImportError:  # a name inside a module that is not a package
+        return False
 
 
 def _resolve(node, bound, module):
@@ -137,23 +149,37 @@ def _resolve(node, bound, module):
     return None
 
 
+def _on_module(node, modules):
+    """Whether the attribute chain ``node`` (``x.a.b``) starts at a name
+    that an import bound to a module, as ``np.linalg.norm`` does."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
+
+
+def _walk(tree):
+    """Every node of a module, except its ``__all__``, which lists a name
+    without using it."""
+    body = [node for node in tree.body if not (
+        isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__")]
+    return (sub for top in body for sub in ast.walk(top))
+
+
 def _references(tree, module):
     """``(reads, attributes, strings)`` of a module.  Reads are the dotted
     targets of its read names and attribute chains (a function is used where
     its own module or an importer reads it, not where its ``__init__``
-    re-exports it); attributes are the names of every attribute access;
-    strings are its string constants (the benchmark tracer names its targets
-    as strings), except in ``__all__``, which lists a name without using
-    it."""
-    bound = _bindings(tree, module)
+    re-exports it); attributes are the names ``a`` of its read attributes
+    ``x.a`` whose chain does not start at an imported module; strings are
+    its string constants (the benchmark tracer names its targets as
+    strings)."""
+    bound, modules = _bindings(tree, module)
     reads, attrs, strings = set(), set(), set()
-    body = [node for node in tree.body if not (
-        isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__")]
-    for node in (sub for top in body for sub in ast.walk(top)):
-        if isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
+    for node in _walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
             reads.add(_resolve(node, bound, module))
+            if isinstance(node, ast.Attribute) and not _on_module(node, modules):
+                attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             strings.add(node.value)
     return reads, attrs, strings
@@ -167,8 +193,10 @@ def test_every_public_function_is_used():
     or reads it as an attribute of ``m`` bound by an import, and where a
     string names it (the claim functions are read by the ``CLAIMS``
     registry).  The package's ``__init__`` re-exports are not uses.  A
-    method counts as used where any attribute access or string names it.
-    Dunders and private names are exempt."""
+    method ``name`` counts as used where an attribute ``x.name`` is read
+    whose chain does not start at an imported module (``np.linalg.norm`` is
+    no use of a method ``norm``), and where a string names it.  Dunders and
+    private names are exempt."""
     trees = _trees()
     refs = [_references(tree, _dotted(path)) for path, tree in trees.items()]
     reads, attrs, strings = (set().union(*parts) for parts in zip(*refs))
@@ -186,10 +214,10 @@ def test_every_public_function_is_used():
 
 
 def _defaulted_parameters(tree):
-    """``(name, line, parameter, position)`` of every defaulted parameter of a
-    module's public functions and of the public methods of its classes.  A
-    method's positions do not count ``self`` (or ``cls``); a keyword-only
-    parameter has position None."""
+    """``(name, line, parameter, position, is_method)`` of every defaulted
+    parameter of a module's public functions and of the public methods of
+    its classes.  A method's positions do not count ``self`` (or ``cls``); a
+    keyword-only parameter has position None."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             funcs, skip = [node], 0
@@ -201,33 +229,44 @@ def _defaulted_parameters(tree):
             positional = [*fn.args.posonlyargs, *fn.args.args]
             first = len(positional) - len(fn.args.defaults)
             for i, arg in enumerate(positional[first:], first):
-                yield fn.name, fn.lineno, arg.arg, i - skip
+                yield fn.name, fn.lineno, arg.arg, i - skip, bool(skip)
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None:
-                    yield fn.name, fn.lineno, arg.arg, None
+                    yield fn.name, fn.lineno, arg.arg, None, bool(skip)
 
 
 def _passed(trees):
-    """``{name: (positions, keywords)}`` that the calls of ``trees`` pass to
-    a callee of that name, called as ``name(...)`` or ``obj.name(...)``: the
-    most positional arguments of any call, and every keyword.  A starred
-    argument (``*args``, ``**kwargs``) passes nothing, and no positional
-    argument after a ``*args`` counts, since its position is unknown."""
+    """``{callee: (positions, keywords)}`` that the calls of ``trees`` pass:
+    the most positional arguments of any call, and every keyword.  A call
+    ``x.name(...)`` whose chain does not start at an imported module is a
+    method call, keyed by ``name``; any other callee is keyed by its dotted
+    target, as the function guard resolves it (``heisgeo.m.f`` for ``f`` in
+    ``m``, an ``f`` imported from ``m``, or ``m.f`` through an imported
+    ``m``).  A starred argument (``*args``, ``**kwargs``) passes nothing,
+    and no positional argument after a ``*args`` counts, since its position
+    is unknown."""
     passed = {}
-    for node in (sub for tree in trees for sub in ast.walk(tree)):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name is None:
-            continue
-        leading = 0
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                break
-            leading += 1
-        positions, keywords = passed.get(name, (0, set()))
-        passed[name] = (max(positions, leading),
-                        keywords | {k.arg for k in node.keywords if k.arg is not None})
+    for path, tree in trees.items():
+        module = _dotted(path)
+        bound, modules = _bindings(tree, module)
+        for node in _walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and not _on_module(func, modules):
+                callee = func.attr
+            else:
+                callee = _resolve(func, bound, module)
+            if callee is None:
+                continue
+            leading = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                leading += 1
+            positions, keywords = passed.get(callee, (0, set()))
+            passed[callee] = (max(positions, leading),
+                              keywords | {k.arg for k in node.keywords if k.arg is not None})
     return passed
 
 
@@ -235,16 +274,20 @@ def test_every_option_is_set():
     """A defaulted parameter of a public function or method of
     ``src/heisgeo`` that no call in ``src`` or ``perfbench`` passes, by
     keyword or by position, is an option nothing sets: it should be a
-    constant, unless it is listed library API.  Calls match by the callee's
-    name.  Every claim producer is a fixed statement of one seed."""
+    constant, unless it is listed library API.  A function ``f`` of module
+    ``m`` is called where a callee resolves to ``heisgeo.m.f``; a method
+    ``name`` where a call ``x.name(...)`` has a chain that does not start
+    at an imported module (see ``_passed``).  Every claim producer is a
+    fixed statement of one seed."""
     trees = _trees()
-    passed = _passed(trees.values())
+    passed = _passed(trees)
     defined, unset = set(), {}
     for module, tree in _package(trees):
-        for name, line, param, position in _defaulted_parameters(tree):
+        for name, line, param, position, is_method in _defaulted_parameters(tree):
             key = f"{module}.{name}.{param}"
             defined.add(key)
-            positions, keywords = passed.get(name, (0, set()))
+            callee = name if is_method else f"heisgeo.{module}.{name}"
+            positions, keywords = passed.get(callee, (0, set()))
             if param not in keywords and (position is None or position >= positions):
                 unset[key] = f"{module}.py:{line} {name}.{param}"
     _check_allowlist(unset, defined, LIBRARY_OPTIONS)

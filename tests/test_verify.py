@@ -14,7 +14,7 @@ from heisgeo import catalog, flows, phaseplane, rk45, surface, verify
 from heisgeo.core import Point
 from heisgeo.phaseplane import PhaseParams, PhasePoint
 from heisgeo.surface import PivotDegenerate, build_frame, report_many
-from heisgeo.verify import ClaimResult, VerifyConfig, run_all
+from heisgeo.verify import ClaimResult, run_all
 
 
 def test_registry_covers_every_required_claim():
@@ -53,23 +53,22 @@ def test_claim_result_pass_semantics():
 
 
 def test_filtered_run_deterministic():
-    cfg = VerifyConfig(seed=7, only="ex3.4")
-    rep1 = run_all(cfg)
-    rep2 = run_all(cfg)
+    rep1 = run_all(7, only="ex3.4")
+    rep2 = run_all(7, only="ex3.4")
     assert rep1.to_json() == rep2.to_json()
     assert rep1.passed
     assert all(c.claim_id.startswith("ex3.4") for c in rep1.claims)
 
 
 def test_seed_changes_sampling_but_not_verdict():
-    a = run_all(VerifyConfig(seed=1, only="ex3.3"))
-    b = run_all(VerifyConfig(seed=2, only="ex3.3"))
+    a = run_all(1, only="ex3.3")
+    b = run_all(2, only="ex3.3")
     assert a.passed and b.passed
     assert a.claims[0].residual != b.claims[0].residual
 
 
 def test_report_json_schema():
-    rep = run_all(VerifyConfig(seed=3, only="prop4.1"))
+    rep = run_all(3, only="prop4.1")
     data = json.loads(rep.to_json())
     assert data["passed"] is True and data["seed"] == 3
     claim = data["claims"][0]
@@ -224,7 +223,7 @@ def test_geodesic_confinement_failing_start_frame_is_one_error_row(monkeypatch):
         return original(surface_def, points, pivots)
 
     monkeypatch.setattr(surface, "frame_many", degenerate)
-    (row,) = run_all(VerifyConfig(seed=0, only="prop4.5")).claims
+    (row,) = run_all(0, only="prop4.5").claims
     assert row.claim_id == "prop4.5-geodesic-confinement" and row.surface == "<error>"
     assert row.extra == {"error": "PivotDegenerate: forced"} and not row.passed
 
@@ -320,7 +319,7 @@ def test_pmc_level_set_values():
 def test_crashed_claim_reports_failure():
     verify.CLAIMS["boom-test"] = lambda seed: (_ for _ in ()).throw(RuntimeError("x"))
     try:
-        rep = run_all(VerifyConfig(seed=0, only="boom-test"))
+        rep = run_all(0, only="boom-test")
         assert not rep.passed
         assert "error" in rep.claims[0].extra
     finally:
@@ -378,7 +377,7 @@ def test_only_rows_equal_the_full_run_rows(full_run):
     """``--only`` runs each claim by itself with the rows of the full run."""
     rows = full_run(7).claims
     for cid in verify.CLAIMS:
-        alone = run_all(VerifyConfig(seed=7, only=cid)).claims
+        alone = run_all(7, only=cid).claims
         assert alone, cid
         assert (verify.Report(seed=7, claims=alone).to_json()
                 == verify.Report(seed=7, claims=rows[:len(alone)]).to_json()), cid
@@ -479,7 +478,7 @@ def test_full_run_lane_sweep_count(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(rk45, "_lane_step", counted)
-    rep = run_all(VerifyConfig(seed=42))
+    rep = run_all(42)
     assert rep.passed and len(rep.claims) == 100
     assert len(sweeps) <= 267
     assert verify._orbit_pool.get() is None  # the shared batch does not outlive the run
@@ -507,8 +506,8 @@ def test_failing_shared_orbit_batch_reruns_each_claim_alone(monkeypatch, bad):
             return [(pp, seeds + [PhasePoint(math.nan, pp.c)]), *rest]
 
         monkeypatch.setattr(verify, "_symmetry_cases", with_nan_seed)
-    both = run_all(VerifyConfig(seed=42, only="lemma6.1")).claims
-    alone = {cid: run_all(VerifyConfig(seed=42, only=cid)).claims
+    both = run_all(42, only="lemma6.1").claims
+    alone = {cid: run_all(42, only=cid).claims
              for cid in ("lemma6.1-closure", "lemma6.1-symmetry")}
     assert ([row.to_dict() for row in both]
             == [row.to_dict() for rows in alone.values() for row in rows])
