@@ -260,7 +260,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", default="", help="write the JSON report here")
     p.add_argument("--timings", default="",
-                   help="write each claim's wall seconds here as JSON")
+                   help="write each claim's wall seconds here as JSON, timed in the "
+                        "process that ran it; with two processes they overlap")
     return parser
 
 

@@ -5,13 +5,18 @@ here as a claim with a pinned tolerance; :func:`run_all` executes them with
 seeded sampling and aggregates a machine-readable report.  Golden derived
 constants live in ``data/golden.json`` and recomputation must stay within
 1e-6 relative of the frozen values.  Every sampled claim runs its points
-as batches under the resample rule of :func:`flows.resampled`.
+as batches under the resample rule of :func:`flows.resampled`.  The
+claims run from one task queue on up to two processes (``_run_tasks``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 import zlib
 from collections import Counter
 from contextvars import ContextVar
@@ -76,7 +81,8 @@ class ClaimResult:
 class Report:
     seed: int
     claims: list
-    timings: dict = field(default_factory=dict)  # claim id -> wall seconds; not in to_json
+    # claim id -> wall seconds in the process that ran it; not in to_json
+    timings: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -705,6 +711,9 @@ class _OrbitPool:
         return self.traces.get(cid)
 
 
+# the claims whose orbits one ``_OrbitPool`` batch holds
+_POOLED = ("lemma6.1-closure", "lemma6.1-symmetry")
+
 # the shared orbit batch of the running ``run_all`` call, if it runs both
 # lemma 6.1 claims
 _orbit_pool: ContextVar[Optional[_OrbitPool]] = ContextVar("orbit_pool", default=None)
@@ -931,32 +940,162 @@ def run_all(seed: int, only: Optional[str] = None) -> Report:
 
     A filter that matches no claim id raises ``ValueError``: a run of no
     claims would pass vacuously.  The report's ``timings`` hold each claim's
-    wall seconds, which stay out of its JSON so that stays reproducible.
-    When both ``lemma6.1`` claims run, their orbits share one batch for the
-    length of this call (``_OrbitPool``); every row is the one the claim
-    gives alone.
+    wall seconds in the process that ran it, which stay out of its JSON so
+    that stays reproducible.  When both ``lemma6.1`` claims run, their
+    orbits share one batch for the length of this call (``_OrbitPool``);
+    every row is the one the claim gives alone.  The claims run from one
+    task queue on up to two processes (``_run_tasks``), and the report
+    lists them in registry order.
     """
     chosen = [(cid, producer) for cid, producer in CLAIMS.items()
               if not only or cid.startswith(only)]
     if not chosen:
         raise ValueError(f"no claim id starts with {only!r}")
-    pool = None
-    if {"lemma6.1-closure", "lemma6.1-symmetry"} <= {cid for cid, _ in chosen}:
-        pool = _OrbitPool(seed)
-    token = _orbit_pool.set(pool)
-    results, timings = [], {}
+    tasks = _tasks(chosen)
+    pooled = [cid for cid, _ in tasks[0]] == list(_POOLED)
+    token = _orbit_pool.set(_OrbitPool(seed) if pooled else None)
     try:
-        for cid, producer in chosen:
-            start = perf_counter()
-            try:
-                results.extend(producer(seed))
-            except Exception as exc:  # a crashed claim is a failed claim
-                results.append(
-                    ClaimResult(cid, "<error>", {}, math.inf, 0.0, 0,
-                                _claim_seed(seed, cid),
-                                extra={"error": f"{type(exc).__name__}: {exc}"})
-                )
-            timings[cid] = perf_counter() - start
+        done = _run_tasks(seed, tasks)
     finally:
         _orbit_pool.reset(token)  # the shared orbit batch lives for this call only
-    return Report(seed=seed, claims=results, timings=timings)
+    return Report(seed=seed, claims=[row for cid, _ in chosen for row in done[cid][0]],
+                  timings={cid: done[cid][1] for cid, _ in chosen
+                           if done[cid][1] is not None})
+
+
+# ---------------------------------------------------------------------------
+# the task queue
+
+
+def _tasks(chosen):
+    """The tasks of a run, as lists of ``(cid, producer)``: one per chosen
+    claim in registry order, except that the two ``lemma6.1`` claims, when
+    both are chosen, are one task, and it goes first.  They share one orbit
+    batch (``_OrbitPool``), which is a third of a full run, and the longest
+    task first balances two processes best."""
+    pair = [claim for claim in chosen if claim[0] in _POOLED]
+    if len(pair) < len(_POOLED):
+        return [[claim] for claim in chosen]
+    return [pair] + [[claim] for claim in chosen if claim not in pair]
+
+
+def _error_row(seed, cid, error):
+    """The one failed row of a claim that did not give its rows."""
+    return ClaimResult(cid, "<error>", {}, math.inf, 0.0, 0, _claim_seed(seed, cid),
+                       extra={"error": error})
+
+
+def _drain(seed, tasks, queue):
+    """Take task indices from the ``queue`` pipe until it is empty, and
+    yield ``{cid: (rows, seconds)}`` of each task's claims, run in order.  A
+    crashed claim is a failed claim."""
+    while index := os.read(queue, 1):
+        done = {}
+        for cid, producer in tasks[index[0]]:
+            start = perf_counter()
+            try:
+                rows = list(producer(seed))
+            except Exception as exc:
+                rows = [_error_row(seed, cid, f"{type(exc).__name__}: {exc}")]
+            done[cid] = rows, perf_counter() - start
+        yield done
+
+
+def _two_processes(count):
+    """Whether ``count`` tasks run on two processes: with 2 or more usable
+    CPUs, 2 or more tasks and no other Python thread, which a fork would
+    not copy."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (affinity is not None and hasattr(os, "fork") and count >= 2
+            and len(affinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _run_tasks(seed, tasks):
+    """``{cid: (rows, seconds)}`` of every claim of ``tasks``.
+
+    The tasks' indices go into one pipe, one byte each (so at most 256
+    tasks), and the calling
+    process and, when ``_two_processes`` allows, one forked worker take
+    them until the pipe is empty.  The worker sends each task's claims back
+    as it finishes them (``_serve``), and always ends in ``os._exit``.  The
+    caller reaps it before returning, and kills it first on an error or
+    interrupt.  Each claim the worker took and did not send back gets one
+    ``WorkerDied`` error row with the worker's exit status and no seconds:
+    nothing is dropped and nothing reruns.
+    """
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(tasks))))
+    os.close(fill)
+    worker, results = 0, None
+    try:
+        if _two_processes(len(tasks)):
+            worker, results = _fork_worker(seed, tasks, queue)
+        done = {}
+        for got in _drain(seed, tasks, queue):
+            done.update(got)
+        if worker:
+            done.update(_received(results))
+            _, status = os.waitpid(worker, 0)
+            worker = 0
+            code = os.waitstatus_to_exitcode(status)
+            died = "WorkerDied: " + (f"exit status {code}" if code >= 0 else f"signal {-code}")
+            for task in tasks:
+                for cid, _ in task:
+                    done.setdefault(cid, ([_error_row(seed, cid, died)], None))
+        return done
+    finally:
+        os.close(queue)
+        if results is not None:
+            results.close()
+        if worker:
+            os.kill(worker, signal.SIGKILL)
+            os.waitpid(worker, 0)
+
+
+def _fork_worker(seed, tasks, queue):
+    """Fork the worker (``_serve``): its pid and the caller's end of the
+    results pipe, or ``(0, None)`` if the fork fails, and the caller then
+    drains the queue alone."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return 0, None
+    if pid == 0:
+        _serve(seed, tasks, queue, read, write)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _serve(seed, tasks, queue, read, write):
+    """The worker: run tasks from ``queue`` and write each one's
+    ``{cid: (rows, seconds)}`` to the ``write`` end of the results pipe as
+    an 8-byte length and a pickle.  Never returns: exit status 0 once the
+    queue is empty, 1 on anything raised, the interrupt included."""
+    status = 1
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as out:
+            for done in _drain(seed, tasks, queue):
+                data = pickle.dumps(done)
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(results):
+    """The merged ``{cid: (rows, seconds)}`` of every whole message on the
+    ``results`` file, read until the worker's end closes; a message cut
+    short by the worker's death is dropped."""
+    done = {}
+    while len(head := results.read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        data = results.read(size)
+        if len(data) < size:
+            break
+        done.update(pickle.loads(data))
+    return done

@@ -1,4 +1,6 @@
 import functools
+import os
+import select
 import sys
 from pathlib import Path
 
@@ -17,3 +19,36 @@ def full_run():
     from heisgeo.verify import run_all
 
     return functools.cache(run_all)
+
+
+@pytest.fixture
+def worker_first(monkeypatch):
+    """``worker_first(cids, worker_side)`` readies a ``run_all`` on two
+    processes (two usable CPUs are reported) and wraps the producers of
+    ``cids``: in the forked worker a producer writes a byte to a side pipe
+    and returns ``worker_side(producer, seed)``; in the calling process it
+    first waits, up to 10 s, for such a byte.  So the caller runs none of
+    them before the worker has started one, and the worker is sure to."""
+    from heisgeo import verify
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    started, mark = os.pipe()
+
+    def wrap(producer, worker_side):
+        def run(seed):
+            if os.getpid() != parent:
+                os.write(mark, b"w")
+                return worker_side(producer, seed)
+            select.select([started], [], [], 10.0)
+            return producer(seed)
+
+        return run
+
+    def apply(cids, worker_side):
+        for cid in cids:
+            monkeypatch.setitem(verify.CLAIMS, cid, wrap(verify.CLAIMS[cid], worker_side))
+
+    yield apply
+    os.close(started)
+    os.close(mark)

@@ -129,13 +129,18 @@ def _tilted(monkeypatch, eps):
 PANSU_ROWS = {"pansu", "pansu-family", "catalog"}
 
 
-@pytest.mark.parametrize("cid, eps", [
-    ("prop2.3-xn-equivalence", 5e-11),
-    ("prop2.4-umbilic-pattern", 2e-11),
-    ("prop3.1-rotsym-umbilic", 2e-11),
-    ("ex3.2-pansu-table", 2e-12),
-    ("eq7.4-pmc-level-set", 2e-11),
-])
+# the claims that the tilt fails, and the smallest tilt on the 1-2-5 grid
+# that each is caught from at seed 42
+UMBILIC_EPS = {
+    "prop2.3-xn-equivalence": 5e-11,
+    "prop2.4-umbilic-pattern": 2e-11,
+    "prop3.1-rotsym-umbilic": 2e-11,
+    "ex3.2-pansu-table": 2e-12,
+    "eq7.4-pmc-level-set": 2e-11,
+}
+
+
+@pytest.mark.parametrize("cid, eps", UMBILIC_EPS.items())
 def test_tilted_pansu_fails_the_umbilic_claims(monkeypatch, full_run, cid, eps):
     """At seed 42 each claim is caught from the ``eps`` it runs, on the
     1-2-5 grid: the next smaller step (2e-11 for ``prop2.3``, 1e-12 for
@@ -152,3 +157,23 @@ def test_tilted_pansu_fails_the_umbilic_claims(monkeypatch, full_run, cid, eps):
     for before, after in zip(clean, rows):
         if after.surface not in PANSU_ROWS:
             assert after.to_dict() == before.to_dict(), after.surface
+
+
+def test_tilted_pansu_reaches_the_worker(monkeypatch, full_run, worker_first):
+    """Around a full run on two processes, the tilt at 5e-11 fails the same
+    five claims as under ``--only``: every claim's rows are the rows it
+    gives alone under the tilt, and rows of other surfaces keep their
+    bytes.  The caller runs none of the five before the worker has started
+    one, so the worker is shown to run the patched code."""
+    clean = full_run(42).claims
+    _tilted(monkeypatch, 5e-11)
+    alone = [row.to_dict() for cid in verify.CLAIMS
+             for row in verify.run_all(42, only=cid).claims]
+    worker_first(UMBILIC_EPS, lambda producer, seed: producer(seed))
+    rows = verify.run_all(42).claims
+    assert [row.to_dict() for row in rows] == alone
+    assert {row.claim_id for row in rows if not row.passed} == set(UMBILIC_EPS)
+    assert len(rows) == len(clean)
+    for before, after in zip(clean, rows):
+        if after.surface not in PANSU_ROWS:
+            assert after.to_dict() == before.to_dict(), after.claim_id

@@ -3,7 +3,9 @@
 import ctypes
 import json
 import math
+import os
 import platform
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -469,7 +471,8 @@ def test_full_run_lane_sweep_count(monkeypatch):
     ``prop3.1-profile-ode`` 52.  Both lemma 6.1 claims take their orbits
     from one shared batch and the three profiles run as one sweep (2,086
     with a batch per claim and a sweep per profile, 1,188 with the fifth-order
-    pair)."""
+    pair).  The run is pinned to one process, so that every sweep is counted
+    here and none in a worker."""
     sweeps = []
     original = rk45._lane_step
 
@@ -478,9 +481,10 @@ def test_full_run_lane_sweep_count(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(rk45, "_lane_step", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     rep = run_all(42)
     assert rep.passed and len(rep.claims) == 100
-    assert len(sweeps) <= 267
+    assert len(sweeps) == 267
     assert verify._orbit_pool.get() is None  # the shared batch does not outlive the run
 
 
@@ -658,3 +662,121 @@ def test_periodic_orbits_reject_a_nan_closure_error(monkeypatch):
     monkeypatch.setattr(phaseplane, "_trace", nan_end)
     with pytest.raises(phaseplane.NotPeriodic, match="closure error nan"):
         phaseplane.periodic_orbits(PhaseParams(2, 1.0), [PhasePoint(0.0, 2.0)])
+
+
+# ---------------------------------------------------------------------------
+# the task queue: one process or two
+
+
+def _counted_forks(monkeypatch):
+    """Count the calls of ``os.fork``, which still forks."""
+    forks = []
+    original = os.fork
+
+    def fork():
+        forks.append(1)
+        return original()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 3])
+def test_two_processes_give_the_one_process_report(monkeypatch, seed):
+    """A full run forks one worker on a host with 2 or more CPUs, and gives
+    the bytes and the ``timings`` keys, in registry order, of the run pinned
+    to one process."""
+    forks = _counted_forks(monkeypatch)
+    forked = 1 if len(os.sched_getaffinity(0)) >= 2 else 0
+    two = run_all(seed)
+    assert len(forks) == forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run_all(seed)
+    assert len(forks) == forked
+    assert two.to_json() == one.to_json()
+    assert list(two.timings) == list(one.timings) == list(verify.CLAIMS)
+    _no_child_left()
+
+
+def test_one_process_conditions(monkeypatch):
+    """The caller drains the queue alone with a single task, another Python
+    thread running, one usable CPU or no ``os.sched_getaffinity``, and when
+    the fork fails."""
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    reference = run_all(0, only="eq5").to_json()  # two tasks
+    assert len(forks) == 1
+    run_all(0, only="eq5.4")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert run_all(0, only="eq5").to_json() == reference
+    finally:
+        stop.set()
+        other.join(10.0)
+    assert not other.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_all(0, only="eq5")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    run_all(0, only="eq5")
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_fork():
+        raise BlockingIOError("fork: Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_all(0, only="eq5").to_json() == reference
+    _no_child_left()
+
+
+def _exit_3(*args):
+    os._exit(3)
+
+
+def _interrupted(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("death, status", [(_exit_3, "exit status 3"),
+                                           (_interrupted, "exit status 1")])
+def test_dead_worker_claims_are_error_rows(full_run, worker_first, death, status):
+    """A worker that dies in its first claim, by ``os._exit(3)`` or by an
+    interrupt, which ends it in ``os._exit(1)``: the report is still
+    complete, the caller's rows are the reference rows, and each claim of
+    the worker's task is one ``WorkerDied`` row without seconds."""
+    reference = full_run(42).claims  # before the producers are wrapped
+    worker_first(list(verify.CLAIMS), death)
+    rep = run_all(42)
+    _no_child_left()
+    died = [row.claim_id for row in rep.claims
+            if row.extra.get("error") == f"WorkerDied: {status}"]
+    # the rows the worker's claims give alone, in the caller
+    lost = [row.to_dict() for cid in died for row in run_all(42, only=cid).claims]
+    assert len(died) == 1 or died == ["lemma6.1-closure", "lemma6.1-symmetry"]
+    assert list(rep.timings) == [cid for cid in verify.CLAIMS if cid not in died]
+    assert ([row.to_dict() for row in rep.claims if row.claim_id not in died]
+            == [row for row in map(ClaimResult.to_dict, reference)
+                if row not in lost])
+    assert not rep.passed
+
+
+def test_interrupt_propagates_from_the_caller_only(monkeypatch):
+    """Producers that raise ``KeyboardInterrupt``: ``run_all`` raises it in
+    the calling process, and the worker, which ends in ``os._exit``, is
+    reaped."""
+    parent = os.getpid()
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for cid in verify.CLAIMS:
+        monkeypatch.setitem(verify.CLAIMS, cid, _interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_all(42)
+    assert os.getpid() == parent and len(forks) == 1
+    _no_child_left()
