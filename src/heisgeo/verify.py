@@ -22,6 +22,7 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -944,8 +945,10 @@ def run_all(seed: int, only: Optional[str] = None) -> Report:
     that stays reproducible.  When both ``lemma6.1`` claims run, their
     orbits share one batch for the length of this call (``_OrbitPool``);
     every row is the one the claim gives alone.  The claims run from one
-    task queue on up to two processes (``_run_tasks``), and the report
-    lists them in registry order.
+    task queue (``_run_tasks``), and the report lists them in registry
+    order.  A run that holds that batch and other claims takes two
+    processes when ``_two_processes`` allows; any other run is too short to
+    repay a fork, and stays in one.
     """
     chosen = [(cid, producer) for cid, producer in CLAIMS.items()
               if not only or cid.startswith(only)]
@@ -955,7 +958,7 @@ def run_all(seed: int, only: Optional[str] = None) -> Report:
     pooled = [cid for cid, _ in tasks[0]] == list(_POOLED)
     token = _orbit_pool.set(_OrbitPool(seed) if pooled else None)
     try:
-        done = _run_tasks(seed, tasks)
+        done = _run_tasks(seed, tasks, pooled and _two_processes(tasks))
     finally:
         _orbit_pool.reset(token)  # the shared orbit batch lives for this call only
     return Report(seed=seed, claims=[row for cid, _ in chosen for row in done[cid][0]],
@@ -1001,34 +1004,63 @@ def _drain(seed, tasks, queue):
         yield done
 
 
-def _two_processes(count):
-    """Whether ``count`` tasks run on two processes: with 2 or more usable
-    CPUs, 2 or more tasks and no other Python thread, which a fork would
-    not copy."""
+def _two_processes(tasks):
+    """Whether ``tasks`` may run on two processes: 2 or more of them, 2 or
+    more usable CPUs (``_usable_cpus``), no other Python thread, which a
+    fork would not copy, and no producer wrapped from outside (it carries
+    ``__wrapped__``, as ``functools.wraps`` leaves it), since what such a
+    wrapper records in a forked worker never reaches the caller."""
+    return (len(tasks) >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1
+            and not any(hasattr(producer, "__wrapped__")
+                        for task in tasks for _, producer in task))
+
+
+# cgroup CPU quota files as a container sees its own cgroup: v2 holds
+# "<quota> <period>" (quota "max" for none) in one file, v1 in two (-1 for none)
+_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _usable_cpus():
+    """The CPUs this process may use: its affinity set (0 where the platform
+    has no ``os.sched_getaffinity``), capped by a cgroup CPU quota, which
+    shares that many CPUs' time among the set."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return (affinity is not None and hasattr(os, "fork") and count >= 2
-            and len(affinity(0)) >= 2 and threading.active_count() == 1)
+    return 0 if affinity is None else min(len(affinity(0)), _quota_cpus())
 
 
-def _run_tasks(seed, tasks):
+def _quota_cpus():
+    """The CPUs' worth of time that the first readable of ``_QUOTA_FILES``
+    allows, or ``math.inf`` without a quota.  A quota set only on an
+    ancestor cgroup is not seen."""
+    for paths in _QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(path).read_text() for path in paths).split()
+            return math.inf if quota in ("max", "-1") else int(quota) / int(period)
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return math.inf
+
+
+def _run_tasks(seed, tasks, fork):
     """``{cid: (rows, seconds)}`` of every claim of ``tasks``.
 
     The tasks' indices go into one pipe, one byte each (so at most 256
-    tasks), and the calling
-    process and, when ``_two_processes`` allows, one forked worker take
-    them until the pipe is empty.  The worker sends each task's claims back
-    as it finishes them (``_serve``), and always ends in ``os._exit``.  The
-    caller reaps it before returning, and kills it first on an error or
-    interrupt.  Each claim the worker took and did not send back gets one
-    ``WorkerDied`` error row with the worker's exit status and no seconds:
-    nothing is dropped and nothing reruns.
+    tasks), and the calling process and, when ``fork`` is true, one forked
+    worker take them until the pipe is empty.  The worker sends each task's
+    claims back as it finishes them (``_serve``), and always ends in
+    ``os._exit``.  The caller reaps it before returning, and kills it first
+    on an error or interrupt.  Each claim the worker took and did not send
+    back gets one ``WorkerDied`` error row with the worker's exit status and
+    no seconds: nothing is dropped and nothing reruns.
     """
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(tasks))))
     os.close(fill)
     worker, results = 0, None
     try:
-        if _two_processes(len(tasks)):
+        if fork:
             worker, results = _fork_worker(seed, tasks, queue)
         done = {}
         for got in _drain(seed, tasks, queue):

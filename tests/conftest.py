@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import select
 import sys
@@ -23,15 +24,18 @@ def full_run():
 
 @pytest.fixture
 def worker_first(monkeypatch):
-    """``worker_first(cids, worker_side)`` readies a ``run_all`` on two
-    processes (two usable CPUs are reported) and wraps the producers of
-    ``cids``: in the forked worker a producer writes a byte to a side pipe
-    and returns ``worker_side(producer, seed)``; in the calling process it
-    first waits, up to 10 s, for such a byte.  So the caller runs none of
-    them before the worker has started one, and the worker is sure to."""
+    """``worker_first(cids, worker_side)`` readies a full ``run_all`` on
+    two processes (two usable CPUs are reported, and no quota) and wraps
+    the producers of ``cids``: in the forked worker a producer writes a byte
+    to a side pipe and returns ``worker_side(producer, seed)``; in the
+    calling process it first waits, up to 10 s, for such a byte.  So the
+    caller runs none of them before the worker has started one, and the
+    worker is sure to.  The wrappers carry no ``__wrapped__``, which would
+    keep the run in one process."""
     from heisgeo import verify
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(verify, "_quota_cpus", lambda: math.inf)
     parent = os.getpid()
     started, mark = os.pipe()
 

@@ -1,6 +1,7 @@
 """Claim registry: coverage, seeding, pass/fail wiring, mutation detection."""
 
 import ctypes
+import functools
 import json
 import math
 import os
@@ -692,7 +693,7 @@ def test_two_processes_give_the_one_process_report(monkeypatch, seed):
     the bytes and the ``timings`` keys, in registry order, of the run pinned
     to one process."""
     forks = _counted_forks(monkeypatch)
-    forked = 1 if len(os.sched_getaffinity(0)) >= 2 else 0
+    forked = 1 if verify._usable_cpus() >= 2 else 0
     two = run_all(seed)
     assert len(forks) == forked
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -703,37 +704,87 @@ def test_two_processes_give_the_one_process_report(monkeypatch, seed):
     _no_child_left()
 
 
+def _two_cpus(monkeypatch):
+    """Report two usable CPUs: two in the affinity set and no cgroup quota."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(verify, "_quota_cpus", lambda: math.inf)
+
+
+def _cheap(cid):
+    """A producer that gives one passing row at once."""
+    def produce(seed):
+        return [verify._row(cid, seed, "cheap", {}, [0.0], 1.0)]
+
+    return produce
+
+
 def test_one_process_conditions(monkeypatch):
-    """The caller drains the queue alone with a single task, another Python
-    thread running, one usable CPU or no ``os.sched_getaffinity``, and when
-    the fork fails."""
+    """Only a run that holds the shared orbit batch and other claims forks:
+    a filtered run without that batch, or with it alone, is too short to
+    repay a fork.  The caller also drains the queue alone with one usable
+    CPU, by affinity or by a cgroup quota, with no ``os.sched_getaffinity``,
+    with another Python thread running or a producer wrapped from outside,
+    and when the fork fails."""
     forks = _counted_forks(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    reference = run_all(0, only="eq5").to_json()  # two tasks
+    _two_cpus(monkeypatch)
+    for cid in verify.CLAIMS:
+        monkeypatch.setitem(verify.CLAIMS, cid, _cheap(cid))
+    reference = run_all(0).to_json()
     assert len(forks) == 1
-    run_all(0, only="eq5.4")
+    for only in ("eq5", "prop", "ex3", "lemma6.1", "lemma6.1-closure"):
+        run_all(0, only=only)
+    assert len(forks) == 1
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert run_all(0, only="eq5").to_json() == reference
+        assert run_all(0).to_json() == reference
     finally:
         stop.set()
         other.join(10.0)
     assert not other.is_alive()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    run_all(0, only="eq5")
-    monkeypatch.delattr(os, "sched_getaffinity")
-    run_all(0, only="eq5")
+    producer = verify.CLAIMS["eq5.4-alpha-axis"]
+    with monkeypatch.context() as patch:
+        patch.setitem(verify.CLAIMS, "eq5.4-alpha-axis",
+                      functools.wraps(producer)(lambda seed: producer(seed)))
+        assert run_all(0).to_json() == reference
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_quota_cpus", lambda: 1.5)
+        assert run_all(0).to_json() == reference
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_all(0).to_json() == reference
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "sched_getaffinity")
+        assert run_all(0).to_json() == reference
     assert len(forks) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def no_fork():
         raise BlockingIOError("fork: Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_all(0, only="eq5").to_json() == reference
+    assert run_all(0).to_json() == reference
     _no_child_left()
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "150000 100000\n"}, 1.5),
+    ({"cpu.max": "max 100000\n", "quota": "100000\n", "period": "100000\n"}, math.inf),
+    ({"quota": "100000\n", "period": "100000\n"}, 1.0),
+    ({"quota": "-1\n", "period": "100000\n"}, math.inf),
+    ({"cpu.max": "\n"}, math.inf),
+    ({}, math.inf),
+])
+def test_a_cgroup_quota_caps_the_usable_cpus(monkeypatch, tmp_path, files, cpus):
+    """The first readable quota, cgroup v2's one file or v1's two, caps the
+    affinity set; without one the set counts alone."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(verify, "_QUOTA_FILES", ((tmp_path / "cpu.max",),
+                                                 (tmp_path / "quota", tmp_path / "period")))
+    assert verify._quota_cpus() == cpus
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert verify._usable_cpus() == min(3, cpus)
 
 
 def _exit_3(*args):
@@ -773,7 +824,7 @@ def test_interrupt_propagates_from_the_caller_only(monkeypatch):
     reaped."""
     parent = os.getpid()
     forks = _counted_forks(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _two_cpus(monkeypatch)
     for cid in verify.CLAIMS:
         monkeypatch.setitem(verify.CLAIMS, cid, _interrupted)
     with pytest.raises(KeyboardInterrupt):
