@@ -7,9 +7,10 @@ sampled points run as one ``identity_check_many`` batch under the resample
 rule of ``flows.resampled``) and ``verify run`` (the claim suite).  Exit
 status: 0 success, 1 claim failure, 2 usage error (bad arguments or
 parameter values, NaN included, an ``identities --points`` count below 1,
-or a ``verify run --only`` prefix that matches no claim; reported as one
-``error:`` line).  Output floats carry 17 significant digits and runs are
-byte-reproducible for fixed arguments and seed.
+a ``verify run --only`` prefix that matches no claim, or a step size that
+underflows; reported as one ``error:`` line).  Output floats carry 17
+significant digits and runs are byte-reproducible for fixed arguments and
+seed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ._io import fmt, json_dumps
 from ._stats import worst
 from .core import HorizontalVector, Point
 from .phaseplane import NotPeriodic, OnSeparatrix, PhaseParams, PhasePoint
+from .rk45 import StepUnderflow
 from .surface import GeometryError, report
 
 USAGE_ERROR = 2
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except GeometryError as exc:
+    except (GeometryError, StepUnderflow) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

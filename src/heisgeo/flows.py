@@ -46,7 +46,6 @@ __all__ = [
     "identity_check_many",
     "leaf_constancy",
     "leaf_constancy_many",
-    "bracket_spans",
     "surface_offset",
 ]
 
@@ -459,51 +458,3 @@ def leaf_constancy_many(s: SurfaceDef, points) -> list:
     diffs = [np.abs(g[0::2] - g[1::2]) for g in (rep.k, rep.l, rep.alpha)]
     return [worst(float(d[i]) for i in range(j * m, (j + 1) * m) for d in diffs)
             for j in range(len(base))]
-
-
-def bracket_spans(s: SurfaceDef, points) -> list:
-    """Span of the invariant-complement fields together with their brackets,
-    one ``(rank, en_projection)`` per point of a sequence on one surface.
-
-    The rank counts dimensions of the span (in the frame-plus-vertical
-    representation) and ``en_projection`` is the largest component of a unit
-    vector of the span along the characteristic direction; the foliation
-    statement needs rank 2n-1 with that projection bounded away from one.
-    One stacked SVD gives every span; entry i is bitwise point i's batch of one.
-    """
-    base = frame_many(s, points)
-    _, svals, vt = np.linalg.svd(_bracket_rows(s, base, 1e-5))
-    out = []
-    for sv, v, en in zip(svals, vt, base.en):
-        rank = int(np.sum(sv > 1e-8 * sv[0]))
-        # orthonormal basis of the span, then project the characteristic direction
-        out.append((rank, float(np.linalg.norm(v[:rank] @ np.concatenate([en, [0.0]])))))
-    return out
-
-
-def _bracket_rows(s: SurfaceDef, base, h_fd):
-    """The complement fields of each point of the frame batch ``base`` and
-    their brackets, an (N, rows, 2n+1) stack with the vertical component
-    last.  A bracket's horizontal part is a central difference of the fields
-    at ``p +- h_fd X``; every offset of every point comes from one
-    ``frame_many`` batch under its point's pivots, and each row of it is that
-    offset's frame alone."""
-    n = s.n
-    m = 2 * n - 2
-    vals, coords = base.xi_prime, base.coords[:, None]  # (N, m, 2n), (N, 1, 2n+1)
-    step = h_fd * _lifts(coords, vals)
-    offsets = np.empty((len(base), 2 * m, 2 * n + 1))
-    offsets[:, 0::2], offsets[:, 1::2] = coords + step, coords - step
-    xi = frame_many(s, offsets.reshape(-1, 2 * n + 1),
-                    np.repeat(base.pivots, 2 * m, axis=0)).xi_prime
-    xi = xi.reshape(len(base), 2 * m, m, 2 * n)
-    i, j = np.triu_indices(m, 1)  # the pairs i < j, in row order
-    dji = (xi[:, 2 * i, j] - xi[:, 2 * i + 1, j]) / (2.0 * h_fd)
-    dij = (xi[:, 2 * j, i] - xi[:, 2 * j + 1, i]) / (2.0 * h_fd)
-    Xi, Xj = vals[:, i], vals[:, j]
-    rows = np.zeros((len(base), m + len(i), 2 * n + 1))
-    rows[:, :m, : 2 * n] = vals
-    rows[:, m:, : 2 * n] = dji - dij
-    rows[:, m:, 2 * n] = -2.0 * (_dots(Xi[..., :n], Xj[..., n:])
-                                 - _dots(Xi[..., n:], Xj[..., :n]))
-    return rows

@@ -618,6 +618,31 @@ def _umbilic_form(n, k, l, alpha):
     return h
 
 
+def _transverse_brackets(h):
+    """The parts outside the invariant complement D of the brackets
+    ``[X_i, X_j]``, i < j, of its fields, from form matrices ``h``: an
+    (..., pairs, 3) stack of components along e_n, e_2n and T.
+
+    A bracket's horizontal part is ``D_{X_i} v_j - D_{X_j} v_i``.  The fields
+    stay unit and orthogonal to e_n and e_2n, so the e_2n part of
+    ``D_{X_i} v_j`` is ``-<v_j, D_{X_i} e_2n> = h_c[j, i]`` on the complement
+    block ``h_c``.  With ``e_n = -J e_2n`` and the signed permutation
+    ``J v_j = sum_q P_jq v_q``, its e_n part is ``(P h_c)[j, i]``.  The T
+    part is the group's bracket ``-2 <J v_i, v_j> = -2 P_ij``.  Applying
+    ``P`` only moves and negates rows, so it is exact.
+    """
+    n = (h.shape[-1] + 1) // 2
+    keep = _complement_rows(n)
+    hc = h[..., keep[:, None], keep]
+    ph = np.concatenate([hc[..., n - 1 :, :], -hc[..., : n - 1, :]], axis=-2)
+    i, j = np.triu_indices(2 * n - 2, 1)
+    w = np.empty(h.shape[:-2] + (len(i), 3))
+    w[..., 0] = ph[..., j, i] - ph[..., i, j]
+    w[..., 1] = hc[..., j, i] - hc[..., i, j]
+    w[..., 2] = np.where(j == i + n - 1, -2.0, 0.0)
+    return w
+
+
 def _sublaplacians(coords, hess):
     """Sublaplacians (sums of repeated frame derivatives of the defining
     function) at stacked evaluated points, each summed over j left to right.

@@ -167,6 +167,9 @@ def test_phase_non_finite_seed_is_a_usage_error(tmp_path, capsys, row):
     ("identities", "--surface", "pansu", "--step", "0"),
     ("catalog", "list", "--n", "0"),
     ("catalog", "list", "--n", "-1"),
+    # a curvature so large that the first step underflows
+    ("geodesic", "--lam", "1e16", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0",
+     "--smax", "1"),
 ])
 def test_bad_parameter_values_are_usage_errors(capsys, argv):
     start = time.perf_counter()

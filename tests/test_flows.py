@@ -2,12 +2,11 @@
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heisgeo import catalog, flows, verify
+from heisgeo import catalog, flows, surface, verify
 from heisgeo.core import HorizontalVector, Point, _J, frame_lift, theta
 from heisgeo.rk45 import StepControl, solve_lanes
 from heisgeo.flows import (
@@ -311,16 +310,27 @@ def test_leaf_constancy():
         assert flows.leaf_constancy(entry.surface, p) <= 1e-6
 
 
+# ---------------------------------------------------------------------------
+# brackets of the invariant complement (``verify._bracket_spans``)
+
+
+def _spans(entry, points):
+    """The ``(rank, en_projection)`` pairs of ``prop4.3`` at points of one
+    catalog entry, from one ``report_many`` batch."""
+    rank, proj = verify._bracket_spans(report_many(entry.surface, points).h)
+    return list(zip(rank.tolist(), proj.tolist()))
+
+
 def test_bracket_span_rank():
     for entry in (catalog.pansu(1.0, 2), catalog.cylinder(1.0, 2)):
-        for rank, proj in flows.bracket_spans(entry.surface, entry.sample(RNG, 4)):
+        for rank, proj in _spans(entry, entry.sample(RNG, 4)):
             assert rank == 3  # 2n - 1 for n = 2
             assert proj <= 1 - 1e-6
 
 
 def test_bracket_span_rank_n3():
     entry = catalog.pansu(1.0, 3)
-    for rank, proj in flows.bracket_spans(entry.surface, entry.sample(RNG, 2)):
+    for rank, proj in _spans(entry, entry.sample(RNG, 2)):
         assert rank == 5
         assert proj <= 1 - 1e-6
 
@@ -334,46 +344,41 @@ def test_bracket_spans_rows_equal_batches_of_one(entry):
     assert len({p.t > 0 for p in points}) == 2
     if entry.surface.n > 2:
         assert len({build_frame(entry.surface, p).pivots for p in points}) > 1
-    spans = flows.bracket_spans(entry.surface, points)
-    assert spans == [flows.bracket_spans(entry.surface, [p])[0] for p in points]
+    assert _spans(entry, points) == [_spans(entry, [p])[0] for p in points]
 
 
-def test_bracket_span_evaluates_the_kernel_twice():
-    """``bracket_spans`` takes the base frames of a batch of N points from one
-    kernel batch and every offset's frame from one more: two ``grad_hess``
-    calls whatever N is."""
-    e = catalog.pansu(1.0, 3)
-    calls = []
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bracket_span_rank_near_the_pole(n):
+    """At Pansu points on the sampler's inner margin, |z| = 1e-3 z_max, of
+    both hemispheres, the span has rank 2n - 1 for every n up to 8."""
+    entry = catalog.pansu(1.0, n)
+    rng = np.random.default_rng(100 + n)
+    z = catalog.SAMPLER_MARGIN * math.sqrt(entry.profile.r_max)
+    height = math.sqrt(entry.profile.f(z * z))
+    points = []
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        d = rng.normal(size=2 * n)
+        points.append(Point(np.append(z * d / np.linalg.norm(d), sign * height)))
+    for rank, proj in _spans(entry, points):
+        assert rank == 2 * n - 1
+        assert proj <= 1 - 1e-6
 
-    def counted(coords):
-        calls.append(len(coords))
-        return e.surface.grad_hess(coords)
 
-    points = e.sample(np.random.default_rng(12), 5)
-    assert flows.bracket_spans(replace(e.surface, grad_hess=counted), points) == \
-        flows.bracket_spans(e.surface, points)
-    assert calls == [5, 5 * 2 * (2 * 3 - 2)]
-
-
-def test_degenerate_point_in_a_bracket_batch_is_skipped(monkeypatch):
-    """A point whose offsets' forced pivot collapses raises the whole batch;
-    under ``flows.resampled`` it alone is skipped and counted, and the other
-    points keep their batch results."""
-    e = catalog.pansu(1.0, 3)
-    points = e.sample(np.random.default_rng(15), 5)
-    clean = flows.bracket_spans(e.surface, points)
-    bad = points[2].coords
-    frames = flows.frame_many
-
-    def collapsing(s, pts, pivots=None):
-        if pivots is not None and (np.abs(np.asarray(pts) - bad).max(axis=1) < 1e-4).any():
-            raise PivotDegenerate("forced")
-        return frames(s, pts, pivots)
-
-    monkeypatch.setattr(flows, "frame_many", collapsing)
-    done, skipped = flows.resampled(lambda pts: flows.bracket_spans(e.surface, pts), points)
-    assert done == clean[:2] + clean[3:]
-    assert skipped == {"PivotDegenerate": 1}
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bracket_span_projection_is_its_umbilic_closed_form(n):
+    """On the umbilic catalog the brackets' parts outside D are multiples of
+    (k, alpha, 1), so their matrix has one singular value (the second is at
+    most 1e-12 of the first) and the characteristic direction's projection
+    is |k| / sqrt(k^2 + alpha^2 + 1)."""
+    rng = np.random.default_rng(200 + n)
+    for entry in catalog.standard_entries(n):
+        batch = report_many(entry.surface, entry.sample(rng, 6))
+        sv = np.linalg.svd(surface._transverse_brackets(batch.h), compute_uv=False)
+        assert np.all(sv[:, 1:] <= 1e-12 * sv[:, :1]), entry.name
+        rank, proj = verify._bracket_spans(batch.h)
+        k, a = batch.k, batch.alpha
+        assert np.all(rank == 2 * n - 1), entry.name
+        assert np.abs(proj - np.abs(k) / np.sqrt(k * k + a * a + 1.0)).max() <= 1e-9, entry.name
 
 
 def test_resampled_reruns_a_failed_batch_one_item_at_a_time():
@@ -440,8 +445,10 @@ def test_non_finite_offset_raises_as_a_point_does(monkeypatch):
 
 
 def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
-    """The bracket rows from one-point ``frame_many`` calls, one per field
-    value, as ``bracket_spans`` took them before it batched its offsets."""
+    """The complement fields at ``p`` and their brackets in the
+    frame-plus-vertical representation, with each bracket's horizontal part
+    a central difference of one-point ``frame_many`` fields at
+    ``p +- h_fd X``: the finite-difference oracle of the exact brackets."""
     n = p.n
 
     def field(c, i):
@@ -463,15 +470,18 @@ def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
 
 @pytest.mark.parametrize("entry", [catalog.pansu(1.0, 2), catalog.pansu(1.0, 3),
                                    catalog.cylinder(1.0, 2)], ids=["pansu2", "pansu3", "cyl2"])
-def test_bracket_rows_batched_match_one_point_frames(entry):
-    """``bracket_spans`` takes its fields from two ``frame_many`` batches;
-    each point's rows are bitwise what one-point frames give."""
+def test_bracket_spans_match_the_finite_difference_oracle(entry):
+    """The exact spans have the rank of the finite-difference span (step
+    1e-5, the same 1e-8 cut) and a projection within 1e-8 of its."""
     points = entry.sample(np.random.default_rng(11), 3)
-    batched = flows._bracket_rows(entry.surface, frame_many(entry.surface, points), 1e-5)
-    for rows, p in zip(batched, points):
-        pivots = build_frame(entry.surface, p).pivots
-        assert np.array_equal(rows,
-                              _bracket_rows_one_point_at_a_time(entry.surface, p, pivots, 1e-5))
+    for (rank, proj), p in zip(_spans(entry, points), points):
+        frame = build_frame(entry.surface, p)
+        rows = _bracket_rows_one_point_at_a_time(entry.surface, p, frame.pivots, 1e-5)
+        _, sv, vt = np.linalg.svd(rows)
+        fd_rank = int(np.sum(sv > 1e-8 * sv[0]))
+        fd_proj = float(np.linalg.norm(vt[:fd_rank] @ np.append(frame.en.coeffs, 0.0)))
+        assert rank == fd_rank
+        assert abs(proj - fd_proj) <= 1e-8
 
 
 def test_offsets_in_lockstep_match_single_offsets():

@@ -1,13 +1,16 @@
 """Negative controls: a broken planar system must make its lemma 6.1 claims
 fail, a broken profile sweep its ``prop3.1-profile-ode`` row, and a tilted
-Pansu sphere the umbilic claims that sample it."""
+Pansu sphere the umbilic claims that sample it.  Every ``verify`` claim
+either has such a mutant or is listed as not yet caught."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heisgeo import catalog, phaseplane, rk45, verify
+from test_tooling import _check_allowlist
 
 
 def _drifted(monkeypatch, eps):
@@ -35,7 +38,11 @@ def _drifted(monkeypatch, eps):
     monkeypatch.setattr(phaseplane, "_rhs_log", mutant)
 
 
-@pytest.mark.parametrize("only", ["lemma6.1-closure", "lemma6.1-symmetry", "lemma6.1"])
+# the claims that the drift fails, alone and on their shared orbit batch
+ORBIT_CLAIMS = ("lemma6.1-closure", "lemma6.1-symmetry")
+
+
+@pytest.mark.parametrize("only", [*ORBIT_CLAIMS, "lemma6.1"])
 def test_irreversible_drift_fails_the_orbit_claims(monkeypatch, only):
     """At seed 42 the drift is caught from eps = 1e-10 on (3e-11 passes),
     alone and on the shared batch alike.
@@ -135,17 +142,24 @@ UMBILIC_EPS = {
     "prop2.3-xn-equivalence": 5e-11,
     "prop2.4-umbilic-pattern": 2e-11,
     "prop3.1-rotsym-umbilic": 2e-11,
+    "prop4.3-foliation-rank": 1e-7,
     "ex3.2-pansu-table": 2e-12,
     "eq7.4-pmc-level-set": 2e-11,
 }
+
+# the claims that the tilt fails at 5e-11
+CAUGHT_AT_5E_11 = {cid for cid, eps in UMBILIC_EPS.items() if eps <= 5e-11}
 
 
 @pytest.mark.parametrize("cid, eps", UMBILIC_EPS.items())
 def test_tilted_pansu_fails_the_umbilic_claims(monkeypatch, full_run, cid, eps):
     """At seed 42 each claim is caught from the ``eps`` it runs, on the
-    1-2-5 grid: the next smaller step (2e-11 for ``prop2.3``, 1e-12 for
-    ``ex3.2``, 1e-11 for the rest) passes.  Rows of other surfaces keep
-    their bytes.  ``prop2.1`` and ``prop2.2`` pass the tilt up to 1e-6:
+    1-2-5 grid: the next smaller step (2e-11 for ``prop2.3``, 5e-8 for
+    ``prop4.3``, 1e-12 for ``ex3.2``, 1e-11 for the rest) passes.  The tilt
+    catches ``prop4.3`` at its n = 3 row, where the brackets' parts outside
+    the complement gain a second direction; its n = 2 rows have a single
+    bracket, whose rank cannot drop.  Rows of other surfaces keep their
+    bytes.  ``prop2.1`` and ``prop2.2`` pass the tilt up to 1e-6:
     they check identities that every surface with a symmetric Hessian
     keeps (the form's partial symmetry and paired-entry tilt gap, the
     shape operator's symmetry), so they need a mutant of their own kind."""
@@ -169,11 +183,52 @@ def test_tilted_pansu_reaches_the_worker(monkeypatch, full_run, worker_first):
     _tilted(monkeypatch, 5e-11)
     alone = [row.to_dict() for cid in verify.CLAIMS
              for row in verify.run_all(42, only=cid).claims]
-    worker_first(UMBILIC_EPS, lambda producer, seed: producer(seed))
+    worker_first(CAUGHT_AT_5E_11, lambda producer, seed: producer(seed))
     rows = verify.run_all(42).claims
     assert [row.to_dict() for row in rows] == alone
-    assert {row.claim_id for row in rows if not row.passed} == set(UMBILIC_EPS)
+    assert {row.claim_id for row in rows if not row.passed} == CAUGHT_AT_5E_11
+    assert len(CAUGHT_AT_5E_11) == 5
     assert len(rows) == len(clean)
     for before, after in zip(clean, rows):
         if after.surface not in PANSU_ROWS:
             assert after.to_dict() == before.to_dict(), after.claim_id
+
+
+# the claim ids that each mutant is shown to fail, by the test that shows it
+MUTANTS = {
+    "test_verify.py::test_mutation_is_detected": ("prop2.1-symmetry",),
+    "test_irreversible_drift_fails_the_orbit_claims": ORBIT_CLAIMS,
+    "test_one_profile_perturbed_fails_its_row_only": ("prop3.1-profile-ode",),
+    "test_tilted_pansu_fails_the_umbilic_claims": tuple(UMBILIC_EPS),
+}
+
+# the claims that no mutant fails yet
+NOT_YET_CAUGHT = (
+    "prop2.2-shape-symmetric",
+    "prop4.1-detU",
+    "prop4.2-identities",
+    "prop4.4-leaf-constancy",
+    "prop4.5-geodesic-confinement",
+    "ex3.3-l-eq-3k",
+    "ex3.4-cylinder-hyperplane",
+    "eq5.4-alpha-axis",
+    "eq5.5-stationary",
+    "eq7.2-yamabe-sigma",
+    "eq7.3-shifted-l-3k",
+)
+
+
+def test_every_claim_has_a_mutant_or_is_listed():
+    """Every ``verify.CLAIMS`` id is failed by a mutant of ``MUTANTS`` or
+    named in ``NOT_YET_CAUGHT``, checked as the tooling allowlists are: a
+    claim in neither is a failure, and so is a listed id that is no longer
+    a claim or that a mutant now catches."""
+    here = Path(__file__).parent
+    for test in MUTANTS:
+        module, _, name = test.rpartition("::")
+        source = (here / module).read_text() if module else Path(__file__).read_text()
+        assert f"def {name}(" in source, test
+    caught = {cid for cids in MUTANTS.values() for cid in cids}
+    claims = set(verify.CLAIMS)
+    assert caught <= claims, f"a mutant names no claim: {sorted(caught - claims)}"
+    _check_allowlist({cid: cid for cid in claims - caught}, claims, NOT_YET_CAUGHT)

@@ -8,6 +8,7 @@ import os
 import platform
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,9 @@ def test_claims_without_completed_samples_fail(monkeypatch):
         raise PivotDegenerate("forced")
 
     for name in ("identity_check", "identity_check_many", "leaf_constancy",
-                 "leaf_constancy_many", "bracket_spans"):
+                 "leaf_constancy_many"):
         monkeypatch.setattr(flows, name, degenerate)
+    monkeypatch.setattr(surface, "report_many", degenerate)  # prop4.3's batches
     results = (verify.claim_interior_identities(0)
                + verify.claim_foliation_rank(0)
                + verify.claim_leaf_constancy(0))
@@ -199,6 +201,41 @@ def test_claims_without_completed_samples_fail(monkeypatch):
                 "prop4.4-leaf-constancy": 4}
     assert all(r.extra == {"skipped": {"PivotDegenerate": per_case[r.claim_id]}}
                for r in results)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 3])
+def test_foliation_rank_holds_up_to_n_8(monkeypatch, seed):
+    """With ``verify.NS`` widened to 2..8 every ``prop4.3`` row passes: the
+    exact brackets leave no spurious dimension near the pole."""
+    monkeypatch.setattr(verify, "NS", tuple(range(2, 9)))
+    rows = verify.claim_foliation_rank(seed)
+    assert [row.params["n"] for row in rows] == [2, 2, *range(3, 9)]
+    assert all(row.passed and row.samples == 10 for row in rows)
+
+
+def test_foliation_rank_evaluates_the_kernel_once_per_case(monkeypatch):
+    """``prop4.3`` takes each case's brackets from the form matrices of one
+    ``report_many`` batch: one ``grad_hess`` call of the case's 10 points."""
+    calls = []
+
+    def counted(factory):
+        def make(*args):
+            entry = factory(*args)
+            exact = entry.surface.grad_hess
+
+            def grad_hess(coords):
+                calls.append((entry.name, len(coords)))
+                return exact(coords)
+
+            return replace(entry, surface=replace(entry.surface, grad_hess=grad_hess))
+
+        return make
+
+    for name in ("pansu", "cylinder"):
+        monkeypatch.setattr(catalog, name, counted(getattr(catalog, name)))
+    rows = verify.claim_foliation_rank(42)
+    assert all(row.passed for row in rows)
+    assert calls == [("pansu", 10), ("cylinder", 10), ("pansu", 10)]
 
 
 def test_geodesic_confinement_lanes_report_scalar_steps():
