@@ -18,7 +18,7 @@ bits in any stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,9 +70,12 @@ def _radius2(coords, n):
     return r
 
 
-def _zabs(p):
-    """Horizontal radius |z| of a point."""
-    return math.sqrt(float(np.dot(p.x, p.x) + np.dot(p.y, p.y)))
+def _zabs(coords):
+    """Horizontal radii |z| over the last axis of one point's coordinates or
+    of a stack of them; a row gives the same bits in any stack."""
+    n = coords.shape[-1] // 2
+    x, y = coords[..., :n], coords[..., n : 2 * n]
+    return np.sqrt(_dots(x, x) + _dots(y, y))
 
 
 def _positive(value, what):
@@ -80,6 +83,18 @@ def _positive(value, what):
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{what} must be finite and positive")
     return float(value)
+
+
+def _power(value, k, what):
+    """``value ** k`` as Python computes it, or ValueError when that overflows or
+    is 0: no derived constant of a surface may be infinite or vanish."""
+    try:
+        out = value**k
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ValueError(f"{what}^{k} overflows or vanishes")
+    return out
 
 
 def _unit_rows(rng, count, dim):
@@ -151,7 +166,7 @@ def _psi_d2(sv):
     return (1.0 - sv) / (2.0 * sv) - a / (4.0 * math.sqrt(1.0 - sv) * sv**1.5)
 
 
-def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
+def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas, charts=None):
     """Catalog entry of the rotationally symmetric level set ``t^2 = f(|z|^2)``.
 
     The squared-height profile ``f`` with its first two derivatives gives the
@@ -163,22 +178,19 @@ def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
     def func(coords):
         return f(_radius2(coords, n)) - coords[2 * n] * coords[2 * n]
 
-    eye = np.eye(2 * n)
-
     def grad_hess(coords):
         c = np.asarray(coords, dtype=float)
         z, t = c[..., : 2 * n], c[..., 2 * n]
         r = _dots(z, z)
         # the profile scalars row by row, the value first so its domain check runs
-        vals = np.array([(f(x), df(x), ddf(x)) for x in r.ravel().tolist()])
-        vals = vals.reshape(r.shape + (3,))
+        vals = duals._libm(lambda x: (f(x), df(x), ddf(x)), r, width=3)
         fv, d1, d2 = vals[..., 0], vals[..., 1, None], vals[..., 2, None, None]
         grad = np.empty(c.shape)
         grad[..., : 2 * n] = 2.0 * d1 * z
         grad[..., 2 * n] = -2.0 * t
         hess = np.zeros(c.shape + c.shape[-1:])
         hess[..., : 2 * n, : 2 * n] = (4.0 * d2 * (z[..., :, None] * z[..., None, :])
-                                      + 2.0 * d1[..., None] * eye)
+                                      + 2.0 * d1[..., None] * duals._eye(2 * n))
         hess[..., 2 * n, 2 * n] = -2.0
         return fv - t * t, grad, hess
 
@@ -205,6 +217,7 @@ def _radial_entry(name, n, params, f, df, ddf, r_max, expected, formulas):
         sampler=sampler,
         formulas=formulas,
         profile=RadialProfile(f=f, df=df, ddf=ddf, r_max=r_max),
+        charts=charts or {},
     )
 
 
@@ -217,7 +230,7 @@ def pansu(lam, n) -> CatalogEntry:
     separate charts and must agree with it wherever both apply.
     """
     lam = _positive(lam, "curvature parameter")
-    lam2, lam4 = lam * lam, lam**4
+    lam2, lam4 = lam * lam, _power(lam, 4, "lam")
 
     def height(coords):  # hemisphere graph height
         r = _radius2(coords, n)
@@ -238,7 +251,7 @@ def pansu(lam, n) -> CatalogEntry:
         s = max(1.0 - lam2 * r, 0.0)
         return math.copysign(math.sqrt(s / r), p.t) if p.t != 0.0 else 0.0
 
-    entry = _radial_entry(
+    return _radial_entry(
         "pansu", n, {"lam": lam},
         f=lambda r: _psi(1.0 - lam2 * r) / lam4,
         df=lambda r: -_psi_d1(1.0 - lam2 * r) / lam2,
@@ -256,17 +269,17 @@ def pansu(lam, n) -> CatalogEntry:
             "H": "2*n*lam",
             "alpha": "sign(t)*sqrt(1-lam^2*|z|^2)/|z|",
         },
+        charts={
+            "upper": SurfaceDef(func=upper, n=n, name="pansu-upper"),
+            "lower": SurfaceDef(func=lower, n=n, name="pansu-lower"),
+        },
     )
-    return replace(entry, charts={
-        "upper": SurfaceDef(func=upper, n=n, name="pansu-upper"),
-        "lower": SurfaceDef(func=lower, n=n, name="pansu-lower"),
-    })
 
 
 def heisenberg_sphere(rho, n) -> CatalogEntry:
     """Quartic sphere ``|z|^4 + 4t^2 = rho^4``; umbilic with l = 3k."""
     rho = _positive(rho, "radius")
-    rho2, rho4 = rho**2, rho**4
+    rho4, rho2 = _power(rho, 4, "rho"), rho**2
     return _radial_entry(
         "heisenberg-sphere", n, {"rho": rho},
         f=lambda r: (rho4 - r * r) / 4.0,
@@ -274,10 +287,10 @@ def heisenberg_sphere(rho, n) -> CatalogEntry:
         ddf=lambda r: -0.5,
         r_max=rho2,
         expected={
-            "k": lambda p: _zabs(p) / rho2,
-            "l": lambda p: 3.0 * _zabs(p) / rho2,
-            "H": lambda p: (2 * n + 1) * _zabs(p) / rho2,
-            "alpha": lambda p: 2.0 * p.t / (rho2 * _zabs(p)),
+            "k": lambda p: _zabs(p.coords) / rho2,
+            "l": lambda p: 3.0 * _zabs(p.coords) / rho2,
+            "H": lambda p: (2 * n + 1) * _zabs(p.coords) / rho2,
+            "alpha": lambda p: 2.0 * p.t / (rho2 * _zabs(p.coords)),
         },
         formulas={
             "k": "|z|/rho^2",
@@ -293,15 +306,15 @@ def shifted_sphere(lam, rho0, n) -> CatalogEntry:
     if not (lam >= 0 and math.isfinite(lam)):
         raise ValueError("shift parameter must be finite and nonnegative")
     rho0 = _positive(rho0, "radius")
-    if not rho0**2 > lam:
+    rho4, rho2 = _power(rho0, 4, "rho0"), rho0**2
+    if not rho2 > lam:
         raise DomainError("empty surface: need rho0^2 > lam")
     lam = float(lam)
-    rho2, rho4 = rho0**2, rho0**4
 
     expected = {
-        "k": lambda p: (_zabs(p) ** 2 + lam) / (rho2 * _zabs(p)),
-        "l": lambda p: (3.0 * _zabs(p) ** 2 + lam) / (rho2 * _zabs(p)),
-        "alpha": lambda p: 2.0 * p.t / (rho2 * _zabs(p)),
+        "k": lambda p: (_zabs(p.coords) ** 2 + lam) / (rho2 * _zabs(p.coords)),
+        "l": lambda p: (3.0 * _zabs(p.coords) ** 2 + lam) / (rho2 * _zabs(p.coords)),
+        "alpha": lambda p: 2.0 * p.t / (rho2 * _zabs(p.coords)),
     }
     expected["H"] = lambda p: expected["l"](p) + (2 * n - 2) * expected["k"](p)
 
@@ -324,18 +337,17 @@ def shifted_sphere(lam, rho0, n) -> CatalogEntry:
 def cylinder(c, n) -> CatalogEntry:
     """Vertical cylinder over a round sphere; umbilic with l = k = 1/c."""
     c = _positive(c, "radius")
+    _power(c, 2, "c")
 
     def func(coords):
         return c * c - _radius2(coords, n)
-
-    flat = -2.0 * np.eye(2 * n)
 
     def grad_hess(coords):
         z = np.asarray(coords, dtype=float)[..., : 2 * n]
         grad = np.zeros(z.shape[:-1] + (2 * n + 1,))
         grad[..., : 2 * n] = -2.0 * z
         hess = np.zeros(grad.shape + (2 * n + 1,))
-        hess[..., : 2 * n, : 2 * n] = flat
+        hess[..., : 2 * n, : 2 * n] = -2.0 * duals._eye(2 * n)
         return c * c - _dots(z, z), grad, hess
 
     surface = SurfaceDef(func=func, n=n, name="cylinder", grad_hess=grad_hess)

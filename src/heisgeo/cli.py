@@ -6,9 +6,10 @@ Subcommands: ``report`` (pointwise surface geometry as JSON), ``catalog``
 sampled points run as one ``identity_check_many`` batch under the resample
 rule of ``flows.resampled``) and ``verify run`` (the claim suite).  Exit
 status: 0 success, 1 claim failure, 2 usage error (bad arguments or
-parameter values, NaN included, an ``identities --points`` count below 1,
-a ``verify run --only`` prefix that matches no claim, or a step size that
-underflows; reported as one ``error:`` line).  Output floats carry 17
+parameter values, NaN included, a parameter whose derived constant
+overflows or is 0, an ``identities --points`` count below 1, a ``verify run
+--only`` prefix that matches no claim, or a step size that underflows;
+reported as one ``error:`` line).  Output floats carry 17
 significant digits and runs are byte-reproducible for fixed arguments and
 seed.
 """
@@ -19,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -173,7 +175,7 @@ def _cmd_identities(args):
     done, skipped = flows.resampled(
         lambda batch: zip(batch, flows.identity_check_many(entry.surface, batch, h_fd=args.step)),
         pts)
-    rows = [{"point": list(p.coords), "residuals": res.as_dict()} for p, res in done]
+    rows = [{"point": list(p.coords), "residuals": asdict(res)} for p, res in done]
     keys = rows[0]["residuals"] if rows else ()
     payload = {
         "surface": entry.name,
@@ -283,14 +285,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (GeometryError, StepUnderflow) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

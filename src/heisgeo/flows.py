@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rk45
 from ._stats import worst
-from .catalog import _psi  # squared-height profile of the reference sphere
+from .catalog import _positive, _psi  # _psi: squared height of the reference sphere
 from .core import HorizontalVector, Point, _J
 from .rk45 import StepControl, _row_sum  # per-row sums, independent of the batch
 from .surface import (
@@ -207,12 +207,10 @@ def profile_ode(lams):
     gets alone.  Returns one ``(r, f)`` pair of arrays per curvature.
     An underflowing lane raises ``StepUnderflow``.
     """
-    lams = [float(lam) for lam in lams]
+    lams = [_positive(lam, "curvature parameter") for lam in lams]
     num = 200
     grids = []
     for lam in lams:
-        if not (lam > 0 and math.isfinite(lam)):
-            raise ValueError("curvature parameter must be finite and positive")
         r_out = 1.0 / (lam * lam)
         r_lo, r_hi = (frac * r_out for frac in _PROFILE_SPAN)
         if not 0.0 < r_lo < r_hi < r_out:
@@ -375,18 +373,8 @@ class IdentityResiduals:
     e2n_l: float
     xi_prime: float
 
-    def as_dict(self):
-        return {
-            "en_k": self.en_k,
-            "en_alpha": self.en_alpha,
-            "e2n_k": self.e2n_k,
-            "e2n_alpha": self.e2n_alpha,
-            "e2n_l": self.e2n_l,
-            "xi_prime": self.xi_prime,
-        }
-
     def max(self):
-        return worst(self.as_dict().values())
+        return worst(asdict(self).values())
 
 
 def identity_check(s: SurfaceDef, p: Point) -> IdentityResiduals:

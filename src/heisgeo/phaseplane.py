@@ -70,6 +70,8 @@ class PhaseParams:
             raise ValueError("n must be >= 2")
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError("the constant mean curvature c must be finite and positive")
+        if not 0.0 < self.c * self.c < math.inf:
+            raise ValueError("c^2 overflows or vanishes")
 
 
 @dataclass(frozen=True)

@@ -415,7 +415,7 @@ def _complement(en, e2n, pivots=None):
         # numpy picks its BLAS path, and so the rounding, by the strides
         col = np.empty_like(basis)[:, :, :1]
         col[:, :, 0] = basis[rows, :, a]
-        r = _eye(dim)[a] - (basis_t @ col)[:, :, 0]
+        r = duals._eye(dim)[a] - (basis_t @ col)[:, :, 0]
         rn = _norms(r)
         if pivots is not None and (rn < 1e-6).any():
             i = int((rn < 1e-6).argmax())
@@ -428,11 +428,6 @@ def _complement(en, e2n, pivots=None):
         xi[:, beta], xi[:, n - 1 + beta] = v, jv
         chosen[:, beta] = a
     return xi, chosen
-
-
-@functools.lru_cache(maxsize=None)
-def _eye(dim):
-    return _read_only(np.eye(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +492,8 @@ class ReportBatch:
         return len(self.frame)
 
     def __getitem__(self, i) -> SurfaceReport:
-        return self._report(i, self.frame.bundle(i))
-
-    def _report(self, i, frame):
         return SurfaceReport(
-            frame=frame,
+            frame=self.frame.bundle(i),
             h=self.h[i],
             k=float(self.k[i]),
             l=float(self.l[i]),
@@ -577,7 +569,7 @@ def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
     """Second fundamental form and shape operator in the adapted basis of
     ``f``: a batch of one of :func:`report_many` under ``f``'s pivots, which
     rebuild ``f``'s frame bit for bit."""
-    return report_many(s, (f.p,), f.pivots)._report(0, f)
+    return replace(report_many(s, (f.p,), f.pivots)[0], frame=f)
 
 
 def report(s: SurfaceDef, p: Point) -> SurfaceReport:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import catalog, flows, phaseplane, surface
+from . import catalog, duals, flows, phaseplane, surface
 from ._io import json_dumps
 from ._stats import worst as _worst
 from .core import HorizontalVector, Point
@@ -176,13 +176,6 @@ def _report_claim(cid, seed, cases, residual, tolerance, row_id=None):
 def _floats(values):
     """Residuals as a list of Python floats."""
     return np.asarray(values, dtype=float).tolist()
-
-
-def _zabs(coords):
-    """Horizontal radii |z| of stacked points (``catalog._zabs`` row by row)."""
-    n = coords.shape[1] // 2
-    x, y = coords[:, :n], coords[:, n : 2 * n]
-    return np.sqrt(surface._dots(x, x) + surface._dots(y, y))
 
 
 def _case(name, params, entry, rng, count):
@@ -512,7 +505,7 @@ def _profile_values(entry, coords):
     n = entry.params["n"]
     r = catalog._radius2(coords.T, n)
     t = coords[:, 2 * n]
-    return np.array([entry.profile.f(x) for x in r.tolist()]) - t * t
+    return duals._libm(entry.profile.f, r) - t * t
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +534,8 @@ def claim_heisenberg_table(seed):
     def residual(entry, batch):
         rho = entry.params["rho"]
         coords = batch.frame.coords
-        return np.maximum(np.abs(batch.l - 3.0 * batch.k),
-                          np.abs(batch.alpha - 2.0 * coords[:, -1] / (rho * rho * _zabs(coords))))
+        alpha = 2.0 * coords[:, -1] / (rho * rho * catalog._zabs(coords))
+        return np.maximum(np.abs(batch.l - 3.0 * batch.k), np.abs(batch.alpha - alpha))
 
     cases = (_case("heisenberg-sphere", {"rho": rho},
                    catalog.heisenberg_sphere(rho, 2), rng, 100)
@@ -825,8 +818,8 @@ def yamabe_check(lam, n, count=200, seed=0):
     coords = rng.normal(size=(count, 2 * n + 1))
     u, _, hess = sfd.evaluate_many(coords)
     laps = surface._sublaplacians(coords, hess)
-    # Python floats: numpy's array power rounds differently from libm pow
-    sigmas = np.array([lap / v ** (1.0 + 2.0 / n) for lap, v in zip(_floats(laps), _floats(u))])
+    # libm pow: numpy's array power rounds differently
+    sigmas = laps / duals._libm(lambda v: v ** (1.0 + 2.0 / n), u)
     mean = float(np.mean(sigmas))
     rel_std = float(np.std(sigmas) / abs(mean))
     return ClaimResult(
@@ -871,14 +864,14 @@ def claim_shifted_spheres(seed):
         for lam, rho0 in ((0.5, 1.2), (1.0, 1.5)):
             entry = catalog.shifted_sphere(lam, rho0, 2)
             pts = entry.sample(rng, 100)
-            floors[lam] = lam / (rho0**2 * max(catalog._zabs(p) for p in pts))
+            floors[lam] = lam / (rho0**2 * max(catalog._zabs(p.coords) for p in pts))
             yield "shifted-sphere", {"lam": lam, "rho0": rho0}, [(entry, pts)]
 
     def residual(entry, batch):
         lam, rho0 = entry.params["lam"], entry.params["rho0"]
         gap = 3.0 * batch.k - batch.l
         return np.where(gap < floors[lam], math.inf,
-                        np.abs(gap - 2.0 * lam / (rho0**2 * _zabs(batch.frame.coords))))
+                        np.abs(gap - 2.0 * lam / (rho0**2 * catalog._zabs(batch.frame.coords))))
 
     out = _report_claim(cid, seed, cases(), residual, 1e-8)
     for row in out:

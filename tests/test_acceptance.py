@@ -6,6 +6,7 @@ per criterion with the measured residual and its limit.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -74,8 +75,8 @@ def test_criterion_4_interior_identity_suite():
     floor = 1e-9  # below this the residual is rounding, not truncation
     for entry in verify.identity_suite_entries():
         for p in verify.moderate_points(entry, rng, 3):
-            res_h = identity_check(entry.surface, p).as_dict()  # h_fd = 1e-4
-            res_h2 = identity_check_many(entry.surface, [p], h_fd=5e-5)[0].as_dict()
+            res_h = asdict(identity_check(entry.surface, p))  # h_fd = 1e-4
+            res_h2 = asdict(identity_check_many(entry.surface, [p], h_fd=5e-5)[0])
             for key, r1 in res_h.items():
                 worst = max(worst, r1)
                 if r1 > floor:

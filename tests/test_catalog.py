@@ -1,6 +1,7 @@
 """Catalog surfaces: published values, samplers, chart agreement."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -389,6 +390,19 @@ def test_hyperplane_validation():
         catalog.hyperplane([0, 0, 0, 0], 2)
     with pytest.raises(ValueError):
         catalog.cylinder(-1.0, 2)
+
+
+def test_building_the_entries_allocates_nothing_of_size_2n_squared():
+    """The factories allocate no (2n)^2 array: the closed-form ``grad_hess``
+    takes its identity matrix when it runs.  At n = 1000 one such float array
+    is 32 MB."""
+    tracemalloc.start()
+    try:
+        entries = catalog.standard_entries(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 5 and peak < 1e6
 
 
 def test_factory_params_and_describe():

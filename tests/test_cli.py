@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,17 @@ def test_phase_non_finite_seed_is_a_usage_error(tmp_path, capsys, row):
     # a curvature so large that the first step underflows
     ("geodesic", "--lam", "1e16", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0",
      "--smax", "1"),
+    # derived constants (lam^4, rho^4, rho0^4, c^2) that overflow or vanish
+    ("report", "--surface", "pansu", "--lam", "1e-170", "--point", "0.5,0,0,0,1"),
+    ("report", "--surface", "pansu", "--lam", "1e170", "--point", "0,0,0,0,0"),
+    ("report", "--surface", "heisenberg-sphere", "--rho", "1e200", "--point", "1,0,0,0,0"),
+    ("report", "--surface", "shifted-sphere", "--lam", "1e300", "--rho0", "1e200",
+     "--point", "1,0,0,0,1"),
+    ("identities", "--surface", "pansu", "--lam", "1e-200", "--points", "1"),
+    ("report", "--surface", "cylinder", "--c", "1e200", "--point", "1e200,0,0,0,0"),
+    ("phase", "--c", "1e300"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_parameter_values_are_usage_errors(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -344,7 +355,7 @@ def test_identities_with_a_skip_match_per_point_checks(capsys, monkeypatch):
     """With its second point resampled, ``identities`` writes byte for byte
     the rows of per-point ``identity_check`` calls on the other two."""
     s = catalog.cylinder(2.0, 2).surface
-    rows = [{"point": list(p.coords), "residuals": flows.identity_check(s, p).as_dict()}
+    rows = [{"point": list(p.coords), "residuals": asdict(flows.identity_check(s, p))}
             for i, p in enumerate(_cylinder_points()) if i != 1]
     expected = json_dumps({
         "surface": "cylinder", "params": {"c": 2.0, "n": 2}, "step": 1e-4, "seed": 42,

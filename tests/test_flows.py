@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -271,8 +272,8 @@ def test_identity_residuals_small_and_quadratic():
         p = moderate(entry, 1)[0]
         res1 = identity_check(entry.surface, p)  # h_fd = 1e-4
         res2 = flows.identity_check_many(entry.surface, [p], h_fd=5e-5)[0]
-        for key, r1 in res1.as_dict().items():
-            r2 = res2.as_dict()[key]
+        for key, r1 in asdict(res1).items():
+            r2 = asdict(res2)[key]
             assert r1 <= 1e-5, (entry.name, key)
             if r1 > 1e-9:  # above the rounding floor the step ratio bites
                 assert r1 / r2 >= 3.5, (entry.name, key)
@@ -604,8 +605,8 @@ def test_lockstep_checks_match_one_field_at_a_time(entry):
     many = flows.identity_check_many(entry.surface, pts)
     leaves = flows.leaf_constancy_many(entry.surface, pts)
     for p, res, leaf in zip(pts, many, leaves):
-        assert res.as_dict() == _reference_identities(entry.surface, p)
-        assert identity_check(entry.surface, p).as_dict() == res.as_dict()
+        assert asdict(res) == _reference_identities(entry.surface, p)
+        assert asdict(identity_check(entry.surface, p)) == asdict(res)
         assert leaf == _reference_leaf(entry.surface, p)
         assert flows.leaf_constancy(entry.surface, p) == leaf
 

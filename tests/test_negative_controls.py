@@ -1,6 +1,7 @@
 """Negative controls: a broken planar system must make its lemma 6.1 claims
-fail, a broken profile sweep its ``prop3.1-profile-ode`` row, and a tilted
-Pansu sphere the umbilic claims that sample it.  Every ``verify`` claim
+fail, a broken profile sweep its ``prop3.1-profile-ode`` row, a tilted
+Pansu sphere the umbilic claims that sample it, and a perturbed graph
+Hessian the ``prop4.1-detU`` rows.  Every ``verify`` claim
 either has such a mutant or is listed as not yet caught."""
 
 from dataclasses import replace
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heisgeo import catalog, phaseplane, rk45, verify
+from heisgeo import catalog, phaseplane, rk45, surface, verify
 from test_tooling import _check_allowlist
 
 
@@ -194,18 +195,40 @@ def test_tilted_pansu_reaches_the_worker(monkeypatch, full_run, worker_first):
             assert after.to_dict() == before.to_dict(), after.claim_id
 
 
+def test_perturbed_graph_hessian_fails_det_u(monkeypatch):
+    """Adding ``eps`` to the (x_1, x_1) entry of the graph Hessians that
+    ``prop4.1-detU`` reads fails both of its rows (n = 2 and 3): each row's
+    relative determinant gap grows as about ``eps / 2``, against the
+    tolerance 1e-12.  At seed 42 both rows fail from eps = 5e-12 on
+    (2e-12 passes, with a gap of 9.999e-13)."""
+    cid = "prop4.1-detU"
+    assert all(row.passed for row in verify.run_all(42, only=cid).claims)
+    original = surface.graph_derivatives
+
+    def mutant(func, n):
+        grad, hess = original(func, n)
+        hess = hess.copy()
+        hess[0, 0] += 5e-12
+        return grad, hess
+
+    monkeypatch.setattr(surface, "graph_derivatives", mutant)
+    rows = verify.run_all(42, only=cid).claims
+    assert [row.params["n"] for row in rows] == [2, 3]
+    assert not any(row.passed for row in rows)
+
+
 # the claim ids that each mutant is shown to fail, by the test that shows it
 MUTANTS = {
     "test_verify.py::test_mutation_is_detected": ("prop2.1-symmetry",),
     "test_irreversible_drift_fails_the_orbit_claims": ORBIT_CLAIMS,
     "test_one_profile_perturbed_fails_its_row_only": ("prop3.1-profile-ode",),
     "test_tilted_pansu_fails_the_umbilic_claims": tuple(UMBILIC_EPS),
+    "test_perturbed_graph_hessian_fails_det_u": ("prop4.1-detU",),
 }
 
 # the claims that no mutant fails yet
 NOT_YET_CAUGHT = (
     "prop2.2-shape-symmetric",
-    "prop4.1-detU",
     "prop4.2-identities",
     "prop4.4-leaf-constancy",
     "prop4.5-geodesic-confinement",

@@ -86,6 +86,26 @@ def _check_allowlist(found, defined, allowlist):
     assert not extra, extra
 
 
+# Top-level function names that two modules of ``src/heisgeo`` may both
+# define.
+SHARED_NAMES = ()
+
+
+def test_no_function_is_defined_in_two_modules():
+    """A top-level function name that two modules of ``src/heisgeo`` define,
+    private or not, is a second copy of a helper: keep one and import it,
+    unless the name is listed in ``SHARED_NAMES``."""
+    places, defined = {}, set()
+    for module, tree in _package(_trees()):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+                places.setdefault(node.name, []).append(f"{module}.py:{node.lineno}")
+    twice = {name: f"{name}: {' '.join(where)}" for name, where in places.items()
+             if len(where) > 1}
+    _check_allowlist(twice, defined, SHARED_NAMES)
+
+
 def _definitions(tree):
     """``(name, line, is_method)`` of a module's public functions and of the
     public methods of its classes."""
