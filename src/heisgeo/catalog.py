@@ -18,6 +18,7 @@ bits in any stack.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -87,13 +88,14 @@ def _positive(value, what):
 
 def _power(value, k, what):
     """``value ** k`` as Python computes it, or ValueError when that overflows or
-    is 0: no derived constant of a surface may be infinite or vanish."""
+    is below the smallest normal float: no derived constant of a surface may
+    be infinite, subnormal or 0 (dividing by a subnormal one overflows)."""
     try:
         out = value**k
     except OverflowError:
         out = math.inf
-    if not 0.0 < out < math.inf:
-        raise ValueError(f"{what}^{k} overflows or vanishes")
+    if not sys.float_info.min <= out < math.inf:
+        raise ValueError(f"{what}^{k} overflows or underflows")
     return out
 
 

@@ -1,11 +1,12 @@
-"""Curve integration on the group and on-surface derivative checks.
+"""Curves on the group and on-surface derivative checks.
 
-Covers unit-speed horizontal curves of constant curvature (the frame
-formulation keeps the velocity equation linear), the radial profile equation
-recovering the constant-curvature sphere, and finite-difference directional
-derivatives of the curvature scalars along surface vector fields, with
-offsets Newton-projected back onto the level set.  The resample rule of
-every sampled check is here too (:func:`resampled`).
+Covers unit-speed horizontal curves of constant curvature (in closed form:
+the frame formulation keeps the velocity equation linear), the radial
+profile equation recovering the constant-curvature sphere, and
+finite-difference directional derivatives of the curvature scalars along
+surface vector fields, with offsets Newton-projected back onto the level
+set.  The resample rule of every sampled check is here too
+(:func:`resampled`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 import numpy as np
 
-from . import rk45
+from . import duals, rk45
 from ._stats import worst
 from .catalog import _positive, _psi  # _psi: squared height of the reference sphere
 from .core import HorizontalVector, Point, _J
@@ -98,69 +99,86 @@ class GeodesicTrace:
     ss: np.ndarray
     coords: np.ndarray      # (m, 2n+1)
     velocities: np.ndarray  # (m, 2n)
-    nfev: int = 0      # counters of the rk45 solution
-    accepted: int = 0
-    rejected: int = 0
 
 
-def _geodesic_y0(start: CurveState):
+# the largest arc between two nodes of a trace
+_NODE_SPACING = 0.05
+
+
+def _geodesic_start(start: CurveState):
     v0 = start.v.coeffs
     if abs(np.linalg.norm(v0) - 1.0) > 1e-10:
         raise ValueError("initial direction must be a unit horizontal vector")
-    return np.concatenate([start.p.coords, v0])
+    return start.p.coords, v0
 
 
-def _check_curvatures(lams):
-    if not np.isfinite(lams).all():
-        raise ValueError("curvature must be finite")
+def _nodes(lams, s_max):
+    """The arc lengths at which every trace is evaluated: ``m + 1`` equally
+    spaced nodes from 0 to ``s_max`` (either sign), no two more than
+    ``_NODE_SPACING`` apart, the last exactly ``s_max``."""
+    if not math.isfinite(s_max):
+        raise ValueError("arc length must be finite")
+    with np.errstate(over="ignore"):  # an overflow is the error raised here
+        angles = 2.0 * lams * s_max
+    if not np.isfinite(angles).all():
+        raise ValueError("turning angle 2 lam s_max must be finite")
+    m = math.ceil(abs(s_max) / _NODE_SPACING)
+    if m > rk45._MAX_STEPS:
+        raise ValueError(f"arc length {s_max!r} needs more than {rk45._MAX_STEPS} nodes")
+    return np.linspace(0.0, s_max, m + 1)
 
 
-def _geodesic_control():
-    # tight default: norm drift must stay below 1e-9 over long arcs
-    return StepControl(rtol=1e-12, atol=1e-12, max_step=0.05)
+def _sinc(x, sin_x):
+    """``sin(x) / x`` from ``sin(x)``, 1 at ``x == 0``."""
+    return np.where(x == 0.0, 1.0, sin_x / np.where(x == 0.0, 1.0, x))
 
 
-def _geodesic_trace(lam, sol, n):
-    return GeodesicTrace(lam=lam, ss=sol.ss, coords=sol.ys[:, : 2 * n + 1],
-                         velocities=sol.ys[:, 2 * n + 1 :], nfev=sol.nfev,
-                         accepted=sol.accepted, rejected=sol.rejected)
+# 1 - (x^2 / 20)(1 - (x^2 / 42)(1 - ...)): the Taylor series of -6 g(x) / x,
+# the factors (2k + 2)(2k + 3); the first term it omits, 6 x^18 / 21!, is far
+# below the rounding of the sum at |x| < 1
+_G_FACTORS = (20.0, 42.0, 72.0, 110.0, 156.0, 210.0, 272.0, 342.0)
+
+
+def _g(x, sin_x):
+    """``g(x) = (sin x - x) / x^2``, from its Taylor series at ``|x| < 1``,
+    where the difference would cancel, and with no ``x^2`` to overflow."""
+    small = np.abs(x) < 1.0
+    xs, xd = np.where(small, x, 0.0), np.where(small, 1.0, x)  # each branch's argument
+    x2 = xs * xs
+    series = np.ones_like(x)
+    for d in reversed(_G_FACTORS):
+        series = 1.0 - (x2 / d) * series
+    return np.where(small, -(xs / 6.0) * series, (sin_x - xd) / xd / xd)
 
 
 def geodesic_flow(start: CurveState, lam, s_max) -> GeodesicTrace:
-    """Integrate a constant-curvature horizontal curve.
-
-    The frame coefficients of the velocity rotate at twice the curvature,
-    the horizontal coordinates follow them, and the vertical coordinate
-    follows the contact lift.  The velocity norm is preserved by the flow
-    and is asserted on, never renormalized.
-    """
-    n = start.p.n
-    y0 = _geodesic_y0(start)
-    lam = float(lam)
-    _check_curvatures(lam)
-
-    def f(s, y):
-        x = y[:n]
-        yy = y[n : 2 * n]
-        v = y[2 * n + 1 :]
-        dv = _J(v) * (2.0 * lam)
-        dt = float(yy @ v[:n] - x @ v[n:])
-        return np.concatenate([v[:n], v[n:], [dt], dv])
-
-    sol = rk45.solve(f, 0.0, y0, float(s_max), _geodesic_control())
-    return _geodesic_trace(lam, sol, n)
+    """The constant-curvature horizontal curve from one start: a batch of
+    one of :func:`geodesic_flows`."""
+    (trace,) = geodesic_flows([start], [lam], s_max)
+    return trace
 
 
 def geodesic_flows(starts, lams, s_max) -> list:
-    """``geodesic_flow`` for a set of starts, as lanes of one
-    ``rk45.solve_lanes`` sweep.
+    """Constant-curvature horizontal curves, one per start, in closed form.
 
-    ``lams`` holds one curvature per start; the starts share their
-    dimension n.  Each lane follows ``geodesic_flow``'s
-    controller, so a trace has the steps ``geodesic_flow`` takes for its
-    start alone, up to rounding.  A lane whose step size underflows raises
-    ``StepUnderflow``, the first in input order; a non-finite curvature
-    raises ``ValueError``.
+    The frame coefficients of the velocity rotate at twice the curvature
+    (``v' = 2 lam J v``), the horizontal coordinates follow them and the
+    vertical coordinate follows the contact lift ``t' = <z, J v>``.  With
+    ``theta = 2 lam s``, the exact curve is
+
+        v = cos(theta) v0 + sin(theta) J v0
+        z = z0 + A v0 + B J v0,  A = sin(theta) / (2 lam),
+                                 B = sin(theta / 2)^2 / lam
+        t = t0 + <z0, J (z - z0)> + s^2 g(theta),  g(x) = (sin x - x) / x^2
+
+    with ``A = s`` and ``B = 0`` at ``lam = 0``.  Every trace is evaluated
+    on the same nodes (:func:`_nodes`), and the traces share that ``ss``
+    array.  ``lams`` holds one curvature per start; the starts share their
+    dimension n.  The sines and cosines are libm's, the contact term's dot
+    products are per-row sums and every other operation is elementwise, so
+    a trace is bitwise the one its start gets alone.  A non-finite
+    curvature or arc length, a turning angle that overflows, and an arc
+    that needs more than ``rk45._MAX_STEPS`` nodes raise ``ValueError``.
     """
     starts = list(starts)
     if not starts:
@@ -171,24 +189,27 @@ def geodesic_flows(starts, lams, s_max) -> list:
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (len(starts),):
         raise ValueError("lams must hold one curvature per start")
-    _check_curvatures(lams)
-    y0 = np.array([_geodesic_y0(st) for st in starts])
-    omega = (2.0 * lams)[:, None]
+    if not np.isfinite(lams).all():
+        raise ValueError("curvature must be finite")
+    p0, v0 = (np.array(parts) for parts in zip(*map(_geodesic_start, starts)))
+    ss = _nodes(lams, float(s_max))
+    z0, t0, jv0 = p0[:, : 2 * n], p0[:, 2 * n], _J(v0)
+    # contact term: <z0, J(A v0 + B J v0)> = A <z0, J v0> - B <z0, v0>
+    z0_jv0, z0_v0 = _row_sum(z0 * jv0), _row_sum(z0 * v0)
 
-    def f(s, y):
-        x = y[:, :n]
-        yy = y[:, n : 2 * n]
-        v = y[:, 2 * n + 1 :]
-        out = np.empty_like(y)
-        out[:, : 2 * n] = v
-        out[:, 2 * n] = _row_sum(yy * v[:, :n]) - _row_sum(x * v[:, n:])
-        # dv = 2 lam J(v), row by row
-        out[:, 2 * n + 1 : 3 * n + 1] = -v[:, n:] * omega
-        out[:, 3 * n + 1 :] = v[:, :n] * omega
-        return out
-
-    sols = rk45.raise_underflow(rk45.solve_lanes(f, 0.0, y0, float(s_max), _geodesic_control()))
-    return [_geodesic_trace(float(lam), sol, n) for lam, sol in zip(lams, sols)]
+    half = lams[:, None] * ss  # (N, m+1) half turning angles
+    theta = 2.0 * half
+    trig = duals._libm(lambda h: (math.sin(2.0 * h), math.cos(2.0 * h), math.sin(h)), half, 3)
+    sin_t, cos_t, sin_h = trig[..., 0], trig[..., 1], trig[..., 2]
+    # A = s sin(theta) / theta, B = s sin(theta/2) sin(theta/2) / (theta/2)
+    a = ss * _sinc(theta, sin_t)
+    b = ss * sin_h * _sinc(half, sin_h)
+    z = z0[:, None] + a[..., None] * v0[:, None] + b[..., None] * jv0[:, None]
+    t = (t0[:, None] + a * z0_jv0[:, None] - b * z0_v0[:, None]) + ss * ss * _g(theta, sin_t)
+    v = cos_t[..., None] * v0[:, None] + sin_t[..., None] * jv0[:, None]
+    coords = np.concatenate([z, t[..., None]], axis=-1)
+    return [GeodesicTrace(lam=float(lam), ss=ss, coords=coords[i], velocities=v[i])
+            for i, lam in enumerate(lams)]
 
 
 _PROFILE_SPAN = (0.01, 1.0 - 1e-6)  # profile grid ends, as fractions of 1/lam^2

@@ -120,8 +120,9 @@ def _finite_span(s0, s1):
         raise ValueError("s0 and s1 must be finite")
 
 
-def solve(f, s0, y0, s1, control=None):
-    """Integrate ``y' = f(s, y)`` from ``s0`` to ``s1`` (either direction).
+def solve(f, s0, y0, s1):
+    """Integrate ``y' = f(s, y)`` from ``s0`` to ``s1`` (either direction)
+    under the default ``StepControl``.
 
     A lane of one of ``solve_lanes``: ``f`` takes a scalar ``s`` and one
     state, and a step size underflow raises ``StepUnderflow``.
@@ -129,7 +130,7 @@ def solve(f, s0, y0, s1, control=None):
     y0 = np.asarray(y0, dtype=float)
     sol, = raise_underflow(solve_lanes(
         lambda s, y: np.asarray(f(s[0], y[0]), dtype=float)[None],
-        float(s0), y0[None], float(s1), control))
+        float(s0), y0[None], float(s1)))
     return sol
 
 

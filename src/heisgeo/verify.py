@@ -472,9 +472,9 @@ def claim_geodesic_confinement(seed):
     The starts of each curvature take their characteristic directions from
     one ``frame_many`` batch, whose frames force no pivots and project
     nothing, so no start is resampled: a failing frame fails the claim.  The
-    flows of both curvatures run for an arc of 3 as lanes of one
-    ``geodesic_flows`` sweep.  A trace's residual is the largest
-    defining-function value over its nodes.
+    flows of both curvatures run for an arc of 3 as one ``geodesic_flows``
+    batch.  A trace's residual is the largest defining-function value over
+    its nodes; ``extra.nodes`` counts the nodes evaluated.
     """
     cid = "prop4.5-geodesic-confinement"
     rng = _rng(seed, cid)
@@ -493,7 +493,7 @@ def claim_geodesic_confinement(seed):
         mine = [next(traces) for _ in starts]
         residuals = [_worst(np.abs(_profile_values(entry, tr.coords)).tolist()) for tr in mine]
         out.append(_row(cid, seed, "pansu", {"lam": lam}, residuals, 1e-7,
-                        extra={"accepted_steps": sum(tr.accepted for tr in mine)}))
+                        extra={"nodes": sum(tr.ss.size for tr in mine)}))
     return out
 
 

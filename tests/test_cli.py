@@ -168,9 +168,9 @@ def test_phase_non_finite_seed_is_a_usage_error(tmp_path, capsys, row):
     ("identities", "--surface", "pansu", "--step", "0"),
     ("catalog", "list", "--n", "0"),
     ("catalog", "list", "--n", "-1"),
-    # a curvature so large that the first step underflows
-    ("geodesic", "--lam", "1e16", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0",
-     "--smax", "1"),
+    # an arc that needs more than rk45._MAX_STEPS nodes
+    ("geodesic", "--lam", "1", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0",
+     "--smax", "1e6"),
     # derived constants (lam^4, rho^4, rho0^4, c^2) that overflow or vanish
     ("report", "--surface", "pansu", "--lam", "1e-170", "--point", "0.5,0,0,0,1"),
     ("report", "--surface", "pansu", "--lam", "1e170", "--point", "0,0,0,0,0"),
@@ -180,6 +180,10 @@ def test_phase_non_finite_seed_is_a_usage_error(tmp_path, capsys, row):
     ("identities", "--surface", "pansu", "--lam", "1e-200", "--points", "1"),
     ("report", "--surface", "cylinder", "--c", "1e200", "--point", "1e200,0,0,0,0"),
     ("phase", "--c", "1e300"),
+    # a turning angle 2 lam s_max that overflows
+    ("geodesic", "--lam", "1e308", "--start", "0,0,0,0,0", "--velocity", "1,0,0,0"),
+    # a derived constant that is subnormal (lam^4 = 1e-320)
+    ("report", "--surface", "pansu", "--lam", "1e-80", "--point", "0.5,0,0,0,1"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_parameter_values_are_usage_errors(capsys, argv):
@@ -208,6 +212,21 @@ def test_geodesic_csv(tmp_path, capsys):
     assert last[0] == pytest.approx(1.5, abs=1e-12)
     # unit speed preserved
     assert sum(v * v for v in last[6:]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_geodesic_at_huge_curvature_is_a_tiny_circle(capsys):
+    """At lam = 1e16 the curve is exact: finite rows whose planar part is a
+    circle of radius 1 / (2 lam) through the start."""
+    lam = 1e16
+    code, out, err = run(capsys, "geodesic", "--lam", "1e16", "--start", "0,0,0,0,0",
+                         "--velocity", "1,0,0,0", "--smax", "1")
+    assert code == 0 and err == ""
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    assert rows.shape == (21, 10) and np.isfinite(rows).all()
+    center = np.array([0.0, 0.0, 1.0, 0.0]) / (2.0 * lam)  # J v0 / (2 lam)
+    radii = np.linalg.norm(rows[:, 1:5] - center, axis=1)
+    assert np.max(np.abs(radii * (2.0 * lam) - 1.0)) <= 1e-12
 
 
 def test_geodesic_bad_velocity(capsys):

@@ -1,7 +1,8 @@
 """Negative controls: a broken planar system must make its lemma 6.1 claims
 fail, a broken profile sweep its ``prop3.1-profile-ode`` row, a tilted
-Pansu sphere the umbilic claims that sample it, and a perturbed graph
-Hessian the ``prop4.1-detU`` rows.  Every ``verify`` claim
+Pansu sphere the umbilic claims that sample it, a perturbed graph
+Hessian the ``prop4.1-detU`` rows, and a mistuned curvature the
+``prop4.5`` confinement rows.  Every ``verify`` claim
 either has such a mutant or is listed as not yet caught."""
 
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heisgeo import catalog, phaseplane, rk45, surface, verify
+from heisgeo import catalog, flows, phaseplane, rk45, surface, verify
 from test_tooling import _check_allowlist
 
 
@@ -217,6 +218,24 @@ def test_perturbed_graph_hessian_fails_det_u(monkeypatch):
     assert not any(row.passed for row in rows)
 
 
+def test_curvature_off_by_eps_fails_geodesic_confinement(monkeypatch):
+    """Scaling the curvature of every ``geodesic_flows`` trace by 1 + eps
+    takes the curves off the sphere they start on: the confinement residual
+    grows as about 50 eps at lam = 0.5 and 4.9 eps at lam = 1, against the
+    tolerance 1e-7.  At seed 42 the lam = 0.5 row fails from eps = 5e-9 on
+    (2e-9 passes, with a residual of 9.98e-8) and the lam = 1 row from
+    5e-8 on (2e-8 passes, with 9.87e-8)."""
+    cid = "prop4.5-geodesic-confinement"
+    assert all(row.passed for row in verify.run_all(42, only=cid).claims)
+    original = flows.geodesic_flows
+    for eps, passed in ((5e-9, [False, True]), (5e-8, [False, False])):
+        monkeypatch.setattr(flows, "geodesic_flows", lambda starts, lams, s_max, eps=eps:
+                            original(starts, np.asarray(lams) * (1.0 + eps), s_max))
+        rows = verify.run_all(42, only=cid).claims
+        assert [row.params["lam"] for row in rows] == [0.5, 1.0]
+        assert [row.passed for row in rows] == passed, eps
+
+
 # the claim ids that each mutant is shown to fail, by the test that shows it
 MUTANTS = {
     "test_verify.py::test_mutation_is_detected": ("prop2.1-symmetry",),
@@ -224,6 +243,7 @@ MUTANTS = {
     "test_one_profile_perturbed_fails_its_row_only": ("prop3.1-profile-ode",),
     "test_tilted_pansu_fails_the_umbilic_claims": tuple(UMBILIC_EPS),
     "test_perturbed_graph_hessian_fails_det_u": ("prop4.1-detU",),
+    "test_curvature_off_by_eps_fails_geodesic_confinement": ("prop4.5-geodesic-confinement",),
 }
 
 # the claims that no mutant fails yet
@@ -231,7 +251,6 @@ NOT_YET_CAUGHT = (
     "prop2.2-shape-symmetric",
     "prop4.2-identities",
     "prop4.4-leaf-constancy",
-    "prop4.5-geodesic-confinement",
     "ex3.3-l-eq-3k",
     "ex3.4-cylinder-hyperplane",
     "eq5.4-alpha-axis",

@@ -10,6 +10,10 @@ from heisgeo import rk45
 from heisgeo.rk45 import StepControl, StepUnderflow, solve, solve_lanes
 
 
+def _circle_lanes(s, y):
+    return np.column_stack((-y[:, 1], y[:, 0]))
+
+
 def test_exponential_accuracy():
     sol = solve(lambda s, y: y, 0.0, np.array([1.0]), 3.0)
     assert sol.ys[-1][0] == pytest.approx(math.exp(3.0), rel=1e-9)
@@ -32,11 +36,11 @@ def test_mesh_on_circle():
 
 def test_max_step_is_respected():
     ctrl = StepControl(max_step=0.01)
-    sol = solve(lambda s, y: y, 0.0, np.array([1.0]), 1.0, ctrl)
+    sol, = solve_lanes(lambda s, y: y, 0.0, np.ones((1, 1)), 1.0, ctrl)
     assert np.max(np.diff(sol.ss)) <= 0.01 + 1e-12
     # a larger first step is clamped too
     ctrl = StepControl(max_step=0.01, first_step=0.5)
-    sol = solve(lambda s, y: y, 0.0, np.array([1.0]), 1.0, ctrl)
+    sol, = solve_lanes(lambda s, y: y, 0.0, np.ones((1, 1)), 1.0, ctrl)
     assert np.max(np.diff(sol.ss)) <= 0.01 + 1e-12
     lanes = solve_lanes(lambda s, y: y, 0.0, np.ones((2, 1)), [1.0, -1.0], ctrl)
     assert all(np.max(np.abs(np.diff(sol.ss))) <= 0.01 + 1e-12 for sol in lanes)
@@ -45,11 +49,10 @@ def test_max_step_is_respected():
 def test_eighth_order_convergence():
     """Fixed steps on the circle: halving the step divides the error by
     about 2**8 (262 measured; a seventh-order pair gives at most 128)."""
-    f = lambda s, y: np.array([-y[1], y[0]])
     errs = []
     for h in (0.8, 0.4):
         ctrl = StepControl(rtol=1e30, atol=1e30, max_step=h, first_step=h)
-        sol = solve(f, 0.0, np.array([1.0, 0.0]), 4.0, ctrl)
+        sol, = solve_lanes(_circle_lanes, 0.0, np.array([[1.0, 0.0]]), 4.0, ctrl)
         exact = np.array([math.cos(4.0), math.sin(4.0)])
         errs.append(np.linalg.norm(sol.ys[-1] - exact))
     assert errs[0] / errs[1] >= 200.0
@@ -91,8 +94,8 @@ def test_zero_span():
 
 
 def _count_calls(monkeypatch):
-    """A circle field for lanes or one state that counts its calls, split into
-    the sweep's and the crossing landings' (``_locate_lanes``) calls."""
+    """A circle field for lanes that counts its calls, split into the
+    sweep's and the crossing landings' (``_locate_lanes``) calls."""
     calls = {"sweep": 0, "landing": 0}
     phase = ["sweep"]
     locate = rk45._locate_lanes
@@ -106,7 +109,7 @@ def _count_calls(monkeypatch):
 
     def f(s, y):
         calls[phase[0]] += 1
-        return np.stack((-y[..., 1], y[..., 0]), axis=-1)  # one state or (N, 2)
+        return _circle_lanes(s, y)
 
     monkeypatch.setattr(rk45, "_locate_lanes", landing)
     return f, calls
@@ -128,17 +131,13 @@ def test_counters_match_rhs_calls(monkeypatch):
     # a step rejected by the error test is counted, and costs twelve evaluations
     calls["sweep"] = 0
     coarse = StepControl(rtol=1e-10, atol=1e-10, first_step=1.0)
-    sol = solve(f, 0.0, np.array([1.0, 0.0]), 3.0, coarse)
+    sol, = solve_lanes(f, 0.0, np.array([[1.0, 0.0]]), 3.0, coarse)
     assert sol.rejected >= 1
     assert sol.nfev == calls["sweep"] == 1 + 12 * (sol.accepted + sol.rejected)
 
 
 # ---------------------------------------------------------------------------
 # lanes
-
-
-def _circle_lanes(s, y):
-    return np.column_stack((-y[:, 1], y[:, 0]))
 
 
 def test_solve_is_a_lane_of_one():

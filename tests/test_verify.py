@@ -239,17 +239,17 @@ def test_foliation_rank_evaluates_the_kernel_once_per_case(monkeypatch):
 
 
 def test_geodesic_confinement_lanes_report_scalar_steps():
-    """The batched claim reports, per curvature, the accepted steps that
-    scalar flows from the same starts take."""
+    """The batched claim reports, per curvature, the nodes that flows from
+    the same starts evaluate one at a time: 61 per arc of 3."""
     rows = verify.claim_geodesic_confinement(5)
     rng = verify._rng(5, "prop4.5-geodesic-confinement")
     for row, lam in zip(rows, (0.5, 1.0)):
         entry = catalog.pansu(lam, 2)
-        steps = sum(flows.geodesic_flow(flows.CurveState(p, build_frame(entry.surface, p).en),
-                                        lam, 3.0).accepted
+        nodes = sum(flows.geodesic_flow(flows.CurveState(p, build_frame(entry.surface, p).en),
+                                        lam, 3.0).ss.size
                     for p in verify.confinement_starts(lam, 2, rng, 20))
         assert row.passed and row.samples == 20 and row.params == {"lam": lam}
-        assert row.extra == {"accepted_steps": steps}
+        assert row.extra == {"nodes": nodes} == {"nodes": 20 * 61}
 
 
 def test_geodesic_confinement_failing_start_frame_is_one_error_row(monkeypatch):
@@ -504,13 +504,15 @@ def test_run_matches_the_reference_report(full_run, seed):
 
 
 def test_full_run_lane_sweep_count(monkeypatch):
-    """A full run at seed 42 makes 267 lane sweeps, crossing landings
-    included: ``lemma6.1-closure`` 153, ``prop4.5`` 62 and
-    ``prop3.1-profile-ode`` 52.  Both lemma 6.1 claims take their orbits
-    from one shared batch and the three profiles run as one sweep (2,086
-    with a batch per claim and a sweep per profile, 1,188 with the fifth-order
-    pair).  The run is pinned to one process, so that every sweep is counted
-    here and none in a worker."""
+    """A full run at seed 42 makes 205 lane sweeps, crossing landings
+    included: ``lemma6.1-closure`` 153 and ``prop3.1-profile-ode`` 52.
+    ``prop4.5`` evaluates its curves in closed form and integrates nothing
+    (its DOP853 lanes took 62 sweeps).  Both lemma 6.1 claims take their
+    orbits from one shared batch and the three profiles run as one sweep
+    (2,086 with a batch per claim and a sweep per profile, 1,188 with the
+    fifth-order pair, both counts with prop4.5's sweeps).  The run is
+    pinned to one process, so that every sweep is counted here and none in
+    a worker."""
     sweeps = []
     original = rk45._lane_step
 
@@ -522,7 +524,7 @@ def test_full_run_lane_sweep_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     rep = run_all(42)
     assert rep.passed and len(rep.claims) == 100
-    assert len(sweeps) == 267
+    assert len(sweeps) == 205
     assert verify._orbit_pool.get() is None  # the shared batch does not outlive the run
 
 
