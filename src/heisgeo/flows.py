@@ -4,7 +4,7 @@ Covers unit-speed horizontal curves of constant curvature (in closed form:
 the frame formulation keeps the velocity equation linear), the radial
 profile equation recovering the constant-curvature sphere, and
 finite-difference directional derivatives of the curvature scalars along
-surface vector fields, with offsets Newton-projected back onto the level
+surface vector fields, over chords Newton-projected back onto the level
 set.  The resample rule of every sampled check is here too
 (:func:`resampled`).
 """
@@ -29,7 +29,6 @@ from .surface import (
     _alpha_rates,
     _dots,
     _lifts,
-    frame_many,
     report_many,
 )
 
@@ -254,7 +253,7 @@ def profile_ode(lams):
 
 
 # ---------------------------------------------------------------------------
-# on-surface flows and directional derivatives
+# on-surface directional derivatives
 
 
 def _newton_project(s: SurfaceDef, coords, maxit=10):
@@ -298,31 +297,18 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
 
 
 def surface_offset(s: SurfaceDef, coords, dirfn, h):
-    """Flow distance ``h`` along the unit field ``dirfn`` and project back.
+    """Step distance ``h`` along the chord ``dirfn(coords)`` and project
+    back onto the level set.
 
-    The fields used here annihilate the defining function, so the Newton
-    correction only removes integration drift.
+    The fields used here are tangent at ``coords``, so the projected chord
+    is ``x + h X + h^2 a + O(h^3)`` with the same ``a`` for ``+h`` and
+    ``-h``: a central difference over it is the derivative along ``X``
+    within ``O(h^2)``, as along the field's flow.  A batch of one of the
+    offsets of :func:`_offset_reports`.
     """
-    (c,) = _surface_offsets(s, coords, lambda cs: np.array([dirfn(c) for c in cs]), (h,))
+    c = np.asarray(coords, dtype=float)
+    (c,) = _newton_project(s, (c + h * np.asarray(dirfn(c), dtype=float))[None])
     return c
-
-
-def _surface_offsets(s: SurfaceDef, coords, field, hs):
-    """``surface_offset`` for each distance in ``hs``, from ``coords`` (one
-    start for all, or one per distance), as an (N, 2n+1) stack.  The flows
-    run in lockstep, so ``field`` maps an (N, 2n+1) stack of coordinates to
-    the field's values there, and each row's arithmetic is its own."""
-    hs = np.asarray(hs, dtype=float)
-    coords = np.asarray(coords, dtype=float)
-    c = np.broadcast_to(coords, (len(hs), coords.shape[-1])).copy()
-    step = hs[:, None] / 4
-    for _ in range(4):  # classical Runge-Kutta substeps
-        k1 = field(c)
-        k2 = field(c + 0.5 * step * k1)
-        k3 = field(c + 0.5 * step * k2)
-        k4 = field(c + step * k3)
-        c += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _newton_project(s, c)
 
 
 # field kinds of the finite-difference checks; a kind >= 0 is that
@@ -330,45 +316,41 @@ def _surface_offsets(s: SurfaceDef, coords, field, hs):
 _EN, _E2NHAT = -2, -1
 
 
-def _fields(s: SurfaceDef, pivots, kinds):
-    """The unit fields of the finite-difference checks over a stack of rows:
-    row i follows ``kinds[i]``, the characteristic direction (``_EN``), the
-    rescaled vertical tangent (``_E2NHAT``) or that complement field.  Each
-    call takes every row's field from one frame batch under the rows'
-    forced ``pivots``."""
-    n = s.n
-    en_rows, e2n_rows, xi_rows = kinds == _EN, kinds == _E2NHAT, kinds >= 0
-    xi_at, xi_kind = np.flatnonzero(xi_rows), kinds[xi_rows]
-
-    def field(cs):
-        fb = frame_many(s, cs, pivots)
-        v = np.empty((len(cs), 2 * n))
-        v[en_rows] = fb.en[en_rows]
-        v[e2n_rows] = fb.e2n[e2n_rows]
-        v[xi_rows] = fb.xi_prime[xi_at, xi_kind]
-        w = _lifts(cs, v)
-        # the vertical tangent: alpha e_2n + T, rescaled to unit length
-        alpha = fb.alpha[e2n_rows, None]
-        wv = alpha * w[e2n_rows]
-        wv[:, 2 * n] += 1.0
-        w[e2n_rows] = wv / np.sqrt(1.0 + alpha * alpha)
-        return w
-
-    return field
+def _field_values(fb, kinds):
+    """The unit fields of the finite-difference checks at the points of a
+    frame batch, as an (N, len(kinds), 2n+1) stack of coordinate vectors:
+    column i is ``kinds[i]``, the characteristic direction (``_EN``), the
+    rescaled vertical tangent (``_E2NHAT``) or that complement field."""
+    v = np.empty((len(fb), len(kinds), fb.en.shape[-1]))
+    v[:, kinds == _EN] = fb.en[:, None]
+    v[:, kinds == _E2NHAT] = fb.e2n[:, None]
+    v[:, kinds >= 0] = fb.xi_prime[:, kinds[kinds >= 0]]
+    w = _lifts(fb.coords[:, None], v)
+    # the vertical tangent: alpha e_2n + T, rescaled to unit length
+    vertical = kinds == _E2NHAT
+    alpha = fb.alpha[:, None, None]
+    wv = alpha * w[:, vertical]
+    wv[..., -1] += 1.0
+    w[:, vertical] = wv / np.sqrt(1.0 + alpha * alpha)
+    return w
 
 
 def _offset_reports(s: SurfaceDef, base, kinds, h_fd):
     """Reports at the offsets ``+h_fd`` and ``-h_fd`` (rows 2i and 2i+1)
     along field ``kinds[i]`` from the base point of row i, one per point of
-    the ``base`` report batch and kind; every offset flows in one lockstep
-    stack under its base point's pivots, and all are reported as one batch;
-    an offset the projection leaves non-finite raises ``ValueError``."""
+    the ``base`` report batch and kind.
+
+    Each field's value X is read once, from the frame of ``base``; the
+    offset is the chord ``x + h X`` Newton-projected back onto the level
+    set (:func:`surface_offset`), with every row projected in one lockstep
+    stack and reported as one batch under its base point's pivots.  An
+    offset the projection leaves non-finite raises ``ValueError``."""
     m = len(kinds)
-    kinds = np.repeat(np.tile(kinds, len(base)), 2)
     pivots = np.repeat(base.frame.pivots, 2 * m, axis=0)
     starts = np.repeat(base.frame.coords, 2 * m, axis=0)
+    chords = np.repeat(_field_values(base.frame, kinds).reshape(-1, starts.shape[1]), 2, axis=0)
     hs = np.tile((h_fd, -h_fd), m * len(base))
-    offsets = _surface_offsets(s, starts, _fields(s, pivots, kinds), hs)
+    offsets = _newton_project(s, starts + hs[:, None] * chords)
     return report_many(s, offsets, pivots=pivots)
 
 
@@ -402,7 +384,7 @@ def identity_check(s: SurfaceDef, p: Point) -> IdentityResiduals:
     """Residuals of the six interior identities at an umbilic point.
 
     First derivatives of ``k``, ``l`` and the tilt are central differences
-    along projected flows of the characteristic direction, the rescaled
+    along projected chords of the characteristic direction, the rescaled
     vertical tangent and the invariant-complement fields; the right-hand
     sides use the base-point scalars, exact tilt rates, and a second
     difference of the exact tilt rate for the one second-order term.
@@ -415,8 +397,8 @@ def identity_check(s: SurfaceDef, p: Point) -> IdentityResiduals:
 def identity_check_many(s: SurfaceDef, points, h_fd=1e-4) -> list:
     """:func:`identity_check` at each of a sequence of points on one surface.
 
-    Every offset of every point (both signs of the 2n fields) flows in one
-    lockstep stack and is reported in one batch; at the default ``h_fd``
+    Every offset of every point (both signs of the 2n fields) is projected
+    in one lockstep stack and reported in one batch; at the default ``h_fd``
     entry i is bitwise what ``identity_check(s, points[i])`` gives.  Any
     point's failure raises, but the stages run over all points at once, so
     the error need not be the first failing point's; :func:`resampled` reruns them as

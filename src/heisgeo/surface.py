@@ -301,17 +301,17 @@ def build_frame(s: SurfaceDef, p: Point) -> FrameBundle:
     characteristic direction its negative rotation, and the invariant
     complement is produced by pivoted Gram-Schmidt over the standard frame,
     pairing each accepted pivot with its rotation so the basis respects the
-    complex structure.  A batch of one of :func:`frame_many`, whose
-    ``pivots`` force a previously chosen pivot sequence, which extends the
-    basis smoothly to nearby points.
+    complex structure.  A batch of one of :func:`frame_many`; the
+    ``pivots`` of :func:`report_many` force a previously chosen pivot
+    sequence, which extends the basis smoothly to nearby points.
     """
     return frame_many(s, (p,)).bundle(0)
 
 
-def frame_many(s: SurfaceDef, points, pivots=None) -> FrameBatch:
+def frame_many(s: SurfaceDef, points) -> FrameBatch:
     """Adapted frames of points or an (N, 2n+1) coordinate stack on one
     surface, as one batch: the frame stage of :func:`report_many`."""
-    return _run(s, _stack(points, s.n), pivots, None)
+    return _run(s, _stack(points, s.n), None, None)
 
 
 def _stack(points, n=None):

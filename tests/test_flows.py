@@ -546,12 +546,12 @@ def test_non_finite_offset_raises_as_a_point_does(monkeypatch):
 def _bracket_rows_one_point_at_a_time(s, p, pivots, h_fd):
     """The complement fields at ``p`` and their brackets in the
     frame-plus-vertical representation, with each bracket's horizontal part
-    a central difference of one-point ``frame_many`` fields at
+    a central difference of one-point ``report_many`` fields at
     ``p +- h_fd X``: the finite-difference oracle of the exact brackets."""
     n = p.n
 
     def field(c, i):
-        return frame_many(s, (Point(c),), pivots=pivots).xi_prime[0, i]
+        return report_many(s, (Point(c),), pivots).frame.xi_prime[0, i]
 
     vals = [field(p.coords, i) for i in range(2 * n - 2)]
     rows = [np.concatenate([v, [0.0]]) for v in vals]
@@ -584,20 +584,16 @@ def test_bracket_spans_match_the_finite_difference_oracle(entry):
 
 
 def test_offsets_in_lockstep_match_single_offsets():
-    """Both offsets of a central difference flow as one stack; each row is
-    bitwise the offset flowed alone."""
+    """Both offsets of a central difference are projected as one stack;
+    each row is bitwise the offset projected alone."""
     e = catalog.pansu(1.0, 3)
     p = e.sample(np.random.default_rng(8), 1)[0]
-    pivots = report(e.surface, p).frame.pivots
+    base = report_many(e.surface, [p])
+    chord = frame_lift(base[0].frame.xi_prime[1], p)  # the second complement field
 
-    def field(cs):  # the second complement field under forced pivots, over a stack
-        points = [Point(c) for c in cs]
-        xi = frame_many(e.surface, points, pivots=pivots).xi_prime[:, 1]
-        return np.array([frame_lift(HorizontalVector(v), q) for v, q in zip(xi, points)])
-
-    both = flows._surface_offsets(e.surface, p.coords, field, (1e-4, -1e-4))
+    both = flows._offset_reports(e.surface, base, np.array([1]), 1e-4).frame.coords
     for c, h in zip(both, (1e-4, -1e-4)):
-        one = flows.surface_offset(e.surface, p.coords, lambda x: field(x[None])[0], h)
+        one = flows.surface_offset(e.surface, p.coords, lambda x: chord, h)
         assert np.array_equal(c, one)
 
 
@@ -608,7 +604,8 @@ def test_offsets_in_lockstep_match_single_offsets():
 def _reference_fields(s, pivots):
     """The checks' unit fields at one point, as they were written before
     the fields shared one frame batch: the characteristic direction, the
-    rescaled vertical tangent, and the complement fields under ``pivots``."""
+    rescaled vertical tangent, and the complement fields under ``pivots``.
+    The offsets take them at the base point only, as chords."""
     n = s.n
 
     def en(c):
@@ -627,15 +624,15 @@ def _reference_fields(s, pivots):
         return w / math.sqrt(1.0 + alpha * alpha)
 
     def xi(i):
-        return lambda c: frame_lift(frame_many(s, (Point(c),), pivots).bundle(0).xi_prime[i],
+        return lambda c: frame_lift(report_many(s, (Point(c),), pivots)[0].frame.xi_prime[i],
                                     Point(c))
 
     return en, e2nhat, [xi(i) for i in range(2 * n - 2)]
 
 
 def _reference_changes(s, p, dirfn, pivots, h_fd):
-    """Offsets along one field, each flowed alone, and the changes of k, l
-    and alpha between them."""
+    """Offsets along the chord of one field, each projected alone, and the
+    changes of k, l and alpha between them."""
     cp, cm = (flows.surface_offset(s, p.coords, dirfn, h) for h in (h_fd, -h_fd))
     rp, rm = (report_many(s, [Point(c)], pivots)[0] for c in (cp, cm))
     return cp, cm, [a - b for a, b in ((rp.k, rm.k), (rp.l, rm.l), (rp.alpha, rm.alpha))]
@@ -648,7 +645,7 @@ def _reference_rates(s, p, dirfn, pivots, h_fd):
 
 
 def _reference_identities(s, p, h_fd=1e-4):
-    """``identity_check`` flowing one field at a time."""
+    """``identity_check`` stepping along one chord at a time."""
     base = report(s, p)
     pivots = base.frame.pivots
     k0, l0, a0 = base.k, base.l, base.alpha
@@ -680,7 +677,7 @@ def _reference_identities(s, p, h_fd=1e-4):
 
 
 def _reference_leaf(s, p, h_fd=1e-4):
-    """``leaf_constancy`` flowing one field at a time."""
+    """``leaf_constancy`` stepping along one chord at a time."""
     pivots = report(s, p).frame.pivots
     worst = 0.0
     for field in _reference_fields(s, pivots)[2]:
@@ -696,9 +693,9 @@ LOCKSTEP_ENTRIES = [catalog.pansu(1.0, 2), catalog.pansu(1.0, 3), catalog.cylind
 @pytest.mark.parametrize("entry", LOCKSTEP_ENTRIES,
                          ids=["pansu2", "pansu3", "cyl2", "heis2", "shifted2"])
 def test_lockstep_checks_match_one_field_at_a_time(entry):
-    """Every field and sign of a point (and every point of a batch) flows in
-    one stack; each residual is bitwise what flowing one field at a time
-    gives."""
+    """Every field and sign of a point (and every point of a batch) is
+    projected in one stack; each residual is bitwise what stepping along
+    one chord at a time gives."""
     pts = verify.moderate_points(entry, np.random.default_rng(21), 2)
     many = flows.identity_check_many(entry.surface, pts)
     leaves = flows.leaf_constancy_many(entry.surface, pts)
@@ -707,6 +704,47 @@ def test_lockstep_checks_match_one_field_at_a_time(entry):
         assert asdict(identity_check(entry.surface, p)) == asdict(res)
         assert leaf == _reference_leaf(entry.surface, p)
         assert flows.leaf_constancy(entry.surface, p) == leaf
+
+
+def test_offset_checks_evaluate_four_times(monkeypatch):
+    """One batch of three points makes four ``evaluate_many`` calls: the
+    base report, two Newton sweeps over the projected chords (the second
+    finds every row on the level set) and the offsets' report.  Its two
+    frame stages are those two reports; no frame-only batch is run.  (The
+    4-substep RK4 flows made 19 calls and 18 frame stages.)"""
+    rows, batches = [], []
+    evaluate, run = surface.SurfaceDef.evaluate_many, surface._run
+
+    def counted(self, coords):
+        rows.append(len(coords))
+        return evaluate(self, coords)
+
+    def counted_run(s, coords, pivots, finish):
+        batches.append("report" if finish else "frame")
+        return run(s, coords, pivots, finish)
+
+    monkeypatch.setattr(surface.SurfaceDef, "evaluate_many", counted)
+    monkeypatch.setattr(surface, "_run", counted_run)
+    e = catalog.pansu(1.0, 2)
+    pts = verify.moderate_points(e, np.random.default_rng(5), 3)
+    flows.identity_check_many(e.surface, pts)
+    assert rows == [3, 24, 24, 24]  # 3 points x 4 fields x 2 signs
+    assert batches == ["report", "report"]
+    rows.clear()
+    batches.clear()
+    flows.leaf_constancy_many(e.surface, pts)
+    assert rows == [3, 12, 12, 12]  # 3 points x 2 complement fields x 2 signs
+    assert batches == ["report", "report"]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 3])
+def test_leaf_differences_sit_at_the_rounding_floor(seed):
+    """At ``prop4.4``'s sample points (n = 2) every leaf difference is at
+    most 1e-12: the projected chords leave no truncation floor (the
+    4-substep RK4 flows read up to 1.6e-8 there)."""
+    cid = "prop4.4-leaf-constancy"
+    for _, _, [(entry, pts)] in verify._catalog_cases(verify._rng(seed, cid), 4, ns=(2,)):
+        assert max(flows.leaf_constancy_many(entry.surface, pts)) <= 1e-12, entry.name
 
 
 def test_newton_projection_rows_match_projected_alone():

@@ -1,8 +1,9 @@
 """Negative controls: a broken planar system must make its lemma 6.1 claims
 fail, a broken profile sweep its ``prop3.1-profile-ode`` row, a tilted
 Pansu sphere the umbilic claims that sample it, a perturbed graph
-Hessian the ``prop4.1-detU`` rows, and a mistuned curvature the
-``prop4.5`` confinement rows.  Every ``verify`` claim
+Hessian the ``prop4.1-detU`` rows, a mistuned curvature the
+``prop4.5`` confinement rows, tilted complement chords the ``prop4.4``
+rows and a mistuned tilt rate the ``prop4.2`` rows.  Every ``verify`` claim
 either has such a mutant or is listed as not yet caught."""
 
 from dataclasses import replace
@@ -236,6 +237,44 @@ def test_curvature_off_by_eps_fails_geodesic_confinement(monkeypatch):
         assert [row.passed for row in rows] == passed, eps
 
 
+def test_complement_chords_tilted_toward_en_fail_leaf_constancy(monkeypatch):
+    """Tilting every complement chord by ``eps`` toward the characteristic
+    direction e_n makes the leaf differences see e_n's change of k, l and
+    alpha, which vanishes only on the flat rows.  At seed 42 the claim is
+    caught from eps = 5e-8 on, at the shifted-sphere row (residual 1.87e-6
+    against the tolerance 1e-6; 2e-8 passes at 7.47e-7); every curved row
+    fails from 2e-7.  The cylinder and hyperplane rows pass at any tilt."""
+    cid = "prop4.4-leaf-constancy"
+    assert all(row.passed for row in verify.run_all(42, only=cid).claims)
+    original = flows._field_values
+
+    def tilted(fb, kinds):
+        w = original(fb, kinds)
+        w[:, kinds >= 0] += 5e-8 * surface._lifts(fb.coords, fb.en)[:, None]
+        return w
+
+    monkeypatch.setattr(flows, "_field_values", tilted)
+    rows = verify.run_all(42, only=cid).claims
+    assert [row.passed for row in rows] == [True, True, False, True, True]
+    assert rows[2].surface == "shifted-sphere"
+
+
+def test_tilt_rate_off_by_eps_fails_interior_identities(monkeypatch):
+    """Adding ``eps`` to every exact tilt rate along e_n moves the base
+    rate phi in the three vertical-tangent identities; the offsets'
+    difference of the rate cancels it.  At seed 42 the claim is caught from
+    eps = 2e-6 on, at the shifted-sphere row (residual 1.09e-5 against the
+    tolerance 1e-5; 1e-6 passes at 5.6e-6), and the three curved rows fail
+    from 5e-6.  The cylinder row grows as eps / 2 and fails from 5e-5."""
+    cid = "prop4.2-identities"
+    assert all(row.passed for row in verify.run_all(42, only=cid).claims)
+    original = flows._en_alpha_rates
+    monkeypatch.setattr(flows, "_en_alpha_rates", lambda fb: original(fb) + 2e-6)
+    rows = verify.run_all(42, only=cid).claims
+    assert [row.passed for row in rows] == [True, True, False, True]
+    assert rows[2].surface == "shifted-sphere"
+
+
 # the claim ids that each mutant is shown to fail, by the test that shows it
 MUTANTS = {
     "test_verify.py::test_mutation_is_detected": ("prop2.1-symmetry",),
@@ -244,13 +283,13 @@ MUTANTS = {
     "test_tilted_pansu_fails_the_umbilic_claims": tuple(UMBILIC_EPS),
     "test_perturbed_graph_hessian_fails_det_u": ("prop4.1-detU",),
     "test_curvature_off_by_eps_fails_geodesic_confinement": ("prop4.5-geodesic-confinement",),
+    "test_complement_chords_tilted_toward_en_fail_leaf_constancy": ("prop4.4-leaf-constancy",),
+    "test_tilt_rate_off_by_eps_fails_interior_identities": ("prop4.2-identities",),
 }
 
 # the claims that no mutant fails yet
 NOT_YET_CAUGHT = (
     "prop2.2-shape-symmetric",
-    "prop4.2-identities",
-    "prop4.4-leaf-constancy",
     "ex3.3-l-eq-3k",
     "ex3.4-cylinder-hyperplane",
     "eq5.4-alpha-axis",
