@@ -29,6 +29,7 @@ from .surface import (
     _alpha_rates,
     _dots,
     _lifts,
+    _reports_at,
     report_many,
 )
 
@@ -261,7 +262,9 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
 
     The rows run in lockstep: every row still off the level set takes its
     step from one ``evaluate_many`` call per sweep, with its own arithmetic,
-    so a row gives the same bits in any stack.  Of the rows that do not
+    so a row gives the same bits in any stack.  Returns the projected stack
+    and its ``(u, grad, hess)`` rows from each row's last sweep, which found
+    the row on the level set where it stands.  Of the rows that do not
     converge, the first raises :class:`ProjectionFailure`.  If an evaluation
     raises, the rows are projected one at a time, so the first row that
     fails alone raises what it raises alone; if none does, the evaluation's
@@ -270,13 +273,14 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
     c = np.array(coords, dtype=float)
     live = np.arange(len(c))  # rows still stepping
     failed = np.zeros(len(c), dtype=bool)
-    last_u = np.zeros(len(c))
+    last = [np.zeros(len(c)), np.empty_like(c), np.empty(c.shape + c.shape[-1:])]
     try:
         for _ in range(maxit):
             if not len(live):
                 break
-            u, grad, _ = s.evaluate_many(c[live])
-            last_u[live] = u
+            u, grad, hess = s.evaluate_many(c[live])
+            for whole, part in zip(last, (u, grad, hess)):
+                whole[live] = part
             tol = 1e-13 * (1.0 + np.abs(grad).max(axis=1)) * (1.0 + np.abs(c[live]).max(axis=1))
             off = np.abs(u) > tol
             g2 = _dots(grad, grad)
@@ -292,8 +296,8 @@ def _newton_project(s: SurfaceDef, coords, maxit=10):
     failed[live] = True  # still off the level set after maxit steps
     if failed.any():
         i = int(failed.argmax())
-        raise ProjectionFailure(f"|u| stuck at {abs(last_u[i]):g} after {maxit} iterations")
-    return c
+        raise ProjectionFailure(f"|u| stuck at {abs(last[0][i]):g} after {maxit} iterations")
+    return c, last
 
 
 def surface_offset(s: SurfaceDef, coords, dirfn, h):
@@ -307,7 +311,7 @@ def surface_offset(s: SurfaceDef, coords, dirfn, h):
     offsets of :func:`_offset_reports`.
     """
     c = np.asarray(coords, dtype=float)
-    (c,) = _newton_project(s, (c + h * np.asarray(dirfn(c), dtype=float))[None])
+    (c,), _ = _newton_project(s, (c + h * np.asarray(dirfn(c), dtype=float))[None])
     return c
 
 
@@ -343,21 +347,21 @@ def _offset_reports(s: SurfaceDef, base, kinds, h_fd):
     Each field's value X is read once, from the frame of ``base``; the
     offset is the chord ``x + h X`` Newton-projected back onto the level
     set (:func:`surface_offset`), with every row projected in one lockstep
-    stack and reported as one batch under its base point's pivots.  An
-    offset the projection leaves non-finite raises ``ValueError``."""
+    stack and reported as one batch under its base point's pivots, from
+    the evaluations of the projection's last sweep.  An offset the
+    projection leaves non-finite raises ``ValueError``."""
     m = len(kinds)
     pivots = np.repeat(base.frame.pivots, 2 * m, axis=0)
     starts = np.repeat(base.frame.coords, 2 * m, axis=0)
     chords = np.repeat(_field_values(base.frame, kinds).reshape(-1, starts.shape[1]), 2, axis=0)
     hs = np.tile((h_fd, -h_fd), m * len(base))
-    offsets = _newton_project(s, starts + hs[:, None] * chords)
-    return report_many(s, offsets, pivots=pivots)
+    return _reports_at(s, *_newton_project(s, starts + hs[:, None] * chords), pivots)
 
 
 def _en_alpha_rates(fb):
     """Exact derivatives of the tilt along the characteristic direction at
     the points of a frame batch."""
-    return _alpha_rates(fb.coords, fb.grad, fb.hess, _lifts(fb.coords, fb.en))
+    return _alpha_rates(fb.coords, fb.grad, fb.hess, fb.e2n, fb.gnorm, _lifts(fb.coords, fb.en))
 
 
 def _central(values, h_fd):

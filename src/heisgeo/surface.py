@@ -9,12 +9,15 @@ scalars ``k``, ``l``, ``H``, and decides umbilicity.
 One array kernel does this over an (N, 2n+1) stack of coordinates
 (:func:`report_many`), given as the stack itself or as a sequence of
 :class:`~heisgeo.core.Point`: the derivatives come from one
-:meth:`SurfaceDef.evaluate_many` call, and the frame, the form and the
-eigenvalues are stacked array operations.  The per-point functions
-(:func:`build_frame`, :func:`shape_matrix`, :func:`report`) are batches of
-one, and a point gives the same bits alone and inside a batch.  A batch
-that raises reruns one point at a time, and the first point that raises
-alone raises its own error.
+:meth:`SurfaceDef.evaluate_many` call, then two stages of stacked array
+operations follow.  The frame stage builds each point's ordered basis into
+one (N, 2n-1, 2n) array, its complement by Gram-Schmidt over residual rows
+updated in place.  The shape stage takes the gradient norm from the frame
+stage and forms h as one product, ``-(basis @ jac @ lift^T) / |b|``.  The
+per-point functions (:func:`build_frame`, :func:`shape_matrix`,
+:func:`report`) are batches of one, and a point gives the same bits alone
+and inside a batch.  A batch that raises reruns one point at a time, and
+the first point that raises alone raises its own error.
 
 Derivatives of the normalized horizontal normal are exact: the frame is
 parallel, so the normal field's frame coefficients are rational in the
@@ -182,29 +185,23 @@ class SurfaceDef:
 
 
 def horizontal_gradient(n, coords, grad):
-    """Frame coefficients of the horizontal part of the gradient."""
-    x = coords[..., :n]
-    y = coords[..., n : 2 * n]
-    ut = grad[..., 2 * n, None]
-    b = np.empty(grad.shape[:-1] + (2 * n,))
-    b[..., :n] = grad[..., :n] + y * ut
-    b[..., n:] = grad[..., n : 2 * n] - x * ut
-    return b
+    """Frame coefficients of the horizontal part of the gradient,
+    ``b = grad_z + u_t w`` with ``w = (y, -x) = -J z``."""
+    return grad[..., : 2 * n] - _J(coords[..., : 2 * n]) * grad[..., 2 * n, None]
 
 
 def _hgrad_jacobian(n, coords, grad, hess):
-    """Coordinate Jacobian of the horizontal-gradient coefficients."""
-    x = coords[..., :n, None]
-    y = coords[..., n : 2 * n, None]
-    ht = hess[..., 2 * n, None, :]
-    jac = np.empty(hess.shape[:-2] + (2 * n, 2 * n + 1))
-    jac[..., :n, :] = hess[..., :n, :] + y * ht
-    jac[..., n:, :] = hess[..., n : 2 * n, :] - x * ht
-    j = np.arange(n)
-    ut = grad[..., 2 * n, None]
-    jac[..., j, n + j] += ut
-    jac[..., n + j, j] -= ut
+    """Coordinate Jacobian of the horizontal-gradient coefficients ``b``:
+    ``hess_z + w hess_t + u_t Dw``."""
+    jac = hess[..., : 2 * n, :] - _J(coords[..., : 2 * n])[..., None] * hess[..., 2 * n, None, :]
+    jac += grad[..., 2 * n, None, None] * _w_jacobian(n)
     return jac
+
+
+@functools.lru_cache(maxsize=None)
+def _w_jacobian(n):
+    """The constant coordinate Jacobian ``Dw`` of ``w``: row i is ``J e_i``."""
+    return _read_only(np.pad(_J(np.eye(2 * n)), ((0, 0), (0, 1))))
 
 
 def _read_only(a):
@@ -265,18 +262,28 @@ class FrameBundle:
 class FrameBatch:
     """Adapted frames of N points on one surface as stacked arrays.
 
-    Row i holds what :class:`FrameBundle` holds for the point
-    ``coords[i]``.  ``grad``/``hess`` are None for closed-form frames.
+    Row i holds what :class:`FrameBundle` holds for the point ``coords[i]``;
+    ``en`` and ``xi_prime`` read rows of its tangent basis ``basis[i]``.
+    ``grad``, ``hess`` and ``gnorm`` (|b|) are None for closed-form frames.
     """
 
     coords: np.ndarray     # (N, 2n+1)
     e2n: np.ndarray        # (N, 2n)
-    en: np.ndarray         # (N, 2n)
-    xi_prime: np.ndarray   # (N, 2n-2, 2n), rows v_1..v_{n-1}, Jv_1..Jv_{n-1}
     alpha: np.ndarray      # (N,)
+    basis: np.ndarray      # (N, 2n-1, 2n), rows v_1..v_{n-1}, e_n, Jv_1..Jv_{n-1}
     pivots: np.ndarray     # (N, n-1) integers
     grad: Optional[np.ndarray] = None
     hess: Optional[np.ndarray] = None
+    gnorm: Optional[np.ndarray] = None
+
+    @property
+    def en(self):
+        return self.basis[:, self.basis.shape[1] // 2]
+
+    @property
+    def xi_prime(self):
+        """(N, 2n-2, 2n) stack, rows v_1..v_{n-1}, Jv_1..Jv_{n-1}."""
+        return self.basis[:, _complement_rows(self.basis.shape[2] // 2)]
 
     def __len__(self):
         return len(self.coords)
@@ -284,11 +291,13 @@ class FrameBatch:
     def bundle(self, i) -> FrameBundle:
         """Row i as a :class:`FrameBundle`.  Its point and vectors skip their
         constructors' checks: the kernel's rows are finite and well shaped."""
+        basis, m = self.basis[i], self.basis.shape[1] // 2
         return FrameBundle(
             p=_unchecked(Point, coords=self.coords[i]),
             e2n=_unchecked(HorizontalVector, coeffs=self.e2n[i]),
-            en=_unchecked(HorizontalVector, coeffs=self.en[i]),
-            xi_prime=tuple(_unchecked(HorizontalVector, coeffs=v) for v in self.xi_prime[i]),
+            en=_unchecked(HorizontalVector, coeffs=basis[m]),
+            xi_prime=tuple(_unchecked(HorizontalVector, coeffs=v)
+                           for v in (*basis[:m], *basis[m + 1:])),
             alpha=float(self.alpha[i]),
             pivots=tuple(self.pivots[i].tolist()),
         )
@@ -329,21 +338,21 @@ def _stack(points, n=None):
     return np.array(points, dtype=float).reshape(len(points), 2 * n + 1)
 
 
-def _run(s, coords, pivots, finish):
-    """The kernel over a coordinate stack: one evaluation, then the frame
-    stage and ``finish`` (the shape stage, or None).  If the stack raises,
-    each row reruns alone under its own pivots, and the first row that
-    raises alone raises."""
+def _run(s, coords, pivots, finish, evaluated=None):
+    """The kernel over a coordinate stack: one evaluation (or the rows'
+    ``evaluated`` ``(u, grad, hess)``), then the frame stage and ``finish``
+    (the shape stage, or None).  If the stack raises, each row reruns alone
+    under its own pivots, and the first row that raises alone raises."""
     pivots = _pivot_rows(s.n, len(coords), pivots)
     try:
-        u, grad, hess = s.evaluate_many(coords)
+        u, grad, hess = s.evaluate_many(coords) if evaluated is None else evaluated
         fb = _frames(s.n, coords, u, grad, hess, pivots)
         return fb if finish is None else finish(s, fb)
     except Exception:
         if len(coords) > 1:
             for i in range(len(coords)):
                 _run(s, coords[i : i + 1], None if pivots is None else pivots[i : i + 1],
-                     finish)
+                     finish, None if evaluated is None else [a[i : i + 1] for a in evaluated])
         raise
 
 
@@ -380,54 +389,42 @@ def _frames(n, coords, u, grad, hess, pivots):
             raise SingularPoint(f"horizontal gradient {gnorm[i]:g} at {coords[i]!r}")
         raise OffSurface(f"|u|={abs(u[i]):g} exceeds the on-surface tolerance")
     e2n = b / gnorm[:, None]
-    en = -_J(e2n)
-    xi, chosen = _complement(en, e2n, pivots)
-    return FrameBatch(coords, e2n, en, xi, -grad[:, 2 * n] / gnorm, chosen, grad, hess)
+    return FrameBatch(coords, e2n, -grad[:, 2 * n] / gnorm, *_complement(e2n, pivots),
+                      grad, hess, gnorm)
 
 
-def _complement(en, e2n, pivots=None):
-    """Invariant complements of stacked ``en, e2n`` rows by pivoted Gram-Schmidt.
+def _complement(e2n, pivots=None):
+    """Adapted bases of stacked unit normals ``e2n`` by pivoted Gram-Schmidt,
+    as an (N, 2n-1, 2n) stack ordered ``v.., e_n, Jv..``, ``e_n = -J e2n``.
 
-    Each point's pivot is the standard frame vector among ``e_1..e_n`` with
-    the largest residual (ties resolve to the lowest index; ``e_{j+n} =
-    J e_j`` has the same residual as ``e_j``, since the complement is
-    J-invariant), and each accepted vector is paired with its rotation.
-    Forced ``pivots`` rows replace the search; the first point whose forced
-    residual collapses raises :class:`PivotDegenerate`.
-    Returns ``(xi_prime, pivots)`` stacks.
+    Row a of the (N, n, 2n) residual stack is ``e_a`` minus its projections
+    on the vectors accepted so far (``J e_a``'s is ``J res[a]``: the span is
+    J-invariant).  Each point's pivot is its row of largest squared norm
+    (ties resolve to the lowest index); that residual, normalized, is ``v``,
+    and every row then loses its projections on v and Jv.  Forced ``pivots``
+    rows replace the search; the first point whose forced residual collapses
+    raises :class:`PivotDegenerate`.  Returns ``(basis, pivots)`` stacks.
     """
-    count, dim = en.shape
+    count, dim = e2n.shape
     n = dim // 2
-    used = np.empty((count, dim, dim))  # en, e2n, v_1, Jv_1, v_2, Jv_2, ...
-    used[:, 0], used[:, 1] = en, e2n
-    xi = np.empty((count, dim - 2, dim))
+    basis = np.empty((count, dim - 1, dim))
+    en = basis[:, n - 1] = -_J(e2n)
+    res = duals._eye(dim)[:n] - en[:, :n, None] * en[:, None] - e2n[:, :n, None] * e2n[:, None]
     chosen = np.empty((count, n - 1), dtype=np.intp)
     rows = np.arange(count)
     for beta in range(n - 1):
-        basis = used[:, : 2 * beta + 2]
-        basis_t = basis.transpose(0, 2, 1)
-        if pivots is None:
-            half = basis[:, :, :n]
-            a = (1.0 - (half * half).sum(axis=1)).argmax(axis=1)
-        else:
-            a = pivots[:, beta]
-        # the pivot column as a strided view, like ``B[:, a]`` of one matrix:
-        # numpy picks its BLAS path, and so the rounding, by the strides
-        col = np.empty_like(basis)[:, :, :1]
-        col[:, :, 0] = basis[rows, :, a]
-        r = duals._eye(dim)[a] - (basis_t @ col)[:, :, 0]
-        rn = _norms(r)
+        sq = _dots(res, res)
+        a = chosen[:, beta] = sq.argmax(axis=1) if pivots is None else pivots[:, beta]
+        rn = np.sqrt(sq[rows, a])
         if pivots is not None and (rn < 1e-6).any():
             i = int((rn < 1e-6).argmax())
             raise PivotDegenerate(f"forced pivot {a[i]} degenerated ({rn[i]:g})")
-        v = r / rn[:, None]
-        v -= (basis_t @ (basis @ v[:, :, None]))[:, :, 0]  # re-orthogonalize
-        v /= _norms(v)[:, None]
-        jv = _J(v)
-        used[:, 2 * beta + 2], used[:, 2 * beta + 3] = v, jv
-        xi[:, beta], xi[:, n - 1 + beta] = v, jv
-        chosen[:, beta] = a
-    return xi, chosen
+        v = basis[:, beta] = res[rows, a] / rn[:, None]
+        basis[:, n + beta] = _J(v)
+        if beta < n - 2:
+            pair = basis[:, beta::n]  # v, Jv
+            res -= (res @ pair.transpose(0, 2, 1)) @ pair
+    return basis, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -523,31 +520,29 @@ def _shapes(s, fb: FrameBatch) -> ReportBatch:
     """Shape stage of the kernel: second fundamental form and shape operator.
 
     Entry ``h[a,b]`` is minus the Levi product of the normal's derivative
-    along basis vector b with basis vector a.  The shape operator adds the
-    rotation correction on the invariant complement; its restriction there
-    must come out symmetric, which is enforced as a sanity gate.
+    ``(Db - <e2n, Db> e2n) / |b|`` along basis vector b with basis vector
+    a; every basis vector is orthogonal to e2n, so the form drops the
+    second term exactly.  The shape operator adds the rotation correction
+    on the invariant complement; it must come out symmetric, which is
+    enforced as a sanity gate over the whole operator.
     """
     n = s.n
     nidx = n - 1
-    coords = fb.coords
-    b = horizontal_gradient(n, coords, fb.grad)
-    gnorm = _norms(b)[:, None, None]
-    jac = _hgrad_jacobian(n, coords, fb.grad, fb.hess)
-    xi = fb.xi_prime
-    basis = np.concatenate([xi[:, :nidx], fb.en[:, None], xi[:, nidx:]], axis=1)
+    coords, basis, gnorm = fb.coords, fb.basis, fb.gnorm
     lift = _lifts(coords[:, None], basis)  # basis vectors as coordinates
-    db = (jac[:, None] @ lift[..., None])[..., 0]  # row a: derivative of b along lift a
-    derivs = db / gnorm - b[:, None, :] * _dots(b[:, None], db)[..., None] / gnorm**3
-    h = -(basis @ derivs.transpose(0, 2, 1))
+    jac = _hgrad_jacobian(n, coords, fb.grad, fb.hess)  # the derivatives of b
+    h = -(basis @ jac @ lift.transpose(0, 2, 1)) / gnorm[:, None, None]
     l = h[:, nidx, nidx]
-    xn_residual = _norms(derivs[:, nidx] + l[:, None] * fb.en)
+    dn = (jac @ lift[:, nidx, :, None])[..., 0] / gnorm[:, None]  # D_{e_n} b / |b|
+    # |D_{e_n} nu + l e_n|, where D_{e_n} nu = dn - <e2n, dn> e2n
+    xn_residual = _norms(dn - _dots(fb.e2n, dn)[:, None] * fb.e2n + l[:, None] * fb.en)
 
     S = _shape_operator(h, fb.alpha)
     S_t = S.transpose(0, 2, 1)
-    asym = np.max(np.abs(S - S_t), axis=(1, 2))
-    bad = asym > 1e-8 * (1.0 + np.max(np.abs(S), axis=(1, 2)))
-    if np.any(bad):
-        raise NonSymmetric(f"shape operator asymmetry {asym[np.argmax(bad)]:g}")
+    asym = np.abs(S - S_t).max(axis=(1, 2))
+    bad = asym > 1e-8 * (1.0 + np.abs(S).max(axis=(1, 2)))
+    if bad.any():
+        raise NonSymmetric(f"shape operator asymmetry {asym[bad.argmax()]:g}")
     keep = _complement_rows(n)
     eigs = np.linalg.eigvalsh(0.5 * (S + S_t)[:, keep[:, None], keep])
     spread = eigs[:, -1] - eigs[:, 0]
@@ -557,12 +552,19 @@ def _shapes(s, fb: FrameBatch) -> ReportBatch:
         h=h,
         k=eigs.sum(axis=-1) / (2 * n - 2),  # the mean
         l=l,
-        H=np.trace(h, axis1=1, axis2=2),
+        H=h.trace(axis1=1, axis2=2),
         eigenvalues=eigs,
         xn_residual=xn_residual,
         spread=spread,
         umbilic=(xn_residual <= tol) & (spread <= tol),
     )
+
+
+def _reports_at(s: SurfaceDef, coords, evaluated, pivots) -> ReportBatch:
+    """:func:`report_many` over an (N, 2n+1) stack whose ``(u, grad, hess)``
+    rows are already ``evaluated``: rows are independent, so these are the
+    bits a new evaluation would give."""
+    return _run(s, _stack(coords, s.n), pivots, _shapes, evaluated)
 
 
 def shape_matrix(s: SurfaceDef, f: FrameBundle) -> SurfaceReport:
@@ -583,30 +585,27 @@ def _complement_rows(n):
     return _read_only(np.delete(np.arange(2 * n - 1), n - 1))
 
 
-def _shape_operator(h, alpha):
-    """Form matrices plus the rotation correction: J' pairs v_beta <-> Jv_beta
-    and kills e_n."""
-    m = h.shape[-1]
-    n = (m + 1) // 2
-    S = h.copy()
+@functools.lru_cache(maxsize=None)
+def _rotation_pattern(n):
+    """J' in the adapted basis: it pairs v_beta <-> Jv_beta and kills e_n."""
+    P = np.zeros((2 * n - 1, 2 * n - 1))
     beta = np.arange(n - 1)
-    alpha = np.asarray(alpha)[..., None]
-    S[..., n + beta, beta] += alpha  # <J' v_beta, Jv_beta> = 1
-    S[..., beta, n + beta] -= alpha  # <J' Jv_beta, v_beta> = -1
-    return S
+    P[n + beta, beta] = 1.0   # <J' v_beta, Jv_beta> = 1
+    P[beta, n + beta] = -1.0  # <J' Jv_beta, v_beta> = -1
+    return _read_only(P)
+
+
+def _shape_operator(h, alpha):
+    """Form matrices plus the rotation correction ``alpha J'``."""
+    return h + np.asarray(alpha)[..., None, None] * _rotation_pattern((h.shape[-1] + 1) // 2)
 
 
 def _umbilic_form(n, k, l, alpha):
     """Form matrices of umbilic points: ``k`` on the invariant complement,
     ``l`` along the characteristic direction, the tilt across the pairs."""
     k, l, alpha = np.asarray(k), np.asarray(l), np.asarray(alpha)
-    h = np.zeros(k.shape + (2 * n - 1, 2 * n - 1))
-    diag = np.arange(2 * n - 1)
-    h[..., diag, diag] = k[..., None]
+    h = k[..., None, None] * duals._eye(2 * n - 1) - alpha[..., None, None] * _rotation_pattern(n)
     h[..., n - 1, n - 1] = l
-    beta = np.arange(n - 1)
-    h[..., beta, n + beta] = alpha[..., None]
-    h[..., n + beta, beta] = -alpha[..., None]
     return h
 
 
@@ -658,23 +657,22 @@ def alpha_directional(s: SurfaceDef, coords, w):
     the horizontal gradient norm; its derivative needs only the defining
     function's gradient and Hessian.  A batch of one of :func:`_alpha_rates`.
     """
-    coords = np.asarray(coords, dtype=float)
-    _, grad, hess = s.evaluate(coords)
-    w = np.asarray(w, dtype=float)
-    return float(_alpha_rates(coords[None], grad[None], hess[None], w[None])[0])
-
-
-def _alpha_rates(coords, grad, hess, w):
-    """Tilt derivatives along stacked coordinate vectors ``w`` at stacked
-    evaluated points (:func:`alpha_directional` row by row)."""
-    n = coords.shape[-1] // 2
-    b = horizontal_gradient(n, coords, grad)
+    coords = np.asarray(coords, dtype=float)[None]
+    _, grad, hess = s.evaluate_many(coords)
+    b = horizontal_gradient(s.n, coords, grad)
     gnorm = _norms(b)
+    w = np.asarray(w, dtype=float)[None]
+    return float(_alpha_rates(coords, grad, hess, b / gnorm[:, None], gnorm, w)[0])
+
+
+def _alpha_rates(coords, grad, hess, e2n, gnorm, w):
+    """Tilt derivatives along stacked coordinate vectors ``w`` at stacked
+    evaluated points with unit normals ``e2n`` and horizontal gradient norms
+    ``gnorm`` (:func:`alpha_directional` row by row)."""
+    n = coords.shape[-1] // 2
     jw = (_hgrad_jacobian(n, coords, grad, hess) @ w[..., None])[..., 0]
     dut = _dots(hess[..., 2 * n, :], w)
-    dnorm = _dots(b, jw) / gnorm
-    ut = grad[..., 2 * n]
-    return -dut / gnorm + ut * dnorm / gnorm**2
+    return (grad[..., 2 * n] * _dots(e2n, jw) / gnorm - dut) / gnorm
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +724,7 @@ def rotsym_many(profile: RadialProfile, points) -> ReportBatch:
     fp, t, zroot = fp[:, None], t[:, None], zroot[:, None]
     e2n = np.concatenate([(fp * x - t * y) / zroot, (fp * y + t * x) / zroot], axis=1)
     e2n /= _norms(e2n)[:, None]
-    en = -_J(e2n)
-    xi, chosen = _complement(en, e2n)
-    frame = FrameBatch(coords, e2n, en, xi, alpha, chosen)
+    frame = FrameBatch(coords, e2n, alpha, *_complement(e2n))
     zeros = np.zeros(len(coords))
     return ReportBatch(
         frame=frame,

@@ -534,9 +534,9 @@ def test_non_finite_offset_raises_as_a_point_does(monkeypatch):
     project = flows._newton_project
 
     def leaky(s, coords, *args):
-        c = project(s, coords, *args)
+        c, evaluated = project(s, coords, *args)
         c[-1] = math.nan
-        return c
+        return c, evaluated
 
     monkeypatch.setattr(flows, "_newton_project", leaky)
     with pytest.raises(ValueError, match="coordinates must be finite"):
@@ -706,35 +706,51 @@ def test_lockstep_checks_match_one_field_at_a_time(entry):
         assert flows.leaf_constancy(entry.surface, p) == leaf
 
 
-def test_offset_checks_evaluate_four_times(monkeypatch):
-    """One batch of three points makes four ``evaluate_many`` calls: the
-    base report, two Newton sweeps over the projected chords (the second
-    finds every row on the level set) and the offsets' report.  Its two
-    frame stages are those two reports; no frame-only batch is run.  (The
-    4-substep RK4 flows made 19 calls and 18 frame stages.)"""
-    rows, batches = [], []
-    evaluate, run = surface.SurfaceDef.evaluate_many, surface._run
+def test_offset_checks_evaluate_three_times(monkeypatch):
+    """One batch of three points makes three ``evaluate_many`` calls: the
+    base report and two Newton sweeps over the projected chords, the second
+    of which finds every row on the level set and hands its evaluations to
+    the offsets' report.  Its two frame stages are those two reports; no
+    frame-only batch is run.  The offsets' report is bitwise the one that
+    evaluates the offsets again.  (The 4-substep RK4 flows made 19 calls
+    and 18 frame stages; evaluating the offsets again made 4.)"""
+    rows, batches, offsets = [], [], []
+    evaluate, run, at = surface.SurfaceDef.evaluate_many, surface._run, flows._reports_at
 
     def counted(self, coords):
         rows.append(len(coords))
         return evaluate(self, coords)
 
-    def counted_run(s, coords, pivots, finish):
+    def counted_run(s, coords, pivots, finish, *args):
         batches.append("report" if finish else "frame")
-        return run(s, coords, pivots, finish)
+        return run(s, coords, pivots, finish, *args)
+
+    def kept(s, coords, evaluated, pivots):
+        offsets.append((coords, pivots))
+        return at(s, coords, evaluated, pivots)
 
     monkeypatch.setattr(surface.SurfaceDef, "evaluate_many", counted)
     monkeypatch.setattr(surface, "_run", counted_run)
+    monkeypatch.setattr(flows, "_reports_at", kept)
     e = catalog.pansu(1.0, 2)
     pts = verify.moderate_points(e, np.random.default_rng(5), 3)
     flows.identity_check_many(e.surface, pts)
-    assert rows == [3, 24, 24, 24]  # 3 points x 4 fields x 2 signs
+    assert rows == [3, 24, 24]  # 3 points x 4 fields x 2 signs
     assert batches == ["report", "report"]
     rows.clear()
     batches.clear()
-    flows.leaf_constancy_many(e.surface, pts)
-    assert rows == [3, 12, 12, 12]  # 3 points x 2 complement fields x 2 signs
+    leaf = flows.leaf_constancy_many(e.surface, pts)
+    assert rows == [3, 12, 12]  # 3 points x 2 complement fields x 2 signs
     assert batches == ["report", "report"]
+    monkeypatch.undo()
+    coords, pivots = offsets[-1]
+    rep = flows._offset_reports(e.surface, report_many(e.surface, pts), np.arange(2), 1e-4)
+    again = report_many(e.surface, coords, pivots)
+    for name in ("h", "k", "l", "eigenvalues", "xn_residual"):
+        assert np.array_equal(getattr(rep, name), getattr(again, name)), name
+    for name in ("coords", "basis", "alpha", "grad", "hess"):
+        assert np.array_equal(getattr(rep.frame, name), getattr(again.frame, name)), name
+    assert flows.leaf_constancy_many(e.surface, pts) == leaf
 
 
 @pytest.mark.parametrize("seed", [42, 7, 3])
@@ -752,9 +768,12 @@ def test_newton_projection_rows_match_projected_alone():
     pts = e.sample(np.random.default_rng(5), 4)
     rows = (np.array([p.coords for p in pts])
             + np.random.default_rng(6).normal(size=(4, 5)) * 1e-6)
-    stack = flows._newton_project(e.surface, rows)
+    stack, evaluated = flows._newton_project(e.surface, rows)
     for row, c in zip(rows, stack):
-        assert np.array_equal(flows._newton_project(e.surface, row[None])[0], c)
+        assert np.array_equal(flows._newton_project(e.surface, row[None])[0][0], c)
+    # each row's last sweep evaluated it where it stands
+    for got, want in zip(evaluated, e.surface.evaluate_many(stack), strict=True):
+        assert np.array_equal(got, want)
     # of the rows that do not converge, the first raises
     with pytest.raises(flows.ProjectionFailure) as many:
         flows._newton_project(e.surface, rows, maxit=1)
@@ -786,19 +805,15 @@ def test_newton_projection_raises_the_batch_failure_when_every_row_projects_alon
 
 
 def _nan_in_offset_row(monkeypatch, row):
-    """Make the offset reports carry a NaN ``k`` at one row: the checks'
-    second ``report_many`` call is the one over the offsets."""
-    calls = []
-    original = flows.report_many
+    """Make the offset reports carry a NaN ``k`` at one row."""
+    original = flows._reports_at
 
-    def patched(*args, **kwargs):
-        rep = original(*args, **kwargs)
-        calls.append(rep)
-        if len(calls) == 2:
-            rep.k[row] = math.nan
+    def patched(*args):
+        rep = original(*args)
+        rep.k[row] = math.nan
         return rep
 
-    monkeypatch.setattr(flows, "report_many", patched)
+    monkeypatch.setattr(flows, "_reports_at", patched)
 
 
 def test_identity_residuals_max_keeps_nan():

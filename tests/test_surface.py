@@ -6,8 +6,8 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from heisgeo import catalog, surface
-from heisgeo.core import Point, apply_J, frame_lift
+from heisgeo import catalog, surface, verify
+from heisgeo.core import Point, _J, apply_J, frame_lift
 from heisgeo.surface import (
     DegenerateProfile,
     DomainError,
@@ -713,3 +713,75 @@ def test_evaluate_many_gate_raises_for_the_first_asymmetric_row():
     want = _raised(lambda: report(s, off))
     assert want[0] is OffSurface
     assert _raised(lambda: report_many(s, [off] + pts)) == want
+
+
+# ---------------------------------------------------------------------------
+# the shape stage's gate and its two routes to the e_n column
+
+
+def _asymmetric_jacobians(monkeypatch, which, eps):
+    """Add ``eps x (y, 0)^T`` to the Jacobian of the horizontal gradient b,
+    which adds ``-eps <basis_a, x> <y, basis_b> / |b|`` to ``h[a, b]``.
+    ``which="en"``: x = e_n and y in the complement, so only the e_n row
+    moves; ``"complement"``: x in the complement and y = J x, so only the
+    complement block moves, and not symmetrically."""
+    original = surface._hgrad_jacobian
+
+    def patched(n, coords, grad, hess):
+        b = surface.horizontal_gradient(n, coords, grad)
+        e2n = b / np.linalg.norm(b, axis=-1, keepdims=True)
+        en = -_J(e2n)
+        comp = -(en[..., :1] * en + e2n[..., :1] * e2n)  # e_1 off e_n and e_2n
+        comp[..., 0] += 1.0
+        x, y = (en, comp) if which == "en" else (comp, _J(comp))
+        dy = np.concatenate([y, np.zeros(y.shape[:-1] + (1,))], axis=-1)
+        return original(n, coords, grad, hess) + eps * x[..., :, None] * dy[..., None, :]
+
+    monkeypatch.setattr(surface, "_hgrad_jacobian", patched)
+
+
+@pytest.mark.parametrize("which", ["en", "complement"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_shape_operator_gate_catches_asymmetry_alone_and_in_a_batch(monkeypatch, which, n):
+    """The "shape operator asymmetry" gate covers the whole operator: an
+    asymmetric part confined to the e_n row, or to the complement block,
+    raises ``NonSymmetric`` for a point alone and inside a batch."""
+    entry = catalog.heisenberg_sphere(1.0, n)
+    pts = entry.sample(np.random.default_rng(60 + n), 5)
+    clean = report_many(entry.surface, pts)
+    # a perturbation below the gate shows where it lands
+    _asymmetric_jacobians(monkeypatch, which, 1e-11)
+    moved = np.abs(report_many(entry.surface, pts).h - clean.h)
+    keep = surface._complement_rows(n)
+    target = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
+    if which == "en":
+        target[n - 1, keep] = True
+    else:
+        target[keep[:, None], keep] = True
+    assert moved[:, target].max() >= 1e3 * max(moved[:, ~target].max(), 1e-16)
+    monkeypatch.undo()
+    _asymmetric_jacobians(monkeypatch, which, 1e-4)
+    for p in pts:
+        with pytest.raises(surface.NonSymmetric, match="^shape operator asymmetry"):
+            report(entry.surface, p)
+    with pytest.raises(surface.NonSymmetric, match="^shape operator asymmetry"):
+        report_many(entry.surface, pts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_xn_residual_is_the_norm_of_the_en_column_off_en(n):
+    """``xn_residual`` is |D_{e_n} nu + l e_n|; since the basis and e_2n are
+    orthonormal and nu is unit, it is also the norm of the e_n column of h
+    off its diagonal.  The two routes agree within 1e-12 of the form's
+    scale on the generic graph and on the catalog."""
+    rng = np.random.default_rng(70 + n)
+    s, height = verify._generic_test_surface(n)
+    graph = [Point(np.append(x, height(x))) for x in rng.normal(size=(30, 2 * n)) * 0.6]
+    cases = [(s, graph)] + [(e.surface, e.sample(rng, 20)) for e in catalog.standard_entries(n)]
+    keep = surface._complement_rows(n)
+    for sfd, pts in cases:
+        batch = report_many(sfd, pts)
+        column = np.linalg.norm(batch.h[:, keep, n - 1], axis=-1)
+        scale = 1.0 + np.abs(batch.h).max(axis=(1, 2))
+        assert (np.abs(batch.xn_residual - column) <= 1e-12 * scale).all(), sfd.name
+    assert report_many(s, graph).xn_residual.min() > 1e-3  # the graph is not umbilic
